@@ -10,12 +10,9 @@ statistically against an independent finite-difference oracle.
 from ._kernels import JIT_ENABLED
 from .eigensolver import (
     EigenResult,
-    ShootState,
-    apply_delta,
     fd_lambda1,
     lambda1,
     lambda1_value,
-    propagate_interval,
     quadratic_form,
     shoot,
 )
@@ -88,12 +85,10 @@ __all__ = [
     "RobinSLError",
     "SampleReport",
     "Segment",
-    "ShootState",
     "StrengthPoint",
     "ToleranceNotReached",
     "ZeroMass",
     "all_extrema",
-    "apply_delta",
     "approach_extremum",
     "check_bounds",
     "combine",
@@ -115,7 +110,6 @@ __all__ = [
     "phase_offsets",
     "potential_from_dict",
     "potential_to_dict",
-    "propagate_interval",
     "quadratic_form",
     "right_half_eigenvalue",
     "sample_unit_mass",

@@ -109,7 +109,6 @@ def _cmd_extrema(args) -> int:
 
 def _cmd_scan_f(args) -> int:
     bc = _bc_from(args)
-    _check_tol(args.tol)
     rows = []
     for mu in _parse_axis(args.mu):
         for zeta in _parse_axis(args.zeta):
@@ -122,7 +121,6 @@ def _cmd_scan_f(args) -> int:
 
 def _cmd_verify(args) -> int:
     bc = _bc_from(args)
-    _check_tol(args.tol)
     report = check_bounds(bc, args.n, args.pieces_max, args.seed)
     text = dumps(
         {
@@ -149,17 +147,18 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--k0sq", type=float, required=True, help="left coefficient k0^2")
         sp.add_argument("--k1sq", type=float, required=True, help="right coefficient k1^2")
-        sp.add_argument("--tol", type=float, default=1e-10, help="bisection tolerance")
         sp.add_argument("--output", default="-", help="output path, '-' for stdout")
 
     sp = sub.add_parser("eigen", help="first eigenvalue of a potential JSON file")
     common(sp)
+    sp.add_argument("--tol", type=float, default=1e-10, help="bisection tolerance")
     sp.add_argument("potential", help="path to a potential JSON file")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_eigen)
 
     sp = sub.add_parser("extrema", help="the four extremal values and potentials")
     common(sp)
+    sp.add_argument("--tol", type=float, default=1e-10, help="bisection tolerance")
     sp.add_argument(
         "--grid",
         nargs=2,

@@ -219,11 +219,14 @@ def inf_minus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
     if k0 > 0.5:
         gap = lambda z: left_half_eigenvalue(z, bc) - right_half_eigenvalue(z, bc)
         lo, hi = 1e-6, 1.0 - 1e-6
-        while gap(lo) <= 0.0 and lo > 1e-13:
+        g_lo, g_hi = gap(lo), gap(hi)
+        while g_lo <= 0.0 and lo > 1e-13:
             lo /= 8.0
-        while gap(hi) >= 0.0 and 1.0 - hi > 1e-13:
+            g_lo = gap(lo)
+        while g_hi >= 0.0 and 1.0 - hi > 1e-13:
             hi = 1.0 - (1.0 - hi) / 8.0
-        if gap(lo) <= 0.0 or gap(hi) >= 0.0:
+            g_hi = gap(hi)
+        if g_lo <= 0.0 or g_hi >= 0.0:
             raise NoCrossing("half-interval eigenvalue curves do not cross on (0, 1)")
         for _ in range(200):
             if hi - lo <= tol:

@@ -58,6 +58,8 @@ class Segment:
             raise ValueError(
                 f"segment needs 0 <= left < right <= 1, got [{self.left}, {self.right}]"
             )
+        if not math.isfinite(self.value):
+            raise ValueError(f"Segment.value must be finite, got {self.value}")
 
     @property
     def width(self) -> float:
@@ -74,6 +76,8 @@ class DeltaAtom:
     def __post_init__(self):
         if not 0.0 <= self.position <= 1.0:
             raise ValueError(f"atom position must lie in [0, 1], got {self.position}")
+        if not math.isfinite(self.weight):
+            raise ValueError(f"DeltaAtom.weight must be finite, got {self.weight}")
 
 
 @dataclass(frozen=True)

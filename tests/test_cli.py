@@ -129,6 +129,36 @@ def test_invalid_tol_rejected(capsys):
     assert "tol" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--k0sq", "0", "--k1sq", "0", "--n", "5", "--tol", "1e-6"],
+        ["scan-f", "--k0sq", "0", "--k1sq", "0", "--mu=0", "--zeta=0.5", "--tol", "1e-6"],
+    ],
+)
+def test_tol_only_on_solving_subcommands(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"segments": [{"l": 0, "r": 0.5, "v": NaN}], "atoms": []}',
+        '{"segments": [], "atoms": [{"z": 0.5, "w": Infinity}]}',
+    ],
+)
+def test_eigen_rejects_non_finite_values(tmp_path, capsys, text):
+    pot = tmp_path / "q.json"
+    pot.write_text(text)
+    code, out, err = run_cli(capsys, ["eigen", "--k0sq", "0", "--k1sq", "0", str(pot)])
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_scan_f_csv(capsys):
     code, out, _ = run_cli(
         capsys,

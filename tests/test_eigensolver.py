@@ -9,17 +9,15 @@ from robinsl import (
     Potential,
     RobinBC,
     Segment,
-    ShootState,
     ToleranceNotReached,
-    apply_delta,
     delta_approx,
     fd_lambda1,
     lambda1,
     lambda1_value,
-    propagate_interval,
     quadratic_form,
     shoot,
 )
+from robinsl._kernels import propagate_step
 
 BC00 = RobinBC(0.0, 0.0)
 BCHH = RobinBC(0.5, 0.5)
@@ -43,44 +41,35 @@ def _series_cosh_sinh(x, terms=30):
 
 
 def test_propagate_cosine_half_turn():
-    out = propagate_interval(ShootState(0.0, 1.0, 0.0), 1.0, 0.0, math.pi**2)
-    assert out.y == pytest.approx(-1.0, abs=1e-12)
-    assert out.yp == pytest.approx(0.0, abs=1e-12)
-    assert out.zero_count == 1
-    assert out.x == 1.0
+    # the kernel takes w = lam - q for the cell
+    y, yp, nz, _ = propagate_step(1.0, 0.0, math.pi**2 - 0.0, 1.0)
+    assert y == pytest.approx(-1.0, abs=1e-12)
+    assert yp == pytest.approx(0.0, abs=1e-12)
+    assert nz == 1
 
 
 def test_propagate_flat_when_q_equals_lambda():
-    out = propagate_interval(ShootState(0.0, 1.0, 0.0), 1.0, 1.0, 1.0)
-    assert (out.y, out.yp, out.zero_count) == (1.0, 0.0, 0)
+    y, yp, nz, _ = propagate_step(1.0, 0.0, 1.0 - 1.0, 1.0)
+    assert (y, yp, nz) == (1.0, 0.0, 0)
 
 
 def test_propagate_hyperbolic_against_series():
     c, s = _series_cosh_sinh(1.0)
-    out = propagate_interval(ShootState(0.0, 1.0, 0.0), 1.0, 0.0, -1.0)
-    assert out.y == pytest.approx(c, rel=1e-14)
-    assert out.yp == pytest.approx(s, rel=1e-14)
-    assert out.zero_count == 0
+    y, yp, nz, _ = propagate_step(1.0, 0.0, -1.0 - 0.0, 1.0)
+    assert y == pytest.approx(c, rel=1e-14)
+    assert yp == pytest.approx(s, rel=1e-14)
+    assert nz == 0
 
 
 def test_propagate_zero_counts_multiple():
     # cos(3*pi*x) crosses zero 3 times on (0, 1)
-    out = propagate_interval(ShootState(0.0, 1.0, 0.0), 1.0, 0.0, (3 * math.pi) ** 2)
-    assert out.zero_count == 3
+    _, _, nz, _ = propagate_step(1.0, 0.0, (3 * math.pi) ** 2 - 0.0, 1.0)
+    assert nz == 3
 
 
 def test_propagate_hyperbolic_single_crossing():
-    out = propagate_interval(ShootState(0.0, 1.0, -2.0), 1.0, 0.0, -1.0)
-    assert out.zero_count == 1
-
-
-def test_apply_delta_jump():
-    st = apply_delta(ShootState(0.5, 1.0, 0.0), -1.0)
-    assert (st.y, st.yp) == (1.0, -1.0)
-    st = apply_delta(ShootState(0.5, 2.0, 0.5), 0.0)
-    assert (st.y, st.yp) == (2.0, 0.5)
-    st = apply_delta(ShootState(0.5, 3.0, -1.0), 2.0)
-    assert (st.y, st.yp) == (3.0, 5.0)
+    _, _, nz, _ = propagate_step(1.0, -2.0, -1.0 - 0.0, 1.0)
+    assert nz == 1
 
 
 def test_shoot_constant_exact():

@@ -166,6 +166,22 @@ def test_inf_minus_interior_symmetric():
     assert abs(rep.value - rep.cross_check) <= 1e-8
 
 
+@pytest.mark.parametrize("bc", [RobinBC(1.0, 1.0), RobinBC(0.75, 2.0), RobinBC(0.6, 0.6)])
+def test_inf_minus_solves_each_zeta_once(bc, monkeypatch):
+    import robinsl.extrema as ex
+
+    seen = []
+
+    def counting(zeta, bc):
+        seen.append(zeta)
+        return left_half_eigenvalue(zeta, bc)
+
+    monkeypatch.setattr(ex, "left_half_eigenvalue", counting)
+    rep = ex.inf_minus(bc)
+    assert rep.branch == "m1minus/interior"
+    assert len(seen) == len(set(seen))
+
+
 def test_inf_minus_endpoint_case():
     bc = RobinBC(0.25, 0.25)
     rep = inf_minus(bc)

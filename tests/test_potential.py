@@ -195,3 +195,16 @@ def test_segment_validation():
         Segment(-0.1, 0.5, 1.0)
     with pytest.raises(ValueError):
         DeltaAtom(1.5, 1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_values_rejected(bad):
+    with pytest.raises(ValueError, match="Segment.value must be finite"):
+        Segment(0.0, 0.5, bad)
+    with pytest.raises(ValueError, match="DeltaAtom.weight must be finite"):
+        DeltaAtom(0.5, bad)
+    with pytest.raises(ValueError, match="Segment.value must be finite"):
+        potential_from_dict({"segments": [{"l": 0.0, "r": 0.5, "v": bad}]})
+    with pytest.raises(ValueError, match="DeltaAtom.weight must be finite"):
+        potential_from_dict({"atoms": [{"z": 0.5, "w": bad}]})
+

@@ -94,11 +94,9 @@ def _cmd_extrema(args) -> int:
     if args.grid:
         k0s = _parse_axis(args.grid[0])
         k1s = _parse_axis(args.grid[1])
-        rows = []
-        for k0 in k0s:
-            for k1 in k1s:
-                reps = all_extrema(RobinBC(k0, k1), tol)
-                rows.append([k0, k1] + [r.value for r in reps])
+        # every pair is validated before the first (slow) solve
+        grid = [(k0, k1, RobinBC(k0, k1)) for k0 in k0s for k1 in k1s]
+        rows = [[k0, k1] + [r.value for r in all_extrema(bc, tol)] for k0, k1, bc in grid]
         text = csv_lines(["k0sq", "k1sq", "M1plus", "M1minus", "m1plus", "m1minus"], rows)
     else:
         reps = all_extrema(_bc_from(args), tol)

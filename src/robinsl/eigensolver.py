@@ -5,7 +5,15 @@ constant-potential cell, applies the derivative jump y'(z+) - y'(z-) =
 w*y(z) at interior atoms, and bisects on the sign structure of the terminal
 defect y'(1) + k1sq*y(1).  A trial value lies below the first eigenvalue
 exactly when the shot solution is zero-free with positive defect, which makes
-the bracket predicate monotone.  An independent finite-difference
+the bracket predicate monotone.
+
+The bisection's result is computed with a fraction of its shots.  The same
+shot gives the Prüfer angle at x=1, continuous and increasing in lam; an
+Illinois iteration on it estimates the eigenvalue, and the predicate shot at
+the estimate -/+ a small margin certifies which way every bisection midpoint
+outside that window goes.  Only the midpoints inside it are shot, so the
+bracket, the final shot and every printed digit are those of the plain
+bisection (``_kernels.lambda1_kernel``).  An independent finite-difference
 discretization provides a cross-check oracle.
 """
 
@@ -52,7 +60,7 @@ def shoot(q: Potential, bc: RobinBC, lam: float):
     defect is meaningful up to a positive factor.
     """
     edges, vals, atomw = compile_arrays(q)
-    res, zc, ok = shoot_kernel(edges, vals, atomw, bc.k0sq, bc.k1sq, lam)
+    res, zc, _, ok = shoot_kernel(edges, vals, atomw, bc.k0sq, bc.k1sq, lam)
     if not ok:
         raise NonFiniteState("shooting state overflowed or vanished")
     return res, zc
@@ -91,8 +99,10 @@ def lambda1(
 
     The bracket [lo, hi] is grown geometrically around the unique lam where
     the zero-free-and-positive-defect predicate flips, then bisected to width
-    tol.  The eigenfunction is re-shot at the converged value and sampled on
-    ``grid_points`` uniform points plus every breakpoint, normalized to max 1.
+    tol (shooting only the midpoints near the eigenvalue, see the module
+    docstring).  The eigenfunction is re-shot at the converged value and
+    sampled on ``grid_points`` uniform points plus every breakpoint,
+    normalized to max 1.
 
     Raises ToleranceNotReached if 200 bisection steps cannot reach tol.
     """

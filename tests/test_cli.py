@@ -123,6 +123,19 @@ def test_invalid_bc_rejected(capsys):
     assert "k1sq" in err
 
 
+def test_extrema_grid_validates_before_solving(capsys, monkeypatch):
+    import robinsl.cli
+
+    calls = []
+    real = robinsl.cli.all_extrema
+    monkeypatch.setattr(robinsl.cli, "all_extrema", lambda bc, tol: calls.append(bc) or real(bc, tol))
+    argv = ["extrema", "--k0sq", "0", "--k1sq", "0", "--grid", "0:2:9", "0:3:7"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "robinsl: error: k1sq must be >= k0sq, got k0sq=0.25, k1sq=0.0\n"
+    assert calls == []
+
+
 def test_invalid_tol_rejected(capsys):
     code, _, err = run_cli(capsys, ["extrema", "--k0sq", "0", "--k1sq", "0", "--tol", "1"])
     assert code == 2

@@ -6,8 +6,11 @@ import sys
 
 import pytest
 
+import numpy as np
+
 from robinsl import lambda1_value, sup_plus, RobinBC, Potential, DeltaAtom, Segment
-from robinsl._kernels import propagate_step, shoot_kernel
+from robinsl.extrema import inf_plus_secular
+from robinsl._kernels import lambda1_kernel, propagate_step, shoot_kernel
 
 _PROBE = r"""
 import json
@@ -96,7 +99,7 @@ def test_shoot_kernel_extreme_lambda_stays_finite():
     edges = np.array([0.0, 0.5, 1.0])
     vals = np.array([1.0e6, -1.0e6])
     atomw = np.zeros(3)
-    res, zc, ok = shoot_kernel(edges, vals, atomw, 0.5, 0.5, -1.0e6)
+    res, zc, _, ok = shoot_kernel(edges, vals, atomw, 0.5, 0.5, -1.0e6)
     assert ok
     assert math.isfinite(res)
 
@@ -106,3 +109,49 @@ def test_zero_count_endpoint_zero_not_counted():
     y1, yp1, nz, _ = propagate_step(1.0, 0.0, (math.pi / 2.0) ** 2, 1.0)
     assert abs(y1) < 1e-12
     assert nz == 0
+
+
+ZERO_Q = (np.array([0.0, 1.0]), np.zeros(1), np.zeros(2))
+
+
+def _mismatch(k0sq, k1sq, lam):
+    _, zc, f, ok = shoot_kernel(*ZERO_Q, k0sq, k1sq, lam)
+    assert ok
+    return zc, f
+
+
+def test_mismatch_continuous_where_a_zero_enters_through_x1():
+    # at k0sq = 0 the shot is cos(sqrt(lam) x), which vanishes at x = 1 for
+    # lam = pi^2/4; just above, the zero is interior and counted
+    lam0 = math.pi**2 / 4.0
+    lams = np.linspace(lam0 - 1e-3, lam0 + 1e-3, 2001)
+    zcs, fs = zip(*(_mismatch(0.0, 0.5, float(lam)) for lam in lams))
+    assert zcs[0] == 0 and zcs[-1] == 1
+    steps = np.diff(fs)
+    # dF/dlam is about 0.2 here: no step may hide a jump of pi
+    assert np.all(steps > 0.0) and steps.max() < 1e-6
+    # ulp by ulp across the crossing: the count flips, the mismatch does not jump
+    ulps = lam0 + np.arange(-16, 17) * np.spacing(lam0)
+    zcs, fs = zip(*(_mismatch(0.0, 0.5, float(lam)) for lam in ulps))
+    assert set(zcs) == {0, 1}
+    assert np.all(np.diff(fs) >= 0.0) and fs[-1] - fs[0] < 1e-14
+
+
+def test_mismatch_increasing_over_several_eigenvalues():
+    for k0sq, k1sq in ((0.0, 0.0), (0.25, 0.5), (1.0, 4.0), (-0.5, 0.5)):
+        lams = np.linspace(-5.0, 120.0, 4001)
+        fs = [_mismatch(k0sq, k1sq, float(lam))[1] for lam in lams]
+        assert np.all(np.diff(fs) > 0.0)
+
+
+def test_mismatch_zero_at_closed_form_eigenvalues():
+    # zero potential, (k0sq, k1sq) = (0, 0): lam1 = 0 with the constant eigenfunction
+    assert _mismatch(0.0, 0.0, 0.0) == (0, 0.0)
+    lam, _, _, _, status = lambda1_kernel(*ZERO_Q, 0.0, 0.0, 1e-12)
+    assert status == 0 and abs(lam) <= 1e-12
+    # inf_plus is the zero potential with k1sq shifted by the unit mass at x = 1
+    for k0sq, k1sq in ((0.0, 0.0), (0.25, 0.5), (1.0, 1.0), (1.0, 4.0)):
+        lam = inf_plus_secular(RobinBC(k0sq, k1sq))
+        zc, f = _mismatch(k0sq, k1sq + 1.0, lam)
+        assert zc == 0 and abs(f) < 1e-11
+        assert _mismatch(k0sq, k1sq + 1.0, lam - 1e-9)[1] < 0.0 < _mismatch(k0sq, k1sq + 1.0, lam + 1e-9)[1]

@@ -28,40 +28,15 @@ from .errors import (
     ToleranceNotReached,
     ZeroMass,
 )
-from .extrema import (
-    ExtremumReport,
-    all_extrema,
-    cot_secular,
-    inf_minus,
-    inf_plus,
-    inf_plus_secular,
-    left_half_eigenvalue,
-    right_half_eigenvalue,
-    sup_minus,
-    sup_plus,
-)
-from .fmap import (
-    PhaseOffsets,
-    StrengthPoint,
-    decay_logslope,
-    decay_profile,
-    delta_strength,
-    delta_strength_dzeta,
-    phase_offsets,
-)
+from .extrema import ExtremumReport, all_extrema, inf_minus, inf_plus, sup_minus, sup_plus
+from .fmap import StrengthPoint, delta_strength, delta_strength_dzeta
 from .potential import (
     DeltaAtom,
     Potential,
     RobinBC,
     Segment,
-    combine,
-    delta_approx,
-    fold_endpoint_atoms,
-    normalize_mass,
     potential_from_dict,
     potential_to_dict,
-    scale,
-    total_integral,
 )
 from .verify import SampleReport, approach_extremum, check_bounds, sample_unit_mass
 
@@ -78,7 +53,6 @@ __all__ = [
     "NoConvergence",
     "NoCrossing",
     "NonFiniteState",
-    "PhaseOffsets",
     "PolePoint",
     "Potential",
     "RobinBC",
@@ -91,31 +65,18 @@ __all__ = [
     "all_extrema",
     "approach_extremum",
     "check_bounds",
-    "combine",
-    "cot_secular",
-    "decay_logslope",
-    "decay_profile",
-    "delta_approx",
     "delta_strength",
     "delta_strength_dzeta",
     "fd_lambda1",
-    "fold_endpoint_atoms",
     "inf_minus",
     "inf_plus",
-    "inf_plus_secular",
     "lambda1",
     "lambda1_value",
-    "left_half_eigenvalue",
-    "normalize_mass",
-    "phase_offsets",
     "potential_from_dict",
     "potential_to_dict",
     "quadratic_form",
-    "right_half_eigenvalue",
     "sample_unit_mass",
-    "scale",
     "shoot",
     "sup_minus",
     "sup_plus",
-    "total_integral",
 ]

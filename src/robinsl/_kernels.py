@@ -322,31 +322,3 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol):
         return 0.0, 0.0, 0.0, 0, STATUS_NONFINITE
     status = STATUS_OK if width <= tol else STATUS_TOL
     return lam, width, r, zc, status
-
-
-@jit
-def sturm_count_below(diag, off, sigma):
-    """Number of eigenvalues of a symmetric tridiagonal matrix below sigma.
-
-    Zero pivots are replaced by -pivmin (LAPACK convention) so that exactly
-    singular leading minors neither overflow the recurrence nor miscount.
-    """
-    maxe2 = 1.0
-    for i in range(len(off)):
-        v = off[i] * off[i]
-        if v > maxe2:
-            maxe2 = v
-    pivmin = 2.2250738585072014e-308 * maxe2
-    count = 0
-    t = diag[0] - sigma
-    if abs(t) < pivmin:
-        t = -pivmin
-    if t < 0.0:
-        count += 1
-    for i in range(1, len(diag)):
-        t = diag[i] - sigma - off[i - 1] * off[i - 1] / t
-        if abs(t) < pivmin:
-            t = -pivmin
-        if t < 0.0:
-            count += 1
-    return count

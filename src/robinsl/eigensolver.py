@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from ._kernels import (
     STATUS_NONFINITE,
@@ -31,7 +31,6 @@ from ._kernels import (
     lambda1_kernel,
     propagate_step,
     shoot_kernel,
-    sturm_count_below,
 )
 from .errors import GridTooCoarse, NoConvergence, NonFiniteState, ToleranceNotReached
 from .potential import Potential, RobinBC, compile_arrays, fold_endpoint_atoms
@@ -212,11 +211,11 @@ def fd_lambda1(q: Potential, bc: RobinBC, n: int) -> float:
     Assembles the (n+1)-node second-difference matrix with the Robin
     conditions eliminated through ghost points, samples segments at cell
     midpoints, spreads each interior atom as a weight/h column at the nearest
-    node, and runs shifted inverse iteration.  The shift is placed just below
-    a Sturm-sequence bracket of the smallest eigenvalue, and the iteration
-    stops when successive Rayleigh quotients differ by less than 1e-12.
+    node, and symmetrizes the boundary couplings.  The smallest eigenvalue of
+    that symmetric tridiagonal matrix comes from LAPACK ``dstebz`` (Sturm-count
+    bisection) through ``scipy.linalg.eigh_tridiagonal``.
 
-    Raises NoConvergence after 10^4 iterations.
+    Raises NoConvergence if LAPACK reports that the bisection failed.
     """
     if n < 100:
         raise ValueError("n must be >= 100")
@@ -241,41 +240,8 @@ def fd_lambda1(q: Potential, bc: RobinBC, n: int) -> float:
     off = np.full(n, -1.0 / h**2)
     off[0] = off[-1] = -math.sqrt(2.0) / h**2  # symmetrized boundary couplings
 
-    pad = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
-    lo = float(np.min(diag - pad))
-    hi = float(np.max(diag + pad))
-    for _ in range(80):
-        if hi - lo <= max(1e-6, 1e-9 * abs(lo)):
-            break
-        mid = 0.5 * (lo + hi)
-        if sturm_count_below(diag, off, mid) == 0:
-            lo = mid
-        else:
-            hi = mid
-    sigma = lo - max(1e-6, 1e-9 * abs(lo))
-
-    ab = np.zeros((2, n + 1))
-    ab[0, 1:] = off
-    ab[1, :] = diag - sigma
-    v = np.full(n + 1, 1.0 / math.sqrt(n + 1))
-    rho_prev = math.inf
-    delta_prev = math.inf
-    for it in range(10_000):
-        w = solveh_banded(ab, v, lower=False)
-        w /= np.linalg.norm(w)
-        aw = diag * w
-        aw[:-1] += off * w[1:]
-        aw[1:] += off * w[:-1]
-        rho = float(w @ aw)
-        delta = abs(rho - rho_prev)
-        if delta < 1e-12:
-            return rho
-        if it >= 3 and delta >= delta_prev:
-            # Rayleigh increments stopped shrinking: the quotient has hit its
-            # eps*||A|| rounding floor (~1e-9 at n=2000), which is far inside
-            # the oracle's own O(h) discretization error
-            return rho
-        rho_prev = rho
-        delta_prev = delta
-        v = w
-    raise NoConvergence("inverse iteration did not converge in 10^4 steps")
+    try:
+        w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 0))
+    except LinAlgError as exc:
+        raise NoConvergence(f"fd_lambda1: {exc}") from exc
+    return float(w[0])

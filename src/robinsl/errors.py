@@ -26,7 +26,7 @@ class GridTooCoarse(RobinSLError):
 
 
 class NoConvergence(RobinSLError):
-    """Inverse iteration did not converge within the iteration budget."""
+    """LAPACK failed to find the finite-difference oracle's eigenvalue."""
 
 
 class BranchUndefined(RobinSLError):

@@ -155,11 +155,7 @@ def normalize_mass(q: Potential, sign: int) -> Potential:
     tot = total_integral(q)
     if tot == 0.0:
         raise ZeroMass("total integral is zero")
-    c = sign / tot
-    return Potential(
-        segments=tuple(Segment(s.left, s.right, s.value * c) for s in q.segments),
-        atoms=tuple(DeltaAtom(a.position, a.weight * c) for a in q.atoms),
-    )
+    return scale(q, sign / tot)
 
 
 def delta_approx(zeta: float, n: int, weight: float) -> Potential:
@@ -268,8 +264,32 @@ def potential_to_dict(q: Potential) -> dict:
     }
 
 
+def _schema_rows(d, key, fields):
+    """Yield the numeric fields of each entry of d[key]; ValueError names a bad one."""
+    items = d.get(key, [])
+    if not isinstance(items, list):
+        raise ValueError(f"{key} must be a list, got {type(items).__name__}")
+    for i, entry in enumerate(items):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{key}[{i}] must be an object, got {type(entry).__name__}")
+        row = []
+        for f in fields:
+            if f not in entry:
+                raise ValueError(f"{key}[{i}].{f} is missing")
+            try:
+                row.append(float(entry[f]))
+            except (TypeError, ValueError):
+                raise ValueError(f"{key}[{i}].{f} must be a number, got {entry[f]!r}") from None
+        yield row
+
+
 def potential_from_dict(d: dict) -> Potential:
-    """Inverse of :func:`potential_to_dict`."""
-    segs = tuple(Segment(float(s["l"]), float(s["r"]), float(s["v"])) for s in d.get("segments", []))
-    atoms = tuple(DeltaAtom(float(a["z"]), float(a["w"])) for a in d.get("atoms", []))
+    """Inverse of :func:`potential_to_dict`.
+
+    Raises ValueError naming the offending field when d breaks the schema.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"potential must be an object, got {type(d).__name__}")
+    segs = tuple(Segment(*row) for row in _schema_rows(d, "segments", "lrv"))
+    atoms = tuple(DeltaAtom(*row) for row in _schema_rows(d, "atoms", "zw"))
     return Potential(segments=segs, atoms=atoms)

@@ -85,7 +85,6 @@ def check_bounds(
     n: int,
     pieces_max: int,
     seed: int,
-    tol: float = BOUND_TOL,
     concentrated: bool = False,
 ) -> SampleReport:
     """Solve n random potentials per sign class and compare against the extrema.
@@ -120,11 +119,11 @@ def check_bounds(
                 gap = abs(lam - ext[kind].value)
                 if gaps[kind] is None or gap < gaps[kind]:
                     gaps[kind] = gap
-            if lam < lo - tol:
+            if lam < lo - BOUND_TOL:
                 report.violations.append(
                     {"potential": potential_to_dict(q), "lambda1": lam, "bound": lo_kind, "gap": lo - lam}
                 )
-            elif lam > hi + tol:
+            elif lam > hi + BOUND_TOL:
                 report.violations.append(
                     {"potential": potential_to_dict(q), "lambda1": lam, "bound": hi_kind, "gap": lam - hi}
                 )

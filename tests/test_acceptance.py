@@ -23,11 +23,10 @@ from robinsl import (
     fd_lambda1,
     lambda1,
     lambda1_value,
-    left_half_eigenvalue,
-    right_half_eigenvalue,
     sup_plus,
 )
 from robinsl.cli import main
+from robinsl.extrema import left_half_eigenvalue, right_half_eigenvalue
 
 BC_GRID6 = [
     RobinBC(0.0, 0.0),

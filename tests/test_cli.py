@@ -172,6 +172,26 @@ def test_eigen_rejects_non_finite_values(tmp_path, capsys, text):
     assert "finite" in err
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ('{"segments": [{"l": 0, "r": 0.5}]}', "segments[0].v"),
+        ('{"segments": [{"l": 0, "r": 0.5, "v": null}]}', "segments[0].v"),
+        ('{"segments": 5}', "segments"),
+        ('{"atoms": [[0.5, 1.0]]}', "atoms[0]"),
+        ('{"atoms": [{"z": 0.5, "w": "heavy"}]}', "atoms[0].w"),
+        ("[]", "potential"),
+    ],
+)
+def test_eigen_rejects_schema_violations(tmp_path, capsys, text, field):
+    pot = tmp_path / "q.json"
+    pot.write_text(text)
+    code, out, err = run_cli(capsys, ["eigen", "--k0sq", "0", "--k1sq", "0", str(pot)])
+    assert code == 2
+    assert out == ""
+    assert field in err
+
+
 def test_scan_f_csv(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from robinsl import (
     DeltaAtom,
     GridTooCoarse,
+    NoConvergence,
     Potential,
     RobinBC,
     Segment,
     ToleranceNotReached,
-    delta_approx,
+    delta_strength,
     fd_lambda1,
     lambda1,
     lambda1_value,
@@ -18,6 +20,7 @@ from robinsl import (
     shoot,
 )
 from robinsl._kernels import propagate_step
+from robinsl.potential import delta_approx
 
 BC00 = RobinBC(0.0, 0.0)
 BCHH = RobinBC(0.5, 0.5)
@@ -191,6 +194,18 @@ def test_fd_requires_fine_grid():
         fd_lambda1(Potential(), BC00, 50)
 
 
+def test_fd_lapack_failure_raises_no_convergence(monkeypatch):
+    import robinsl.eigensolver as es
+
+    def fail(*args, **kwargs):
+        raise LinAlgError("stebz (eigh_tridiagonal) did not converge (LAPACK info=1)")
+
+    monkeypatch.setattr(es, "eigh_tridiagonal", fail)
+    with pytest.raises(NoConvergence) as exc:
+        fd_lambda1(Potential(), BC00, 100)
+    assert isinstance(exc.value.__cause__, LinAlgError)
+
+
 def test_oracle_agreement_random_sample():
     # small pre-check of the full 50-sample acceptance run; breakpoints sit on
     # the oracle grid so only the two solution methods are compared, not the
@@ -209,6 +224,18 @@ def test_oracle_agreement_random_sample():
         a = lambda1_value(q, bc, 1e-12)
         b = fd_lambda1(q, bc, 2000)
         assert abs(a - b) <= 1e-3
+
+
+@pytest.mark.parametrize("mu", [-10.0, -1e2, -1e3, -1e4])
+def test_fd_large_n_strength_map(mu):
+    # the strength-map atom has lambda1 = mu exactly; the oracle's O(h^2)
+    # error must be small at n = 32000 and shrink ~16x from n = 8000
+    bc = RobinBC(0.25, 0.5)
+    q = Potential(atoms=(DeltaAtom(0.5, delta_strength(mu, 0.5, bc).value),))
+    err_8k = abs(fd_lambda1(q, bc, 8000) - mu)
+    err_32k = abs(fd_lambda1(q, bc, 32000) - mu)
+    assert err_32k <= 1e-5 * abs(mu)
+    assert err_8k >= 10.0 * err_32k
 
 
 def test_monotone_in_delta_weight():

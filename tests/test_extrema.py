@@ -8,19 +8,16 @@ from robinsl import (
     Potential,
     RobinBC,
     all_extrema,
-    cot_secular,
     delta_strength,
     inf_minus,
     inf_plus,
-    inf_plus_secular,
     lambda1,
     lambda1_value,
-    left_half_eigenvalue,
-    right_half_eigenvalue,
     sup_minus,
     sup_plus,
-    total_integral,
 )
+from robinsl.extrema import cot_secular, inf_plus_secular, left_half_eigenvalue, right_half_eigenvalue
+from robinsl.potential import total_integral
 
 BC_GRID = [
     RobinBC(0.0, 0.0),

@@ -8,13 +8,11 @@ from robinsl import (
     DeltaAtom,
     Potential,
     RobinBC,
-    decay_logslope,
-    decay_profile,
     delta_strength,
     delta_strength_dzeta,
     lambda1_value,
-    phase_offsets,
 )
+from robinsl.fmap import decay_logslope, decay_profile, phase_offsets
 
 BC00 = RobinBC(0.0, 0.0)
 BC11 = RobinBC(1.0, 1.0)

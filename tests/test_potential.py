@@ -10,14 +10,10 @@ from robinsl import (
     RobinBC,
     Segment,
     ZeroMass,
-    combine,
-    delta_approx,
-    fold_endpoint_atoms,
-    normalize_mass,
     potential_from_dict,
     potential_to_dict,
-    total_integral,
 )
+from robinsl.potential import combine, delta_approx, fold_endpoint_atoms, normalize_mass, total_integral
 
 
 def test_total_integral_constant_one():

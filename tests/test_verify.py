@@ -5,8 +5,8 @@ from robinsl import (
     approach_extremum,
     check_bounds,
     sample_unit_mass,
-    total_integral,
 )
+from robinsl.potential import total_integral
 
 
 def test_sample_is_deterministic():

@@ -5,6 +5,12 @@ compile it unchanged.  When numba is importable and the environment variable
 ``ROBINSL_NO_JIT`` is unset, every kernel is wrapped in ``@njit(cache=True)``;
 otherwise the same functions run as ordinary Python (the pure fallback path).
 The two paths execute identical code and must agree to roundoff.
+
+The cell tables ``edges``, ``vals`` and ``atomw`` come from
+``potential.compile_arrays`` as lists of Python floats.  The pure path reads
+them several times per cell per shot, and a float read from a list keeps every
+later operation on plain floats instead of numpy scalars; numba takes the same
+lists as reflected lists.
 """
 
 import math

@@ -119,6 +119,9 @@ def _cmd_scan_f(args) -> int:
 
 def _cmd_verify(args) -> int:
     bc = _bc_from(args)
+    # an empty run would print a passing report
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     report = check_bounds(bc, args.n, args.pieces_max, args.seed)
     text = dumps(
         {

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .eigensolver import _solve_arrays, lambda1_value
 from .errors import NoCrossing, PolePoint
 from .potential import DeltaAtom, Potential, RobinBC, Segment
@@ -23,9 +21,9 @@ ROOT_TOL = 1e-12
 _MU_TOL = 1e-13
 _CROSS_TOL = 1e-12
 
-_EDGES0 = np.array([0.0, 1.0])
-_VALS0 = np.zeros(1)
-_ATOMW0 = np.zeros(2)
+_EDGES0 = [0.0, 1.0]
+_VALS0 = [0.0]
+_ATOMW0 = [0.0, 0.0]
 
 KINDS = ("M1plus", "M1minus", "m1plus", "m1minus")
 

@@ -8,6 +8,7 @@ masses.  All types are frozen dataclasses and safe to share between threads.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -231,28 +232,40 @@ def scale(q: Potential, c: float) -> Potential:
 
 
 def compile_arrays(q: Potential):
-    """Flatten q into (edges, vals, atomw) arrays for the shooting kernels.
+    """Flatten q into (edges, vals, atomw) cell tables for the shooting kernels.
 
     edges covers [0, 1] with every segment edge and atom position as a
-    breakpoint; vals[i] is the constant value on cell i and atomw[i] the atom
-    weight at edges[i].  Endpoint atoms must be folded away first.
+    breakpoint (points within MERGE_TOL of the previous edge are dropped);
+    vals[i] is the value at the midpoint of cell i, taken from the last
+    segment covering it (as in :meth:`Potential.value_at`), and atomw[i] the
+    weight of the atoms whose nearest edge (the first, on a tie) is edges[i].
+    Endpoint atoms must be folded away first.
+
+    The tables are lists of Python floats: the pure kernels index them once
+    per cell per shot, and a float read from a list avoids numpy's scalar
+    overhead on every later operation.
     """
     for a in q.atoms:
         if a.position <= MERGE_TOL or a.position >= 1.0 - MERGE_TOL:
             raise ValueError("endpoint atoms must be folded with fold_endpoint_atoms")
     pts = q.breakpoints()
-    edges = [pts[0]]
+    edges = [0.0]
     for p in pts[1:]:
         if p - edges[-1] > MERGE_TOL:
-            edges.append(p)
-    edges[0], edges[-1] = 0.0, 1.0
-    edges = np.asarray(edges, dtype=float)
-    mids = 0.5 * (edges[1:] + edges[:-1])
-    vals = q.value_at(mids)
-    atomw = np.zeros(len(edges))
+            edges.append(float(p))
+    edges[-1] = 1.0
+    n = len(edges)
+    mids = [0.5 * (edges[i] + edges[i + 1]) for i in range(n - 1)]
+    vals = [0.0] * (n - 1)
+    for s in q.segments:
+        lo = bisect_left(mids, float(s.left))
+        hi = bisect_right(mids, float(s.right))
+        vals[lo:hi] = [float(s.value)] * (hi - lo)
+    atomw = [0.0] * n
     for a in q.atoms:
-        i = int(np.argmin(np.abs(edges - a.position)))
-        atomw[i] += a.weight
+        pos = float(a.position)
+        i = min(range(n), key=lambda j: abs(edges[j] - pos))
+        atomw[i] += float(a.weight)
     return edges, vals, atomw
 
 

@@ -20,7 +20,6 @@ from .potential import (
     Segment,
     combine,
     delta_approx,
-    normalize_mass,
     potential_to_dict,
 )
 
@@ -52,16 +51,19 @@ def _draw(rng: SplitMix64, pieces: int, sign: int, concentrated: bool) -> Potent
         else:
             pts = sorted(rng.next_unit() for _ in range(pieces + 1))
         heights = [rng.next_abs_normal() for _ in range(pieces)]
-        segs = tuple(
-            Segment(l, r, sign * h)
+        raw = [
+            (l, r, sign * h)
             for l, r, h in zip(pts, pts[1:], heights)
             if r - l > 1e-14 and h > 0.0
-        )
-        if segs:
-            try:
-                return normalize_mass(Potential(segments=segs), sign)
-            except ZeroMass:  # pragma: no cover - needs all-zero heights
-                continue
+        ]
+        # the scaling of normalize_mass, with its sum in the same order, so
+        # the sample's Potential is built once
+        tot = 0.0
+        for l, r, v in raw:
+            tot += v * (r - l)
+        if tot != 0.0:
+            c = sign / tot
+            return Potential(segments=tuple(Segment(l, r, v * c) for l, r, v in raw))
     raise ZeroMass("could not draw a potential with positive mass")
 
 
@@ -92,8 +94,13 @@ def check_bounds(
     Sample i of class tag (0 for +, 1 for -) draws its piece count and shape
     from the sub-seed ``derive_seed(seed, tag, i)``, so any violating sample
     can be regenerated from the report's seed alone.  Violations are recorded,
-    not raised.
+    not raised.  n = 0 gives an empty report; a negative n or a pieces_max
+    below 1 raises ValueError.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    if pieces_max < 1:
+        raise ValueError(f"pieces_max must be >= 1, got {pieces_max}")
     ext = {r.kind: r for r in all_extrema(bc)}
     report = SampleReport(n_samples=0, seed=seed)
     gaps = {k: None for k in KINDS}

@@ -1,0 +1,146 @@
+"""The list cell tables and the one-pass sampler give the bits of their numpy forms.
+
+``compile_arrays`` builds (edges, vals, atomw) as lists of Python floats and
+``verify._draw`` builds each sample's Potential once.  The numpy construction
+and the draw-then-``normalize_mass`` route they replace are kept here as
+oracles; both must be matched bit for bit.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from robinsl import DeltaAtom, Potential, Segment
+from robinsl._rng import SplitMix64, derive_seed
+from robinsl.potential import MERGE_TOL, compile_arrays, normalize_mass
+from robinsl.verify import _draw, sample_unit_mass
+
+BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
+
+
+def _numpy_tables(q):
+    pts = q.breakpoints()
+    edges = [pts[0]]
+    for p in pts[1:]:
+        if p - edges[-1] > MERGE_TOL:
+            edges.append(p)
+    edges[0], edges[-1] = 0.0, 1.0
+    edges = np.asarray(edges, dtype=float)
+    vals = q.value_at(0.5 * (edges[1:] + edges[:-1]))
+    atomw = np.zeros(len(edges))
+    for a in q.atoms:
+        atomw[int(np.argmin(np.abs(edges - a.position)))] += a.weight
+    return edges, vals, atomw
+
+
+def _assert_same_tables(q):
+    got = compile_arrays(q)
+    for new, old in zip(got, _numpy_tables(q)):
+        assert type(new) is list and all(type(x) is float for x in new)
+        assert np.array(new, dtype=float).tobytes() == old.tobytes(), q
+
+
+def test_tables_of_replay_samples():
+    # the 2016 unit-mass samples of tests/test_solver_replay.py
+    for pieces in (8, 16):
+        for concentrated in (False, True):
+            for j in range(len(BC_GRID6)):
+                for sign in (1, -1):
+                    for i in range(42):
+                        _assert_same_tables(sample_unit_mass(pieces, 7919 * j + 31 * i + sign, sign, concentrated))
+
+
+def test_tables_of_concentrated_samples():
+    for pieces in (1, 2, 32, 64):
+        for seed in range(25):
+            _assert_same_tables(sample_unit_mass(pieces, seed, -1, concentrated=True))
+
+
+d = 2.0**-40  # below MERGE_TOL, while 2*d is above it
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        Potential(),
+        Potential(segments=(Segment(0, 1, 3),)),
+        # a gap between segments, and a negative one
+        Potential(segments=(Segment(0.1, 0.2, 3.0), Segment(0.6, 0.7, -1.0))),
+        # segments sharing an edge, and overlapping by less than MERGE_TOL
+        Potential(segments=(Segment(0.0, 0.5, 1.0), Segment(0.5, 1.0, 2.0))),
+        Potential(segments=(Segment(0.3, 0.5 + 5e-13, 1.0), Segment(0.5, 0.9, 2.0))),
+        # breakpoints within MERGE_TOL: a dropped left end beyond the midpoint
+        # of the short cell it falls in leaves that cell at 0
+        Potential(
+            segments=(Segment(0.1, 0.4, 1.0), Segment(0.4 + 9e-13, 0.6, 2.0)),
+            atoms=(DeltaAtom(0.4 + 1.5e-12, 3.0),),
+        ),
+        Potential(segments=(Segment(0.2, 0.5, 1.0), Segment(0.5 + 5e-13, 0.8, 2.0))),
+        # a last edge within MERGE_TOL of 1 is moved to 1
+        Potential(segments=(Segment(0.3, 1.0 - 5e-13, 4.0),)),
+        # a segment narrower than MERGE_TOL
+        Potential(segments=(Segment(0.5, 0.5 + 5e-13, 7.0), Segment(0.7, 0.8, 1.0))),
+        # a short cell whose midpoint both overlapping segments cover: the
+        # later one wins, as in Potential.value_at
+        Potential(segments=(Segment(0.3, 0.5 + d, 1.0), Segment(0.5, 0.9, 2.0)), atoms=(DeltaAtom(0.5 + 1.5 * d, 1.0),)),
+        # an atom dropped as an edge, equidistant from its two neighbours:
+        # it goes to the first, as np.argmin breaks the tie
+        Potential(segments=(Segment(0.25, 0.5, 1.0), Segment(0.5 + 2 * d, 0.75, 2.0)), atoms=(DeltaAtom(0.5 + d, 5.0),)),
+        # atoms only, two of them sharing an edge
+        Potential(atoms=(DeltaAtom(0.3, 1.0), DeltaAtom(0.3 + 5e-13, 2.0), DeltaAtom(0.7, -0.5))),
+    ],
+)
+def test_tables_of_hand_made_potentials(q):
+    _assert_same_tables(q)
+
+
+@st.composite
+def close_breakpoint_potentials(draw):
+    # cuts snapped to a 1e-12 lattice so merging and ties are common
+    ticks = st.integers(1, 10**12 - 1).map(lambda k: k * 1e-12)
+    near = st.tuples(st.floats(0.01, 0.99), st.integers(0, 3)).map(lambda t: t[0] + t[1] * 5e-13)
+    cuts = sorted(set(draw(st.lists(st.one_of(ticks, near), min_size=2, max_size=8))))
+    values = draw(st.lists(st.floats(-50.0, 50.0), min_size=len(cuts), max_size=len(cuts)))
+    segs = tuple(Segment(l, r, v) for l, r, v in zip(cuts[::2], cuts[1::2], values) if l < r <= 1.0)
+    atoms = draw(st.lists(st.tuples(st.one_of(ticks, near), st.floats(-10.0, 10.0)), max_size=3))
+    return Potential(segments=segs, atoms=tuple(DeltaAtom(z, w) for z, w in atoms if MERGE_TOL < z < 1.0 - MERGE_TOL))
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=close_breakpoint_potentials())
+def test_tables_of_random_potentials(q):
+    _assert_same_tables(q)
+
+
+def _draw_then_normalize(rng, pieces, sign, concentrated):
+    # the sampler as it was: raw Segments, then normalize_mass
+    for _ in range(100):
+        if concentrated:
+            width = 1.0 / pieces
+            left = rng.next_unit() * (1.0 - width)
+            inner = sorted(left + rng.next_unit() * width for _ in range(pieces - 1))
+            pts = [left] + inner + [left + width]
+        else:
+            pts = sorted(rng.next_unit() for _ in range(pieces + 1))
+        heights = [rng.next_abs_normal() for _ in range(pieces)]
+        segs = tuple(
+            Segment(l, r, sign * h) for l, r, h in zip(pts, pts[1:], heights) if r - l > 1e-14 and h > 0.0
+        )
+        if segs:
+            return normalize_mass(Potential(segments=segs), sign)
+    raise AssertionError("no sample drawn")
+
+
+@pytest.mark.parametrize("concentrated", [False, True])
+@pytest.mark.parametrize("sign, tag", [(1, 0), (-1, 1)])
+def test_draw_matches_normalize_mass(sign, tag, concentrated):
+    for i in range(2000):
+        pieces_max = 8 if i % 2 else 16
+        rng = SplitMix64(derive_seed(20260809, tag, i))
+        pieces = pieces_max if concentrated else 1 + rng.next_u64() % pieces_max
+        ref = copy.copy(rng)
+        assert _draw(rng, pieces, sign, concentrated) == _draw_then_normalize(ref, pieces, sign, concentrated)
+        assert rng._state == ref._state

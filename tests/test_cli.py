@@ -252,3 +252,19 @@ def test_dumps_fixed_order():
 def test_csv_lines_bools_and_floats():
     text = csv_lines(["a", "b"], [[True, 0.25], [False, float("nan")]])
     assert text == "a,b\n1,0.25\n0,nan\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--pieces-max", "0", "pieces_max"),
+        ("--pieces-max", "-2", "pieces_max"),
+        ("--n", "0", "--n"),
+        ("--n", "-5", "--n"),
+    ],
+)
+def test_verify_rejects_bad_counts(capsys, flag, value, named):
+    code, out, err = run_cli(capsys, ["verify", "--k0sq", "0", "--k1sq", "0", "--n", "5", flag, value])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("robinsl: error: ") and named in err and value in err

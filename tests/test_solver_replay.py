@@ -153,6 +153,10 @@ def test_shot_budget_per_solve(monkeypatch):
 
     def counted(*args):
         shots[-1] += 1
+        # the cell tables reach the kernel as lists of Python floats, which
+        # the pure path reads without numpy's scalar overhead
+        for table in args[:3]:
+            assert type(table) is list and all(type(x) is float for x in table)
         return real(*args)
 
     monkeypatch.setattr(K, "shoot_kernel", counted)
@@ -169,3 +173,40 @@ def test_shot_budget_per_solve(monkeypatch):
     # two growth shots and the final one at least; the plain bisection needs ~40
     assert min(shots) >= 3
     assert np.mean(shots) <= 20.0
+
+
+@pytest.mark.skipif(JIT_ENABLED, reason="compiled kernels call _angle_root without the module lookup")
+@pytest.mark.parametrize("off", [3.0, -3.0, 20.0, -20.0, None])
+def test_certify_corrects_a_wrong_estimate(monkeypatch, off):
+    # _angle_root is replaced by an estimate `off` margins from the eigenvalue
+    # (None: a failed Illinois phase); _certify must widen its window until it
+    # is sound, so the result stays the plain bisection's, in fewer shots
+    real_shoot = K.shoot_kernel
+    shots = [0]
+    want = None
+
+    def counted(*args):
+        shots[0] += 1
+        return real_shoot(*args)
+
+    def wrong_root(edges, vals, atomw, k0sq, k1sq, tol, lo, flo, hi, fhi):
+        if off is None:
+            return 0.5 * (lo + hi), False
+        return want[0] + off * K._margin(want[0], tol), True
+
+    monkeypatch.setattr(K, "shoot_kernel", counted)
+    monkeypatch.setattr(K, "_angle_root", wrong_root)
+    for j, (k0, k1) in enumerate(BC_GRID6):
+        for sign in (1, -1):
+            for i in range(4):
+                q = sample_unit_mass(8, 7919 * j + 31 * i + sign, sign, i % 2 == 1)
+                args = _effective_arrays(q, RobinBC(k0, k1)) + (1e-10,)
+                shots[0] = 0
+                want = _bisection_kernel(*args)
+                plain_shots = shots[0]
+                shots[0] = 0
+                assert K.lambda1_kernel(*args) == want
+                if off is None:
+                    assert shots[0] == plain_shots
+                else:
+                    assert shots[0] < plain_shots

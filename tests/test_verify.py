@@ -124,3 +124,9 @@ def test_depth_limits():
         approach_extremum(RobinBC(0.0, 0.0), "m1plus", 15)
     with pytest.raises(ValueError):
         approach_extremum(RobinBC(0.0, 0.0), "nope", 8)
+
+
+@pytest.mark.parametrize("n, pieces_max, named", [(-1, 8, "n must"), (5, 0, "pieces_max"), (5, -2, "pieces_max")])
+def test_check_bounds_rejects_bad_counts(n, pieces_max, named):
+    with pytest.raises(ValueError, match=named):
+        check_bounds(RobinBC(0.0, 0.0), n, pieces_max, 1)

@@ -74,15 +74,16 @@ def _cmd_eigen(args) -> int:
     with open(args.potential) as fh:
         q = potential_from_dict(json.load(fh))
     res = lambda1(q, bc, tol)
+    samples = np.column_stack((res.xs, res.ys))
     if args.format == "csv":
-        text = csv_lines(["x", "y"], zip(res.xs, res.ys))
+        text = csv_lines(["x", "y"], samples)
     else:
         text = dumps(
             {
                 "lambda1": res.lambda1,
                 "residual": res.residual,
                 "bracket_width": res.bracket_width,
-                "eigenfunction": [[float(x), float(y)] for x, y in zip(res.xs, res.ys)],
+                "eigenfunction": samples,
             }
         )
     _write(text, args.output)

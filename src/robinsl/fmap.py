@@ -115,6 +115,13 @@ def _strength_exact(mu, zeta, bc):
     return -nu * (decay_logslope(nu, k0, zeta) + decay_logslope(nu, k1, 1.0 - zeta)), True
 
 
+def _check_point(mu, zeta):
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
+    if not 0.0 <= zeta <= 1.0:
+        raise ValueError("zeta must lie in [0, 1]")
+
+
 def delta_strength(mu: float, zeta: float, bc: RobinBC) -> StrengthPoint:
     """Weight a with first eigenvalue of a*delta_zeta equal to mu.
 
@@ -123,10 +130,9 @@ def delta_strength(mu: float, zeta: float, bc: RobinBC) -> StrengthPoint:
     ``in_domain=False`` and a NaN value.  For mu <= 0 the map is defined
     everywhere on [0, 1].  Inside the band |mu| < 1e-8 the mu=0 formula plus
     one central-difference correction from mu = +-1e-6 replaces the exact
-    branches, which lose digits there.
+    branches, which lose digits there.  A non-finite mu raises ValueError.
     """
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError("zeta must lie in [0, 1]")
+    _check_point(mu, zeta)
     if abs(mu) < ZERO_BAND:
         base, _ = _strength_exact(0.0, zeta, bc)
         up, _ = _strength_exact(1e-6, zeta, bc)
@@ -155,8 +161,7 @@ def _strength_dzeta_exact(mu, zeta, bc):
 
 def delta_strength_dzeta(mu: float, zeta: float, bc: RobinBC) -> float:
     """Closed-form zeta-derivative of :func:`delta_strength` at an in-domain point."""
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError("zeta must lie in [0, 1]")
+    _check_point(mu, zeta)
     if abs(mu) < ZERO_BAND:
         base = _strength_dzeta_exact(0.0, zeta, bc)
         up = _strength_dzeta_exact(1e-6, zeta, bc)

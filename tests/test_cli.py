@@ -209,6 +209,14 @@ def test_scan_f_csv(capsys):
     assert out_rows and all(r.split(",")[3] == "nan" for r in out_rows)
 
 
+@pytest.mark.parametrize("mu", ["nan", "inf", "-inf"])
+def test_scan_f_rejects_non_finite_mu(capsys, mu):
+    code, out, err = run_cli(capsys, ["scan-f", "--k0sq", "0", "--k1sq", "0", f"--mu={mu}", "--zeta", "0.5"])
+    assert code == 2
+    assert out == ""
+    assert err == f"robinsl: error: mu must be finite, got {mu}\n"
+
+
 def test_verify_small(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -177,3 +177,10 @@ def test_dzeta_strictly_negative_between_coefficient_scales():
 def test_dzeta_out_of_domain_raises():
     with pytest.raises(ValueError):
         delta_strength_dzeta(3.0, 0.0, BC00)
+
+
+@pytest.mark.parametrize("mu, text", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+def test_non_finite_mu_rejected(mu, text):
+    for fn in (delta_strength, delta_strength_dzeta):
+        with pytest.raises(ValueError, match=f"^mu must be finite, got {text}$"):
+            fn(mu, 0.5, BC00)

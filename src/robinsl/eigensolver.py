@@ -80,10 +80,15 @@ def _effective_arrays(q, bc):
     return edges, vals, atomw, eff.k0sq, eff.k1sq
 
 
+def _check_tol(tol):
+    # `not 0 < tol < inf` also rejects nan, which every comparison fails
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def lambda1_value(q: Potential, bc: RobinBC, tol: float = DEFAULT_TOL) -> float:
     """First eigenvalue only (no eigenfunction sampling)."""
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     edges, vals, atomw, k0, k1 = _effective_arrays(q, bc)
     return _solve_arrays(edges, vals, atomw, k0, k1, tol)[0]
 
@@ -105,8 +110,7 @@ def lambda1(
 
     Raises ToleranceNotReached if 200 bisection steps cannot reach tol.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if grid_points < 1001:
         raise ValueError("grid_points must be >= 1001")
     edges, vals, atomw, k0, k1 = _effective_arrays(q, bc)

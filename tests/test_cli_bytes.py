@@ -43,6 +43,20 @@ PINNED = {
         ["extrema", "--k0sq", "0", "--k1sq", "0", "--grid", "0:1:5", "1:3:7"],
         "eba9067df4d65151be43d18a72cb335d24c47b87f07afc4431b5410b9c7f12bf",
     ),
+    # inf_minus's interior root-find: near k0sq = 1/2, at a finer tol, and a
+    # grid on which every m1minus is an interior crossing
+    "extrema_edge": (
+        ["extrema", "--k0sq", "0.50001", "--k1sq", "2.3"],
+        "e2be3d9d67b3bdd647ac9a76af1c529f956e103845123abcc61b2c4a3ff6b642",
+    ),
+    "extrema_interior_tol12": (
+        ["extrema", "--k0sq", "2", "--k1sq", "2.5", "--tol", "1e-12"],
+        "77ef53ba66ed3559038f18219d738e729836b1bbba51e3a2d90837a0b0c9dd19",
+    ),
+    "extrema_grid_interior": (
+        ["extrema", "--k0sq", "0", "--k1sq", "0", "--grid", "0.6:3:5", "3:4:3"],
+        "f4af8b04c5a8b2918a58e89d330e949abcb0b40ffb0c2813c7fd94f5fa4d6890",
+    ),
     "scan_f_readme": (
         ["scan-f", "--k0sq", "1", "--k1sq", "1", "--mu=-2:3:11", "--zeta=0:1:21"],
         "5fcdd3afaa7e75d623da773c40d8b7869fb6a7bc2e489815877c05cf8df2e959",

@@ -249,3 +249,23 @@ def test_sup_plus_eigenfunction_plateau():
         on = (res.xs >= seg.left - 1e-12) & (res.xs <= seg.right + 1e-12)
         plateau = res.ys[on]
         assert (plateau.max() - plateau.min()) / plateau.max() <= 1e-6
+
+
+TOL_TAKERS = {
+    "lambda1_value": lambda tol: lambda1_value(Potential(), RobinBC(1.0, 1.0), tol),
+    "lambda1": lambda tol: lambda1(Potential(), RobinBC(1.0, 1.0), tol),
+    "sup_plus": lambda tol: sup_plus(RobinBC(1.0, 1.0), tol),
+    "sup_minus": lambda tol: sup_minus(RobinBC(0.0, 0.0), tol),  # closed-form branch
+    "inf_plus": lambda tol: inf_plus(RobinBC(1.0, 1.0), tol),
+    "inf_minus": lambda tol: inf_minus(RobinBC(0.5, 0.5), tol),  # flat branch, no root-find
+    "all_extrema": lambda tol: all_extrema(RobinBC(1.0, 1.0), tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("name", list(TOL_TAKERS))
+def test_bad_tol_rejected(name, tol):
+    # an infinite tol once returned the midpoint of the starting bracket as
+    # the eigenvalue, and a nan one a ToleranceNotReached "> nan"
+    with pytest.raises(ValueError, match="^tol must be positive and finite, got "):
+        TOL_TAKERS[name](tol)

@@ -145,121 +145,31 @@ def shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam):
 
 
 @jit
-def _margin(lam, tol):
-    """Half-width of the window around an eigenvalue estimate that is certified."""
-    return max(0.25 * tol, 1e-12 * max(1.0, abs(lam)))
-
-
-@jit
-def _angle_root(edges, vals, atomw, k0sq, k1sq, tol, lo, flo, hi, fhi):
-    """Illinois iteration on the mismatch inside [lo, hi], where flo < 0 < fhi.
-
-    Each step is pulled toward the bracket midpoint just enough that the
-    bracket keeps pace with bisection plus three steps (the projection of the
-    ITP method, Oliveira and Takahashi, ACM TOMS 47, 2021).  So a mismatch
-    that jumps, as when rounding loses a decaying mode, costs at most three
-    shots more than bisection.  Stops once the bracket is no wider than twice
-    the margin of its midpoint.  Returns (midpoint, ok); ok is False when a
-    shot failed.
-    """
-    a, fa, b, fb = lo, flo, hi, fhi
-    # bisection needs n halvings to reach 2*eps, eps the smallest margin in
-    # [lo, hi]; step j = 0, 1, ... leaves a bracket of at most
-    # eps * 2**(n + 3 - j), three halvings behind bisection
-    eps = _margin(max(lo, -hi, 0.0), tol)
-    reach = 2.0 * eps
-    while reach < b - a:
-        reach = 2.0 * reach
-    reach = 4.0 * reach
-    side = 0
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if b - a <= 2.0 * _margin(mid, tol):
-            break
-        c = a - fa * (b - a) / (fb - fa)
-        r = reach - 0.5 * (b - a)
-        reach = 0.5 * reach
-        if c < mid - r:
-            c = mid - r
-        elif c > mid + r:
-            c = mid + r
-        if not (a < c < b):
-            c = mid
-        _, _, fc, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, c)
-        if not ok:
-            return mid, False
-        if fc < 0.0:
-            a, fa = c, fc
-            if side < 0:
-                fb = 0.5 * fb
-            side = -1
-        elif fc > 0.0:
-            b, fb = c, fc
-            if side > 0:
-                fa = 0.5 * fa
-            side = 1
-        else:
-            return c, True
-    return 0.5 * (a + b), True
-
-
-@jit
-def _certify(edges, vals, atomw, k0sq, k1sq, tol, lo, hi, est):
-    """Window (a, b) around est outside which the bracket predicate is known.
-
-    Shoots the predicate "no zero and positive residual" at est - m and
-    est + m, widening m eightfold until it holds at the first point and fails
-    at the second; an end that reaches the bracket [lo, hi] is replaced by it.
-    Returns (lo, hi), the whole bracket, if a shot failed.
-    """
-    m = _margin(est, tol)
-    for _ in range(100):
-        a = est - m
-        b = est + m
-        m = 8.0 * m
-        if a <= lo:
-            a = lo
-        else:
-            r, zc, _, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, a)
-            if not ok:
-                break
-            if not (zc == 0 and r > 0.0):
-                continue
-        if b >= hi:
-            return a, hi
-        r, zc, _, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, b)
-        if not ok:
-            break
-        if not (zc == 0 and r > 0.0):
-            return a, b
-    return lo, hi
-
-
-@jit
 def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol):
-    """Locate the smallest eigenvalue: the bisection result, with fewer shots.
+    """Locate the smallest eigenvalue to a bracket of width tol + 1e-14*|lam|.
 
     A trial lam lies below the first eigenvalue exactly when the shot solution
-    has no interior zero and positive residual.  The bracket [lo, hi] is grown
-    geometrically on both sides of that predicate and then bisected to width
-    tol (at most 200 halvings).  The result is defined by that bisection.
+    has no interior zero and positive residual.  lo is grown geometrically
+    down until that predicate holds.  hi starts from a value already known to
+    fail it: the last lo that failed, when lo had to move, else the Rayleigh
+    quotient of y = 1 (k0sq + k1sq + the integral of q with atoms by weight,
+    an upper bound on the first eigenvalue) plus a little slack.  hi is grown
+    only if that value passes.
 
-    Most of its shots are skipped.  The angle mismatch of the same shots is
-    continuous and increasing with its root at the first eigenvalue, so an
-    Illinois iteration on it (_angle_root) finds an estimate within a margin
-    m = max(tol/4, 1e-12*max(1, |estimate|)) in a few shots.  The predicate
-    is then shot at estimate -/+ m, widened eightfold until it holds below
-    and fails above (_certify).  By the monotonicity the bisection itself
-    rests on, the predicate is then true on (-inf, a] and false on [b, inf);
-    the margin keeps a and b clear of the few ulps around the eigenvalue
-    where rounding can flip it.  The bisection then runs unchanged, except
-    that a midpoint outside (a, b) takes its known outcome without a shot.
-    So lo, hi, the final shot and every returned value are those of the plain
-    bisection, bit for bit.  A failed shot in the Illinois or certification
-    phase only turns the skipping off, so every midpoint is shot and the
-    status is the plain bisection's.
+    Inside [lo, hi] the angle mismatch of each shot, continuous and
+    increasing with its root at the first eigenvalue, picks the next trial
+    lam: an Illinois step, pulled toward the bracket midpoint just enough that
+    the bracket keeps pace with bisection plus three steps (the projection of
+    the ITP method, Oliveira and Takahashi, ACM TOMS 47, 2021).  So a mismatch
+    that jumps, as when rounding loses a decaying mode, costs at most three
+    shots more than bisection.  The predicate of the same shot moves lo or
+    hi, so both ends stay certified.  The loop stops once hi - lo <= tol +
+    1e-14*|lam|; the relative term, below the 12 printed digits, keeps that
+    width above the float spacing at any lam.
 
-    Returns (lam, bracket_width, residual, zero_count, status).
+    Returns (lam, bracket_width, residual, zero_count, status): lam is the
+    bracket midpoint, and the residual and zero count come from a last shot
+    there.  tol must be positive.
     """
     total = 0.0
     for i in range(len(vals)):
@@ -270,61 +180,89 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol):
     lo = -abs(total)
     if lo > 0.0:
         lo = 0.0
+    bound = k0sq + k1sq + total
+    hi = bound + 1e-3 * (1.0 + abs(bound))
     flo = 0.0
+    fhi = 0.0
+    hi_known = False
     found = False
     for _ in range(200):
-        r, zc, flo, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, lo)
+        r, zc, f, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, lo)
         if not ok:
             return 0.0, 0.0, 0.0, 0, STATUS_NONFINITE
         if zc == 0 and r > 0.0:
+            flo = f
             found = True
             break
+        hi, fhi, hi_known = lo, f, True
         lo = 2.0 * lo - 1.0
     if not found:
         return 0.0, 0.0, 0.0, 0, STATUS_TOL
 
-    hi = lo + 1.0
-    fhi = 0.0
-    found = False
-    for _ in range(200):
-        r, zc, fhi, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, hi)
-        if not ok:
-            return 0.0, 0.0, 0.0, 0, STATUS_NONFINITE
-        if zc >= 1 or r < 0.0:
-            found = True
-            break
-        hi = lo + 2.0 * (hi - lo)
-    if not found:
-        return 0.0, 0.0, 0.0, 0, STATUS_TOL
-
-    a, b = lo, hi
-    est, ok = _angle_root(edges, vals, atomw, k0sq, k1sq, tol, lo, flo, hi, fhi)
-    if ok:
-        a, b = _certify(edges, vals, atomw, k0sq, k1sq, tol, lo, hi, est)
-
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if mid <= a:
-            lo = mid
-        elif mid >= b:
-            hi = mid
-        else:
-            r, zc, _, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, mid)
+    if not hi_known:
+        if hi <= lo:
+            hi = lo + 1.0
+        for _ in range(200):
+            r, zc, fhi, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, hi)
             if not ok:
                 return 0.0, 0.0, 0.0, 0, STATUS_NONFINITE
-            if zc == 0 and r > 0.0:
-                lo = mid
-            else:
-                hi = mid
+            if not (zc == 0 and r > 0.0):
+                hi_known = True
+                break
+            step = hi - lo
+            lo, flo = hi, fhi
+            hi = hi + 2.0 * step
+        if not hi_known:
+            return 0.0, 0.0, 0.0, 0, STATUS_TOL
+
+    # bisection needs n halvings to reach the smallest stopping width w in
+    # [lo, hi]; step j = 0, 1, ... leaves a bracket of at most
+    # w * 2**(n + 2 - j), three steps behind bisection
+    reach = tol + 1e-14 * max(lo, -hi, 0.0)
+    while reach < hi - lo:
+        reach = 2.0 * reach
+    reach = 4.0 * reach
+    side = 0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (tol + 1e-14 * abs(mid))
+        if hi - lo <= 2.0 * half or not lo < mid < hi:
+            break
+        c = mid
+        if fhi > flo:
+            c = lo - flo * (hi - lo) / (fhi - flo)
+        r = reach - 0.5 * (hi - lo)
+        reach = 0.5 * reach
+        if c < mid - r:
+            c = mid - r
+        elif c > mid + r:
+            c = mid + r
+        # a step that lands next to an end, as at a root found to rounding,
+        # keeps half a stopping width from it, so the far side closes next
+        if c < lo + half:
+            c = lo + half
+        elif c > hi - half:
+            c = hi - half
+        if not lo < c < hi:
+            c = mid
+        res, zc, fc, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, c)
+        if not ok:
+            return 0.0, 0.0, 0.0, 0, STATUS_NONFINITE
+        if zc == 0 and res > 0.0:
+            lo, flo = c, fc
+            if side < 0:
+                fhi = 0.5 * fhi
+            side = -1
+        else:
+            hi, fhi = c, fc
+            if side > 0:
+                flo = 0.5 * flo
+            side = 1
 
     width = hi - lo
     lam = 0.5 * (lo + hi)
     r, zc, _, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam)
     if not ok:
         return 0.0, 0.0, 0.0, 0, STATUS_NONFINITE
-    status = STATUS_OK if width <= tol else STATUS_TOL
+    status = STATUS_OK if width <= tol + 1e-14 * abs(lam) else STATUS_TOL
     return lam, width, r, zc, status

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification found violations, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -138,7 +139,13 @@ def _cmd_verify(args) -> int:
     return 1 if report.violations else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (building it takes ~1 ms).
+
+    It keeps no state between parses; the ``_cmd_*`` handlers it dispatches
+    to look up the library functions they call at call time.
+    """
     p = argparse.ArgumentParser(
         prog="robinsl",
         description="First eigenvalues and extremal bounds for Robin problems "
@@ -153,14 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eigen", help="first eigenvalue of a potential JSON file")
     common(sp)
-    sp.add_argument("--tol", type=float, default=1e-10, help="bisection tolerance")
+    sp.add_argument("--tol", type=float, default=1e-10, help="root-find tolerance")
     sp.add_argument("potential", help="path to a potential JSON file")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_eigen)
 
     sp = sub.add_parser("extrema", help="the four extremal values and potentials")
     common(sp)
-    sp.add_argument("--tol", type=float, default=1e-10, help="bisection tolerance")
+    sp.add_argument("--tol", type=float, default=1e-10, help="root-find tolerance")
     sp.add_argument(
         "--grid",
         nargs=2,

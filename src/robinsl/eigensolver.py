@@ -2,19 +2,17 @@
 
 The solver propagates the exact 2x2 fundamental solution across each
 constant-potential cell, applies the derivative jump y'(z+) - y'(z-) =
-w*y(z) at interior atoms, and bisects on the sign structure of the terminal
-defect y'(1) + k1sq*y(1).  A trial value lies below the first eigenvalue
-exactly when the shot solution is zero-free with positive defect, which makes
-the bracket predicate monotone.
+w*y(z) at interior atoms, and brackets the first eigenvalue by the sign
+structure of the terminal defect y'(1) + k1sq*y(1).  A trial value lies below
+the first eigenvalue exactly when the shot solution is zero-free with
+positive defect, which makes the bracket predicate monotone.
 
-The bisection's result is computed with a fraction of its shots.  The same
-shot gives the Prüfer angle at x=1, continuous and increasing in lam; an
-Illinois iteration on it estimates the eigenvalue, and the predicate shot at
-the estimate -/+ a small margin certifies which way every bisection midpoint
-outside that window goes.  Only the midpoints inside it are shot, so the
-bracket, the final shot and every printed digit are those of the plain
-bisection (``_kernels.lambda1_kernel``).  An independent finite-difference
-discretization provides a cross-check oracle.
+The same shot gives the Prüfer angle at x=1, continuous and increasing in
+lam; an Illinois step on it, clamped to keep pace with bisection, picks each
+next trial value, and the predicate moves one end of the bracket
+(``_kernels.lambda1_kernel``).  The bracket is narrowed to width tol +
+1e-14*|lam|.  An independent finite-difference discretization provides a
+cross-check oracle.
 """
 
 from __future__ import annotations
@@ -70,7 +68,10 @@ def _solve_arrays(edges, vals, atomw, k0sq, k1sq, tol):
     if status == STATUS_NONFINITE:
         raise NonFiniteState("shooting state overflowed or vanished")
     if status != STATUS_OK:
-        raise ToleranceNotReached(f"bisection stalled at bracket width {width:.3e} > {tol:.3e}")
+        raise ToleranceNotReached(
+            f"root-find stalled at bracket width {width:.3e} > tol + 1e-14*|lam| = "
+            f"{tol + 1e-14 * abs(lam):.3e}"
+        )
     return lam, width, res, zc
 
 
@@ -101,14 +102,13 @@ def lambda1(
 ) -> EigenResult:
     """First eigenvalue with its positive eigenfunction sampled on a grid.
 
-    The bracket [lo, hi] is grown geometrically around the unique lam where
-    the zero-free-and-positive-defect predicate flips, then bisected to width
-    tol (shooting only the midpoints near the eigenvalue, see the module
-    docstring).  The eigenfunction is re-shot at the converged value and
-    sampled on ``grid_points`` uniform points plus every breakpoint,
-    normalized to max 1.
+    The bracket [lo, hi] around the unique lam where the
+    zero-free-and-positive-defect predicate flips is narrowed to width
+    tol + 1e-14*|lam| (see the module docstring).  The eigenfunction is
+    re-shot at the converged value and sampled on ``grid_points`` uniform
+    points plus every breakpoint, normalized to max 1.
 
-    Raises ToleranceNotReached if 200 bisection steps cannot reach tol.
+    Raises ToleranceNotReached if 200 root-find steps cannot reach that width.
     """
     _check_tol(tol)
     if grid_points < 1001:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .eigensolver import _check_tol, _solve_arrays, lambda1_value
-from .errors import NoCrossing, PolePoint, RobinSLError
+from .errors import NoCrossing, PolePoint
 from .potential import DeltaAtom, Potential, RobinBC, Segment
 
 ROOT_TOL = 1e-12
@@ -183,7 +183,7 @@ def left_half_eigenvalue(zeta: float, bc: RobinBC) -> float:
     if not 0.0 < zeta <= 1.0:
         raise ValueError("zeta must lie in (0, 1]")
     # rescaled solve tolerance keeps the unrescaled eigenvalue accurate to
-    # _MU_TOL; the floor keeps it above the floating-point spacing at tiny zeta
+    # _MU_TOL; the floor keeps it above the shots' rounding noise at tiny zeta
     tol = max(_MU_TOL * zeta**2, 1e-20)
     return _solve_arrays(_EDGES0, _VALS0, _ATOMW0, zeta * bc.k0sq, -0.5 * zeta, tol)[0] / zeta**2
 
@@ -224,10 +224,9 @@ def _crossing_estimate(k0sq, k1sq):
     common eigenvalue lam, zeta = I(k0sq, lam) and 1 - zeta = I(k1sq, lam),
     with I = _riccati_length.  I(k0sq) + I(k1sq) - 1 falls from +inf at
     lam = -1/4 to below zero at lam = 16 (each I < pi/8 there); it is bisected
-    until the floats run out.  Returns (zeta, slope), or None for
-    k1sq < 1/2: zeta = I(k0sq)/(I(k0sq) + I(k1sq)) at that lam, exactly 1/2
-    when k0sq = k1sq, and slope ~ |d gap/d zeta| there, the sum over both
-    halves of 1/|dI/dlam| by a central difference (inf where that fails).
+    until the floats run out.  Returns (zeta, lam) with zeta = I(k0sq)/(I(k0sq)
+    + I(k1sq)), exactly 1/2 when k0sq = k1sq, or None when the curves do not
+    cross inside (0, 1).
     """
     if k1sq < 0.5:
         # (an unvalidated RobinBC) the curves cannot cross, as the right half
@@ -247,58 +246,10 @@ def _crossing_estimate(k0sq, k1sq):
         else:
             hi = mid
     left, right = _riccati_length(k0sq, lo), _riccati_length(k1sq, lo)
-    h = 1e-3 * (lo + 0.25)
-    slope = 0.0
-    for k in (k0sq, k1sq):
-        dlen = _riccati_length(k, lo - h) - _riccati_length(k, lo + h)
-        slope += 2.0 * h / dlen if dlen > 0.0 else math.inf
-    return left / (left + right), slope
-
-
-def _half_err(length):
-    """Error bound of a half-interval eigenvalue on an interval of this length.
-
-    Its solve tolerance, unrescaled (see left_half_eigenvalue); the solve
-    returns the middle of a bracket that wide, so this bound has a factor 2
-    to spare.
-    """
-    return max(_MU_TOL * length**2, 1e-20) / length**2
-
-
-def _certified_window(gap, zeta, m, lo, hi):
-    """Window (a, b) around the estimate zeta outside which the bisection's signs are known.
-
-    Every bisection midpoint <= a has a computed gap > 0, and every midpoint
-    >= b one <= 0.  The true gap is strictly decreasing, and a computed gap at
-    z is within _half_err(z) + _half_err(1 - z) of it.  A midpoint <= a lies
-    in [a/2, a] (it halves a bracket that reaches past a), so a computed
-    gap(a) above its own error plus the largest error on [a/2, a] fixes the
-    sign there; b mirrors this.
-
-    Each end starts m from zeta and moves out eightfold until its evaluated
-    gap clears that bound.  An end past lo or hi is clamped and not
-    evaluated.
-    """
-    zeta = min(max(zeta, lo), hi)
-    m0 = m
-    while True:
-        a = zeta - m
-        if a <= lo:
-            a = lo
-            break
-        if gap(a) > _half_err(a) + _half_err(0.5 * a) + 2.0 * _half_err(1.0 - a):
-            break
-        m *= 8.0
-    m = m0
-    while True:
-        b = zeta + m
-        if b >= hi:
-            b = hi
-            break
-        if -gap(b) > 2.0 * _half_err(b) + _half_err(1.0 - b) + _half_err(0.5 * (1.0 - b)):
-            break
-        m *= 8.0
-    return a, b
+    zeta = left / (left + right)
+    if not 0.0 < zeta < 1.0:
+        return None
+    return zeta, lo
 
 
 def inf_minus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
@@ -307,19 +258,12 @@ def inf_minus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
     When the interior criterion holds (k0sq > 1/2, or k0sq = k1sq = 1/2) the
     infimum is attained at an interior point mass -delta_zeta, with zeta the
     crossing of the two half-interval eigenvalue curves (the left one strictly
-    decreasing, the right one strictly increasing).  Otherwise it is attained
-    at -delta_0, i.e. the zero potential with left coefficient k0sq - 1.
-
-    zeta is the result of bisecting gap = left - right half eigenvalue to
-    width tol, computed with a few gap evaluations.  The Riccati form of the
-    half problems, u' = -lam - u^2 for u = y'/y, gives the crossing in closed
-    form (_crossing_estimate).  A window around that estimate is certified
-    by evaluating gap at its ends against E, the error bound of a computed
-    gap from the tolerances of its two half solves (_certified_window).  The
-    bisection is then replayed and evaluates gap only at the midpoints inside
-    the window, so zeta, the value and every printed digit are the plain
-    bisection's.  Without an estimate, or when a certifying evaluation
-    raises, the window is the whole bracket.
+    decreasing, the right one strictly increasing) and the value their common
+    eigenvalue there.  The Riccati form of the half problems, u' = -lam - u^2
+    for u = y'/y, gives both in closed form to float precision
+    (_crossing_estimate), so tol plays no part in that branch.  Otherwise the
+    infimum is attained at -delta_0, i.e. the zero potential with left
+    coefficient k0sq - 1.
     """
     _check_tol(tol)
     k0, k1 = bc.k0sq, bc.k1sq
@@ -333,41 +277,10 @@ def inf_minus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
             lambda1_value(q_star, bc, _CROSS_TOL),
         )
     if k0 > 0.5:
-        gap = lambda z: left_half_eigenvalue(z, bc) - right_half_eigenvalue(z, bc)
-        lo, hi = 1e-6, 1.0 - 1e-6
-        g_lo, g_hi = gap(lo), gap(hi)
-        while g_lo <= 0.0 and lo > 1e-13:
-            lo /= 8.0
-            g_lo = gap(lo)
-        while g_hi >= 0.0 and 1.0 - hi > 1e-13:
-            hi = 1.0 - (1.0 - hi) / 8.0
-            g_hi = gap(hi)
-        if g_lo <= 0.0 or g_hi >= 0.0:
+        crossing = _crossing_estimate(k0, k1)
+        if crossing is None:
             raise NoCrossing("half-interval eigenvalue curves do not cross on (0, 1)")
-        a, b = lo, hi
-        estimate = _crossing_estimate(k0, k1)
-        if estimate is not None:
-            zeta_est, slope = estimate
-            # tol/4 or, where the curves are nearly parallel (both
-            # coefficients near 1/2), twice the distance over which the gap
-            # changes by its error bound at moderate zeta, 4 * _MU_TOL
-            m = max(0.25 * tol, 8.0 * _MU_TOL / slope)
-            try:
-                a, b = _certified_window(gap, zeta_est, m, lo, hi)
-            except RobinSLError:
-                # it evaluates zetas the bisection never visits, and a half
-                # solve can fail there; the plain bisection decides instead
-                pass
-        for _ in range(200):
-            if hi - lo <= tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if mid <= a or (mid < b and gap(mid) > 0.0):
-                lo = mid
-            else:
-                hi = mid
-        zeta = 0.5 * (lo + hi)
-        value = left_half_eigenvalue(zeta, bc)
+        zeta, value = crossing
         if value < -(k0**2) - 1e-9:
             raise NoCrossing(f"crossing value {value} below the admissible floor {-(k0**2)}")
         q_star = Potential(atoms=(DeltaAtom(zeta, -1.0),))

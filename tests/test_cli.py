@@ -276,3 +276,34 @@ def test_verify_rejects_bad_counts(capsys, flag, value, named):
     assert code == 2
     assert out == ""
     assert err.startswith("robinsl: error: ") and named in err and value in err
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    import argparse
+
+    import robinsl.cli
+
+    robinsl.cli.build_parser.cache_clear()
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        assert run_cli(capsys, ["extrema", "--k0sq", "0", "--k1sq", "0"])[0] == 0
+    assert built.count("robinsl") == 1
+
+
+@pytest.mark.parametrize("k0sq, k1sq", [("0.50000000001", "2"), ("0.5000001", "2"), ("3", "100")])
+def test_extrema_interior_edges(capsys, k0sq, k1sq):
+    # the plain zeta bisection exited 2 on the first (a crossing value below
+    # the admissible floor) and the third (a stalled half-interval solve), and
+    # printed an m1minus 2.6e-5 off its cross-check on the second
+    code, out, err = run_cli(capsys, ["extrema", "--k0sq", k0sq, "--k1sq", k1sq])
+    assert (code, err) == (0, "")
+    rep = json.loads(out)[3]
+    assert rep["branch"] == "m1minus/interior"
+    assert abs(rep["value"] - rep["cross_check"]) <= 1e-12

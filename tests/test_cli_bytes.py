@@ -4,9 +4,18 @@ Each command runs in-process; the sha256 of its stdout, its stderr text and
 its exit code must equal the values recorded when the output contract was
 last declared.  A change to any printed digit, field order or separator
 fails here; such a change must be declared and these values re-recorded.
+
+``python tests/test_cli_bytes.py`` prints every pin with the sha256 of the
+current output, in the format of PINNED below, ready to paste over it.
 """
 
 import hashlib
+import io
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -17,45 +26,45 @@ README_POTENTIAL = '{"segments": [{"l": 0.0, "r": 0.25, "v": 2.0}], "atoms": [{"
 PINNED = {
     "eigen_json": (
         ["eigen", "--k0sq", "0.5", "--k1sq", "0.5", "{pot}"],
-        "a20dc68ede9fbaa63a04266367db97c81f75a1a70292ed28e3fc51e6bd9efce6",
+        "dd8344259790e53b19e8e46fd47ba8d927df948575964fd887bbcb75415536a0",
     ),
     "eigen_csv": (
         ["eigen", "--k0sq", "0.5", "--k1sq", "0.5", "--format", "csv", "{pot}"],
-        "7da430e64dd02c25ab6c9bd6b8aabbc82405b037a5c1ab0a2e9ff7ceeb030f1c",
+        "e5a09f24891836676f04bbe92faf71ae84f5aff906725ebeb8ada74aea5c444d",
     ),
     "extrema_0_0": (
         ["extrema", "--k0sq", "0", "--k1sq", "0"],
-        "7aa8f2546e4e0bfcd5d80b5c61d1a596a4bb692414064c6bac5f1524d196432b",
+        "bfe82e66774382d56d23b0acf149980583f074d25f626f5b5289d59effdbf1a0",
     ),
     "extrema_half_half": (
         ["extrema", "--k0sq", "0.5", "--k1sq", "0.5"],
-        "d5fc9846be405fecbdf79d3ce9951f63275702a63faabddd9208ead2d599cdb7",
+        "b1b8a182f1eebf439435cea78eb9f630522ce8fe553608649f6e58228e8fd91e",
     ),
     "extrema_1_1": (
         ["extrema", "--k0sq", "1", "--k1sq", "1"],
-        "013d8a153cf30899d8aa291f16b1e289c37f4d2f0942eeb5b09447e172bb6d51",
+        "1378b260fa2d9a08e2cdcbe30abae6e56ab3fec30b2f543f1c6eeb54944fc4cb",
     ),
     "extrema_quarter_half": (
         ["extrema", "--k0sq", "0.25", "--k1sq", "0.5"],
-        "5afb51c9525aa9b66fc1756c9bacf3919632de5c884aa09b45a809394a5a3dd0",
+        "45a5c3bd9cb28f09427fb05a089b304dc657951506c37249f46cdb101391ed48",
     ),
     "extrema_grid": (
         ["extrema", "--k0sq", "0", "--k1sq", "0", "--grid", "0:1:5", "1:3:7"],
-        "eba9067df4d65151be43d18a72cb335d24c47b87f07afc4431b5410b9c7f12bf",
+        "3e441c73457e8d85de14a58f1d2a071b55f289656a900f75743b32bbc763d026",
     ),
     # inf_minus's interior root-find: near k0sq = 1/2, at a finer tol, and a
     # grid on which every m1minus is an interior crossing
     "extrema_edge": (
         ["extrema", "--k0sq", "0.50001", "--k1sq", "2.3"],
-        "e2be3d9d67b3bdd647ac9a76af1c529f956e103845123abcc61b2c4a3ff6b642",
+        "870582b38ab2ebe833f6fbd6887abd69ab4708ca28d484b8c21e4b003dd3351b",
     ),
     "extrema_interior_tol12": (
         ["extrema", "--k0sq", "2", "--k1sq", "2.5", "--tol", "1e-12"],
-        "77ef53ba66ed3559038f18219d738e729836b1bbba51e3a2d90837a0b0c9dd19",
+        "8a0a49a1c186a93f93720b3febaca7c613959ddb72938db5f00f31a60faa4cb3",
     ),
     "extrema_grid_interior": (
         ["extrema", "--k0sq", "0", "--k1sq", "0", "--grid", "0.6:3:5", "3:4:3"],
-        "f4af8b04c5a8b2918a58e89d330e949abcb0b40ffb0c2813c7fd94f5fa4d6890",
+        "9d4a6954bb39d617731a23ec4f0e04e4a03da41c30d01978cc36953238c7a4dc",
     ),
     "scan_f_readme": (
         ["scan-f", "--k0sq", "1", "--k1sq", "1", "--mu=-2:3:11", "--zeta=0:1:21"],
@@ -63,16 +72,31 @@ PINNED = {
     ),
     "verify": (
         ["verify", "--k0sq", "0.25", "--k1sq", "0.5", "--n", "200", "--seed", "20260809"],
-        "a3850e561b5d29f3d1a57a0c46f1e607bf02aedd80bbb14ebdfafa59255d700b",
+        "3619249896c177ec67625a758752af9bdad07df17b539874ac294daf81c4cc38",
     ),
 }
 
 
-@pytest.mark.parametrize("name", list(PINNED))
-def test_cli_bytes_pinned(tmp_path, capsys, name):
-    pot = tmp_path / "q.json"
+def _run(argv, workdir):
+    """(sha256 of stdout, stderr, exit code) of one pinned command."""
+    pot = Path(workdir) / "q.json"
     pot.write_text(README_POTENTIAL)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([a.replace("{pot}", str(pot)) for a in argv])
+    return hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue(), code
+
+
+@pytest.mark.parametrize("name", list(PINNED))
+def test_cli_bytes_pinned(tmp_path, name):
     argv, want = PINNED[name]
-    code = main([a.replace("{pot}", str(pot)) for a in argv])
-    out = capsys.readouterr()
-    assert (hashlib.sha256(out.out.encode()).hexdigest(), out.err, code) == (want, "", 0)
+    assert _run(argv, tmp_path) == (want, "", 0)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as workdir:
+        for name, (argv, _) in PINNED.items():
+            digest, err, code = _run(argv, workdir)
+            if err or code:
+                sys.stderr.write(f"{name}: exit {code}: {err}")
+            print(f'    "{name}": (\n        {json.dumps(argv)},\n        "{digest}",\n    ),')

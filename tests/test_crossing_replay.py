@@ -1,10 +1,11 @@
-"""inf_minus's interior root-find against a replay of the plain zeta bisection.
+"""inf_minus's interior crossing against the plain zeta bisection and mpmath.
 
-inf_minus evaluates the half-interval gap only inside a window certified
-around the closed-form Riccati crossing, and must return exactly what the
-plain bisection over the whole bracket returns.  ``_plain_inf_minus`` is that
-bisection, kept here as the oracle; both evaluate the gap through the module
-globals ``left_half_eigenvalue`` and ``right_half_eigenvalue``.
+inf_minus takes zeta and the value from the closed-form Riccati crossing of
+the half-interval eigenvalue curves, without a half-interval solve.
+``_plain_inf_minus``, a bisection of the half-interval gap, is kept here as a
+reference; it evaluates the gap through the module globals
+``left_half_eigenvalue`` and ``right_half_eigenvalue``.  An mpmath solve of
+the crossing equation is the accuracy oracle.
 """
 
 import math
@@ -14,15 +15,7 @@ import mpmath
 import pytest
 
 import robinsl.extrema as ex
-from robinsl import (
-    DeltaAtom,
-    Potential,
-    RobinBC,
-    RobinSLError,
-    ToleranceNotReached,
-    inf_minus,
-    lambda1_value,
-)
+from robinsl import DeltaAtom, NoCrossing, Potential, RobinBC, inf_minus, lambda1_value
 
 TOLS = (1e-13, 1e-12, 1e-10, 1e-3)
 
@@ -51,6 +44,10 @@ PAIRS = (
     + _seeded_pairs()
     + [(0.5 + 1e-9, 0.5 + 1e-9), (0.5 + 2e-12, 0.5 + 2e-12), (3.0, 100.0)]
 )
+# the plain bisection put the atom of the first below the admissible floor,
+# missed the cross-check of the second by 2.6e-5, and could not solve the
+# right half problem of the third at zeta = 1 - 1e-6
+EDGE_PAIRS = [(0.50000000001, 2.0), (0.5000001, 2.0), (3.0, 100.0)]
 
 
 def _plain_inf_minus(bc, tol):
@@ -86,17 +83,6 @@ def _plain_inf_minus(bc, tol):
     return value, lambda1_value(q_star, bc, ex._CROSS_TOL), zeta, "m1minus/interior"
 
 
-def _outcome(fn, bc, tol):
-    """(value, cross_check, zeta) as hex strings and the branch, or the error type."""
-    try:
-        res = fn(bc, tol)
-    except RobinSLError as exc:
-        return type(exc).__name__
-    if isinstance(res, ex.ExtremumReport):
-        res = (res.value, res.cross_check, res.q_star.atoms[0].position, res.branch)
-    return tuple(x.hex() for x in res[:3]) + (res[3],)
-
-
 @pytest.fixture
 def gap_calls(monkeypatch):
     """Counts gap evaluations: each one makes exactly one right half solve."""
@@ -112,89 +98,80 @@ def gap_calls(monkeypatch):
 
 
 def test_replay_matches_plain_bisection(gap_calls):
-    plain = mine = calls = 0
-    errors = set()
+    # where the plain bisection's value differs from inf_minus's by more than
+    # tol, it misses its own cross-check by as much: the zeta it bisects to
+    # tol moves the value by the slope of the half curves times that error
+    plain = calls = 0
     for k0, k1 in PAIRS:
         bc = RobinBC(k0, k1)
         for tol in TOLS:
             gap_calls[0] = 0
-            want = _outcome(_plain_inf_minus, bc, tol)
+            want = _plain_inf_minus(bc, tol)
             plain += gap_calls[0]
             gap_calls[0] = 0
-            assert _outcome(inf_minus, bc, tol) == want, (k0, k1, tol)
-            mine += gap_calls[0]
+            rep = inf_minus(bc, tol)
+            assert gap_calls[0] == 0
             calls += 1
-            if isinstance(want, str):
-                errors.add(want)
-    print(f"gap evaluations per call: plain {plain / calls:.1f}, replay {mine / calls:.1f}")
-    # the known half-solve failure at (3, 100) must come out of both the same way
-    assert errors == {"ToleranceNotReached"}
-    # two endpoint gaps, two certifying ones and ~1 in the window at most
-    # pairs; plain 36-42 below tol 1e-3.  Pairs with both coefficients near
-    # 1/2 have nearly parallel curves, and every midpoint where the computed
-    # gap is within its error bound must be evaluated: ~2.9 per call on this
-    # set, so no window gets the mean below ~6.9
-    assert mine / calls <= 8.0
+            assert rep.branch == want[3]
+            assert abs(rep.value - want[0]) <= tol + abs(want[0] - want[1]) + 1e-12, (k0, k1, tol)
+            assert abs(rep.value - rep.cross_check) <= 1e-12, (k0, k1, tol)
+    print(f"gap evaluations per call: plain {plain / calls:.1f}, inf_minus 0")
 
 
-@pytest.mark.parametrize("off", [1e-3, -1e-3, 0.3, -0.3, None])
-def test_certified_window_corrects_a_wrong_estimate(monkeypatch, gap_calls, off):
-    # _crossing_estimate is replaced by the solved crossing moved by `off`
-    # (None: no estimate); the window must widen until it is sound
-    cases = []
-    for k0, k1 in PAIRS[::4]:
-        bc = RobinBC(k0, k1)
-        gap_calls[0] = 0
-        cases.append((bc, _outcome(_plain_inf_minus, bc, 1e-10), gap_calls[0]))
-    zetas = {(bc.k0sq, bc.k1sq): float.fromhex(w[2]) for bc, w, _ in cases if not isinstance(w, str)}
-
-    real = ex._crossing_estimate
-
-    def wrong(k0sq, k1sq):
-        zeta = zetas.get((k0sq, k1sq))
-        return None if off is None or zeta is None else (zeta + off, real(k0sq, k1sq)[1])
-
-    monkeypatch.setattr(ex, "_crossing_estimate", wrong)
-    for bc, want, plain_calls in cases:
-        gap_calls[0] = 0
-        assert _outcome(inf_minus, bc, 1e-10) == want, (bc, off)
-        if off is None:
-            assert gap_calls[0] == plain_calls
+def _mp_length(k, lam):
+    """Integral of du/(u^2 + lam) over [1/2, k], as a difference of antiderivatives."""
+    if lam > 0:
+        t = mpmath.sqrt(lam)
+        return (mpmath.atan(k / t) - mpmath.atan(1 / (2 * t))) / t
+    if lam < 0:
+        s = mpmath.sqrt(-lam)
+        half = mpmath.mpf(1) / 2
+        return (mpmath.log((k - s) / (k + s)) - mpmath.log((half - s) / (half + s))) / (2 * s)
+    return 2 - 1 / k
 
 
-def test_certified_window_from_tol_margin(monkeypatch):
-    # without the slope the window starts tol/4 wide; near k0sq = k1sq = 1/2
-    # the computed gap there is noise, and only its error bound, not its sign,
-    # tells where the bisection goes
-    real = ex._crossing_estimate
-    monkeypatch.setattr(ex, "_crossing_estimate", lambda k0sq, k1sq: (real(k0sq, k1sq)[0], math.inf))
-    for k0, k1 in PAIRS[::3] + [(0.5 + 1e-9, 0.5 + 1e-9)]:
-        bc = RobinBC(k0, k1)
-        for tol in (1e-12, 1e-10):
-            assert _outcome(inf_minus, bc, tol) == _outcome(_plain_inf_minus, bc, tol), (k0, k1, tol)
+def _mp_crossing(k0, k1):
+    """(zeta, lam) of the half-curve crossing, bisected at 40 digits."""
+    with mpmath.workdps(40):
+        k0, k1 = mpmath.mpf(k0), mpmath.mpf(k1)
+        lo, hi = mpmath.mpf(-0.25) + mpmath.mpf(10) ** -30, mpmath.mpf(16)
+        for _ in range(160):
+            mid = (lo + hi) / 2
+            if _mp_length(k0, mid) + _mp_length(k1, mid) > 1:
+                lo = mid
+            else:
+                hi = mid
+        left = _mp_length(k0, lo)
+        return float(left / (left + _mp_length(k1, lo))), float(lo)
 
 
-@pytest.mark.parametrize("failing_eval", [1, 2])
-def test_failed_certification_falls_back_to_plain_bisection(monkeypatch, failing_eval):
-    # a half solve that raises while the window is certified must leave the
-    # decision to the plain bisection, not end the call
-    real = ex._certified_window
+def test_crossing_matches_mpmath():
+    for k0, k1 in PAIRS + EDGE_PAIRS:
+        zeta, lam = _mp_crossing(k0, k1)
+        rep = inf_minus(RobinBC(k0, k1), 1e-10)
+        assert abs(rep.value - lam) <= 1e-13, (k0, k1)
+        assert abs(rep.q_star.atoms[0].position - zeta) <= 1e-12 * zeta, (k0, k1)
 
-    def failing_window(gap, zeta, m, lo, hi):
-        count = [0]
 
-        def flaky(z):
-            count[0] += 1
-            if count[0] == failing_eval:
-                raise ToleranceNotReached("injected")
-            return gap(z)
+def test_edge_points_meet_their_cross_check():
+    # perfbench's extrema_grid `edge` sweep at the CLI's default tol; the
+    # plain bisection missed by up to 2e-6 here
+    for k0, k1 in _edge_points():
+        rep = inf_minus(RobinBC(k0, k1), 1e-10)
+        assert abs(rep.value - rep.cross_check) <= 1e-10, (k0, k1)
 
-        return real(flaky, zeta, m, lo, hi)
 
-    monkeypatch.setattr(ex, "_certified_window", failing_window)
-    for k0, k1 in PAIRS[::4]:
-        bc = RobinBC(k0, k1)
-        assert _outcome(inf_minus, bc, 1e-10) == _outcome(_plain_inf_minus, bc, 1e-10), (k0, k1)
+def test_near_flat_symmetric_pair_puts_the_atom_at_half():
+    # the half curves are parallel to within the half solves' tolerance over
+    # ~0.1 of zeta here; the plain bisection put the atom at 0.49896...
+    rep = inf_minus(RobinBC(0.5 + 2e-12, 0.5 + 2e-12), 1e-10)
+    assert rep.q_star.atoms[0].position == 0.5
+
+
+@pytest.mark.parametrize("k1", [0.25, 0.5])
+def test_unvalidated_coefficients_have_no_crossing(k1):
+    with pytest.raises(NoCrossing):
+        inf_minus(RobinBC(0.75, k1, validate=False))
 
 
 def _quad(k, lam):
@@ -217,5 +194,5 @@ def test_crossing_estimate_symmetric(k):
 def test_crossing_estimate_near_solved_zeta():
     # BC_GRID6's pairs with k0sq > 1/2: (1, 1) and (1, 4)
     for k0, k1 in ((1.0, 1.0), (1.0, 4.0)):
-        zeta = inf_minus(RobinBC(k0, k1)).q_star.atoms[0].position
+        zeta = _plain_inf_minus(RobinBC(k0, k1), ex.ROOT_TOL)[2]
         assert abs(ex._crossing_estimate(k0, k1)[0] - zeta) <= ex.ROOT_TOL

@@ -165,18 +165,19 @@ def test_inf_minus_interior_symmetric():
 
 @pytest.mark.parametrize("bc", [RobinBC(1.0, 1.0), RobinBC(0.75, 2.0), RobinBC(0.6, 0.6)])
 def test_inf_minus_solves_each_zeta_once(bc, monkeypatch):
+    # the interior crossing comes in closed form: no half-interval solve at all
     import robinsl.extrema as ex
 
     seen = []
 
-    def counting(zeta, bc):
-        seen.append(zeta)
-        return left_half_eigenvalue(zeta, bc)
+    def counting(real):
+        return lambda zeta, bc: seen.append(zeta) or real(zeta, bc)
 
-    monkeypatch.setattr(ex, "left_half_eigenvalue", counting)
+    monkeypatch.setattr(ex, "left_half_eigenvalue", counting(left_half_eigenvalue))
+    monkeypatch.setattr(ex, "right_half_eigenvalue", counting(right_half_eigenvalue))
     rep = ex.inf_minus(bc)
     assert rep.branch == "m1minus/interior"
-    assert len(seen) == len(set(seen))
+    assert seen == []
 
 
 def test_inf_minus_endpoint_case():

@@ -167,9 +167,9 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol):
     1e-14*|lam|; the relative term, below the 12 printed digits, keeps that
     width above the float spacing at any lam.
 
-    Returns (lam, bracket_width, residual, zero_count, status): lam is the
-    bracket midpoint, and the residual and zero count come from a last shot
-    there.  tol must be positive.
+    Returns (lam, bracket_width, status): lam is the bracket midpoint, which
+    is not shot; a caller that needs the state there (the eigenfunction
+    sampler) sweeps it itself.  tol must be positive.
     """
     total = 0.0
     for i in range(len(vals)):
@@ -189,7 +189,7 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol):
     for _ in range(200):
         r, zc, f, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, lo)
         if not ok:
-            return 0.0, 0.0, 0.0, 0, STATUS_NONFINITE
+            return 0.0, 0.0, STATUS_NONFINITE
         if zc == 0 and r > 0.0:
             flo = f
             found = True
@@ -197,7 +197,7 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol):
         hi, fhi, hi_known = lo, f, True
         lo = 2.0 * lo - 1.0
     if not found:
-        return 0.0, 0.0, 0.0, 0, STATUS_TOL
+        return 0.0, 0.0, STATUS_TOL
 
     if not hi_known:
         if hi <= lo:
@@ -205,7 +205,7 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol):
         for _ in range(200):
             r, zc, fhi, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, hi)
             if not ok:
-                return 0.0, 0.0, 0.0, 0, STATUS_NONFINITE
+                return 0.0, 0.0, STATUS_NONFINITE
             if not (zc == 0 and r > 0.0):
                 hi_known = True
                 break
@@ -213,7 +213,7 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol):
             lo, flo = hi, fhi
             hi = hi + 2.0 * step
         if not hi_known:
-            return 0.0, 0.0, 0.0, 0, STATUS_TOL
+            return 0.0, 0.0, STATUS_TOL
 
     # bisection needs n halvings to reach the smallest stopping width w in
     # [lo, hi]; step j = 0, 1, ... leaves a bracket of at most
@@ -247,7 +247,7 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol):
             c = mid
         res, zc, fc, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, c)
         if not ok:
-            return 0.0, 0.0, 0.0, 0, STATUS_NONFINITE
+            return 0.0, 0.0, STATUS_NONFINITE
         if zc == 0 and res > 0.0:
             lo, flo = c, fc
             if side < 0:
@@ -259,10 +259,5 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol):
                 flo = 0.5 * flo
             side = 1
 
-    width = hi - lo
     lam = 0.5 * (lo + hi)
-    r, zc, _, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam)
-    if not ok:
-        return 0.0, 0.0, 0.0, 0, STATUS_NONFINITE
-    status = STATUS_OK if width <= tol + 1e-14 * abs(lam) else STATUS_TOL
-    return lam, width, r, zc, status
+    return lam, hi - lo, STATUS_OK if hi - lo <= tol + 1e-14 * abs(lam) else STATUS_TOL

@@ -18,6 +18,7 @@ cross-check oracle.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +36,16 @@ from .potential import Potential, RobinBC, compile_arrays, fold_endpoint_atoms
 
 DEFAULT_TOL = 1e-10
 DEFAULT_GRID_POINTS = 2001
+_NONFINITE = "shooting state overflowed or vanished"
 
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Converged first eigenvalue with a sampled positive eigenfunction."""
+    """Converged first eigenvalue with a sampled positive eigenfunction.
+
+    ``residual`` is y'(1) + k1sq*y(1) of the max-norm-rescaled sweep at lambda1;
+    only its sign carries meaning.  ``bracket_width`` bounds the error of lambda1.
+    """
 
     lambda1: float
     xs: np.ndarray
@@ -59,20 +65,20 @@ def shoot(q: Potential, bc: RobinBC, lam: float):
     edges, vals, atomw = compile_arrays(q)
     res, zc, _, ok = shoot_kernel(edges, vals, atomw, bc.k0sq, bc.k1sq, lam)
     if not ok:
-        raise NonFiniteState("shooting state overflowed or vanished")
+        raise NonFiniteState(_NONFINITE)
     return res, zc
 
 
 def _solve_arrays(edges, vals, atomw, k0sq, k1sq, tol):
-    lam, width, res, zc, status = lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol)
+    lam, width, status = lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol)
     if status == STATUS_NONFINITE:
-        raise NonFiniteState("shooting state overflowed or vanished")
+        raise NonFiniteState(_NONFINITE)
     if status != STATUS_OK:
         raise ToleranceNotReached(
             f"root-find stalled at bracket width {width:.3e} > tol + 1e-14*|lam| = "
             f"{tol + 1e-14 * abs(lam):.3e}"
         )
-    return lam, width, res, zc
+    return lam, width
 
 
 def _effective_arrays(q, bc):
@@ -104,9 +110,9 @@ def lambda1(
 
     The bracket [lo, hi] around the unique lam where the
     zero-free-and-positive-defect predicate flips is narrowed to width
-    tol + 1e-14*|lam| (see the module docstring).  The eigenfunction is
-    re-shot at the converged value and sampled on ``grid_points`` uniform
-    points plus every breakpoint, normalized to max 1.
+    tol + 1e-14*|lam| (see the module docstring).  One shot at the converged
+    value is sampled on ``grid_points`` uniform points plus every breakpoint
+    and normalized to max 1; its end state gives the residual.
 
     Raises ToleranceNotReached if 200 root-find steps cannot reach that width.
     """
@@ -114,56 +120,64 @@ def lambda1(
     if grid_points < 1001:
         raise ValueError("grid_points must be >= 1001")
     edges, vals, atomw, k0, k1 = _effective_arrays(q, bc)
-    lam, width, res, _ = _solve_arrays(edges, vals, atomw, k0, k1, tol)
+    lam, width = _solve_arrays(edges, vals, atomw, k0, k1, tol)
     xs = np.union1d(np.linspace(0.0, 1.0, grid_points), edges)
-    ys = _sample_eigenfunction(edges, vals, atomw, k0, lam, xs)
+    ys, res = _sample_eigenfunction(edges, vals, atomw, k0, k1, lam, xs)
     return EigenResult(lam, xs, ys, res, width)
 
 
-def _sample_eigenfunction(edges, vals, atomw, k0sq, lam, xs):
-    """Evaluate the shot solution at the converged lam on the grid xs."""
-    ncells = len(vals)
-    ys_cell, yp_cell, ln_cell = [], [], []
+def _sample_eigenfunction(edges, vals, atomw, k0sq, k1sq, lam, xs):
+    """One shot at lam, sampled on its way to x=1 on xs, sorted and holding every edge.
+
+    Each cell takes its atom jump, evaluates the cell formula on its own
+    slice of xs, then advances and max-norm rescales exactly as
+    ``shoot_kernel`` does, so the returned residual y'(1) + k1sq*y(1) is the
+    one ``shoot_kernel`` gives at lam.  The samples are scaled back by the
+    rescalings' logs and normalized to max 1.
+
+    Returns (ys, residual).
+    """
+    xl = xs.tolist()
+    raw, lns = [], []
     y, yp, ln = 1.0, k0sq, 0.0
-    for i in range(ncells):
+    j, last = 0, len(vals) - 1
+    for i in range(last + 1):
         if i > 0 and atomw[i] != 0.0:
             yp += atomw[i] * y
-        ys_cell.append(y)
-        yp_cell.append(yp)
-        ln_cell.append(ln)
-        y, yp, nz, lns = propagate_step(y, yp, lam - vals[i], edges[i + 1] - edges[i])
-        ln += lns
-        sc = max(abs(y), abs(yp))
-        if not (sc > 0.0 and math.isfinite(sc)):
-            raise NonFiniteState("eigenfunction sampling overflowed")
-        y, yp = y / sc, yp / sc
-        ln += math.log(sc)
-
-    cells = np.clip(np.searchsorted(edges, xs, side="right") - 1, 0, ncells - 1)
-    raw = []
-    # inline cell formula rather than propagate_step per sample: same results, ~2.5x faster
-    for x, i in zip(xs.tolist(), cells.tolist()):
-        t = x - edges[i]
-        w = lam - vals[i]
+        left, w = edges[i], lam - vals[i]
+        # cell i holds edges[i] <= x < edges[i + 1]; the last one also x = 1
+        end = len(xl) if i == last else bisect_left(xl, edges[i + 1], j)
+        ts = [x - left for x in xl[j:end]]
+        # propagate_step's cell formula, inline with one sqrt and branch per
+        # cell: calling propagate_step per sample takes 2-3x as long
         if w > 0.0:
             s = math.sqrt(w)
-            raw.append(ys_cell[i] * math.cos(s * t) + yp_cell[i] * math.sin(s * t) / s)
+            raw += [y * math.cos(s * t) + yp * math.sin(s * t) / s for t in ts]
         elif w == 0.0:
-            raw.append(ys_cell[i] + yp_cell[i] * t)
+            raw += [y + yp * t for t in ts]
         else:
             s = math.sqrt(-w)
-            if s * t > 690.0:
+            if s * ts[-1] > 690.0:
                 raise NonFiniteState("eigenfunction sampling overflowed")
-            raw.append(ys_cell[i] * math.cosh(s * t) + yp_cell[i] * math.sinh(s * t) / s)
-    raw = np.array(raw)
-    raw *= np.exp(np.array(ln_cell)[cells] - max(ln_cell))
+            raw += [y * math.cosh(s * t) + yp * math.sinh(s * t) / s for t in ts]
+        lns += [ln] * (end - j)
+        j = end
+        y, yp, _, shift = propagate_step(y, yp, w, edges[i + 1] - left)
+        sc = max(abs(y), abs(yp))
+        if not (sc > 0.0 and math.isfinite(sc)):
+            raise NonFiniteState(_NONFINITE)
+        y, yp = y / sc, yp / sc
+        ln = ln + shift + math.log(sc)
+
+    lns = np.array(lns)
+    raw = np.array(raw) * np.exp(lns - lns.max())
     top = raw.max()
     if not (top > 0.0 and np.isfinite(top)):
         raise NonFiniteState("eigenfunction sampling overflowed")
     raw /= top
     if raw.min() <= 0.0:
         raise NonFiniteState("sampled eigenfunction is not strictly positive")
-    return raw
+    return raw, yp + k1sq * y
 
 
 def quadratic_form(q: Potential, bc: RobinBC, lam: float, xs, ys) -> float:

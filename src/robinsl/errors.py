@@ -18,7 +18,7 @@ class NonFiniteState(RobinSLError):
 
 
 class ToleranceNotReached(RobinSLError):
-    """Bisection could not shrink the bracket to the requested tolerance."""
+    """The root-find could not narrow its bracket to the requested tolerance."""
 
 
 class GridTooCoarse(RobinSLError):

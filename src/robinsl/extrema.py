@@ -44,6 +44,22 @@ def _eig0(k0sq, k1sq, tol=_CROSS_TOL):
     return _solve_arrays(_EDGES0, _VALS0, _ATOMW0, k0sq, k1sq, tol)[0]
 
 
+def _bisect(below_root, lo, hi, tol, steps=200):
+    """Halve [lo, hi] about where below_root turns false; returns (lo, hi).
+
+    Stops at hi - lo <= tol, at a midpoint not strictly inside, or after `steps` halvings.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol or not lo < mid < hi:
+            break
+        if below_root(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def cot_secular(x: float) -> float:
     """sqrt(x)*cot(sqrt(x)), continued through 0 into sqrt(|x|)*coth(sqrt(|x|)).
 
@@ -76,20 +92,12 @@ def sup_plus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
         s = math.sqrt(mu)
         return (math.atan2(k0, s) + math.atan2(k1, s)) / s + 1.0 / mu - 1.0
 
-    lo = 0.5  # w(0.5) >= 1 > 0 for any admissible bc
-    hi = 2.0
+    lo, hi = 0.5, 2.0  # w(0.5) >= 1 > 0 for any admissible bc
     for _ in range(200):
         if w(hi) < 0.0:
             break
         hi *= 2.0
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if w(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda mu: w(mu) > 0.0, lo, hi, tol)
     mu = 0.5 * (lo + hi)
     s = math.sqrt(mu)
     alpha = math.atan2(k0, s) / s
@@ -159,18 +167,10 @@ def inf_plus_secular(bc: RobinBC) -> float:
     k0, k1 = bc.k0sq, bc.k1sq
     denom = k0 + k1 + 1.0
 
-    def f(lam):
-        return (lam - k0 * k1 - k0) / denom - cot_secular(lam)
+    def below_root(lam):
+        return (lam - k0 * k1 - k0) / denom - cot_secular(lam) < 0.0
 
-    lo, hi = 0.0, math.pi**2 - 1e-9
-    for _ in range(200):
-        if hi - lo <= ROOT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(below_root, 0.0, math.pi**2 - 1e-9, ROOT_TOL)
     return 0.5 * (lo + hi)
 
 
@@ -185,7 +185,7 @@ def left_half_eigenvalue(zeta: float, bc: RobinBC) -> float:
     # rescaled solve tolerance keeps the unrescaled eigenvalue accurate to
     # _MU_TOL; the floor keeps it above the shots' rounding noise at tiny zeta
     tol = max(_MU_TOL * zeta**2, 1e-20)
-    return _solve_arrays(_EDGES0, _VALS0, _ATOMW0, zeta * bc.k0sq, -0.5 * zeta, tol)[0] / zeta**2
+    return _eig0(zeta * bc.k0sq, -0.5 * zeta, tol) / zeta**2
 
 
 def right_half_eigenvalue(zeta: float, bc: RobinBC) -> float:
@@ -194,8 +194,7 @@ def right_half_eigenvalue(zeta: float, bc: RobinBC) -> float:
         raise ValueError("zeta must lie in [0, 1)")
     length = 1.0 - zeta
     tol = max(_MU_TOL * length**2, 1e-20)
-    lam = _solve_arrays(_EDGES0, _VALS0, _ATOMW0, -0.5 * length, length * bc.k1sq, tol)[0]
-    return lam / length**2
+    return _eig0(-0.5 * length, length * bc.k1sq, tol) / length**2
 
 
 def _riccati_length(k, lam):
@@ -233,18 +232,10 @@ def _crossing_estimate(k0sq, k1sq):
         # needs lam < -1/4; I(k1sq) has a pole in (-1/4, 0)
         return None
 
-    def excess(lam):
-        return _riccati_length(k0sq, lam) + _riccati_length(k1sq, lam) - 1.0
+    def below_root(lam):
+        return _riccati_length(k0sq, lam) + _riccati_length(k1sq, lam) - 1.0 > 0.0
 
-    lo, hi = -0.25 + 1e-16, 16.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, _ = _bisect(below_root, -0.25 + 1e-16, 16.0, 0.0, steps=100)
     left, right = _riccati_length(k0sq, lo), _riccati_length(k1sq, lo)
     zeta = left / (left + right)
     if not 0.0 < zeta < 1.0:

@@ -22,6 +22,18 @@ import pytest
 from robinsl.cli import main
 
 README_POTENTIAL = '{"segments": [{"l": 0.0, "r": 0.25, "v": 2.0}], "atoms": [{"z": 0.5, "w": -1.0}]}'
+# placeholder -> (file name, potential); the commands read the file
+POTENTIALS = {
+    "{pot}": ("q.json", README_POTENTIAL),
+    # delta_strength(-100, 0.37, RobinBC(0.25, 0.5)): at lambda1 = -100 every cell is hyperbolic
+    "{atom}": ("atom.json", '{"atoms": [{"z": 0.37, "w": -19.98831702911929}]}'),
+    # both signs and an interior atom: trigonometric and hyperbolic cells at lambda1
+    "{mixed}": (
+        "mixed.json",
+        '{"segments": [{"l": 0.1, "r": 0.3, "v": 6.0}, {"l": 0.3, "r": 0.55, "v": -9.0}, '
+        '{"l": 0.7, "r": 0.9, "v": 4.0}], "atoms": [{"z": 0.62, "w": -1.5}]}',
+    ),
+}
 
 PINNED = {
     "eigen_json": (
@@ -31,6 +43,15 @@ PINNED = {
     "eigen_csv": (
         ["eigen", "--k0sq", "0.5", "--k1sq", "0.5", "--format", "csv", "{pot}"],
         "e5a09f24891836676f04bbe92faf71ae84f5aff906725ebeb8ada74aea5c444d",
+    ),
+    # the eigenfunction sampler's cell slices and both cell formulas
+    "eigen_atom_hyperbolic": (
+        ["eigen", "--k0sq", "0.25", "--k1sq", "0.5", "{atom}"],
+        "b73755fce2fd341cd635521c90e7c4773cdb29bc5af12dfaaabc9aa7f5e5d865",
+    ),
+    "eigen_mixed_sign": (
+        ["eigen", "--k0sq", "0.25", "--k1sq", "0.5", "{mixed}"],
+        "36455e981cc3e7c0d0f4674b2af98655ac530aeb92f308a172881a9b745dc4cb",
     ),
     "extrema_0_0": (
         ["extrema", "--k0sq", "0", "--k1sq", "0"],
@@ -79,11 +100,13 @@ PINNED = {
 
 def _run(argv, workdir):
     """(sha256 of stdout, stderr, exit code) of one pinned command."""
-    pot = Path(workdir) / "q.json"
-    pot.write_text(README_POTENTIAL)
+    paths = {}
+    for key, (name, text) in POTENTIALS.items():
+        paths[key] = Path(workdir) / name
+        paths[key].write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main([a.replace("{pot}", str(pot)) for a in argv])
+        code = main([str(paths[a]) if a in paths else a for a in argv])
     return hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue(), code
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from robinsl import (
     DeltaAtom,
     GridTooCoarse,
     NoConvergence,
+    NonFiniteState,
     Potential,
     RobinBC,
     Segment,
@@ -138,6 +140,58 @@ def test_lambda1_tolerance_below_float_spacing():
     # term of the stopping width keeps it reachable
     q = Potential(segments=(Segment(0.0, 1.0, 1.0),))
     assert abs(lambda1_value(q, BC00, 1e-30) - 1.0) <= 1e-14
+
+
+def _eigen_profile_style(i):
+    """(q, bc) like `robinsl eigen`'s inputs: a strength-map atom or a mixed-sign potential.
+
+    No atom sits at an endpoint, so `shoot` sees the potential that `lambda1`
+    solves.
+    """
+    rng = random.Random(f"eigen-style:{i}")
+    k0 = rng.uniform(0.0, 2.0)
+    bc = RobinBC(k0, k0 + rng.uniform(0.0, 2.0))
+    if i % 2 == 0:
+        zeta = rng.uniform(0.02, 0.98)
+        mu = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, 2.0)
+        pt = delta_strength(mu, zeta, bc)
+        if pt.in_domain:
+            return Potential(atoms=(DeltaAtom(zeta, pt.value),)), bc
+    cuts = sorted(rng.sample(range(1, 2000), 2 * rng.randint(2, 8)))
+    sign = rng.choice((1.0, -1.0))
+    segs = tuple(
+        Segment(a / 2000, b / 2000, sign * (-1) ** j * rng.uniform(0.5, 10.0))
+        for j, (a, b) in enumerate(zip(cuts[::2], cuts[1::2]))
+    )
+    spots = rng.sample(range(1, 2000), rng.randint(1, 3))
+    atoms = tuple(DeltaAtom(p / 2000, rng.uniform(-2.0, 2.0)) for p in spots)
+    return Potential(segments=segs, atoms=atoms), bc
+
+
+@pytest.mark.parametrize("i", range(40))
+def test_lambda1_residual_is_the_shot_at_lambda1(i):
+    # the sampler is the one shot at lambda1: the same jumps, steps and
+    # max-norm rescales as shoot, so the same residual to the last bit
+    q, bc = _eigen_profile_style(i)
+    res = lambda1(q, bc)
+    assert res.residual == shoot(q, bc, res.lambda1)[0]
+
+
+@pytest.mark.parametrize(
+    "mu, zeta, bc",
+    [
+        (-4216.192476949496, 0.6987067186686384, RobinBC(0.18058537291097854, 0.45612854219392807)),
+        (-6176.052032719231, 0.43940340376733084, RobinBC(0.23595704801382023, 0.8757949522477739)),
+    ],
+)
+def test_value_survives_a_cancelling_shot_at_the_eigenvalue(mu, zeta, bc):
+    # the shot at the converged lambda1 cancels past the deep atom to an exactly
+    # zero state; the root-find does not take that shot, so the value returns
+    q = Potential(atoms=(DeltaAtom(zeta, delta_strength(mu, zeta, bc).value),))
+    assert abs(lambda1_value(q, bc) - mu) <= 1e-10 + 1e-13 * abs(mu)
+    # lambda1's sampler is that shot; two-sided shooting would mend it
+    with pytest.raises(NonFiniteState, match="overflowed or vanished"):
+        lambda1(q, bc)
 
 
 def test_quadratic_form_trivial_zero():

@@ -147,7 +147,7 @@ def test_mismatch_increasing_over_several_eigenvalues():
 def test_mismatch_zero_at_closed_form_eigenvalues():
     # zero potential, (k0sq, k1sq) = (0, 0): lam1 = 0 with the constant eigenfunction
     assert _mismatch(0.0, 0.0, 0.0) == (0, 0.0)
-    lam, _, _, _, status = lambda1_kernel(*ZERO_Q, 0.0, 0.0, 1e-12)
+    lam, _, status = lambda1_kernel(*ZERO_Q, 0.0, 0.0, 1e-12)
     assert status == 0 and abs(lam) <= 1e-12
     # inf_plus is the zero potential with k1sq shifted by the unit mass at x = 1
     for k0sq, k1sq in ((0.0, 0.0), (0.25, 0.5), (1.0, 1.0), (1.0, 4.0)):

@@ -19,11 +19,9 @@ from .eigensolver import (
 from .errors import (
     BranchUndefined,
     GridTooCoarse,
-    MixedSign,
     NoConvergence,
     NoCrossing,
     NonFiniteState,
-    PolePoint,
     RobinSLError,
     ToleranceNotReached,
     ZeroMass,
@@ -49,11 +47,9 @@ __all__ = [
     "ExtremumReport",
     "GridTooCoarse",
     "JIT_ENABLED",
-    "MixedSign",
     "NoConvergence",
     "NoCrossing",
     "NonFiniteState",
-    "PolePoint",
     "Potential",
     "RobinBC",
     "RobinSLError",

@@ -22,7 +22,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from ._kernels import (
     STATUS_NONFINITE,
@@ -234,7 +233,11 @@ def fd_lambda1(q: Potential, bc: RobinBC, n: int) -> float:
     bisection) through ``scipy.linalg.eigh_tridiagonal``.
 
     Raises NoConvergence if LAPACK reports that the bisection failed.
+    scipy.linalg is imported here, on the first call, so that the solver and
+    the command line load without it.
     """
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
     if n < 100:
         raise ValueError("n must be >= 100")
     folded, eff = fold_endpoint_atoms(q, bc)

@@ -6,11 +6,7 @@ class RobinSLError(Exception):
 
 
 class ZeroMass(RobinSLError):
-    """Potential has zero total integral and cannot be normalized."""
-
-
-class MixedSign(RobinSLError):
-    """Potential mixes positive and negative parts where a constant sign is required."""
+    """The unit-mass sampler drew no potential with nonzero total integral."""
 
 
 class NonFiniteState(RobinSLError):
@@ -31,10 +27,6 @@ class NoConvergence(RobinSLError):
 
 class BranchUndefined(RobinSLError):
     """Logarithmic phase offset undefined because sqrt(|mu|) equals a boundary coefficient."""
-
-
-class PolePoint(RobinSLError):
-    """Argument sits on a pole of the cotangent secular function."""
 
 
 class NoCrossing(RobinSLError):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .eigensolver import _check_tol, _solve_arrays, lambda1_value
-from .errors import NoCrossing, PolePoint
+from .errors import NoCrossing
 from .potential import DeltaAtom, Potential, RobinBC, Segment
 
 ROOT_TOL = 1e-12
@@ -58,23 +58,6 @@ def _bisect(below_root, lo, hi, tol, steps=200):
         else:
             hi = mid
     return lo, hi
-
-
-def cot_secular(x: float) -> float:
-    """sqrt(x)*cot(sqrt(x)), continued through 0 into sqrt(|x|)*coth(sqrt(|x|)).
-
-    Raises PolePoint within 1e-12 of the cotangent poles (k*pi)^2, k >= 1.
-    """
-    if x > 0.0:
-        r = math.sqrt(x)
-        k = round(r / math.pi)
-        if k >= 1 and abs(x - (k * math.pi) ** 2) < 1e-12:
-            raise PolePoint(f"x = {x} sits on a cotangent pole")
-        return r / math.tan(r)
-    if x == 0.0:
-        return 1.0
-    r = math.sqrt(-x)
-    return r / math.tanh(r)
 
 
 def sup_plus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
@@ -156,22 +139,6 @@ def inf_plus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
     return ExtremumReport(
         "m1plus", value, q_star, "m1plus/delta1", lambda1_value(q_star, bc, _CROSS_TOL)
     )
-
-
-def inf_plus_secular(bc: RobinBC) -> float:
-    """Independent root of the transcendental secular equation for inf_plus.
-
-    Solves (lam - k0sq*k1sq - k0sq)/(k0sq + k1sq + 1) = cot_secular(lam) on
-    (0, pi^2); used to cross-validate the shooting route.
-    """
-    k0, k1 = bc.k0sq, bc.k1sq
-    denom = k0 + k1 + 1.0
-
-    def below_root(lam):
-        return (lam - k0 * k1 - k0) / denom - cot_secular(lam) < 0.0
-
-    lo, hi = _bisect(below_root, 0.0, math.pi**2 - 1e-9, ROOT_TOL)
-    return 0.5 * (lo + hi)
 
 
 def left_half_eigenvalue(zeta: float, bc: RobinBC) -> float:

@@ -27,11 +27,10 @@ _HALF_PI = 0.5 * math.pi
 
 @dataclass(frozen=True)
 class PhaseOffsets:
-    """Phase offsets alpha (left) and beta (right) for the given regime."""
+    """Phase offsets alpha (left) and beta (right)."""
 
     alpha: float
     beta: float
-    regime: str  # "positive" | "zero" | "negative"
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,9 @@ def phase_offsets(mu: float, bc: RobinBC) -> PhaseOffsets:
         raise ValueError("phase offsets are defined for mu != 0")
     if mu > 0.0:
         s = math.sqrt(mu)
-        return PhaseOffsets(math.atan2(bc.k0sq, s) / s, math.atan2(bc.k1sq, s) / s, "positive")
+        return PhaseOffsets(math.atan2(bc.k0sq, s) / s, math.atan2(bc.k1sq, s) / s)
     nu = math.sqrt(-mu)
-    return PhaseOffsets(_log_offset(nu, bc.k0sq), _log_offset(nu, bc.k1sq), "negative")
+    return PhaseOffsets(_log_offset(nu, bc.k0sq), _log_offset(nu, bc.k1sq))
 
 
 def decay_logslope(nu: float, kappa: float, x: float) -> float:
@@ -76,16 +75,6 @@ def decay_logslope(nu: float, kappa: float, x: float) -> float:
     if nu > kappa:
         return math.tanh(arg)
     return 1.0 / math.tanh(arg)
-
-
-def decay_profile(nu: float, kappa: float, x: float) -> float:
-    """Decay-profile kernel: cosh / exp / sinh branches."""
-    if abs(nu - kappa) < BRANCH_TOL:
-        return math.exp(nu * x)
-    arg = nu * x + _log_offset(nu, kappa)
-    if nu > kappa:
-        return math.cosh(arg)
-    return math.sinh(arg)
 
 
 def _logslope_dx(nu, kappa, x):

@@ -13,8 +13,6 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import MixedSign, ZeroMass
-
 #: positions closer than this are treated as the same point
 MERGE_TOL = 1e-12
 
@@ -139,26 +137,6 @@ def total_integral(q: Potential) -> float:
     return tot
 
 
-def normalize_mass(q: Potential, sign: int) -> Potential:
-    """Scale q so its total integral equals sign (+1 or -1).
-
-    All segment values and atom weights must already carry the target sign.
-    Raises ZeroMass when the total integral vanishes and MixedSign when
-    values of both signs (or only the wrong sign) are present.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    entries = [s.value for s in q.segments] + [a.weight for a in q.atoms]
-    if any(v * sign < 0.0 for v in entries):
-        if any(v * sign > 0.0 for v in entries):
-            raise MixedSign("potential mixes positive and negative parts")
-        raise MixedSign(f"potential sign does not match requested class sign {sign:+d}")
-    tot = total_integral(q)
-    if tot == 0.0:
-        raise ZeroMass("total integral is zero")
-    return scale(q, sign / tot)
-
-
 def delta_approx(zeta: float, n: int, weight: float) -> Potential:
     """Box approximation of weight*delta_zeta: width 1/n, height n*weight.
 
@@ -221,14 +199,6 @@ def combine(*potentials: Potential) -> Potential:
             segs.append(Segment(l, r, v))
     atoms = [a for q in potentials for a in q.atoms]
     return Potential(segments=tuple(segs), atoms=tuple(atoms))
-
-
-def scale(q: Potential, c: float) -> Potential:
-    """Potential multiplied by the constant c."""
-    return Potential(
-        segments=tuple(Segment(s.left, s.right, s.value * c) for s in q.segments),
-        atoms=tuple(DeltaAtom(a.position, a.weight * c) for a in q.atoms),
-    )
 
 
 def compile_arrays(q: Potential):

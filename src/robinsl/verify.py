@@ -56,8 +56,6 @@ def _draw(rng: SplitMix64, pieces: int, sign: int, concentrated: bool) -> Potent
             for l, r, h in zip(pts, pts[1:], heights)
             if r - l > 1e-14 and h > 0.0
         ]
-        # the scaling of normalize_mass, with its sum in the same order, so
-        # the sample's Potential is built once
         tot = 0.0
         for l, r, v in raw:
             tot += v * (r - l)

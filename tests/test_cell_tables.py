@@ -2,7 +2,7 @@
 
 ``compile_arrays`` builds (edges, vals, atomw) as lists of Python floats and
 ``verify._draw`` builds each sample's Potential once.  The numpy construction
-and the draw-then-``normalize_mass`` route they replace are kept here as
+and the draw-then-normalize route they replace are kept here as
 oracles; both must be matched bit for bit.
 """
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from robinsl import DeltaAtom, Potential, Segment
 from robinsl._rng import SplitMix64, derive_seed
-from robinsl.potential import MERGE_TOL, compile_arrays, normalize_mass
+from robinsl.potential import MERGE_TOL, compile_arrays, total_integral
 from robinsl.verify import _draw, sample_unit_mass
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
@@ -116,7 +116,7 @@ def test_tables_of_random_potentials(q):
 
 
 def _draw_then_normalize(rng, pieces, sign, concentrated):
-    # the sampler as it was: raw Segments, then normalize_mass
+    # the sampler as it was: raw Segments, then each scaled by sign / mass
     for _ in range(100):
         if concentrated:
             width = 1.0 / pieces
@@ -130,7 +130,8 @@ def _draw_then_normalize(rng, pieces, sign, concentrated):
             Segment(l, r, sign * h) for l, r, h in zip(pts, pts[1:], heights) if r - l > 1e-14 and h > 0.0
         )
         if segs:
-            return normalize_mass(Potential(segments=segs), sign)
+            c = sign / total_integral(Potential(segments=segs))
+            return Potential(segments=tuple(Segment(s.left, s.right, s.value * c) for s in segs))
     raise AssertionError("no sample drawn")
 
 

@@ -1,7 +1,10 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
+from robinsl import DeltaAtom, Potential, RobinBC, fd_lambda1
 from robinsl.cli import main
 from robinsl.serialize import csv_lines, dumps, fmt_float
 
@@ -235,6 +238,31 @@ def test_verify_byte_stability(capsys):
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
+
+
+_LAZY_SCIPY_PROBE = r"""
+import contextlib, io, json, sys
+from robinsl.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["extrema", "--k0sq", "0.25", "--k1sq", "0.5"]),
+        main(["verify", "--k0sq", "0.25", "--k1sq", "0.5", "--n", "5"]),
+    ]
+before = "scipy.linalg" in sys.modules
+from robinsl import DeltaAtom, Potential, RobinBC, fd_lambda1
+lam = fd_lambda1(Potential(atoms=(DeltaAtom(0.3, -1.0),)), RobinBC(0.25, 0.5), 200)
+print(json.dumps({"codes": codes, "before": before, "lam": lam, "after": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_cli_runs_without_scipy_linalg():
+    # a fresh interpreter: this process has scipy.linalg loaded already
+    res = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE], capture_output=True, text=True, check=True)
+    probe = json.loads(res.stdout)
+    assert probe["codes"] == [0, 0]
+    assert probe["before"] is False
+    assert probe["lam"] == fd_lambda1(Potential(atoms=(DeltaAtom(0.3, -1.0),)), RobinBC(0.25, 0.5), 200)
+    assert probe["after"] is True
 
 
 def test_output_to_file(tmp_path, capsys):

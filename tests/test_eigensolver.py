@@ -249,12 +249,13 @@ def test_fd_requires_fine_grid():
 
 
 def test_fd_lapack_failure_raises_no_convergence(monkeypatch):
-    import robinsl.eigensolver as es
+    import scipy.linalg
 
     def fail(*args, **kwargs):
         raise LinAlgError("stebz (eigh_tridiagonal) did not converge (LAPACK info=1)")
 
-    monkeypatch.setattr(es, "eigh_tridiagonal", fail)
+    # fd_lambda1 imports eigh_tridiagonal from scipy.linalg when called
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", fail)
     with pytest.raises(NoConvergence) as exc:
         fd_lambda1(Potential(), BC00, 100)
     assert isinstance(exc.value.__cause__, LinAlgError)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from robinsl import (
-    PolePoint,
     Potential,
     RobinBC,
     all_extrema,
@@ -16,8 +15,9 @@ from robinsl import (
     sup_minus,
     sup_plus,
 )
-from robinsl.extrema import cot_secular, inf_plus_secular, left_half_eigenvalue, right_half_eigenvalue
+from robinsl.extrema import ROOT_TOL, left_half_eigenvalue, right_half_eigenvalue
 from robinsl.potential import total_integral
+from test_solver_replay import _assert_near_mp, _mp_defect, _mp_eigenvalue
 
 BC_GRID = [
     RobinBC(0.0, 0.0),
@@ -29,17 +29,6 @@ BC_GRID = [
 ]
 
 LAM_DELTA1 = 0.740173884394967  # root of tan(r) = 1/r, squared
-
-
-def test_cot_secular_branches():
-    assert cot_secular(0.0) == 1.0
-    assert cot_secular(math.pi**2 / 4.0) == pytest.approx(0.0, abs=1e-15)
-    assert cot_secular(-1.0) == pytest.approx(1.3130352854993312, rel=1e-14)
-
-
-def test_cot_secular_pole():
-    with pytest.raises(PolePoint):
-        cot_secular(math.pi**2)
 
 
 def test_sup_plus_neumann_is_one():
@@ -109,10 +98,12 @@ def test_inf_plus_neumann_value():
 
 
 def test_inf_plus_secular_agreement():
+    # the root of the zero potential's secular equation at (k0sq, k1sq + 1),
+    # in mpmath to 30 digits
     for bc in BC_GRID:
-        a = inf_plus(bc).value
-        b = inf_plus_secular(bc)
-        assert abs(a - b) <= 1e-10
+        value = inf_plus(bc).value
+        exact = _mp_eigenvalue(lambda x: _mp_defect([(1, 0)], [], bc.k0sq, bc.k1sq + 1.0, x), value)
+        _assert_near_mp(value, exact, ROOT_TOL)
 
 
 def test_inf_plus_positive():

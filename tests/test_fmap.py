@@ -12,7 +12,7 @@ from robinsl import (
     delta_strength_dzeta,
     lambda1_value,
 )
-from robinsl.fmap import decay_logslope, decay_profile, phase_offsets
+from robinsl.fmap import decay_logslope, phase_offsets
 
 BC00 = RobinBC(0.0, 0.0)
 BC11 = RobinBC(1.0, 1.0)
@@ -25,7 +25,7 @@ BC_GRID = (BC00, RobinBC(0.25, 0.5), BC11, RobinBC(0.0, 2.0))
 
 def test_phase_offsets_zero_coefficients():
     off = phase_offsets(1.0, BC00)
-    assert off.alpha == 0.0 and off.beta == 0.0 and off.regime == "positive"
+    assert off.alpha == 0.0 and off.beta == 0.0
 
 
 def test_phase_offsets_arctan():
@@ -39,7 +39,6 @@ def test_phase_offsets_logarithmic():
     # 0.5*log((0.5+0.25)/(0.5-0.25)) = 0.5*log(3)
     assert off.alpha == pytest.approx(0.5 * math.log(3.0), rel=1e-14)
     assert off.beta == pytest.approx(0.5 * math.log(3.0), rel=1e-14)
-    assert off.regime == "negative"
 
 
 def test_phase_offsets_branch_undefined():
@@ -50,10 +49,6 @@ def test_phase_offsets_branch_undefined():
 def test_decay_logslope_middle_branch():
     for x in (0.0, 0.3, 1.0):
         assert decay_logslope(2.0, 2.0, x) == 1.0
-
-
-def test_decay_profile_middle_branch():
-    assert decay_profile(1.0, 1.0, 0.5) == pytest.approx(math.exp(0.5), rel=1e-15)
 
 
 def test_decay_logslope_at_origin():

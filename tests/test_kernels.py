@@ -9,7 +9,6 @@ import pytest
 import numpy as np
 
 from robinsl import lambda1_value, sup_plus, RobinBC, Potential, DeltaAtom, Segment
-from robinsl.extrema import inf_plus_secular
 from robinsl._kernels import lambda1_kernel, propagate_step, shoot_kernel
 
 _PROBE = r"""
@@ -149,9 +148,14 @@ def test_mismatch_zero_at_closed_form_eigenvalues():
     assert _mismatch(0.0, 0.0, 0.0) == (0, 0.0)
     lam, _, status = lambda1_kernel(*ZERO_Q, 0.0, 0.0, 1e-12)
     assert status == 0 and abs(lam) <= 1e-12
-    # inf_plus is the zero potential with k1sq shifted by the unit mass at x = 1
-    for k0sq, k1sq in ((0.0, 0.0), (0.25, 0.5), (1.0, 1.0), (1.0, 4.0)):
-        lam = inf_plus_secular(RobinBC(k0sq, k1sq))
+    # inf_plus is the zero potential with k1sq shifted by the unit mass at x = 1;
+    # its eigenvalues from the mpmath secular oracle of test_solver_replay
+    for k0sq, k1sq, lam in (
+        (0.0, 0.0, 0.740173884394967),
+        (0.25, 0.5, 1.295072506504377),
+        (1.0, 1.0, 2.2783195886486105),
+        (1.0, 4.0, 3.0705363059780106),
+    ):
         zc, f = _mismatch(k0sq, k1sq + 1.0, lam)
         assert zc == 0 and abs(f) < 1e-11
         assert _mismatch(k0sq, k1sq + 1.0, lam - 1e-9)[1] < 0.0 < _mismatch(k0sq, k1sq + 1.0, lam + 1e-9)[1]

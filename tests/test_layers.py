@@ -30,3 +30,10 @@ def test_layer_resolves_to_callable(modname, attr):
 
 def test_jit_flag_exported():
     assert isinstance(robinsl.JIT_ENABLED, bool)
+
+
+def test_all_names_resolve():
+    for name in robinsl.__all__:
+        obj = getattr(robinsl, name)
+        if isinstance(obj, type) and issubclass(obj, Exception):
+            assert issubclass(obj, robinsl.RobinSLError), name

@@ -5,15 +5,13 @@ from hypothesis import strategies as st
 
 from robinsl import (
     DeltaAtom,
-    MixedSign,
     Potential,
     RobinBC,
     Segment,
-    ZeroMass,
     potential_from_dict,
     potential_to_dict,
 )
-from robinsl.potential import combine, delta_approx, fold_endpoint_atoms, normalize_mass, total_integral
+from robinsl.potential import combine, delta_approx, fold_endpoint_atoms, total_integral
 
 
 def test_total_integral_constant_one():
@@ -29,43 +27,6 @@ def test_total_integral_single_atom():
 def test_total_integral_two_segments():
     q = Potential(segments=(Segment(0.0, 0.25, 2.0), Segment(0.75, 1.0, 2.0)))
     assert total_integral(q) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_normalize_constant_scaling():
-    q = Potential(segments=(Segment(0.0, 1.0, 4.0),))
-    out = normalize_mass(q, 1)
-    assert out.segments[0].value == pytest.approx(1.0, abs=1e-15)
-    assert total_integral(out) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_normalize_negative_atom():
-    q = Potential(atoms=(DeltaAtom(0.3, -2.0),))
-    out = normalize_mass(q, -1)
-    assert out.atoms[0].weight == pytest.approx(-1.0, abs=1e-15)
-
-
-def test_normalize_two_segments_shape_preserved():
-    q = Potential(segments=(Segment(0.0, 0.5, 1.0), Segment(0.5, 1.0, 3.0)))
-    out = normalize_mass(q, 1)
-    assert out.segments[0].value == pytest.approx(0.5, abs=1e-15)
-    assert out.segments[1].value == pytest.approx(1.5, abs=1e-15)
-
-
-def test_normalize_rejects_zero_mass():
-    with pytest.raises(ZeroMass):
-        normalize_mass(Potential(), 1)
-
-
-def test_normalize_rejects_mixed_sign():
-    q = Potential(segments=(Segment(0.0, 0.5, 1.0), Segment(0.5, 1.0, -1.0)))
-    with pytest.raises(MixedSign):
-        normalize_mass(q, 1)
-
-
-def test_normalize_rejects_wrong_sign():
-    q = Potential(segments=(Segment(0.0, 1.0, -1.0),))
-    with pytest.raises(MixedSign):
-        normalize_mass(q, 1)
 
 
 def test_delta_approx_centered():
@@ -101,21 +62,6 @@ def test_delta_approx_mass_and_width(zeta, n, w):
     assert s.width == pytest.approx(1.0 / n, rel=1e-12)
     assert 0.0 <= s.left < s.right <= 1.0
     assert total_integral(q) == pytest.approx(w, rel=1e-12)
-
-
-@given(
-    cuts=st.lists(st.integers(1, 999), min_size=2, max_size=7, unique=True),
-    heights=st.lists(st.floats(0.01, 10.0), min_size=6, max_size=6),
-    sign=st.sampled_from([1, -1]),
-)
-@settings(max_examples=200, deadline=None)
-def test_normalize_then_total_is_sign(cuts, heights, sign):
-    pts = sorted(c / 1000.0 for c in cuts)
-    segs = tuple(
-        Segment(l, r, sign * h) for l, r, h in zip(pts, pts[1:], heights) if r > l
-    )
-    out = normalize_mass(Potential(segments=segs), sign)
-    assert total_integral(out) == pytest.approx(sign, abs=1e-12)
 
 
 def test_fold_atom_at_one():

@@ -318,7 +318,8 @@ def _assert_near_mp(lam, exact, tol):
 def test_zero_potential_secular_matches_mpmath(tol):
     # the zero potential at raw coefficients, as the half-interval problems and
     # inf_plus pose it, including the rescaled ones at zeta = 5e-4 and 1 - 1e-6
-    coeffs = [(k0, k1) for k0, k1 in BC_GRID6] + [(0.25, 1.5), (-0.5, 0.5), (3.0, 100.0)]
+    coeffs = [(k0, k1) for k0, k1 in BC_GRID6] + [(k0, k1 + 1.0) for k0, k1 in BC_GRID6]
+    coeffs += [(0.25, 1.5), (-0.5, 0.5), (3.0, 100.0)]
     coeffs += [(5e-4 * 0.25, -0.5 * 5e-4), (-0.5e-6, 1e-6 * 100.0), (2.0, -0.5)]
     for k0, k1 in coeffs:
         lam = K.lambda1_kernel(_EDGES0, _VALS0, _ATOMW0, k0, k1, tol)

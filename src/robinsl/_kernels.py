@@ -178,8 +178,6 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol):
         total += atomw[i]
 
     lo = -abs(total)
-    if lo > 0.0:
-        lo = 0.0
     bound = k0sq + k1sq + total
     hi = bound + 1e-3 * (1.0 + abs(bound))
     flo = 0.0

@@ -259,10 +259,15 @@ def _schema_rows(d, key, fields):
         for f in fields:
             if f not in entry:
                 raise ValueError(f"{key}[{i}].{f} is missing")
+            x = entry[f]
+            # JSON numbers load as int or float; float() would also take a
+            # bool (an int) or a numeric string
+            if not isinstance(x, (int, float)) or isinstance(x, bool):
+                raise ValueError(f"{key}[{i}].{f} must be a number, got {x!r}")
             try:
-                row.append(float(entry[f]))
-            except (TypeError, ValueError):
-                raise ValueError(f"{key}[{i}].{f} must be a number, got {entry[f]!r}") from None
+                row.append(float(x))
+            except OverflowError:
+                raise ValueError(f"{key}[{i}].{f} must be finite, got an integer past float range") from None
         yield row
 
 

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import robinsl
 from robinsl import DeltaAtom, Potential, RobinBC, fd_lambda1
 from robinsl.cli import main
 from robinsl.serialize import csv_lines, dumps, fmt_float
@@ -183,6 +185,10 @@ def test_eigen_rejects_non_finite_values(tmp_path, capsys, text):
         ('{"segments": 5}', "segments"),
         ('{"atoms": [[0.5, 1.0]]}', "atoms[0]"),
         ('{"atoms": [{"z": 0.5, "w": "heavy"}]}', "atoms[0].w"),
+        ('{"segments": [{"l": 0, "r": 0.5, "v": "-1_0"}]}', "segments[0].v"),
+        ('{"atoms": [{"z": 0.5, "w": true}]}', "atoms[0].w"),
+        ('{"segments": [{"l": 0, "r": 0.5, "v": " 3 "}]}', "segments[0].v"),
+        ('{"atoms": [{"z": 0.5, "w": 1%s}]}' % ("0" * 400), "atoms[0].w"),
         ("[]", "potential"),
     ],
 )
@@ -256,8 +262,13 @@ print(json.dumps({"codes": codes, "before": before, "lam": lam, "after": "scipy.
 
 
 def test_cli_runs_without_scipy_linalg():
-    # a fresh interpreter: this process has scipy.linalg loaded already
-    res = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE], capture_output=True, text=True, check=True)
+    # a fresh interpreter: this process has scipy.linalg loaded already.  It
+    # imports the robinsl this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(robinsl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY_PROBE], env=env, capture_output=True, text=True, check=True
+    )
     probe = json.loads(res.stdout)
     assert probe["codes"] == [0, 0]
     assert probe["before"] is False

@@ -15,9 +15,9 @@ from robinsl import (
     sup_minus,
     sup_plus,
 )
-from robinsl.extrema import ROOT_TOL, left_half_eigenvalue, right_half_eigenvalue
+from robinsl.extrema import _ATOMW0, _EDGES0, _VALS0, ROOT_TOL, left_half_eigenvalue, right_half_eigenvalue
 from robinsl.potential import total_integral
-from test_solver_replay import _assert_near_mp, _mp_defect, _mp_eigenvalue
+from test_solver_replay import _assert_certified
 
 BC_GRID = [
     RobinBC(0.0, 0.0),
@@ -98,12 +98,10 @@ def test_inf_plus_neumann_value():
 
 
 def test_inf_plus_secular_agreement():
-    # the root of the zero potential's secular equation at (k0sq, k1sq + 1),
-    # in mpmath to 30 digits
+    # the first eigenvalue of the zero potential at (k0sq, k1sq + 1), certified
+    # by the exact mpmath shot
     for bc in BC_GRID:
-        value = inf_plus(bc).value
-        exact = _mp_eigenvalue(lambda x: _mp_defect([(1, 0)], [], bc.k0sq, bc.k1sq + 1.0, x), value)
-        _assert_near_mp(value, exact, ROOT_TOL)
+        _assert_certified((_EDGES0, _VALS0, _ATOMW0, bc.k0sq, bc.k1sq + 1.0), inf_plus(bc).value, ROOT_TOL)
 
 
 def test_inf_plus_positive():

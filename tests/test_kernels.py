@@ -8,6 +8,7 @@ import pytest
 
 import numpy as np
 
+import robinsl
 from robinsl import lambda1_value, sup_plus, RobinBC, Potential, DeltaAtom, Segment
 from robinsl._kernels import lambda1_kernel, propagate_step, shoot_kernel
 
@@ -37,9 +38,11 @@ def _run_probe(flag):
 
     flag is the child's ROBINSL_NO_JIT value; None removes the variable.
     -W keeps RuntimeWarnings visible whatever PYTHONWARNINGS the caller runs
-    under.
+    under.  The child imports the robinsl this process imported, installed or
+    not.
     """
-    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(robinsl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     if flag is None:
         env.pop("ROBINSL_NO_JIT", None)
     else:
@@ -149,7 +152,7 @@ def test_mismatch_zero_at_closed_form_eigenvalues():
     lam, _, status = lambda1_kernel(*ZERO_Q, 0.0, 0.0, 1e-12)
     assert status == 0 and abs(lam) <= 1e-12
     # inf_plus is the zero potential with k1sq shifted by the unit mass at x = 1;
-    # its eigenvalues from the mpmath secular oracle of test_solver_replay
+    # its eigenvalues: 30-digit mpmath roots of the secular equation, rounded
     for k0sq, k1sq, lam in (
         (0.0, 0.0, 0.740173884394967),
         (0.25, 0.5, 1.295072506504377),

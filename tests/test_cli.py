@@ -1,11 +1,9 @@
 import json
-import os
 import subprocess
 import sys
 
 import pytest
 
-import robinsl
 from robinsl import DeltaAtom, Potential, RobinBC, fd_lambda1
 from robinsl.cli import main
 from robinsl.serialize import csv_lines, dumps, fmt_float
@@ -261,13 +259,10 @@ print(json.dumps({"codes": codes, "before": before, "lam": lam, "after": "scipy.
 """
 
 
-def test_cli_runs_without_scipy_linalg():
-    # a fresh interpreter: this process has scipy.linalg loaded already.  It
-    # imports the robinsl this process imported, installed or not
-    src = os.path.dirname(os.path.dirname(robinsl.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+def test_cli_runs_without_scipy_linalg(child_env):
+    # a fresh interpreter: this process has scipy.linalg loaded already
     res = subprocess.run(
-        [sys.executable, "-c", _LAZY_SCIPY_PROBE], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _LAZY_SCIPY_PROBE], env=child_env, capture_output=True, text=True, check=True
     )
     probe = json.loads(res.stdout)
     assert probe["codes"] == [0, 0]

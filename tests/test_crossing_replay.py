@@ -80,26 +80,33 @@ def _mp_length(k, lam):
     return 2 - 1 / k
 
 
-def _mp_crossing(k0, k1):
-    """(zeta, lam) of the half-curve crossing, bisected at 40 digits."""
+def _mp_crossing(k0, k1, lam, b):
+    """zeta of the half-curve crossing at 40 digits, or None unless the crossing lies within b of lam.
+
+    The lengths fall as lam grows, so the crossing lies within b of lam
+    exactly when their sum exceeds 1 at lam - b and falls short at lam + b;
+    a bracketing solve inside that interval then needs only a few lengths.
+    """
     with mpmath.workdps(40):
         k0, k1 = mpmath.mpf(k0), mpmath.mpf(k1)
-        lo, hi = mpmath.mpf(-0.25) + mpmath.mpf(10) ** -30, mpmath.mpf(16)
-        for _ in range(160):
-            mid = (lo + hi) / 2
-            if _mp_length(k0, mid) + _mp_length(k1, mid) > 1:
-                lo = mid
-            else:
-                hi = mid
-        left = _mp_length(k0, lo)
-        return float(left / (left + _mp_length(k1, lo))), float(lo)
+
+        def excess(x):
+            return _mp_length(k0, x) + _mp_length(k1, x) - 1
+
+        lo = max(mpmath.mpf(lam) - b, mpmath.mpf(-0.25) + mpmath.mpf(10) ** -30)
+        hi = mpmath.mpf(lam) + b
+        if not excess(lo) > 0 > excess(hi):
+            return None
+        root = mpmath.findroot(excess, (lo, hi), solver="anderson")
+        left = _mp_length(k0, root)
+        return float(left / (left + _mp_length(k1, root)))
 
 
 def test_crossing_matches_mpmath():
     for k0, k1 in PAIRS + EDGE_PAIRS:
-        zeta, lam = _mp_crossing(k0, k1)
         rep = inf_minus(RobinBC(k0, k1), 1e-10)
-        assert abs(rep.value - lam) <= 1e-13, (k0, k1)
+        zeta = _mp_crossing(k0, k1, rep.value, 1e-13)
+        assert zeta is not None, (k0, k1)
         assert abs(rep.q_star.atoms[0].position - zeta) <= 1e-12 * zeta, (k0, k1)
 
 

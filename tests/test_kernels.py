@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -8,7 +7,6 @@ import pytest
 
 import numpy as np
 
-import robinsl
 from robinsl import lambda1_value, sup_plus, RobinBC, Potential, DeltaAtom, Segment
 from robinsl._kernels import lambda1_kernel, propagate_step, shoot_kernel
 
@@ -33,16 +31,14 @@ print(json.dumps(out))
 """
 
 
-def _run_probe(flag):
-    """Run _PROBE in a fresh interpreter; return its JSON report and its stderr.
+def _run_probe(env, flag):
+    """Run _PROBE in a fresh interpreter under env; return its JSON report and its stderr.
 
     flag is the child's ROBINSL_NO_JIT value; None removes the variable.
     -W keeps RuntimeWarnings visible whatever PYTHONWARNINGS the caller runs
-    under.  The child imports the robinsl this process imported, installed or
-    not.
+    under.
     """
-    src = os.path.dirname(os.path.dirname(robinsl.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(env)
     if flag is None:
         env.pop("ROBINSL_NO_JIT", None)
     else:
@@ -57,8 +53,8 @@ def _run_probe(flag):
     return json.loads(res.stdout), res.stderr
 
 
-def test_pure_fallback_matches_compiled_path():
-    pure, _ = _run_probe("1")
+def test_pure_fallback_matches_compiled_path(child_env):
+    pure, _ = _run_probe(child_env, "1")
     assert pure["jit"] is False
     q = Potential(segments=(Segment(0.1, 0.6, 3.0),), atoms=(DeltaAtom(0.7, -1.5),))
     here = {
@@ -72,11 +68,11 @@ def test_pure_fallback_matches_compiled_path():
     assert pure["sup_plus"] == pytest.approx(here["sup_plus"], abs=1e-12)
 
 
-def test_env_flag_enables_jit_by_default():
+def test_env_flag_enables_jit_by_default(child_env):
     # Unset and empty ROBINSL_NO_JIT both ask for JIT.  It is then on exactly
     # when numba imports; without numba the pure path runs and says so.
     for flag in (None, ""):
-        probe, stderr = _run_probe(flag)
+        probe, stderr = _run_probe(child_env, flag)
         if probe["numba"]:
             assert probe["jit"] is True
         else:

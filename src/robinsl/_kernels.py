@@ -7,7 +7,8 @@ otherwise the same functions run as ordinary Python (the pure fallback path).
 The two paths execute identical code and must agree to roundoff.
 
 The cell tables ``edges``, ``vals`` and ``atomw`` come from
-``potential.compile_arrays`` as lists of Python floats.  The pure path reads
+``potential.cell_tables`` (through ``compile_arrays``, or straight from a
+``check_bounds`` sample) as lists of Python floats.  The pure path reads
 them several times per cell per shot, and a float read from a list keeps every
 later operation on plain floats instead of numpy scalars; numba takes the same
 lists as reflected lists.
@@ -68,6 +69,10 @@ def propagate_step(y, yp, w, h):
         sn = math.sin(sh)
         y1 = y * c + yp * sn / s
         yp1 = -y * s * sn + yp * c
+        if sh < _PI:
+            # zeros lie pi/s apart, so the closed cell holds at most one: an
+            # interior one exactly when y changes sign across it
+            return y1, yp1, 1 if y < 0.0 < y1 or y1 < 0.0 < y else 0, 0.0
         # zeros of R*cos(s*t - phi) for t in (0, h)
         phi = math.atan2(yp / s, y)
         a = (-phi - 0.5 * _PI) / _PI
@@ -104,6 +109,9 @@ def propagate_step(y, yp, w, h):
     return y * c + yp * sn / s, y * s * sn + yp * c, nz, sh
 
 
+_INF = math.inf
+
+
 @jit
 def shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam):
     """Shoot from the left boundary condition to x=1.
@@ -117,55 +125,137 @@ def shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam):
     The mismatch is the Prüfer angle at x=1 minus the right boundary angle,
     pi*zero_count + atan2(s*y, s*y') - atan2(1, -k1sq) with s = (-1)**zero_count:
     continuous and strictly increasing in lam, 0 at the first eigenvalue and
-    n*pi at the (n+1)-th.
+    n*pi at the (n+1)-th.  Its slope in lam is the integral of y^2 over [0, 1]
+    over y(1)^2 + y'(1)^2 (the start and the atom jumps do not depend on lam).
+    On a cell where y'' = -w*y the integral is (h*(w*y0^2 + y0'^2) + y0*y0' -
+    y1*y1') / (2w), from the cell's end states, or a series in w*h^2 where
+    that cancels; the running sum is rescaled with the state.
 
-    Returns (residual, zero_count, mismatch, ok).
+    Returns (residual, zero_count, mismatch, slope, ok).
     """
     y = 1.0
     yp = k0sq
     nz = 0
+    sq = 0.0  # integral of y^2 so far, in the units of the current state
     ncells = len(vals)
     for i in range(ncells):
         if i > 0 and atomw[i] != 0.0:
             yp = yp + atomw[i] * y
         h = edges[i + 1] - edges[i]
         if h > 0.0:
-            y, yp, dz, _ = propagate_step(y, yp, lam - vals[i], h)
+            w = lam - vals[i]
+            z = w * h * h
+            if -1e-4 < z < 1e-4:
+                # the closed form divides by w and cancels here: the integrals
+                # of cos^2, 2*cos*sin/s and sin^2/s^2 over the cell as series
+                # in u = -4*w*h^2, to a relative 1e-14
+                u = -4.0 * z
+                cc = 1.0 + u * (1.0 / 12.0 + u * (1.0 / 240.0))
+                cs = 1.0 + u * (1.0 / 12.0 + u * (1.0 / 360.0))
+                ss = 1.0 / 3.0 + u * (1.0 / 60.0 + u * (1.0 / 2520.0))
+                sq += h * (y * y * cc + h * (y * yp * cs + h * yp * yp * ss))
+                half_w = 0.0
+            else:
+                half_w = 0.5 / w
+                sq += (h * (w * y * y + yp * yp) + y * yp) * half_w
+            y, yp, dz, shift = propagate_step(y, yp, w, h)
             nz += dz
+        else:
+            half_w = 0.0
+            shift = 0.0
         sc = abs(y)
         if abs(yp) > sc:
             sc = abs(yp)
-        if not (sc > 0.0 and math.isfinite(sc)):
-            return 0.0, -1, 0.0, False
+        if not 0.0 < sc < _INF:
+            return 0.0, -1, 0.0, 0.0, False
         y = y / sc
         yp = yp / sc
+        if shift:
+            sq = sq * math.exp(-2.0 * shift)
+        # the integral so far in the units of the rescaled state, less y1*y1'/(2w)
+        sq = sq / sc / sc - y * yp * half_w
     sg = 1.0 - 2.0 * (nz % 2)
     mismatch = _PI * nz + math.atan2(sg * y, sg * yp) - math.atan2(1.0, -k1sq)
-    return yp + k1sq * y, nz, mismatch, True
+    return yp + k1sq * y, nz, mismatch, sq / (y * y + yp * yp), True
 
 
 @jit
-def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol):
+def first_order_start(edges, vals, atomw, k0sq, lam0):
+    """First-order estimate of the first eigenvalue about the zero potential.
+
+    lam0 must be the first eigenvalue of the zero potential under the same
+    coefficients, and lam0 >= 0 (so k0sq, k1sq >= 0).  Its eigenfunction
+    y0 = cos(s*x) + k0sq*sin(s*x)/s, s = sqrt(lam0) (y0 = 1 + k0sq*x at
+    lam0 = 0), gives lam0 + (sum of vals[i] * the integral of y0^2 over cell i
+    + sum of atomw[i] * y0(edges[i])^2) / the integral of y0^2 over [0, 1].
+    """
+    s = math.sqrt(lam0) if lam0 > 0.0 else 0.0
+    b = k0sq / s if s > 0.0 else 0.0
+    num = 0.0
+    prev = 0.0
+    big = 0.0
+    for i in range(len(edges)):
+        x = edges[i]
+        if s > 0.0:
+            sn = math.sin(s * x)
+            cn = math.cos(s * x)
+            big = 0.5 * (1.0 + b * b) * x + (0.5 * (1.0 - b * b) * cn + b * sn) * sn / s
+            y0 = cn + b * sn
+        else:
+            big = x * (1.0 + k0sq * x * (1.0 + k0sq * x / 3.0))
+            y0 = 1.0 + k0sq * x
+        if i > 0:
+            num += vals[i - 1] * (big - prev)
+        if atomw[i] != 0.0:
+            num += atomw[i] * y0 * y0
+        prev = big
+    return lam0 + num / big
+
+
+@jit
+def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
     """Locate the smallest eigenvalue to a bracket of width tol + 1e-14*|lam|.
 
     A trial lam lies below the first eigenvalue exactly when the shot solution
-    has no interior zero and positive residual.  lo is grown geometrically
-    down until that predicate holds.  hi starts from a value already known to
-    fail it: the last lo that failed, when lo had to move, else the Rayleigh
-    quotient of y = 1 (k0sq + k1sq + the integral of q with atoms by weight,
-    an upper bound on the first eigenvalue) plus a little slack.  hi is grown
-    only if that value passes.
+    has no interior zero and positive residual; the predicate of every shot
+    moves lo up or hi down, so both ends stay certified.  The angle mismatch
+    of the same shot, continuous and increasing with its root at the first
+    eigenvalue, and its slope pick the next trial lam: a Newton step, less
+    the second-order Taylor term once two shots give f'' by the difference
+    of their slopes (Pryce, Numerical Solution of Sturm-Liouville Problems,
+    1993, on the miss-distance and its lam-derivative).  The next shot goes
+    past that point toward the side this shot did not certify, by twice the
+    error the same curvature predicts for it, at least a quarter stopping
+    width, so that the shots straddle the root; a step shorter than half a
+    stopping width goes half a width past, so the bracket closes next.
 
-    Inside [lo, hi] the angle mismatch of each shot, continuous and
-    increasing with its root at the first eigenvalue, picks the next trial
-    lam: an Illinois step, pulled toward the bracket midpoint just enough that
-    the bracket keeps pace with bisection plus three steps (the projection of
-    the ITP method, Oliveira and Takahashi, ACM TOMS 47, 2021).  So a mismatch
-    that jumps, as when rounding loses a decaying mode, costs at most three
-    shots more than bisection.  The predicate of the same shot moves lo or
-    hi, so both ends stay certified.  The loop stops once hi - lo <= tol +
+    The first shot is at start when it is finite (check_bounds passes
+    first_order_start), else at the Rayleigh quotient of y = 1: k0sq + k1sq +
+    the integral of q with atoms by weight, an upper bound on the first
+    eigenvalue.  While one end is unknown, a step may not pass that bound
+    plus a little slack upward, nor the next point of the geometric search
+    for lo downward: -|integral of q|, or 2*lo - 1 below it.  A step the
+    wrong way, and every step after a closing shot that stayed on the
+    certified side, goes to that limit instead.
+
+    Once both ends are known, a step outside the bracket, or one that does
+    not halve the last move, bisects (Numerical Recipes' rtsafe), and every
+    step is pulled toward the bracket midpoint just enough that the bracket
+    keeps pace with bisection plus three steps (the projection of the ITP
+    method, Oliveira and Takahashi, ACM TOMS 47, 2021).  So a mismatch that
+    jumps, as when rounding loses a decaying mode, costs at most three shots
+    more than bisection.  A shot whose state vanishes or overflows inside
+    the bracket, as a trial lam at the eigenvalue to the last bits can past
+    a deep atom, is taken again a quarter stopping width toward the
+    midpoint, at most three times.  The loop stops once hi - lo <= tol +
     1e-14*|lam|; the relative term, below the 12 printed digits, keeps that
     width above the float spacing at any lam.
+
+    On check_bounds' samples of 1 to 16 segments at tol 1e-10 this takes
+    4.2-4.6 shots per solve (at most 6) from the first-order start and
+    4.4-7.3 (at most 10) from the Rayleigh quotient, by coefficient pair;
+    the Illinois step on the mismatch that it replaced took 8-11.6 (at most
+    14).
 
     Returns (lam, bracket_width, status): lam is the bracket midpoint, which
     is not shot; a caller that needs the state there (the eigenfunction
@@ -177,85 +267,130 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol):
     for i in range(len(atomw)):
         total += atomw[i]
 
-    lo = -abs(total)
     bound = k0sq + k1sq + total
-    hi = bound + 1e-3 * (1.0 + abs(bound))
-    flo = 0.0
-    fhi = 0.0
-    hi_known = False
-    found = False
+    up = bound + 1e-3 * (1.0 + abs(bound))
+    down = -abs(total)
+    x = start if math.isfinite(start) else bound
+    lo = -math.inf
+    hi = math.inf
+    px = math.nan  # the previous shot and its slope
+    pslope = math.nan
+    reach = 0.0
+    closing = False
+    stalled = False
+    lost = 0
     for _ in range(200):
-        r, zc, f, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, lo)
+        res, zc, f, slope, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, x)
         if not ok:
-            return 0.0, 0.0, STATUS_NONFINITE
-        if zc == 0 and r > 0.0:
-            flo = f
-            found = True
-            break
-        hi, fhi, hi_known = lo, f, True
-        lo = 2.0 * lo - 1.0
-    if not found:
-        return 0.0, 0.0, STATUS_TOL
-
-    if not hi_known:
-        if hi <= lo:
-            hi = lo + 1.0
-        for _ in range(200):
-            r, zc, fhi, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, hi)
-            if not ok:
+            # a trial lam at the eigenvalue to the last bits can cancel the
+            # growing mode past a deep atom to a zero state; inside a bracket,
+            # shoot again a quarter stopping width toward its middle
+            lost += 1
+            if lost > 3 or math.isinf(lo) or math.isinf(hi):
                 return 0.0, 0.0, STATUS_NONFINITE
-            if not (zc == 0 and r > 0.0):
-                hi_known = True
-                break
-            step = hi - lo
-            lo, flo = hi, fhi
-            hi = hi + 2.0 * step
-        if not hi_known:
-            return 0.0, 0.0, STATUS_TOL
-
-    # bisection needs n halvings to reach the smallest stopping width w in
-    # [lo, hi]; step j = 0, 1, ... leaves a bracket of at most
-    # w * 2**(n + 2 - j), three steps behind bisection
-    reach = tol + 1e-14 * max(lo, -hi, 0.0)
-    while reach < hi - lo:
-        reach = 2.0 * reach
-    reach = 4.0 * reach
-    side = 0
-    for _ in range(200):
+            nudge = 0.25 * (tol + 1e-14 * abs(x))
+            x = x + nudge if x < 0.5 * (lo + hi) else x - nudge
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            continue
+        below = zc == 0 and res > 0.0
+        if below:
+            lo = x
+        else:
+            hi = x
+        # Newton's point t, less the second-order term of the Taylor series
+        # where the last two shots give f'' by the difference of their slopes,
+        # and the error of t that the same curvature predicts
+        t = math.nan
+        err = math.nan
+        moved = abs(x - px)
+        if slope > 0.0:
+            d = -f / slope
+            t = x + d
+            if moved > 0.0:
+                bend = 0.5 * (slope - pslope) / ((x - px) * slope)  # f''/(2f')
+                err = abs(bend) * d * d
+                if err < 0.5 * abs(d):
+                    t = t - bend * d * d
+                    err = bend * bend * d * d * (moved + 3.0 * abs(d))
+        px = x
+        pslope = slope
+        # the next shot goes past t, toward the side this shot did not
+        # certify: by twice t's error, no more than the step and at least a
+        # quarter stopping width; by half a width when the step is shorter
+        # than that, to close the bracket
+        step = abs(t - x)
+        half = 0.5 * (tol + 1e-14 * abs(x))
+        past = 0.5 * half
+        if 2.0 * err > past:
+            past = min(2.0 * err, step)
+        if math.isinf(lo) or math.isinf(hi):
+            # a closing shot that landed on the certified side: the mismatch
+            # misleads, and the rest of the one-sided search is geometric
+            stalled = stalled or closing
+        closing = step < half
+        if closing:
+            past = half
+        if math.isinf(hi):
+            # open above: never past the Rayleigh bound
+            t = t + past
+            if not t > x or stalled:
+                t = up
+            if t > up:
+                t = up
+            if not t > x:  # at or past the bound only by rounding
+                up = x + 2.0 * (1.0 + abs(x))
+                t = up
+            x = t
+            continue
+        if math.isinf(lo):
+            # open below: never past the next point of the geometric search
+            floor = min(down, 2.0 * x - 1.0)
+            t = t - past
+            if not t < x or stalled:
+                t = floor
+            if t < floor:
+                t = floor
+            x = t
+            continue
         mid = 0.5 * (lo + hi)
         half = 0.5 * (tol + 1e-14 * abs(mid))
         if hi - lo <= 2.0 * half or not lo < mid < hi:
             break
-        c = mid
-        if fhi > flo:
-            c = lo - flo * (hi - lo) / (fhi - flo)
+        if reach == 0.0:
+            # bisection needs n halvings to reach the smallest stopping width
+            # w in [lo, hi]; step j = 0, 1, ... leaves a bracket of at most
+            # w * 2**(n + 2 - j), three steps behind bisection
+            reach = tol + 1e-14 * max(lo, -hi, 0.0)
+            while reach < hi - lo:
+                reach = 2.0 * reach
+            reach = 4.0 * reach
+        if not lo < t < hi or half <= step and moved < 2.0 * step:
+            # bisect where Newton leaves the bracket or does not halve its
+            # last move (Numerical Recipes' rtsafe)
+            t = mid
+        else:
+            # the far end already lies past t; shoot there only if it is not
+            c = t + past if below else t - past
+            if lo + half < c < hi - half:
+                t = c
         r = reach - 0.5 * (hi - lo)
         reach = 0.5 * reach
-        if c < mid - r:
-            c = mid - r
-        elif c > mid + r:
-            c = mid + r
+        if t < mid - r:
+            t = mid - r
+        elif t > mid + r:
+            t = mid + r
         # a step that lands next to an end, as at a root found to rounding,
         # keeps half a stopping width from it, so the far side closes next
-        if c < lo + half:
-            c = lo + half
-        elif c > hi - half:
-            c = hi - half
-        if not lo < c < hi:
-            c = mid
-        res, zc, fc, ok = shoot_kernel(edges, vals, atomw, k0sq, k1sq, c)
-        if not ok:
-            return 0.0, 0.0, STATUS_NONFINITE
-        if zc == 0 and res > 0.0:
-            lo, flo = c, fc
-            if side < 0:
-                fhi = 0.5 * fhi
-            side = -1
-        else:
-            hi, fhi = c, fc
-            if side > 0:
-                flo = 0.5 * flo
-            side = 1
+        if t < lo + half:
+            t = lo + half
+        elif t > hi - half:
+            t = hi - half
+        if not lo < t < hi:
+            t = mid
+        x = t
 
+    if math.isinf(lo) or math.isinf(hi):
+        return 0.0, 0.0, STATUS_TOL
     lam = 0.5 * (lo + hi)
     return lam, hi - lo, STATUS_OK if hi - lo <= tol + 1e-14 * abs(lam) else STATUS_TOL

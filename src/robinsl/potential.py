@@ -218,24 +218,42 @@ def compile_arrays(q: Potential):
     for a in q.atoms:
         if a.position <= MERGE_TOL or a.position >= 1.0 - MERGE_TOL:
             raise ValueError("endpoint atoms must be folded with fold_endpoint_atoms")
-    pts = q.breakpoints()
+    return cell_tables(
+        [(float(s.left), float(s.right), float(s.value)) for s in q.segments],
+        [(float(a.position), float(a.weight)) for a in q.atoms],
+    )
+
+
+def cell_tables(segments, atoms=()):
+    """The tables of :func:`compile_arrays` from float tuples, without a Potential.
+
+    segments holds (left, right, value) sorted by left, atoms (position,
+    weight), both as they would sit in a Potential.  The sampler of
+    ``verify`` calls this on the segments it draws.
+    """
+    pts = {0.0, 1.0}
+    for l, r, _ in segments:
+        pts.add(l)
+        pts.add(r)
+    for z, _ in atoms:
+        pts.add(z)
+    pts = sorted(pts)
     edges = [0.0]
     for p in pts[1:]:
         if p - edges[-1] > MERGE_TOL:
-            edges.append(float(p))
+            edges.append(p)
     edges[-1] = 1.0
     n = len(edges)
     mids = [0.5 * (edges[i] + edges[i + 1]) for i in range(n - 1)]
     vals = [0.0] * (n - 1)
-    for s in q.segments:
-        lo = bisect_left(mids, float(s.left))
-        hi = bisect_right(mids, float(s.right))
-        vals[lo:hi] = [float(s.value)] * (hi - lo)
+    for l, r, v in segments:
+        lo = bisect_left(mids, l)
+        hi = bisect_right(mids, r)
+        vals[lo:hi] = [v] * (hi - lo)
     atomw = [0.0] * n
-    for a in q.atoms:
-        pos = float(a.position)
-        i = min(range(n), key=lambda j: abs(edges[j] - pos))
-        atomw[i] += float(a.weight)
+    for z, w in atoms:
+        i = min(range(n), key=lambda j: abs(edges[j] - z))
+        atomw[i] += w
     return edges, vals, atomw
 
 

@@ -8,16 +8,19 @@ the extremal point masses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+from ._kernels import first_order_start
 from ._rng import SplitMix64, derive_seed
-from .eigensolver import lambda1_value
+from .eigensolver import DEFAULT_TOL, _solve_arrays, lambda1_value
 from .errors import ZeroMass
-from .extrema import KINDS, all_extrema, inf_minus, inf_plus, sup_minus, sup_plus
+from .extrema import KINDS, _eig0, all_extrema, inf_minus, inf_plus, sup_minus, sup_plus
 from .potential import (
     Potential,
     RobinBC,
     Segment,
+    cell_tables,
     combine,
     delta_approx,
     potential_to_dict,
@@ -25,6 +28,7 @@ from .potential import (
 
 #: slack allowed before a sample counts as violating a bound
 BOUND_TOL = 1e-7
+_TWO_PI = 2.0 * math.pi
 
 
 @dataclass
@@ -39,18 +43,28 @@ class SampleReport:
     seed: int = 0
 
 
-def _draw(rng: SplitMix64, pieces: int, sign: int, concentrated: bool) -> Potential:
+def _draw(rng: SplitMix64, pieces: int, sign: int, concentrated: bool) -> list:
+    """The (left, right, value) segments of one sample, sorted, of integral sign.
+
+    A sample takes 3*pieces uniforms from rng, plus one unless concentrated:
+    breakpoints, then a Box-Muller pair per height.
+    """
     for _ in range(100):
+        u = rng.units(3 * pieces + (0 if concentrated else 1))
         if concentrated:
             # support pinned to a window of width exactly 1/pieces at a random
             # center, so larger piece counts concentrate the unit mass harder
             width = 1.0 / pieces
-            left = rng.next_unit() * (1.0 - width)
-            inner = sorted(left + rng.next_unit() * width for _ in range(pieces - 1))
+            left = u[0] * (1.0 - width)
+            inner = sorted(left + x * width for x in u[1:pieces])
             pts = [left] + inner + [left + width]
         else:
-            pts = sorted(rng.next_unit() for _ in range(pieces + 1))
-        heights = [rng.next_abs_normal() for _ in range(pieces)]
+            pts = sorted(u[: pieces + 1])
+        # |N(0, 1)| by Box-Muller, from two uniforms each
+        heights = [
+            abs(math.sqrt(-2.0 * math.log(u[j])) * math.cos(_TWO_PI * u[j + 1]))
+            for j in range(len(u) - 2 * pieces, len(u), 2)
+        ]
         raw = [
             (l, r, sign * h)
             for l, r, h in zip(pts, pts[1:], heights)
@@ -61,8 +75,12 @@ def _draw(rng: SplitMix64, pieces: int, sign: int, concentrated: bool) -> Potent
             tot += v * (r - l)
         if tot != 0.0:
             c = sign / tot
-            return Potential(segments=tuple(Segment(l, r, v * c) for l, r, v in raw))
+            return [(l, r, v * c) for l, r, v in raw]
     raise ZeroMass("could not draw a potential with positive mass")
+
+
+def _potential(segments) -> Potential:
+    return Potential(segments=tuple(Segment(l, r, v) for l, r, v in segments))
 
 
 def sample_unit_mass(pieces: int, seed: int, sign: int, concentrated: bool = False) -> Potential:
@@ -77,7 +95,7 @@ def sample_unit_mass(pieces: int, seed: int, sign: int, concentrated: bool = Fal
         raise ValueError("pieces must lie in 1..64")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _draw(SplitMix64(seed), pieces, sign, concentrated)
+    return _potential(_draw(SplitMix64(seed), pieces, sign, concentrated))
 
 
 def check_bounds(
@@ -91,15 +109,21 @@ def check_bounds(
 
     Sample i of class tag (0 for +, 1 for -) draws its piece count and shape
     from the sub-seed ``derive_seed(seed, tag, i)``, so any violating sample
-    can be regenerated from the report's seed alone.  Violations are recorded,
-    not raised.  n = 0 gives an empty report; a negative n or a pieces_max
-    below 1 raises ValueError.
+    can be regenerated from the report's seed alone.  A sample's cell tables
+    are built from its drawn segments, and its solve starts from first-order
+    perturbation about the zero potential; only a violating sample becomes a
+    Potential, for the report.  Violations are recorded, not raised.  n = 0
+    gives an empty report; a negative n or a pieces_max below 1 raises
+    ValueError.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     if pieces_max < 1:
         raise ValueError(f"pieces_max must be >= 1, got {pieces_max}")
     ext = {r.kind: r for r in all_extrema(bc)}
+    k0, k1 = bc.k0sq, bc.k1sq
+    # each solve starts from first-order perturbation about the zero potential
+    lam0 = _eig0(k0, k1)
     report = SampleReport(n_samples=0, seed=seed)
     gaps = {k: None for k in KINDS}
     for sign, tag, lo_kind, hi_kind in (
@@ -113,8 +137,10 @@ def check_bounds(
             # concentrated mode pins the piece count so the support window
             # width 1/pieces_max shrinks as pieces_max grows
             pieces = pieces_max if concentrated else 1 + rng.next_u64() % pieces_max
-            q = _draw(rng, pieces, sign, concentrated)
-            lam = lambda1_value(q, bc)
+            segs = _draw(rng, pieces, sign, concentrated)
+            edges, vals, atomw = cell_tables(segs)
+            start = first_order_start(edges, vals, atomw, k0, lam0)
+            lam = _solve_arrays(edges, vals, atomw, k0, k1, DEFAULT_TOL, start)[0]
             report.n_samples += 1
             if report.min_seen is None or lam < report.min_seen:
                 report.min_seen = lam
@@ -126,11 +152,11 @@ def check_bounds(
                     gaps[kind] = gap
             if lam < lo - BOUND_TOL:
                 report.violations.append(
-                    {"potential": potential_to_dict(q), "lambda1": lam, "bound": lo_kind, "gap": lo - lam}
+                    {"potential": potential_to_dict(_potential(segs)), "lambda1": lam, "bound": lo_kind, "gap": lo - lam}
                 )
             elif lam > hi + BOUND_TOL:
                 report.violations.append(
-                    {"potential": potential_to_dict(q), "lambda1": lam, "bound": hi_kind, "gap": lam - hi}
+                    {"potential": potential_to_dict(_potential(segs)), "lambda1": lam, "bound": hi_kind, "gap": lam - hi}
                 )
     report.extremum_gaps = gaps
     return report

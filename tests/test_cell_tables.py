@@ -1,12 +1,14 @@
 """The list cell tables and the one-pass sampler give the bits of their numpy forms.
 
 ``compile_arrays`` builds (edges, vals, atomw) as lists of Python floats and
-``verify._draw`` builds each sample's Potential once.  The numpy construction
-and the draw-then-normalize route they replace are kept here as
-oracles; both must be matched bit for bit.
+``verify._draw`` draws each sample's segments as float tuples, from a stream
+with the splitmix64 step written out.  The numpy construction and the
+draw-then-normalize route they replace, with one stream call per uniform, are
+kept here as oracles; both must be matched bit for bit.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -115,17 +117,25 @@ def test_tables_of_random_potentials(q):
     _assert_same_tables(q)
 
 
+def _unit(rng):
+    return ((rng.next_u64() >> 11) + 1) * 2.0**-53
+
+
 def _draw_then_normalize(rng, pieces, sign, concentrated):
-    # the sampler as it was: raw Segments, then each scaled by sign / mass
+    # the sampler as it was: one call per uniform, raw Segments, then each
+    # scaled by sign / mass
     for _ in range(100):
         if concentrated:
             width = 1.0 / pieces
-            left = rng.next_unit() * (1.0 - width)
-            inner = sorted(left + rng.next_unit() * width for _ in range(pieces - 1))
+            left = _unit(rng) * (1.0 - width)
+            inner = sorted(left + _unit(rng) * width for _ in range(pieces - 1))
             pts = [left] + inner + [left + width]
         else:
-            pts = sorted(rng.next_unit() for _ in range(pieces + 1))
-        heights = [rng.next_abs_normal() for _ in range(pieces)]
+            pts = sorted(_unit(rng) for _ in range(pieces + 1))
+        heights = []
+        for _ in range(pieces):
+            u1, u2 = _unit(rng), _unit(rng)
+            heights.append(abs(math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)))
         segs = tuple(
             Segment(l, r, sign * h) for l, r, h in zip(pts, pts[1:], heights) if r - l > 1e-14 and h > 0.0
         )
@@ -143,5 +153,6 @@ def test_draw_matches_normalize_mass(sign, tag, concentrated):
         rng = SplitMix64(derive_seed(20260809, tag, i))
         pieces = pieces_max if concentrated else 1 + rng.next_u64() % pieces_max
         ref = copy.copy(rng)
-        assert _draw(rng, pieces, sign, concentrated) == _draw_then_normalize(ref, pieces, sign, concentrated)
+        want = _draw_then_normalize(ref, pieces, sign, concentrated)
+        assert _draw(rng, pieces, sign, concentrated) == [(s.left, s.right, s.value) for s in want.segments]
         assert rng._state == ref._state

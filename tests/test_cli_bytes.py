@@ -7,11 +7,17 @@ fails here; such a change must be declared and these values re-recorded.
 
 ``python tests/test_cli_bytes.py`` prints every pin with the sha256 of the
 current output, in the format of PINNED below, ready to paste over it.
+``--save DIR`` writes each pin's stdout to DIR/<name>.txt; ``--compare DIR``
+runs the pins again and prints, for each, the largest change of a number
+under each JSON key or CSV column against the saved output, so a declared
+change of the last digits can be measured before the pins are re-recorded.
 """
 
+import argparse
 import hashlib
 import io
 import json
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -38,46 +44,46 @@ POTENTIALS = {
 PINNED = {
     "eigen_json": (
         ["eigen", "--k0sq", "0.5", "--k1sq", "0.5", "{pot}"],
-        "dd8344259790e53b19e8e46fd47ba8d927df948575964fd887bbcb75415536a0",
+        "3f4a1d97ace2c496a06a4508e4df25d465d06f1d15ebca70f06fd1dce19c0049",
     ),
     "eigen_csv": (
         ["eigen", "--k0sq", "0.5", "--k1sq", "0.5", "--format", "csv", "{pot}"],
-        "e5a09f24891836676f04bbe92faf71ae84f5aff906725ebeb8ada74aea5c444d",
+        "377134641d2cd098b7cb405f6a92975de66d7578b5f61ffa75dcb738e4c3ded7",
     ),
     # the eigenfunction sampler's cell slices and both cell formulas
     "eigen_atom_hyperbolic": (
         ["eigen", "--k0sq", "0.25", "--k1sq", "0.5", "{atom}"],
-        "b73755fce2fd341cd635521c90e7c4773cdb29bc5af12dfaaabc9aa7f5e5d865",
+        "726256865d00ab00c34ba7d50631cdc8c6e73ad9262b37bbbbb71f20c51fcf37",
     ),
     "eigen_mixed_sign": (
         ["eigen", "--k0sq", "0.25", "--k1sq", "0.5", "{mixed}"],
-        "36455e981cc3e7c0d0f4674b2af98655ac530aeb92f308a172881a9b745dc4cb",
+        "1ac91a2263051708f44a400281fe05221c78030d2492905303258644d55be8e6",
     ),
     "extrema_0_0": (
         ["extrema", "--k0sq", "0", "--k1sq", "0"],
-        "bfe82e66774382d56d23b0acf149980583f074d25f626f5b5289d59effdbf1a0",
+        "b45248c496eb5efb40cecb5ccf29471cffca0594ac54b46e4af3942895031443",
     ),
     "extrema_half_half": (
         ["extrema", "--k0sq", "0.5", "--k1sq", "0.5"],
-        "b1b8a182f1eebf439435cea78eb9f630522ce8fe553608649f6e58228e8fd91e",
+        "0c28f9feee6f97bdd6b047eacf4cd8b147d4a74646ac51898fd42fe3334c209b",
     ),
     "extrema_1_1": (
         ["extrema", "--k0sq", "1", "--k1sq", "1"],
-        "1378b260fa2d9a08e2cdcbe30abae6e56ab3fec30b2f543f1c6eeb54944fc4cb",
+        "5bcdf94db1ae7c039b4a8568729934bf062341e07b805bfa235290206f506756",
     ),
     "extrema_quarter_half": (
         ["extrema", "--k0sq", "0.25", "--k1sq", "0.5"],
-        "45a5c3bd9cb28f09427fb05a089b304dc657951506c37249f46cdb101391ed48",
+        "0c216d3661e6de021387c6fbe709fe9a5f3407c58eec8ad2e6aaa99d5c48ef23",
     ),
     "extrema_grid": (
         ["extrema", "--k0sq", "0", "--k1sq", "0", "--grid", "0:1:5", "1:3:7"],
-        "3e441c73457e8d85de14a58f1d2a071b55f289656a900f75743b32bbc763d026",
+        "c744b69de94a78ef2fc2f023d2fd8412f9398ca543947865c3aaf25026d37835",
     ),
     # inf_minus's interior root-find: near k0sq = 1/2, at a finer tol, and a
     # grid on which every m1minus is an interior crossing
     "extrema_edge": (
         ["extrema", "--k0sq", "0.50001", "--k1sq", "2.3"],
-        "870582b38ab2ebe833f6fbd6887abd69ab4708ca28d484b8c21e4b003dd3351b",
+        "dcf129f003d6b1ee44e9f4092889e701b953444fabfff08aec668d9df7fc29cb",
     ),
     "extrema_interior_tol12": (
         ["extrema", "--k0sq", "2", "--k1sq", "2.5", "--tol", "1e-12"],
@@ -85,7 +91,7 @@ PINNED = {
     ),
     "extrema_grid_interior": (
         ["extrema", "--k0sq", "0", "--k1sq", "0", "--grid", "0.6:3:5", "3:4:3"],
-        "9d4a6954bb39d617731a23ec4f0e04e4a03da41c30d01978cc36953238c7a4dc",
+        "5fa9fe7ba36239e167a2c24e83370f7ab079479caa79faae732b4656baf15b21",
     ),
     "scan_f_readme": (
         ["scan-f", "--k0sq", "1", "--k1sq", "1", "--mu=-2:3:11", "--zeta=0:1:21"],
@@ -93,13 +99,13 @@ PINNED = {
     ),
     "verify": (
         ["verify", "--k0sq", "0.25", "--k1sq", "0.5", "--n", "200", "--seed", "20260809"],
-        "3619249896c177ec67625a758752af9bdad07df17b539874ac294daf81c4cc38",
+        "cc6ef17f89b0c861ec91933d0231bf868335e07f040c404b62794ffe19e67c04",
     ),
 }
 
 
-def _run(argv, workdir):
-    """(sha256 of stdout, stderr, exit code) of one pinned command."""
+def _output(argv, workdir):
+    """(stdout, stderr, exit code) of one pinned command."""
     paths = {}
     for key, (name, text) in POTENTIALS.items():
         paths[key] = Path(workdir) / name
@@ -107,7 +113,46 @@ def _run(argv, workdir):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main([str(paths[a]) if a in paths else a for a in argv])
-    return hashlib.sha256(out.getvalue().encode()).hexdigest(), err.getvalue(), code
+    return out.getvalue(), err.getvalue(), code
+
+
+def _run(argv, workdir):
+    """(sha256 of stdout, stderr, exit code) of one pinned command."""
+    out, err, code = _output(argv, workdir)
+    return hashlib.sha256(out.encode()).hexdigest(), err, code
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+_KEY = re.compile(r'"(\w+)":')
+
+
+def _labelled_numbers(text):
+    """(label, value) of every number in text: its JSON key, or its CSV column."""
+    header = text.split("\n", 1)[0].split(",")
+    out = []
+    for m in _NUMBER.finditer(text):
+        keys = _KEY.findall(text, 0, m.start())
+        if keys:
+            label = keys[-1]
+        else:
+            line_start = text.rfind("\n", 0, m.start()) + 1
+            label = header[min(text.count(",", line_start, m.start()), len(header) - 1)]
+        out.append((label, float(m.group())))
+    return out
+
+
+def _largest_changes(old, new):
+    """{label: (|change|, old number, new number)} of the most changed number under each label.
+
+    None if the text around the numbers differs.
+    """
+    if _NUMBER.split(old) != _NUMBER.split(new):
+        return None
+    out = {}
+    for (label, a), (_, b) in zip(_labelled_numbers(old), _labelled_numbers(new)):
+        if abs(b - a) > out.get(label, (0.0,))[0]:
+            out[label] = (abs(b - a), a, b)
+    return out
 
 
 @pytest.mark.parametrize("name", list(PINNED))
@@ -117,9 +162,29 @@ def test_cli_bytes_pinned(tmp_path, name):
 
 
 if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description="Print, save or compare the pinned CLI outputs.")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--save", metavar="DIR", help="write each pin's stdout to DIR/<name>.txt")
+    mode.add_argument("--compare", metavar="DIR", help="print each pin's largest numeric change against DIR")
+    args = ap.parse_args()
     with tempfile.TemporaryDirectory() as workdir:
         for name, (argv, _) in PINNED.items():
-            digest, err, code = _run(argv, workdir)
+            out, err, code = _output(argv, workdir)
             if err or code:
                 sys.stderr.write(f"{name}: exit {code}: {err}")
-            print(f'    "{name}": (\n        {json.dumps(argv)},\n        "{digest}",\n    ),')
+            if args.save:
+                Path(args.save).mkdir(parents=True, exist_ok=True)
+                (Path(args.save) / f"{name}.txt").write_text(out)
+            elif args.compare:
+                changes = _largest_changes((Path(args.compare) / f"{name}.txt").read_text(), out)
+                if changes is None:
+                    print(f"{name}: the text around the numbers changed")
+                elif not changes:
+                    print(f"{name}: no number changed")
+                else:
+                    print(f"{name}: largest change by field:")
+                    for label, (change, a, b) in sorted(changes.items(), key=lambda kv: -kv[1][0]):
+                        print(f"    {label}: {change:.3e} ({a!r} -> {b!r})")
+            else:
+                digest = hashlib.sha256(out.encode()).hexdigest()
+                print(f'    "{name}": (\n        {json.dumps(argv)},\n        "{digest}",\n    ),')

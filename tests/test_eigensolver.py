@@ -185,13 +185,13 @@ def test_lambda1_residual_is_the_shot_at_lambda1(i):
     ],
 )
 def test_value_survives_a_cancelling_shot_at_the_eigenvalue(mu, zeta, bc):
-    # the shot at the converged lambda1 cancels past the deep atom to an exactly
-    # zero state; the root-find does not take that shot, so the value returns
+    # the shot at the eigenvalue, mu to the last bit, cancels past the deep
+    # atom to an exactly zero state; two-sided shooting would mend it
     q = Potential(atoms=(DeltaAtom(zeta, delta_strength(mu, zeta, bc).value),))
-    assert abs(lambda1_value(q, bc) - mu) <= 1e-10 + 1e-13 * abs(mu)
-    # lambda1's sampler is that shot; two-sided shooting would mend it
     with pytest.raises(NonFiniteState, match="overflowed or vanished"):
-        lambda1(q, bc)
+        shoot(q, bc, mu)
+    # the root-find does not rest on that shot, so the value returns
+    assert abs(lambda1_value(q, bc) - mu) <= 1e-10 + 1e-13 * abs(mu)
 
 
 def test_quadratic_form_trivial_zero():

@@ -3,12 +3,13 @@ import math
 import subprocess
 import sys
 
+import mpmath
+import numpy as np
 import pytest
 
-import numpy as np
-
-from robinsl import lambda1_value, sup_plus, RobinBC, Potential, DeltaAtom, Segment
+from robinsl import lambda1, lambda1_value, sup_plus, RobinBC, Potential, DeltaAtom, Segment
 from robinsl._kernels import lambda1_kernel, propagate_step, shoot_kernel
+from robinsl.eigensolver import _effective_arrays
 
 _PROBE = r"""
 import json
@@ -97,7 +98,7 @@ def test_shoot_kernel_extreme_lambda_stays_finite():
     edges = np.array([0.0, 0.5, 1.0])
     vals = np.array([1.0e6, -1.0e6])
     atomw = np.zeros(3)
-    res, zc, _, ok = shoot_kernel(edges, vals, atomw, 0.5, 0.5, -1.0e6)
+    res, zc, _, _, ok = shoot_kernel(edges, vals, atomw, 0.5, 0.5, -1.0e6)
     assert ok
     assert math.isfinite(res)
 
@@ -113,7 +114,7 @@ ZERO_Q = (np.array([0.0, 1.0]), np.zeros(1), np.zeros(2))
 
 
 def _mismatch(k0sq, k1sq, lam):
-    _, zc, f, ok = shoot_kernel(*ZERO_Q, k0sq, k1sq, lam)
+    _, zc, f, _, ok = shoot_kernel(*ZERO_Q, k0sq, k1sq, lam)
     assert ok
     return zc, f
 
@@ -158,3 +159,107 @@ def test_mismatch_zero_at_closed_form_eigenvalues():
         zc, f = _mismatch(k0sq, k1sq + 1.0, lam)
         assert zc == 0 and abs(f) < 1e-11
         assert _mismatch(k0sq, k1sq + 1.0, lam - 1e-9)[1] < 0.0 < _mismatch(k0sq, k1sq + 1.0, lam + 1e-9)[1]
+
+
+def _mp_angle(edges, vals, atomw, k0sq, lam):
+    """The Prüfer angle atan2(y(1), y'(1)) of the shot at lam, in mpmath; continuous in lam away from y(1) = 0."""
+    y, yp = mpmath.mpf(1), mpmath.mpf(k0sq)
+    for i in range(len(vals)):
+        if i > 0 and atomw[i]:
+            yp += atomw[i] * y
+        h, w = mpmath.mpf(edges[i + 1]) - edges[i], lam - mpmath.mpf(vals[i])
+        if w == 0:
+            y = y + yp * h
+            continue
+        s = mpmath.sqrt(abs(w))
+        if w > 0:
+            c, sn = mpmath.cos(s * h), mpmath.sin(s * h)
+            y, yp = y * c + yp * sn / s, yp * c - y * s * sn
+        else:
+            c, sn = mpmath.cosh(s * h), mpmath.sinh(s * h)
+            y, yp = y * c + yp * sn / s, yp * c + y * s * sn
+    return mpmath.atan2(y, yp)
+
+
+@pytest.mark.parametrize(
+    "edges, vals, atomw, lam",
+    [
+        # oscillating: w*h^2 = 51
+        ([0.0, 1.0], [-50.0], [0.0, 0.0], 1.0),
+        # w = 0 on the first cell, then |w|*h^2 = 4.5e-5 under the series
+        # threshold either side of 0
+        ([0.0, 0.4, 0.7, 1.0], [2.5, 2.5005, 2.4995], [0.0, 0.0, 0.0, 0.0], 2.5),
+        # an atom kicks y' so that the last series term in w*h^2 = 9.0e-5
+        # counts
+        ([0.0, 0.05, 1.0], [0.5, 0.5 - 1e-4], [0.0, 40.0, 0.0], 0.5),
+        # |w|*h^2 = 1.35e-4 and 3.6e-4 just above it, where the closed form
+        # cancels most
+        ([0.0, 0.3, 0.5, 1.0], [1.0, 1.0015, 0.9964], [0.0, 0.0, 0.0, 0.0], 1.0),
+        # hyperbolic: w*h^2 = -12.5, then oscillating across an interior atom
+        ([0.0, 0.5, 1.0], [51.0, -30.0], [0.0, -4.0, 0.0], 1.0),
+        # sh = 500 > 350, the overflow-guarded branch, then a well
+        ([0.0, 0.5, 0.6, 1.0], [1.0e6, -40.0, 0.0], [0.0, 0.0, 2.5, 0.0], 3.0),
+        # many short cells, an atom on each side of the series threshold
+        ([0.0, 0.01, 0.02, 0.5, 0.51, 1.0], [300.0, -300.0, 8.0, 5.0, 0.0], [0.0, -2.0, 0.0, 1.5, 0.0, 0.0], 7.0),
+    ],
+)
+def test_slope_is_the_mismatch_derivative(edges, vals, atomw, lam):
+    # dtheta(1)/dlam = integral of y^2 / (y(1)^2 + y'(1)^2): the kernel's sum of
+    # per-cell closed forms and series against a 30-digit derivative.  The
+    # closed form loses about 1e-16/(|w|*h^2) of each cell's integral to
+    # cancellation at worst; on these cells it measured within 4e-15
+    for k0sq, k1sq in ((0.25, 0.5), (0.0, 2.0)):
+        slope = shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam)[3]
+        with mpmath.workdps(60):
+            want = mpmath.diff(lambda x: _mp_angle(edges, vals, atomw, k0sq, x), mpmath.mpf(lam))
+        assert slope == pytest.approx(float(want), rel=1e-12, abs=0.0), (k0sq, k1sq)
+
+
+def test_cell_shares_are_the_eigenvalue_gradient():
+    # Hellmann-Feynman: dlambda1/dv_i is the share of cell i in the integral of
+    # y^2, each integral of y^2 over [0, x] taken from the slope of the shot
+    # over the cells left of x, rescaled to the sampled eigenfunction
+    q = Potential(
+        segments=(Segment(0.1, 0.3, 6.0), Segment(0.3, 0.55, -9.0), Segment(0.7, 0.9, 4.0)),
+        atoms=(DeltaAtom(0.62, -1.5),),
+    )
+    bc = RobinBC(0.25, 0.5)
+    res = lambda1(q, bc, 1e-13)
+    edges, vals, atomw, k0, _ = _effective_arrays(q, bc)
+    ys = res.ys[np.searchsorted(res.xs, edges)]
+    prefix = [0.0]
+    for j in range(1, len(edges)):
+        tables = edges[: j + 1], vals[:j], atomw[: j + 1]
+        yp, _, _, slope, _ = shoot_kernel(*tables, k0, 0.0, res.lambda1)
+        y = shoot_kernel(*tables, k0, 1.0, res.lambda1)[0] - yp
+        prefix.append(slope * (y * y + yp * yp) * (ys[j] / y) ** 2)
+    shares = np.diff(prefix) / prefix[-1]
+    for i, seg in enumerate(q.segments):
+        cell = edges.index(seg.left)
+        d = 1e-4
+        up = Potential(segments=q.segments[:i] + (Segment(seg.left, seg.right, seg.value + d),) + q.segments[i + 1 :], atoms=q.atoms)
+        down = Potential(segments=q.segments[:i] + (Segment(seg.left, seg.right, seg.value - d),) + q.segments[i + 1 :], atoms=q.atoms)
+        fd = (lambda1_value(up, bc, 1e-13) - lambda1_value(down, bc, 1e-13)) / (2 * d)
+        assert shares[cell] == pytest.approx(fd, rel=1e-6), (i, shares[cell], fd)
+
+
+def test_zero_count_matches_sign_changes():
+    # propagate_step counts a cell's interior zeros by sign change where the
+    # cell spans less than pi of phase, else from the phase; both against
+    # the sign changes of the cell's solution on a fine grid
+    rng = np.random.default_rng(7)
+    t = np.linspace(0.0, 1.0, 20001)
+    for _ in range(2000):
+        y, yp = rng.uniform(-1.0, 1.0, 2)
+        w = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 3.0)
+        h = 10.0 ** rng.uniform(-3.0, 0.0)
+        s = math.sqrt(abs(w))
+        x = t * h
+        if w > 0.0:
+            ys = y * np.cos(s * x) + yp * np.sin(s * x) / s
+        else:
+            ys = y * np.cosh(s * x) + yp * np.sinh(s * x) / s
+        if np.min(np.abs(ys[[0, -1]])) < 1e-9:
+            continue
+        want = int(np.count_nonzero(np.sign(ys[1:]) != np.sign(ys[:-1])))
+        assert propagate_step(y, yp, w, h)[2] == want, (y, yp, w, h)

@@ -1,3 +1,8 @@
+import dataclasses
+import hashlib
+import json
+import struct
+
 import pytest
 
 from robinsl import (
@@ -6,7 +11,85 @@ from robinsl import (
     check_bounds,
     sample_unit_mass,
 )
-from robinsl.potential import total_integral
+from robinsl._rng import SplitMix64, derive_seed
+from robinsl.potential import cell_tables, compile_arrays, fold_endpoint_atoms, potential_to_dict, total_integral
+from robinsl.verify import _draw, _potential
+
+
+def _sha256(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+# sha256 of the potentials of test_violations_carry_the_drawn_potential, by
+# concentrated, recorded before the sampler wrote cell tables directly
+VIOLATIONS = {
+    False: "3e6803e668a4cad802cbdad96da3d7403c4168a491e7ff9d2f1811044c5f24d2",
+    True: "bca9d85e5fdbd905268df6f9eb8266dd1631712d219e1898f861c7b35ca98a4a",
+}
+
+
+def test_samples_pinned():
+    # a report names each sample by (seed, tag, index), so the sampler must
+    # draw the same potential, to the bit, from the same seed on any version.
+    # Recorded with one stream call per uniform, before the draw loop took
+    # them all from SplitMix64.units
+    samples = [
+        potential_to_dict(sample_unit_mass(pieces, seed, sign, concentrated))
+        for pieces in (1, 8, 16, 64)
+        for sign in (1, -1)
+        for concentrated in (False, True)
+        for seed in range(50)
+    ]
+    assert _sha256(samples) == "3bd961baa43073f40836089eac3d18711f0229e2f7d9879bff4be3a0a9e38580"
+
+
+def test_stream_pinned():
+    # the sub-seeds of derive_seed and three raw streams, recorded with the
+    # same sampler as test_samples_pinned
+    subs = [derive_seed(seed, tag, i) for seed in (0, 1, 20260809) for tag in (0, 1) for i in (0, 1, 999)]
+    streams = []
+    for seed in (0, 20260809, 2**64 - 1):
+        rng = SplitMix64(seed)
+        streams.append([rng.next_u64() for _ in range(1000)])
+    assert _sha256([subs, streams]) == "3df4ee6e416ede5920712be2c011dadcba1c46122055f4ba51f68e2417c5cde9"
+
+
+def test_sampler_tables_are_the_potential_tables():
+    # check_bounds builds each sample's cell tables from the drawn segments,
+    # without a Potential; they must be the tables of the Potential that
+    # sample_unit_mass returns, bit for bit.  2400 draws
+    bc = RobinBC(0.25, 0.5)
+    for concentrated in (False, True):
+        for pieces_max in (1, 8, 16, 64):
+            for tag, sign in ((0, 1), (1, -1)):
+                for i in range(150):
+                    rng = SplitMix64(derive_seed(20260809, tag, i))
+                    pieces = pieces_max if concentrated else 1 + rng.next_u64() % pieces_max
+                    segs = _draw(rng, pieces, sign, concentrated)
+                    q, eff = fold_endpoint_atoms(_potential(segs), bc)
+                    assert eff == bc
+                    for got, want in zip(cell_tables(segs), compile_arrays(q)):
+                        assert all(type(x) is float for x in got)
+                        assert struct.pack(f"{len(got)}d", *got) == struct.pack(f"{len(want)}d", *want)
+
+
+def test_violations_carry_the_drawn_potential(monkeypatch):
+    # bounds moved out of reach make every sample a violation; each one
+    # carries its potential as the schema dict, the same bytes as before the
+    # sampler wrote cell tables directly
+    import robinsl.verify as V
+
+    real = V.all_extrema
+
+    def unreachable(bc):
+        return [dataclasses.replace(r, value=1e9 if r.kind[0] == "m" else -1e9) for r in real(bc)]
+
+    monkeypatch.setattr(V, "all_extrema", unreachable)
+    for concentrated in (False, True):
+        report = check_bounds(RobinBC(0.25, 0.5), 30, 16, 7, concentrated)
+        assert [v["bound"] for v in report.violations] == ["m1plus"] * 30 + ["m1minus"] * 30
+        got = _sha256([v["potential"] for v in report.violations])
+        assert got == VIOLATIONS[concentrated]
 
 
 def test_sample_is_deterministic():

@@ -259,7 +259,8 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
 
     Returns (lam, bracket_width, status): lam is the bracket midpoint, which
     is not shot; a caller that needs the state there (the eigenfunction
-    sampler) sweeps it itself.  tol must be positive.
+    sampler) sweeps it itself.  A bracket that never closed has width inf.
+    tol must be positive.
     """
     total = 0.0
     for i in range(len(vals)):
@@ -391,6 +392,6 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
         x = t
 
     if math.isinf(lo) or math.isinf(hi):
-        return 0.0, 0.0, STATUS_TOL
+        return 0.0, math.inf, STATUS_TOL
     lam = 0.5 * (lo + hi)
     return lam, hi - lo, STATUS_OK if hi - lo <= tol + 1e-14 * abs(lam) else STATUS_TOL

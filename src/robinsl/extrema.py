@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .eigensolver import _check_tol, _solve_arrays, lambda1_value
 from .errors import NoCrossing
+from .fmap import phase_offsets
 from .potential import DeltaAtom, Potential, RobinBC, Segment
 
 ROOT_TOL = 1e-12
@@ -37,6 +38,11 @@ class ExtremumReport:
     q_star: Potential
     branch: str
     cross_check: float
+
+
+def _report(kind, value, q_star, branch, bc):
+    """The report, cross-checked by solving q_star through the shooting solver."""
+    return ExtremumReport(kind, value, q_star, branch, lambda1_value(q_star, bc, _CROSS_TOL))
 
 
 def _eig0(k0sq, k1sq, tol=_CROSS_TOL):
@@ -82,13 +88,9 @@ def sup_plus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
         hi *= 2.0
     lo, hi = _bisect(lambda mu: w(mu) > 0.0, lo, hi, tol)
     mu = 0.5 * (lo + hi)
-    s = math.sqrt(mu)
-    alpha = math.atan2(k0, s) / s
-    beta = math.atan2(k1, s) / s
-    q_star = Potential(segments=(Segment(alpha, 1.0 - beta, mu),))
-    return ExtremumReport(
-        "M1plus", mu, q_star, "M1plus/plateau", lambda1_value(q_star, bc, _CROSS_TOL)
-    )
+    off = phase_offsets(mu, bc)
+    q_star = Potential(segments=(Segment(off.alpha, 1.0 - off.beta, mu),))
+    return _report("M1plus", mu, q_star, "M1plus/plateau", bc)
 
 
 def sup_minus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
@@ -124,7 +126,7 @@ def sup_minus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
         value = _eig0(k0, k1 - 1.0, tol)
         q_star = Potential(atoms=(DeltaAtom(1.0, -1.0),))
         branch = "M1minus/k1sq-k0sq>=1"
-    return ExtremumReport("M1minus", value, q_star, branch, lambda1_value(q_star, bc, _CROSS_TOL))
+    return _report("M1minus", value, q_star, branch, bc)
 
 
 def inf_plus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
@@ -136,9 +138,7 @@ def inf_plus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
     _check_tol(tol)
     value = _eig0(bc.k0sq, bc.k1sq + 1.0, tol)
     q_star = Potential(atoms=(DeltaAtom(1.0, 1.0),))
-    return ExtremumReport(
-        "m1plus", value, q_star, "m1plus/delta1", lambda1_value(q_star, bc, _CROSS_TOL)
-    )
+    return _report("m1plus", value, q_star, "m1plus/delta1", bc)
 
 
 def left_half_eigenvalue(zeta: float, bc: RobinBC) -> float:
@@ -227,13 +227,7 @@ def inf_minus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
     k0, k1 = bc.k0sq, bc.k1sq
     if abs(k0 - 0.5) < 1e-12 and abs(k1 - 0.5) < 1e-12:
         q_star = Potential(atoms=(DeltaAtom(0.5, -1.0),))
-        return ExtremumReport(
-            "m1minus",
-            -0.25,
-            q_star,
-            "m1minus/interior-any-zeta",
-            lambda1_value(q_star, bc, _CROSS_TOL),
-        )
+        return _report("m1minus", -0.25, q_star, "m1minus/interior-any-zeta", bc)
     if k0 > 0.5:
         crossing = _crossing_estimate(k0, k1)
         if crossing is None:
@@ -242,16 +236,18 @@ def inf_minus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
         if value < -(k0**2) - 1e-9:
             raise NoCrossing(f"crossing value {value} below the admissible floor {-(k0**2)}")
         q_star = Potential(atoms=(DeltaAtom(zeta, -1.0),))
-        return ExtremumReport(
-            "m1minus", value, q_star, "m1minus/interior", lambda1_value(q_star, bc, _CROSS_TOL)
-        )
+        return _report("m1minus", value, q_star, "m1minus/interior", bc)
     value = _eig0(k0 - 1.0, k1, tol)
     q_star = Potential(atoms=(DeltaAtom(0.0, -1.0),))
-    return ExtremumReport(
-        "m1minus", value, q_star, "m1minus/delta0", lambda1_value(q_star, bc, _CROSS_TOL)
-    )
+    return _report("m1minus", value, q_star, "m1minus/delta0", bc)
+
+
+def _makers() -> dict:
+    """The extremum functions by kind, in KINDS order, read from the module at
+    each call, so that a wrapper installed since import (a tracer's) is called."""
+    return dict(zip(KINDS, (sup_plus, sup_minus, inf_plus, inf_minus)))
 
 
 def all_extrema(bc: RobinBC, tol: float = ROOT_TOL):
     """The four extremum reports in the fixed order M1plus, M1minus, m1plus, m1minus."""
-    return [sup_plus(bc, tol), sup_minus(bc, tol), inf_plus(bc, tol), inf_minus(bc, tol)]
+    return [make(bc, tol) for make in _makers().values()]

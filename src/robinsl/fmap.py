@@ -3,8 +3,8 @@
 ``delta_strength(mu, zeta, bc)`` returns the weight a such that a point mass
 a*delta_zeta has first eigenvalue mu.  The formula changes with the sign of
 mu: a tangent sum above zero, a rational expression at zero, and a
-tanh/coth sum below zero.  The zeta-derivative is available in closed form in
-every regime.
+tanh/coth sum below zero.  One dispatch on that sign gives the weight and
+its zeta-derivative together, both in closed form.
 """
 
 from __future__ import annotations
@@ -67,30 +67,34 @@ def phase_offsets(mu: float, bc: RobinBC) -> PhaseOffsets:
     return PhaseOffsets(_log_offset(nu, bc.k0sq), _log_offset(nu, bc.k1sq))
 
 
+def _decay(nu, kappa, x):
+    """decay_logslope and its x-derivative, nu*sech^2 (tanh) or -nu*csch^2 (coth)."""
+    if abs(nu - kappa) < BRANCH_TOL:
+        return 1.0, 0.0
+    arg = nu * x + _log_offset(nu, kappa)
+    if nu > kappa:
+        g, wave, sign = math.tanh(arg), math.cosh, 1.0
+    else:
+        g, wave, sign = 1.0 / math.tanh(arg), math.sinh, -1.0
+    try:
+        return g, sign * nu / wave(arg) ** 2
+    except OverflowError:
+        # past |arg| ~ 355.6 the square leaves the float range, and sech^2 and
+        # csch^2 are 4*exp(-2|arg|) to float precision
+        return g, sign * math.exp(math.log(4.0 * nu) - 2.0 * abs(arg))
+
+
 def decay_logslope(nu: float, kappa: float, x: float) -> float:
     """Scaled logarithmic slope of the decay profile: tanh / 1 / coth branches."""
-    if abs(nu - kappa) < BRANCH_TOL:
-        return 1.0
-    arg = nu * x + _log_offset(nu, kappa)
-    if nu > kappa:
-        return math.tanh(arg)
-    return 1.0 / math.tanh(arg)
+    return _decay(nu, kappa, x)[0]
 
 
-def _logslope_dx(nu, kappa, x):
-    # d/dx of decay_logslope
-    if abs(nu - kappa) < BRANCH_TOL:
-        return 0.0
-    arg = nu * x + _log_offset(nu, kappa)
-    if nu > kappa:
-        return nu / math.cosh(arg) ** 2
-    return -nu / math.sinh(arg) ** 2
-
-
-def _strength_exact(mu, zeta, bc):
+def _closed_form(mu, zeta, bc):
+    # (F, dF/dzeta) by the formula for the sign of mu; None outside the domain
     k0, k1 = bc.k0sq, bc.k1sq
     if mu == 0.0:
-        return -k0 / (1.0 + k0 * zeta) - k1 / (1.0 + k1 * (1.0 - zeta)), True
+        p, r = 1.0 + k0 * zeta, 1.0 + k1 * (1.0 - zeta)
+        return -k0 / p - k1 / r, k0**2 / p**2 - k1**2 / r**2
     if mu > 0.0:
         s = math.sqrt(mu)
         off = phase_offsets(mu, bc)
@@ -98,17 +102,27 @@ def _strength_exact(mu, zeta, bc):
         b = s * (1.0 - off.beta - zeta)
         lim = _HALF_PI - DOMAIN_MARGIN
         if not (-lim < a < lim and -lim < b < lim):
-            return math.nan, False
-        return s * (math.tan(a) + math.tan(b)), True
+            return None
+        return s * (math.tan(a) + math.tan(b)), mu * (1.0 / math.cos(a) ** 2 - 1.0 / math.cos(b) ** 2)
     nu = math.sqrt(-mu)
-    return -nu * (decay_logslope(nu, k0, zeta) + decay_logslope(nu, k1, 1.0 - zeta)), True
+    g0, d0 = _decay(nu, k0, zeta)
+    g1, d1 = _decay(nu, k1, 1.0 - zeta)
+    return -nu * (g0 + g1), -nu * (d0 - d1)
 
 
-def _check_point(mu, zeta):
+def _strength(mu, zeta, bc):
+    """(F, dF/dzeta), or None outside the domain; (nan, None) in the zero band
+    when its neighbour mu = 1e-6 is outside (|k0sq| or |k1sq| past ~1e9)."""
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
     if not 0.0 <= zeta <= 1.0:
         raise ValueError("zeta must lie in [0, 1]")
+    if abs(mu) >= ZERO_BAND:
+        return _closed_form(mu, zeta, bc)
+    (f0, d0), up, (fd, dd) = (_closed_form(m, zeta, bc) for m in (0.0, 1e-6, -1e-6))
+    if up is None:
+        return math.nan, None
+    return f0 + mu * (up[0] - fd) / 2e-6, d0 + mu * (up[1] - dd) / 2e-6
 
 
 def delta_strength(mu: float, zeta: float, bc: RobinBC) -> StrengthPoint:
@@ -121,39 +135,18 @@ def delta_strength(mu: float, zeta: float, bc: RobinBC) -> StrengthPoint:
     one central-difference correction from mu = +-1e-6 replaces the exact
     branches, which lose digits there.  A non-finite mu raises ValueError.
     """
-    _check_point(mu, zeta)
-    if abs(mu) < ZERO_BAND:
-        base, _ = _strength_exact(0.0, zeta, bc)
-        up, _ = _strength_exact(1e-6, zeta, bc)
-        dn, _ = _strength_exact(-1e-6, zeta, bc)
-        return StrengthPoint(mu, zeta, base + mu * (up - dn) / 2e-6, True)
-    value, ok = _strength_exact(mu, zeta, bc)
-    return StrengthPoint(mu, zeta, value, ok)
-
-
-def _strength_dzeta_exact(mu, zeta, bc):
-    k0, k1 = bc.k0sq, bc.k1sq
-    if mu == 0.0:
-        return k0**2 / (1.0 + k0 * zeta) ** 2 - k1**2 / (1.0 + k1 * (1.0 - zeta)) ** 2
-    if mu > 0.0:
-        s = math.sqrt(mu)
-        off = phase_offsets(mu, bc)
-        a = s * (zeta - off.alpha)
-        b = s * (1.0 - off.beta - zeta)
-        lim = _HALF_PI - DOMAIN_MARGIN
-        if not (-lim < a < lim and -lim < b < lim):
-            raise ValueError(f"(mu, zeta) = ({mu}, {zeta}) is outside the domain")
-        return mu * (1.0 / math.cos(a) ** 2 - 1.0 / math.cos(b) ** 2)
-    nu = math.sqrt(-mu)
-    return -nu * (_logslope_dx(nu, k0, zeta) - _logslope_dx(nu, k1, 1.0 - zeta))
+    point = _strength(mu, zeta, bc)
+    if point is None:
+        return StrengthPoint(mu, zeta, math.nan, False)
+    return StrengthPoint(mu, zeta, point[0], True)
 
 
 def delta_strength_dzeta(mu: float, zeta: float, bc: RobinBC) -> float:
-    """Closed-form zeta-derivative of :func:`delta_strength` at an in-domain point."""
-    _check_point(mu, zeta)
-    if abs(mu) < ZERO_BAND:
-        base = _strength_dzeta_exact(0.0, zeta, bc)
-        up = _strength_dzeta_exact(1e-6, zeta, bc)
-        dn = _strength_dzeta_exact(-1e-6, zeta, bc)
-        return base + mu * (up - dn) / 2e-6
-    return _strength_dzeta_exact(mu, zeta, bc)
+    """Closed-form zeta-derivative of :func:`delta_strength`, finite for every finite mu.
+
+    Raises ValueError outside the domain and for a non-finite mu.
+    """
+    point = _strength(mu, zeta, bc)
+    if point is None or point[1] is None:
+        raise ValueError(f"(mu, zeta) = ({mu}, {zeta}) is outside the domain")
+    return point[1]

@@ -15,7 +15,7 @@ from ._kernels import first_order_start
 from ._rng import SplitMix64, derive_seed
 from .eigensolver import DEFAULT_TOL, _solve_arrays, lambda1_value
 from .errors import ZeroMass
-from .extrema import KINDS, _eig0, all_extrema, inf_minus, inf_plus, sup_minus, sup_plus
+from .extrema import KINDS, _eig0, _makers, all_extrema
 from .potential import (
     Potential,
     RobinBC,
@@ -174,7 +174,7 @@ def approach_extremum(bc: RobinBC, kind: str, depth: int):
     """
     if not 2 <= depth <= 14:
         raise ValueError("depth must lie in 2..14")
-    maker = {"M1plus": sup_plus, "M1minus": sup_minus, "m1plus": inf_plus, "m1minus": inf_minus}
+    maker = _makers()
     if kind not in maker:
         raise ValueError(f"kind must be one of {sorted(maker)}")
     rep = maker[kind](bc)

@@ -1,10 +1,11 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from robinsl import DeltaAtom, Potential, RobinBC, fd_lambda1
+from robinsl import DeltaAtom, Potential, RobinBC, Segment, delta_strength, fd_lambda1, potential_to_dict
 from robinsl.cli import main
 from robinsl.serialize import csv_lines, dumps, fmt_float
 
@@ -341,3 +342,51 @@ def test_extrema_interior_edges(capsys, k0sq, k1sq):
     rep = json.loads(out)[3]
     assert rep["branch"] == "m1minus/interior"
     assert abs(rep["value"] - rep["cross_check"]) <= 1e-12
+
+
+_RESHOT_BC = RobinBC(0.45343828558878474, 1.0743245926269425)
+_STUCK = {
+    # lambda1 below the float range: the bracket never closes
+    "deep_atom": (Potential(atoms=(DeltaAtom(0.5, -1e200),)), RobinBC(0.25, 0.5)),
+    "deepest_atom": (Potential(atoms=(DeltaAtom(0.5, -1e308),)), RobinBC(0.25, 0.5)),
+    # the sampler loses the decaying mode past a deep atom (ROADMAP item 5)
+    "reshot_atom": (
+        Potential(
+            atoms=(DeltaAtom(0.518542003680756, delta_strength(-2671.197966284571, 0.518542003680756, _RESHOT_BC).value),)
+        ),
+        _RESHOT_BC,
+    ),
+    # the tall barrier of Known defects: the sampler overflows
+    "barrier": (Potential(segments=(Segment(0.0, 0.5, 1e7),)), RobinBC(0.25, 0.5)),
+    # the huge positive masses of Known defects: the bracket from the
+    # Rayleigh bound ~w does not close in 200 steps
+    "huge_atom": (Potential(atoms=(DeltaAtom(0.5, 1e300),)), RobinBC(0.25, 0.5)),
+    "huge_segment": (Potential(segments=(Segment(0.0, 0.5, 1e200),)), RobinBC(0.25, 0.5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STUCK))
+def test_eigen_failures_exit_2_without_traceback(capsys, tmp_path, name):
+    q, bc = _STUCK[name]
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(potential_to_dict(q)))
+    code, out, err = run_cli(capsys, ["eigen", "--k0sq", repr(bc.k0sq), "--k1sq", repr(bc.k1sq), str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("robinsl: error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k0sq, k1sq", [("0", "0"), ("0.25", "0.5"), ("1", "4")])
+def test_scan_f_extreme_mu_has_finite_slope(capsys, k0sq, k1sq):
+    # dF_dzeta overflowed (an OverflowError traceback, exit 1) for mu below
+    # about -1.26e5 while F did not
+    code, out, err = run_cli(
+        capsys, ["scan-f", "--k0sq", k0sq, "--k1sq", k1sq, "--mu=-1e12,-1e9,-150000,-1e3,1e6,1e12", "--zeta=0:1:11"]
+    )
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 66
+    for mu, _, in_domain, f, df in rows:
+        if float(mu) < 0.0:
+            assert in_domain == "1"
+        # nan exactly outside the domain
+        assert math.isfinite(float(f)) == math.isfinite(float(df)) == (in_domain == "1")

@@ -13,6 +13,7 @@ from robinsl import (
     Potential,
     RobinBC,
     Segment,
+    ToleranceNotReached,
     delta_strength,
     fd_lambda1,
     lambda1,
@@ -192,6 +193,102 @@ def test_value_survives_a_cancelling_shot_at_the_eigenvalue(mu, zeta, bc):
         shoot(q, bc, mu)
     # the root-find does not rest on that shot, so the value returns
     assert abs(lambda1_value(q, bc) - mu) <= 1e-10 + 1e-13 * abs(mu)
+
+
+# the shot at lam = -2671.1979662845706, this atom's eigenvalue to the last
+# bits, cancels to a zero state past the atom, and the kernel shoots again
+# (test_solver_replay::test_reshot_of_a_vanished_state)
+RESHOT = (-2671.197966284571, 0.518542003680756, RobinBC(0.45343828558878474, 1.0743245926269425))
+
+
+def _strength_atom(mu, zeta, bc):
+    return Potential(atoms=(DeltaAtom(zeta, delta_strength(mu, zeta, bc).value),))
+
+
+def test_overflowing_shot_raises_non_finite_state():
+    # the search for lo steps from the Rayleigh bound -1e308 to -inf, whose
+    # shot fails; with lo still open there is no bracket to shoot again inside
+    q = Potential(atoms=(DeltaAtom(0.5, -1e308),))
+    with pytest.raises(NonFiniteState, match="^shooting state overflowed or vanished$"):
+        lambda1_value(q, RobinBC(0.25, 0.5))
+
+
+def test_bracket_that_never_closes_has_infinite_width():
+    # lambda1 ~ -(1e200/2)**2 lies below the float range, so lo is never
+    # found; the message names the open bracket, not a zero width
+    q = Potential(atoms=(DeltaAtom(0.5, -1e200),))
+    with pytest.raises(ToleranceNotReached, match="^root-find stalled at bracket width inf > "):
+        lambda1_value(q, RobinBC(0.25, 0.5))
+
+
+@pytest.mark.parametrize(
+    "q, bc, value, message",
+    [
+        # a tall barrier: on [0, ~0.27] the eigenfunction is below e^-745 of
+        # its maximum (Known defects); the hyperbolic cell guard raises
+        (
+            Potential(segments=(Segment(0.0, 0.5, 1e7),)),
+            RobinBC(0.25, 0.5),
+            11.758124928327916,
+            "eigenfunction sampling overflowed",
+        ),
+        # the forward shot loses the decaying mode past a deep atom (item 5):
+        # to a negative sample, to a state that cancels to zero at a cell end,
+        # and, past cells that each grow less than the guard's e^690 but
+        # together by e^2190, to samples none of which stays positive.  Which
+        # one depends on lambda1's last bits
+        (_strength_atom(*RESHOT), RESHOT[2], RESHOT[0], "sampled eigenfunction is not strictly positive"),
+        (
+            _strength_atom(-350524.45546035195, 0.7308832753598685, RobinBC(0.7836552326153898, 2.4246270564663535)),
+            RobinBC(0.7836552326153898, 2.4246270564663535),
+            -350524.45546035195,
+            "shooting state overflowed or vanished",
+        ),
+        (
+            Potential(
+                segments=tuple(Segment(a, a + 0.2, 1e-12) for a in (0.2, 0.4, 0.6, 0.8)),
+                atoms=(DeltaAtom(0.02, delta_strength(-5e6, 0.02, RobinBC(0.25, 0.5)).value),),
+            ),
+            RobinBC(0.25, 0.5),
+            -5e6,
+            "eigenfunction sampling overflowed",
+        ),
+    ],
+)
+def test_sampler_raises_non_finite_state(q, bc, value, message):
+    # the value converges; only the sampled eigenfunction fails
+    assert abs(lambda1_value(q, bc) - value) <= 1e-10 + 1e-13 * abs(value)
+    with pytest.raises(NonFiniteState, match=f"^{message}$"):
+        lambda1(q, bc)
+
+
+# As w grows, DeltaAtom(0.5, w) and Segment(0, 0.5, w) pin y(1/2) = 0, and at
+# RobinBC(0.25, 0.5) lambda1 tends to s**2 with tan(s/2) = -s/k0sq (the atom:
+# the left half is the lower) or tan(s/2) = -s/k1sq (the segment; the right
+# half); 30-digit mpmath roots, rounded
+_PINNED = {"atom": 10.844725460113604, "segment": 11.771859163750689}
+
+
+def _tall(kind, w):
+    if kind == "atom":
+        return Potential(atoms=(DeltaAtom(0.5, w),))
+    return Potential(segments=(Segment(0.0, 0.5, w),))
+
+
+@pytest.mark.parametrize("kind", ["atom", "segment"])
+def test_huge_positive_potential_reaches_the_pinned_limit(kind):
+    assert abs(lambda1_value(_tall(kind, 1e60), RobinBC(0.25, 0.5)) - _PINNED[kind]) <= 1e-9
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ToleranceNotReached,
+    reason="Known defect: the bracket starts at the Rayleigh bound ~w, and 200 halvings cannot close it",
+)
+def test_huge_positive_potentials_do_not_stall():
+    for w in (1e80, 1e200, 1e300):
+        for kind in _PINNED:
+            assert abs(lambda1_value(_tall(kind, w), RobinBC(0.25, 0.5)) - _PINNED[kind]) <= 1e-9
 
 
 def test_quadratic_form_trivial_zero():

@@ -12,7 +12,7 @@ from robinsl import (
     delta_strength_dzeta,
     lambda1_value,
 )
-from robinsl.fmap import decay_logslope, phase_offsets
+from robinsl.fmap import _decay, decay_logslope, phase_offsets
 
 BC00 = RobinBC(0.0, 0.0)
 BC11 = RobinBC(1.0, 1.0)
@@ -179,3 +179,33 @@ def test_non_finite_mu_rejected(mu, text):
     for fn in (delta_strength, delta_strength_dzeta):
         with pytest.raises(ValueError, match=f"^mu must be finite, got {text}$"):
             fn(mu, 0.5, BC00)
+
+
+def test_decay_slope_derivative_continuous_across_the_square_overflow():
+    # nu*sech^2(arg) with kappa = 0 (no offset, so arg = nu*x): cosh(arg)**2
+    # leaves the float range at arg ~ 355.6, where 4*exp(-2*arg) takes over
+    for x in np.linspace(350.0, 360.0, 201):
+        g, d = _decay(1.0, 0.0, float(x))
+        assert g == 1.0
+        assert d == pytest.approx(4.0 * math.exp(-2.0 * x), rel=1e-13)
+    # the coth branch: -nu*csch^2, past sinh's own overflow too
+    for x in (300.0, 356.0, 800.0):
+        assert _decay(1.0, 2.0, x)[1] == pytest.approx(-4.0 * math.exp(-2.0 * (x + 0.5 * math.log(3.0))), rel=1e-12)
+
+
+@pytest.mark.parametrize("bc", [BC00, RobinBC(0.25, 0.5), RobinBC(0.0, 2.0)])
+@pytest.mark.parametrize("mu", [-1.5e5, -1e8, -1e12])
+def test_dzeta_finite_at_deep_negative_mu(bc, mu):
+    # the zeta-derivative overflowed for mu below about -1.4e5 while the value
+    # did not; both come from one evaluator now
+    nu = math.sqrt(-mu)
+    for z in (0.0, 0.3, 0.5, 1.0):
+        d = delta_strength_dzeta(mu, z, bc)
+        assert math.isfinite(d) and math.isfinite(delta_strength(mu, z, bc).value)
+        assert abs(d) <= nu * nu * 1.000001
+    # hundreds of decay lengths from both ends the map is flat
+    assert abs(delta_strength_dzeta(mu, 0.5, bc)) <= 1e-100
+    # at a Neumann end the slope is -nu * nu*sech^2(0) = mu, less the far end's
+    if bc is BC00:
+        assert delta_strength_dzeta(mu, 0.0, bc) == mu
+        assert delta_strength_dzeta(mu, 1.0, bc) == -mu

@@ -195,6 +195,27 @@ def test_strength_map_atom_lost_to_cancellation(k0, k1, mu, zeta):
     _certified_solve(_effective_arrays(q, bc), 1e-10)
 
 
+@pytest.mark.skipif(JIT_ENABLED, reason="compiled kernels call shoot_kernel without the module lookup")
+def test_reshot_of_a_vanished_state(monkeypatch):
+    # the shot at lam = -2671.1979662845706, the eigenvalue to the last bits,
+    # cancels to a zero state past the atom; the kernel shoots again a
+    # quarter stopping width toward the bracket's middle, once
+    mu, zeta, bc = -2671.197966284571, 0.518542003680756, RobinBC(0.45343828558878474, 1.0743245926269425)
+    args = _effective_arrays(Potential(atoms=(DeltaAtom(zeta, delta_strength(mu, zeta, bc).value),)), bc)
+    real, lost = K.shoot_kernel, []
+
+    def counted(*a):
+        out = real(*a)
+        if not out[4]:
+            lost.append(a[-1])
+        return out
+
+    monkeypatch.setattr(K, "shoot_kernel", counted)
+    lam = _certified_solve(args, 1e-10)
+    assert lost == [-2671.1979662845706]
+    assert abs(lam - mu) <= 1e-10 + 1e-13 * abs(mu)
+
+
 def test_deep_atom_certified():
     # the plain bisection's shot at lam = -160000, the eigenvalue to the last
     # bit, cancelled to a zero state; the kernel does not shoot there.  The

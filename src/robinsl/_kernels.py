@@ -180,39 +180,6 @@ def shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam):
 
 
 @jit
-def first_order_start(edges, vals, atomw, k0sq, lam0):
-    """First-order estimate of the first eigenvalue about the zero potential.
-
-    lam0 must be the first eigenvalue of the zero potential under the same
-    coefficients, and lam0 >= 0 (so k0sq, k1sq >= 0).  Its eigenfunction
-    y0 = cos(s*x) + k0sq*sin(s*x)/s, s = sqrt(lam0) (y0 = 1 + k0sq*x at
-    lam0 = 0), gives lam0 + (sum of vals[i] * the integral of y0^2 over cell i
-    + sum of atomw[i] * y0(edges[i])^2) / the integral of y0^2 over [0, 1].
-    """
-    s = math.sqrt(lam0) if lam0 > 0.0 else 0.0
-    b = k0sq / s if s > 0.0 else 0.0
-    num = 0.0
-    prev = 0.0
-    big = 0.0
-    for i in range(len(edges)):
-        x = edges[i]
-        if s > 0.0:
-            sn = math.sin(s * x)
-            cn = math.cos(s * x)
-            big = 0.5 * (1.0 + b * b) * x + (0.5 * (1.0 - b * b) * cn + b * sn) * sn / s
-            y0 = cn + b * sn
-        else:
-            big = x * (1.0 + k0sq * x * (1.0 + k0sq * x / 3.0))
-            y0 = 1.0 + k0sq * x
-        if i > 0:
-            num += vals[i - 1] * (big - prev)
-        if atomw[i] != 0.0:
-            num += atomw[i] * y0 * y0
-        prev = big
-    return lam0 + num / big
-
-
-@jit
 def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
     """Locate the smallest eigenvalue to a bracket of width tol + 1e-14*|lam|.
 
@@ -229,14 +196,14 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
     width, so that the shots straddle the root; a step shorter than half a
     stopping width goes half a width past, so the bracket closes next.
 
-    The first shot is at start when it is finite (check_bounds passes
-    first_order_start), else at the Rayleigh quotient of y = 1: k0sq + k1sq +
-    the integral of q with atoms by weight, an upper bound on the first
-    eigenvalue.  While one end is unknown, a step may not pass that bound
-    plus a little slack upward, nor the next point of the geometric search
-    for lo downward: -|integral of q|, or 2*lo - 1 below it.  A step the
-    wrong way, and every step after a closing shot that stayed on the
-    certified side, goes to that limit instead.
+    The first shot is at start when it is finite (check_bounds passes a
+    first-order estimate about the zero potential), else at the Rayleigh
+    quotient of y = 1: k0sq + k1sq + the integral of q with atoms by weight,
+    an upper bound on the first eigenvalue.  While one end is unknown, a
+    step may not pass that bound plus a little slack upward, nor the next
+    point of the geometric search for lo downward: -|integral of q|, or
+    2*lo - 1 below it.  A step the wrong way, and every step after a closing
+    shot that stayed on the certified side, goes to that limit instead.
 
     Once both ends are known, a step outside the bracket, or one that does
     not halve the last move, bisects (Numerical Recipes' rtsafe), and every

@@ -1,8 +1,11 @@
 """Deterministic splitmix64 stream for reproducible sampling.
 
 The generator is fixed (not platform RNG) so that reports citing a seed can
-be regenerated bit-for-bit anywhere.
+be regenerated bit-for-bit anywhere.  The same arithmetic runs on numpy
+uint64 arrays, whose products wrap modulo 2**64, for many streams at once.
 """
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -12,16 +15,37 @@ _UNIT = 2.0**-53
 
 
 def _mix(z):
-    z &= _MASK
+    # a Python int or a uint64 array; never in place, so an array argument
+    # is left as it was
+    z = z & _MASK
     z = ((z ^ (z >> 30)) * _M1) & _MASK
     z = ((z ^ (z >> 27)) * _M2) & _MASK
     return z ^ (z >> 31)
 
 
+def _tag_base(seed, tag):
+    return _mix((seed & _MASK) ^ _mix(((tag + 1) * _GAMMA) & _MASK))
+
+
 def derive_seed(seed: int, tag: int, index: int) -> int:
     """Stable per-(tag, index) sub-seed of a master seed."""
-    s = _mix((seed & _MASK) ^ _mix(((tag + 1) * _GAMMA) & _MASK))
-    return _mix((s + index) & _MASK)
+    return _mix((_tag_base(seed, tag) + index) & _MASK)
+
+
+def derive_seeds(seed: int, tag: int, start: int, stop: int) -> np.ndarray:
+    """derive_seed(seed, tag, i) for i in range(start, stop), as a uint64 array."""
+    return _mix(np.uint64(_tag_base(seed, tag)) + np.arange(start, stop, dtype=np.uint64))
+
+
+def stream_units(seeds: np.ndarray, skip: int, count: int) -> list:
+    """Units of many streams in one pass: row j holds the count numbers that
+    SplitMix64(seeds[j]).units(count) gives after skip calls of next_u64.
+
+    Output k of a stream is the mix of seed + k*GAMMA.
+    """
+    k = np.arange(skip + 1, skip + count + 1, dtype=np.uint64)
+    z = _mix(seeds[:, None] + k * np.uint64(_GAMMA))
+    return (((z >> 11) + 1) * _UNIT).tolist()
 
 
 class SplitMix64:

@@ -111,8 +111,13 @@ def _closed_form(mu, zeta, bc):
 
 
 def _strength(mu, zeta, bc):
-    """(F, dF/dzeta), or None outside the domain; (nan, None) in the zero band
-    when its neighbour mu = 1e-6 is outside (|k0sq| or |k1sq| past ~1e9)."""
+    """(F, dF/dzeta), or None outside the domain.
+
+    In the zero band the mu = 0 values are corrected by the central
+    difference of mu = +-1e-6.  Where mu = 1e-6 is outside the domain they
+    stand uncorrected, and a positive mu is outside where its own closed form
+    is.
+    """
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
     if not 0.0 <= zeta <= 1.0:
@@ -120,9 +125,15 @@ def _strength(mu, zeta, bc):
     if abs(mu) >= ZERO_BAND:
         return _closed_form(mu, zeta, bc)
     (f0, d0), up, (fd, dd) = (_closed_form(m, zeta, bc) for m in (0.0, 1e-6, -1e-6))
-    if up is None:
-        return math.nan, None
-    return f0 + mu * (up[0] - fd) / 2e-6, d0 + mu * (up[1] - dd) / 2e-6
+    if up is not None:
+        return f0 + mu * (up[0] - fd) / 2e-6, d0 + mu * (up[1] - dd) / 2e-6
+    if mu > 0.0 and _closed_form(mu, zeta, bc) is None:
+        return None
+    # mu = 1e-6 leaves the domain only for a coefficient past ~1e9 at zeta
+    # near its end, where the log offset at mu = -1e-6 cancels to ~5 digits:
+    # a difference with it is noise of order 1e4 in F, while the correction
+    # it would give is of order |mu| there
+    return f0, d0
 
 
 def delta_strength(mu: float, zeta: float, bc: RobinBC) -> StrengthPoint:
@@ -133,7 +144,10 @@ def delta_strength(mu: float, zeta: float, bc: RobinBC) -> StrengthPoint:
     ``in_domain=False`` and a NaN value.  For mu <= 0 the map is defined
     everywhere on [0, 1].  Inside the band |mu| < 1e-8 the mu=0 formula plus
     one central-difference correction from mu = +-1e-6 replaces the exact
-    branches, which lose digits there.  A non-finite mu raises ValueError.
+    branches, which lose digits there; where mu = 1e-6 is outside the domain
+    (a coefficient past ~1e9, zeta near its end) the mu=0 value stands alone,
+    and a positive mu is outside where its own formula is.  A non-finite mu
+    raises ValueError.
     """
     point = _strength(mu, zeta, bc)
     if point is None:
@@ -147,6 +161,6 @@ def delta_strength_dzeta(mu: float, zeta: float, bc: RobinBC) -> float:
     Raises ValueError outside the domain and for a non-finite mu.
     """
     point = _strength(mu, zeta, bc)
-    if point is None or point[1] is None:
+    if point is None:
         raise ValueError(f"(mu, zeta) = ({mu}, {zeta}) is outside the domain")
     return point[1]

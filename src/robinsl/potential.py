@@ -230,7 +230,17 @@ def cell_tables(segments, atoms=()):
     segments holds (left, right, value) sorted by left, atoms (position,
     weight), both as they would sit in a Potential.  The sampler of
     ``verify`` calls this on the segments it draws.
+
+    Atom-free segments that meet end to end, with every point more than
+    MERGE_TOL from the next and from 0 and 1 (as drawn samples nearly always
+    are), give the merge's tables directly: edges [0, *points, 1], vals
+    [0, *values, 0].
     """
+    if segments and not atoms:
+        lefts, rights, values = zip(*segments)
+        edges = [0.0, lefts[0], *rights, 1.0]
+        if lefts[1:] == rights[:-1] and all(b - a > MERGE_TOL for a, b in zip(edges, edges[1:])):
+            return edges, [0.0, *values, 0.0], [0.0] * len(edges)
     pts = {0.0, 1.0}
     for l, r, _ in segments:
         pts.add(l)

@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ._kernels import first_order_start
-from ._rng import SplitMix64, derive_seed
+import numpy as np
+
+from ._rng import _GAMMA, SplitMix64, _mix, derive_seeds, stream_units
 from .eigensolver import DEFAULT_TOL, _solve_arrays, lambda1_value
 from .errors import ZeroMass
 from .extrema import KINDS, _eig0, _makers, all_extrema
@@ -29,6 +30,11 @@ from .potential import (
 #: slack allowed before a sample counts as violating a bound
 BOUND_TOL = 1e-7
 _TWO_PI = 2.0 * math.pi
+#: attempts at a sample with mass before ZeroMass
+_TRIES = 100
+#: samples per numpy pass of check_bounds' streams and starts; a larger
+#: block holds more uniforms as Python floats at once
+_BLOCK = 32
 
 
 @dataclass
@@ -43,40 +49,111 @@ class SampleReport:
     seed: int = 0
 
 
-def _draw(rng: SplitMix64, pieces: int, sign: int, concentrated: bool) -> list:
-    """The (left, right, value) segments of one sample, sorted, of integral sign.
+def _segments(u: list, pieces: int, sign: int, concentrated: bool):
+    """The (left, right, value) segments of one attempt on the uniforms u, or None.
 
-    A sample takes 3*pieces uniforms from rng, plus one unless concentrated:
-    breakpoints, then a Box-Muller pair per height.
+    u holds 3*pieces uniforms, plus one unless concentrated: breakpoints,
+    then a Box-Muller pair per height.  The segments come sorted, scaled to
+    integral sign; None when no mass is left to scale.
     """
-    for _ in range(100):
-        u = rng.units(3 * pieces + (0 if concentrated else 1))
-        if concentrated:
-            # support pinned to a window of width exactly 1/pieces at a random
-            # center, so larger piece counts concentrate the unit mass harder
-            width = 1.0 / pieces
-            left = u[0] * (1.0 - width)
-            inner = sorted(left + x * width for x in u[1:pieces])
-            pts = [left] + inner + [left + width]
-        else:
-            pts = sorted(u[: pieces + 1])
-        # |N(0, 1)| by Box-Muller, from two uniforms each
-        heights = [
-            abs(math.sqrt(-2.0 * math.log(u[j])) * math.cos(_TWO_PI * u[j + 1]))
-            for j in range(len(u) - 2 * pieces, len(u), 2)
-        ]
-        raw = [
-            (l, r, sign * h)
-            for l, r, h in zip(pts, pts[1:], heights)
-            if r - l > 1e-14 and h > 0.0
-        ]
-        tot = 0.0
-        for l, r, v in raw:
-            tot += v * (r - l)
-        if tot != 0.0:
-            c = sign / tot
-            return [(l, r, v * c) for l, r, v in raw]
+    if concentrated:
+        # support pinned to a window of width exactly 1/pieces at a random
+        # center, so larger piece counts concentrate the unit mass harder
+        width = 1.0 / pieces
+        left = u[0] * (1.0 - width)
+        inner = sorted(left + x * width for x in u[1:pieces])
+        pts = [left] + inner + [left + width]
+    else:
+        pts = sorted(u[: pieces + 1])
+    # |N(0, 1)| by Box-Muller, from two uniforms each
+    heights = [
+        abs(math.sqrt(-2.0 * math.log(u[j])) * math.cos(_TWO_PI * u[j + 1]))
+        for j in range(len(u) - 2 * pieces, len(u), 2)
+    ]
+    raw = [
+        (l, r, sign * h)
+        for l, r, h in zip(pts, pts[1:], heights)
+        if r - l > 1e-14 and h > 0.0
+    ]
+    tot = 0.0
+    for l, r, v in raw:
+        tot += v * (r - l)
+    if tot == 0.0:
+        return None
+    c = sign / tot
+    return [(l, r, v * c) for l, r, v in raw]
+
+
+def _draw(rng: SplitMix64, pieces: int, sign: int, concentrated: bool, tries: int = _TRIES) -> list:
+    """The segments of one sample: attempts of :func:`_segments` on rng's next uniforms.
+
+    Raises ZeroMass when none of the tries leaves mass.
+    """
+    for _ in range(tries):
+        segs = _segments(rng.units(3 * pieces + (0 if concentrated else 1)), pieces, sign, concentrated)
+        if segs is not None:
+            return segs
     raise ZeroMass("could not draw a potential with positive mass")
+
+
+def _first_order_starts(tables: list, k0sq: float, lam0: float) -> list:
+    """First-order estimates of the first eigenvalue about the zero potential.
+
+    tables holds the atom-free (edges, vals, atomw) cell tables of each
+    sample.  lam0 must be the first eigenvalue of the zero potential under
+    the same coefficients, and lam0 >= 0 (so k0sq, k1sq >= 0).  Its
+    eigenfunction y0 = cos(s*x) + k0sq*sin(s*x)/s, s = sqrt(lam0)
+    (y0 = 1 + k0sq*x at lam0 = 0), gives lam0 + (sum of vals[i] * the
+    integral of y0^2 over cell i) / the integral of y0^2 over [0, 1].
+
+    One numpy pass serves all samples: the tables are padded to one width
+    with empty cells at 1, and the sum runs cell by cell, in the order of a
+    scalar loop, so each start has the bits of that loop.
+    """
+    width = max(len(edges) for edges, _, _ in tables)
+    x = np.array([edges + [1.0] * (width - len(edges)) for edges, _, _ in tables])
+    v = np.array([vals + [0.0] * (width - 1 - len(vals)) for _, vals, _ in tables])
+    s = math.sqrt(lam0) if lam0 > 0.0 else 0.0
+    if s > 0.0:
+        b = k0sq / s
+        sn = np.sin(s * x)
+        cn = np.cos(s * x)
+        big = 0.5 * (1.0 + b * b) * x + (0.5 * (1.0 - b * b) * cn + b * sn) * sn / s
+    else:
+        big = x * (1.0 + k0sq * x * (1.0 + k0sq * x / 3.0))
+    num = np.zeros(len(tables))
+    for cell in (v * (big[:, 1:] - big[:, :-1])).T:
+        num += cell
+    return (lam0 + num / big[:, -1]).tolist()
+
+
+def _samples(seed, tag, n, pieces_max, sign, concentrated, k0sq, lam0):
+    """Yield (segments, cell tables, first-order start) of samples 0..n-1 of class tag.
+
+    Each block of _BLOCK samples takes its sub-seeds, piece counts and
+    uniforms from numpy uint64 passes over its splitmix64 streams, and its
+    starts from one numpy pass over its tables; every number is the one the
+    scalar stream and loop give.
+    """
+    for lo in range(0, n, _BLOCK):
+        seeds = derive_seeds(seed, tag, lo, min(n, lo + _BLOCK))
+        if concentrated:
+            # concentrated mode pins the piece count so the support window
+            # width 1/pieces_max shrinks as pieces_max grows
+            skip, pieces = 0, [pieces_max] * len(seeds)
+        else:
+            # the piece count is each stream's first next_u64
+            skip, pieces = 1, [1 + z % pieces_max for z in _mix(seeds + np.uint64(_GAMMA)).tolist()]
+        counts = [3 * p + skip for p in pieces]
+        drawn = []
+        for sub, p, c, u in zip(seeds.tolist(), pieces, counts, stream_units(seeds, skip, max(counts))):
+            segs = _segments(u[:c], p, sign, concentrated)
+            if segs is None:
+                # the next attempts go on along the same stream, as in _draw
+                segs = _draw(SplitMix64(sub + (skip + c) * _GAMMA), p, sign, concentrated, _TRIES - 1)
+            drawn.append(segs)
+        tables = [cell_tables(segs) for segs in drawn]
+        yield from zip(drawn, tables, _first_order_starts(tables, k0sq, lam0))
 
 
 def _potential(segments) -> Potential:
@@ -109,10 +186,12 @@ def check_bounds(
 
     Sample i of class tag (0 for +, 1 for -) draws its piece count and shape
     from the sub-seed ``derive_seed(seed, tag, i)``, so any violating sample
-    can be regenerated from the report's seed alone.  A sample's cell tables
+    can be regenerated from the report's seed alone (``sample_unit_mass``
+    draws the same segments on the scalar stream).  A sample's cell tables
     are built from its drawn segments, and its solve starts from first-order
-    perturbation about the zero potential; only a violating sample becomes a
-    Potential, for the report.  Violations are recorded, not raised.  n = 0
+    perturbation about the zero potential, a block of samples at a time (see
+    ``_samples``); only a violating sample becomes a Potential, for the
+    report.  Violations are recorded, not raised.  n = 0
     gives an empty report; a negative n or a pieces_max below 1 raises
     ValueError.
     """
@@ -132,14 +211,7 @@ def check_bounds(
     ):
         lo = ext[lo_kind].value
         hi = ext[hi_kind].value
-        for i in range(n):
-            rng = SplitMix64(derive_seed(seed, tag, i))
-            # concentrated mode pins the piece count so the support window
-            # width 1/pieces_max shrinks as pieces_max grows
-            pieces = pieces_max if concentrated else 1 + rng.next_u64() % pieces_max
-            segs = _draw(rng, pieces, sign, concentrated)
-            edges, vals, atomw = cell_tables(segs)
-            start = first_order_start(edges, vals, atomw, k0, lam0)
+        for segs, (edges, vals, atomw), start in _samples(seed, tag, n, pieces_max, sign, concentrated, k0, lam0):
             lam = _solve_arrays(edges, vals, atomw, k0, k1, DEFAULT_TOL, start)[0]
             report.n_samples += 1
             if report.min_seen is None or lam < report.min_seen:

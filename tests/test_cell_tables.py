@@ -4,11 +4,14 @@
 ``verify._draw`` draws each sample's segments as float tuples, from a stream
 with the splitmix64 step written out.  The numpy construction and the
 draw-then-normalize route they replace, with one stream call per uniform, are
-kept here as oracles; both must be matched bit for bit.
+kept here as oracles; both must be matched bit for bit.  So is the general
+merge of ``cell_tables``, which its direct branch for end-to-end segments
+skips.
 """
 
 import copy
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 from robinsl import DeltaAtom, Potential, Segment
 from robinsl._rng import SplitMix64, derive_seed
-from robinsl.potential import MERGE_TOL, compile_arrays, total_integral
+from robinsl.potential import MERGE_TOL, cell_tables, compile_arrays, total_integral
 from robinsl.verify import _draw, sample_unit_mass
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
@@ -115,6 +118,92 @@ def close_breakpoint_potentials(draw):
 @given(q=close_breakpoint_potentials())
 def test_tables_of_random_potentials(q):
     _assert_same_tables(q)
+
+
+def _merged_tables(segments, atoms):
+    # cell_tables' general merge, without its direct branch
+    pts = {0.0, 1.0}
+    for l, r, _ in segments:
+        pts.add(l)
+        pts.add(r)
+    for z, _ in atoms:
+        pts.add(z)
+    pts = sorted(pts)
+    edges = [0.0]
+    for p in pts[1:]:
+        if p - edges[-1] > MERGE_TOL:
+            edges.append(p)
+    edges[-1] = 1.0
+    n = len(edges)
+    mids = [0.5 * (edges[i] + edges[i + 1]) for i in range(n - 1)]
+    vals = [0.0] * (n - 1)
+    for l, r, v in segments:
+        lo = bisect_left(mids, l)
+        hi = bisect_right(mids, r)
+        vals[lo:hi] = [v] * (hi - lo)
+    atomw = [0.0] * n
+    for z, w in atoms:
+        i = min(range(n), key=lambda j: abs(edges[j] - z))
+        atomw[i] += w
+    return edges, vals, atomw
+
+
+# steps about the merge distance, at it exactly, and ordinary widths
+_STEP = st.one_of(st.floats(0.5 * MERGE_TOL, 3 * MERGE_TOL), st.just(MERGE_TOL), st.floats(1e-3, 0.3))
+
+
+@st.composite
+def segment_lists(draw):
+    # breakpoints from 0 or a step past it, ending anywhere, at 1 or about
+    # MERGE_TOL below it; segments between neighbours, end to end, some
+    # dropped, some moved off their left neighbour by a gap or an overlap
+    # about MERGE_TOL
+    x = draw(st.one_of(st.just(0.0), _STEP))
+    pts = [x]
+    for _ in range(draw(st.integers(1, 8))):
+        x += draw(_STEP)
+        if x >= 1.0:
+            break
+        pts.append(x)
+    end = draw(st.sampled_from(["open", "one", "near"]))
+    if end == "one":
+        pts.append(1.0)
+    elif end == "near":
+        near = 1.0 - draw(st.floats(0.5 * MERGE_TOL, 3 * MERGE_TOL))
+        if near > pts[-1]:
+            pts.append(near)
+    segs = []
+    for a, b in zip(pts, pts[1:]):
+        if draw(st.integers(0, 5)) == 0:
+            continue
+        if segs and draw(st.integers(0, 4)) == 0:
+            a = max(a + draw(st.floats(-MERGE_TOL, 3 * MERGE_TOL)), segs[-1][1] - MERGE_TOL, 0.0)
+        if a < b:
+            segs.append((a, b, draw(st.floats(-50.0, 50.0))))
+    atoms = draw(
+        st.one_of(
+            st.just([]),
+            st.lists(st.tuples(st.one_of(st.sampled_from(pts), st.floats(0.0, 1.0)), st.floats(-10.0, 10.0)), max_size=3),
+        )
+    )
+    return segs, atoms
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=segment_lists())
+def test_direct_tables_are_the_merge(case):
+    segs, atoms = case
+    for got, want in zip(cell_tables(segs, atoms), _merged_tables(segs, atoms)):
+        assert all(type(x) is float for x in got)
+        assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes(), case
+
+
+def test_direct_tables_of_a_drawn_sample():
+    segs = _draw(SplitMix64(derive_seed(20260809, 0, 0)), 8, 1, False)
+    edges, vals, atomw = cell_tables(segs)
+    assert edges == [0.0, segs[0][0], *(r for _, r, _ in segs), 1.0]
+    assert vals == [0.0, *(v for _, _, v in segs), 0.0]
+    assert atomw == [0.0] * len(edges)
 
 
 def _unit(rng):

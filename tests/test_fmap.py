@@ -209,3 +209,66 @@ def test_dzeta_finite_at_deep_negative_mu(bc, mu):
     if bc is BC00:
         assert delta_strength_dzeta(mu, 0.0, bc) == mu
         assert delta_strength_dzeta(mu, 1.0, bc) == -mu
+
+
+def _mp_strength(mu, zeta, bc):
+    # the tanh/coth closed form for mu < 0 at 60 digits
+    import mpmath as mp
+
+    with mp.workdps(60):
+        nu = mp.sqrt(-mp.mpf(mu))
+
+        def g(k, x):
+            k = mp.mpf(k)
+            arg = nu * mp.mpf(x) + mp.log((k + nu) / abs(k - nu)) / 2
+            return mp.tanh(arg) if nu > k else 1 / mp.tanh(arg)
+
+        return float(-nu * (g(bc.k0sq, zeta) + g(bc.k1sq, 1 - mp.mpf(zeta))))
+
+
+# coefficients past ~1e9 put mu = 1e-6 outside the domain at zeta near their end
+BIG_BCS = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0), (1e10, 1e10), (0.0, 1e10), (1e3, 1e9)]
+BAND_MUS = [0.0, 1e-9, -1e-9, 5e-9, -5e-9, 1e-12, -1e-12, 9.9e-9, -9.9e-9]
+BAND_ZETAS = [0.0, 1e-13, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-13, 1.0]
+
+
+def _up_outside(bc, zeta):
+    return zeta <= 1e-13 and bc[0] >= 1e9 or zeta >= 1.0 - 1e-13 and bc[1] >= 1e9
+
+
+def test_zero_band_keeps_its_bits():
+    # every value the zero band gave before its mu = 1e-6 fallback was mended
+    import hashlib
+    import json
+
+    rows = [
+        [bc, mu, z, repr(delta_strength(mu, z, RobinBC(*bc)).value), repr(delta_strength_dzeta(mu, z, RobinBC(*bc)))]
+        for bc in BIG_BCS
+        for mu in BAND_MUS
+        for z in BAND_ZETAS
+        if not _up_outside(bc, z)
+    ]
+    assert len(rows) == 576
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "0a29e4141c4ad3a25b537a0a103058bbec12ea931410d307e058ba789da1f8b5"
+
+
+@pytest.mark.parametrize("bc", [(1e10, 1e10), (0.0, 1e10), (1e3, 1e9)])
+def test_zero_band_where_its_upper_neighbour_is_outside(bc):
+    # these gave nan with in_domain=True, and dzeta raised "outside the domain"
+    q = RobinBC(*bc)
+    for z in BAND_ZETAS:
+        if not _up_outside(bc, z):
+            continue
+        for mu in BAND_MUS:
+            p = delta_strength(mu, z, q)
+            if mu > 0.0:
+                assert not p.in_domain and math.isnan(p.value), (mu, z)
+                with pytest.raises(ValueError, match="outside the domain"):
+                    delta_strength_dzeta(mu, z, q)
+                continue
+            assert p.in_domain and math.isfinite(p.value), (mu, z)
+            assert math.isfinite(delta_strength_dzeta(mu, z, q)), (mu, z)
+            if mu < 0.0:
+                # F is ~1e10 here; a difference with mu = -1e-6 would be off by ~1e4
+                assert abs(p.value - _mp_strength(mu, z, q)) < 1e-6, (mu, z)

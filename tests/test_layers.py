@@ -1,25 +1,40 @@
-"""The traced benchmark run wraps the functions named in perfbench's LAYERS.
+"""The traced benchmark run wraps the functions named in perfbench's LAYERS,
+and its workloads call robinsl by name.
 
 A rename or deletion in robinsl that drops one of them breaks ``--trace 1``
-only when the benchmark runs; these tests catch it in the suite.
+or the benchmark itself only when the benchmark runs; these tests catch it in
+the suite.
 """
 
+import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import robinsl
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class is made
+    sys.modules[name] = mod
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        del sys.modules[name]
+    return mod
 
 
 def _layers():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.LAYERS
+    return _load("perfbench_tracing", TRACING).LAYERS
 
 
 @pytest.mark.parametrize("modname, attr", _layers())
@@ -37,3 +52,18 @@ def test_all_names_resolve():
         obj = getattr(robinsl, name)
         if isinstance(obj, type) and issubclass(obj, Exception):
             assert issubclass(obj, robinsl.RobinSLError), name
+
+
+def test_workload_names_resolve():
+    # loading runs the workloads' robinsl imports; every attribute they read
+    # from a robinsl module must then exist
+    mod = _load("perfbench_workloads", WORKLOADS)
+    modules = {name: obj for name, obj in vars(mod).items() if getattr(obj, "__name__", "").startswith("robinsl")}
+    read = set()
+    for node in ast.walk(ast.parse(WORKLOADS.read_text())):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            read.add((node.value.id, node.attr))
+    assert {("robinsl", "JIT_ENABLED"), ("cli", "main"), ("eigensolver", "fd_lambda1"), ("fmap", "delta_strength")} <= read
+    for name, attr in sorted(read):
+        assert hasattr(modules[name], attr), f"perfbench/workloads.py reads {name}.{attr}"
+    assert callable(mod.potential_to_dict)

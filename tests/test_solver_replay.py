@@ -32,7 +32,7 @@ from robinsl._rng import SplitMix64, derive_seed
 from robinsl.eigensolver import _effective_arrays, _solve_arrays, lambda1_value
 from robinsl.extrema import _ATOMW0, _EDGES0, _MU_TOL, _VALS0, _eig0, left_half_eigenvalue, right_half_eigenvalue
 from robinsl.potential import cell_tables
-from robinsl.verify import _draw, _potential, sample_unit_mass
+from robinsl.verify import _draw, _first_order_starts, _potential, sample_unit_mass
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
 
@@ -315,7 +315,7 @@ def test_shot_budget_per_solve(monkeypatch):
         # and as check_bounds solves, from the first-order start
         tables = cell_tables(segs)
         shots.append(0)
-        start = K.first_order_start(*tables, k0, lam0[k0, k1])
+        (start,) = _first_order_starts([tables], k0, lam0[k0, k1])
         assert math.isfinite(_solve_arrays(*tables, k0, k1, 1e-10, start)[0])
         started.append(shots.pop())
     print(f"shots per solve: mean {np.mean(shots):.2f}, max {max(shots)}")

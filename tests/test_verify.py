@@ -27,6 +27,23 @@ VIOLATIONS = {
     True: "bca9d85e5fdbd905268df6f9eb8266dd1631712d219e1898f861c7b35ca98a4a",
 }
 
+BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
+
+# sha256 of the check_bounds reports at seed 20260809 over BC_GRID6 x n in
+# (1, 33, 250), as JSON of dataclasses.asdict (floats by repr), by
+# (pieces_max, concentrated); recorded while each sample was drawn, tabled
+# and started one at a time
+REPORTS = {
+    (1, False): "771528aed2a7e4b8066adb67779429bc5a82e593850f2b81541002dc01a2737a",
+    (1, True): "28bc132cdff00096655e719c028b56196ba459031a761b4f631842f4feb6c6ff",
+    (8, False): "54326898590b1d87d678def47424e5031fc9a1cd7fc894c64014b1cbe3a37bb0",
+    (8, True): "c198d3d37a5510dd9b2653f628d054412fad8a771bc0c58411688b0550357ceb",
+    (16, False): "ed75967c5d2ef4cd1e4563e9de64c59de5228bbb84e4922b0b29fd1ce16194c6",
+    (16, True): "4dedcd4e775d66ebd76aba0bff8508f5772103311cc9d2b7338ba817bfe7f652",
+    (64, False): "8096c01ed0209f5f1d60132679810b3c904a1785d86959e9f81f4928555f9d42",
+    (64, True): "ca5ec01dcf44e25f622be649d252b39f775030f41eb9e63147507d183ef98d49",
+}
+
 
 def test_samples_pinned():
     # a report names each sample by (seed, tag, index), so the sampler must
@@ -90,6 +107,51 @@ def test_violations_carry_the_drawn_potential(monkeypatch):
         assert [v["bound"] for v in report.violations] == ["m1plus"] * 30 + ["m1minus"] * 30
         got = _sha256([v["potential"] for v in report.violations])
         assert got == VIOLATIONS[concentrated]
+
+
+@pytest.mark.parametrize("pieces_max, concentrated", sorted(REPORTS))
+def test_reports_pinned(pieces_max, concentrated):
+    # n = 33 straddles a block of the sample stream
+    reports = [
+        dataclasses.asdict(check_bounds(RobinBC(k0, k1), n, pieces_max, 20260809, concentrated))
+        for k0, k1 in BC_GRID6
+        for n in (1, 33, 250)
+    ]
+    assert _sha256(reports) == REPORTS[pieces_max, concentrated]
+
+
+@pytest.mark.parametrize("concentrated", [False, True])
+def test_failed_first_attempt_draws_on(monkeypatch, concentrated):
+    # a first attempt with no mass goes on with _draw's next attempt, from
+    # the same stream: the sample is the second attempt's
+    import robinsl.verify as V
+
+    real_segments, real_extrema = V._segments, V.all_extrema
+    failed = []
+
+    def fail_once(*args):
+        if not failed:
+            failed.append(args)
+            return None
+        return real_segments(*args)
+
+    def unreachable(bc):
+        return [dataclasses.replace(r, value=1e9 if r.kind[0] == "m" else -1e9) for r in real_extrema(bc)]
+
+    monkeypatch.setattr(V, "_segments", fail_once)
+    monkeypatch.setattr(V, "all_extrema", unreachable)
+    report = check_bounds(RobinBC(0.25, 0.5), 3, 16, 7, concentrated)
+    rng = SplitMix64(derive_seed(7, 0, 0))
+    pieces = 16 if concentrated else 1 + rng.next_u64() % 16
+    assert list(failed[0][1:]) == [pieces, 1, concentrated]
+    assert failed[0][0] == rng.units(3 * pieces + (0 if concentrated else 1))
+    want = _draw(rng, pieces, 1, concentrated)
+    assert report.violations[0]["potential"] == potential_to_dict(_potential(want))
+    # the other samples are drawn as without the failure
+    monkeypatch.setattr(V, "_segments", real_segments)
+    again = check_bounds(RobinBC(0.25, 0.5), 3, 16, 7, concentrated)
+    assert again.violations[1:] == report.violations[1:]
+    assert again.violations[0] != report.violations[0]
 
 
 def test_sample_is_deterministic():

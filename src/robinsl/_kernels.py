@@ -199,15 +199,20 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
     The first shot is at start when it is finite (check_bounds passes a
     first-order estimate about the zero potential), else at the Rayleigh
     quotient of y = 1: k0sq + k1sq + the integral of q with atoms by weight,
-    an upper bound on the first eigenvalue.  While one end is unknown, a
-    step may not pass that bound plus a little slack upward, nor the next
-    point of the geometric search for lo downward: -|integral of q|, or
-    2*lo - 1 below it.  A step the wrong way, and every step after a closing
-    shot that stayed on the certified side, goes to that limit instead.
+    an upper bound on the first eigenvalue.  While one end is unknown, one
+    search steps toward it (up when rounding has put an exact start just
+    below the eigenvalue), never past a limit: that bound plus a little
+    slack above, or 2*(1 + |lam|) past a shot that rounding put beyond it;
+    the next point of the geometric search for lo below, -|integral of q|
+    or 2*lo - 1 below it.  A step the wrong way, and every step after a
+    closing shot that stayed on the certified side, goes to the limit.
 
     Once both ends are known, a step outside the bracket, or one that does
-    not halve the last move, bisects (Numerical Recipes' rtsafe), and every
-    step is pulled toward the bracket midpoint just enough that the bracket
+    not halve the last move, bisects (Numerical Recipes' rtsafe): at
+    sqrt((lo + 1)*(hi + 1)) - 1 where lo >= 0 and hi > 16*(lo + 1), so that
+    a bracket spanning decades, as [0, ~w] under a huge positive potential
+    w, shrinks by decades, else at the midpoint.  Every step is pulled
+    toward the bracket midpoint just enough that the bracket
     keeps pace with bisection plus three steps (the projection of the ITP
     method, Oliveira and Takahashi, ACM TOMS 47, 2021).  So a mismatch that
     jumps, as when rounding loses a decaying mode, costs at most three shots
@@ -220,9 +225,7 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
 
     On check_bounds' samples of 1 to 16 segments at tol 1e-10 this takes
     4.2-4.6 shots per solve (at most 6) from the first-order start and
-    4.4-7.3 (at most 10) from the Rayleigh quotient, by coefficient pair;
-    the Illinois step on the mismatch that it replaced took 8-11.6 (at most
-    14).
+    4.4-7.3 (at most 10) from the Rayleigh quotient, by coefficient pair.
 
     Returns (lam, bracket_width, status): lam is the bracket midpoint, which
     is not shot; a caller that needs the state there (the eigenfunction
@@ -293,34 +296,24 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
         if 2.0 * err > past:
             past = min(2.0 * err, step)
         if math.isinf(lo) or math.isinf(hi):
-            # a closing shot that landed on the certified side: the mismatch
-            # misleads, and the rest of the one-sided search is geometric
+            # toward the open end, never past its limit: the Rayleigh bound
+            # above (beyond it only by rounding, then geometric), the next
+            # point of the geometric search below.  After a closing shot that
+            # landed on the certified side the mismatch misleads, and the
+            # rest of the search goes to the limit
             stalled = stalled or closing
-        closing = step < half
-        if closing:
-            past = half
-        if math.isinf(hi):
-            # open above: never past the Rayleigh bound
-            t = t + past
-            if not t > x or stalled:
-                t = up
-            if t > up:
-                t = up
-            if not t > x:  # at or past the bound only by rounding
+            closing = step < half
+            g = 1.0 if below else -1.0
+            if below and x >= up:
                 up = x + 2.0 * (1.0 + abs(x))
-                t = up
+            limit = up if below else min(down, 2.0 * x - 1.0)
+            t = t + g * (half if closing else past)
+            if not g * (t - x) > 0.0 or stalled or g * (t - limit) > 0.0:
+                t = limit
             x = t
             continue
-        if math.isinf(lo):
-            # open below: never past the next point of the geometric search
-            floor = min(down, 2.0 * x - 1.0)
-            t = t - past
-            if not t < x or stalled:
-                t = floor
-            if t < floor:
-                t = floor
-            x = t
-            continue
+        if step < half:
+            past = half
         mid = 0.5 * (lo + hi)
         half = 0.5 * (tol + 1e-14 * abs(mid))
         if hi - lo <= 2.0 * half or not lo < mid < hi:
@@ -335,8 +328,11 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
             reach = 4.0 * reach
         if not lo < t < hi or half <= step and moved < 2.0 * step:
             # bisect where Newton leaves the bracket or does not halve its
-            # last move (Numerical Recipes' rtsafe)
+            # last move (Numerical Recipes' rtsafe), in log scale where the
+            # bracket spans decades above zero
             t = mid
+            if lo >= 0.0 and hi > 16.0 * (lo + 1.0):
+                t = math.sqrt(lo + 1.0) * math.sqrt(hi + 1.0) - 1.0
         else:
             # the far end already lies past t; shoot there only if it is not
             c = t + past if below else t - past

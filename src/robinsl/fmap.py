@@ -2,9 +2,10 @@
 
 ``delta_strength(mu, zeta, bc)`` returns the weight a such that a point mass
 a*delta_zeta has first eigenvalue mu.  The formula changes with the sign of
-mu: a tangent sum above zero, a rational expression at zero, and a
-tanh/coth sum below zero.  One dispatch on that sign gives the weight and
-its zeta-derivative together, both in closed form.
+mu: a tangent sum above zero, a tanh/coth sum below zero, and a rational
+expression at zero, with its first-order term in mu across |mu| < 1e-8.
+One dispatch on that sign gives the weight and its zeta-derivative
+together, both in closed form.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from .errors import BranchUndefined
 from .potential import RobinBC
 
-#: |mu| below this is evaluated from the mu=0 formula plus a linear correction
+#: |mu| below this is evaluated from the mu=0 formula plus its first-order term
 ZERO_BAND = 1e-8
 #: |nu - kappa| below this selects the exponential (middle) branch
 BRANCH_TOL = 1e-12
@@ -113,10 +114,13 @@ def _closed_form(mu, zeta, bc):
 def _strength(mu, zeta, bc):
     """(F, dF/dzeta), or None outside the domain.
 
-    In the zero band the mu = 0 values are corrected by the central
-    difference of mu = +-1e-6.  Where mu = 1e-6 is outside the domain they
-    stand uncorrected, and a positive mu is outside where its own closed form
-    is.
+    In the zero band, the mu = 0 values plus their first-order terms: with
+    u = y'/y, u' = -mu - u^2 and F = u_R - u_L, du/dmu at mu = 0 solves
+    v' = -1 - 2*u*v, so dF/dmu = zeta*g(t) + (1 - zeta)*g(s) and its
+    zeta-derivative is 2*(s*g(s) - t*g(t)), g(x) = 1 - x + x^2/3, with
+    t = k0*zeta/(1 + k0*zeta) and s = k1*(1 - zeta)/(1 + k1*(1 - zeta)).
+    A positive mu there is outside the domain only where both its own
+    closed form and that of mu = 1e-6 are.
     """
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
@@ -124,16 +128,13 @@ def _strength(mu, zeta, bc):
         raise ValueError("zeta must lie in [0, 1]")
     if abs(mu) >= ZERO_BAND:
         return _closed_form(mu, zeta, bc)
-    (f0, d0), up, (fd, dd) = (_closed_form(m, zeta, bc) for m in (0.0, 1e-6, -1e-6))
-    if up is not None:
-        return f0 + mu * (up[0] - fd) / 2e-6, d0 + mu * (up[1] - dd) / 2e-6
-    if mu > 0.0 and _closed_form(mu, zeta, bc) is None:
+    if mu > 0.0 and _closed_form(mu, zeta, bc) is None and _closed_form(1e-6, zeta, bc) is None:
         return None
-    # mu = 1e-6 leaves the domain only for a coefficient past ~1e9 at zeta
-    # near its end, where the log offset at mu = -1e-6 cancels to ~5 digits:
-    # a difference with it is noise of order 1e4 in F, while the correction
-    # it would give is of order |mu| there
-    return f0, d0
+    t = bc.k0sq * zeta / (1.0 + bc.k0sq * zeta)
+    s = bc.k1sq * (1.0 - zeta) / (1.0 + bc.k1sq * (1.0 - zeta))
+    gl, gr = 1.0 - t + t * t / 3.0, 1.0 - s + s * s / 3.0
+    f0, d0 = _closed_form(0.0, zeta, bc)
+    return f0 + mu * (zeta * gl + (1.0 - zeta) * gr), d0 + 2.0 * mu * (s * gr - t * gl)
 
 
 def delta_strength(mu: float, zeta: float, bc: RobinBC) -> StrengthPoint:
@@ -142,12 +143,10 @@ def delta_strength(mu: float, zeta: float, bc: RobinBC) -> StrengthPoint:
     For mu > 0 the point may fall outside the domain (the tangent phases must
     stay inside the open half-period); the result then carries
     ``in_domain=False`` and a NaN value.  For mu <= 0 the map is defined
-    everywhere on [0, 1].  Inside the band |mu| < 1e-8 the mu=0 formula plus
-    one central-difference correction from mu = +-1e-6 replaces the exact
-    branches, which lose digits there; where mu = 1e-6 is outside the domain
-    (a coefficient past ~1e9, zeta near its end) the mu=0 value stands alone,
-    and a positive mu is outside where its own formula is.  A non-finite mu
-    raises ValueError.
+    everywhere on [0, 1].  Inside the band |mu| < 1e-8, where the exact
+    branches lose digits, the mu=0 formula plus its first-order term in mu
+    stands in; a positive mu there is outside only where both its own formula
+    and that of mu = 1e-6 are.  A non-finite mu raises ValueError.
     """
     point = _strength(mu, zeta, bc)
     if point is None:

@@ -358,9 +358,8 @@ _STUCK = {
     ),
     # the tall barrier of Known defects: the sampler overflows
     "barrier": (Potential(segments=(Segment(0.0, 0.5, 1e7),)), RobinBC(0.25, 0.5)),
-    # the huge positive masses of Known defects: the bracket from the
-    # Rayleigh bound ~w does not close in 200 steps
-    "huge_atom": (Potential(atoms=(DeltaAtom(0.5, 1e300),)), RobinBC(0.25, 0.5)),
+    # a huge positive segment solves, but, like the tall barrier, its
+    # eigenfunction sampling overflows
     "huge_segment": (Potential(segments=(Segment(0.0, 0.5, 1e200),)), RobinBC(0.25, 0.5)),
 }
 
@@ -373,6 +372,17 @@ def test_eigen_failures_exit_2_without_traceback(capsys, tmp_path, name):
     code, out, err = run_cli(capsys, ["eigen", "--k0sq", repr(bc.k0sq), "--k1sq", repr(bc.k1sq), str(path)])
     assert code == 2 and out == ""
     assert err.startswith("robinsl: error: ") and "Traceback" not in err
+
+
+def test_eigen_solves_a_huge_atom(capsys, tmp_path):
+    # the bracket [0, ~1e300] stalled in 200 halvings; its log-scale bisection
+    # closes it.  The atom pins y(1/2) = 0, so lambda1 is within 1e-9 of the
+    # left half's eigenvalue (test_eigensolver._PINNED["atom"])
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(potential_to_dict(Potential(atoms=(DeltaAtom(0.5, 1e300),)))))
+    code, out, err = run_cli(capsys, ["eigen", "--k0sq", "0.25", "--k1sq", "0.5", str(path)])
+    assert (code, err) == (0, "")
+    assert abs(json.loads(out)["lambda1"] - 10.844725460113604) <= 1e-9
 
 
 @pytest.mark.parametrize("k0sq, k1sq", [("0", "0"), ("0.25", "0.5"), ("1", "4")])

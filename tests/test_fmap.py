@@ -211,19 +211,34 @@ def test_dzeta_finite_at_deep_negative_mu(bc, mu):
         assert delta_strength_dzeta(mu, 1.0, bc) == -mu
 
 
-def _mp_strength(mu, zeta, bc):
-    # the tanh/coth closed form for mu < 0 at 60 digits
+def _mp_closed_form(mu, zeta, bc):
+    """(F, dF/dzeta) of the closed form for the sign of mu, at 60 digits."""
     import mpmath as mp
 
     with mp.workdps(60):
-        nu = mp.sqrt(-mp.mpf(mu))
+        mu, zeta, k0, k1 = (mp.mpf(v) for v in (mu, zeta, bc.k0sq, bc.k1sq))
+        if mu == 0:
+            p, r = 1 + k0 * zeta, 1 + k1 * (1 - zeta)
+            return float(-k0 / p - k1 / r), float(k0**2 / p**2 - k1**2 / r**2)
+        if mu > 0:
+            s = mp.sqrt(mu)
+            a, b = s * zeta - mp.atan2(k0, s), s * (1 - zeta) - mp.atan2(k1, s)
+            return float(s * (mp.tan(a) + mp.tan(b))), float(mu * (1 / mp.cos(a) ** 2 - 1 / mp.cos(b) ** 2))
+        nu = mp.sqrt(-mu)
 
         def g(k, x):
-            k = mp.mpf(k)
-            arg = nu * mp.mpf(x) + mp.log((k + nu) / abs(k - nu)) / 2
-            return mp.tanh(arg) if nu > k else 1 / mp.tanh(arg)
+            # the tanh/coth branch and its x-derivative
+            arg = nu * x + mp.log((k + nu) / abs(k - nu)) / 2
+            if nu > k:
+                return mp.tanh(arg), nu / mp.cosh(arg) ** 2
+            return 1 / mp.tanh(arg), -nu / mp.sinh(arg) ** 2
 
-        return float(-nu * (g(bc.k0sq, zeta) + g(bc.k1sq, 1 - mp.mpf(zeta))))
+        (g0, d0), (g1, d1) = g(k0, zeta), g(k1, 1 - zeta)
+        return float(-nu * (g0 + g1)), float(-nu * (d0 - d1))
+
+
+def _mp_strength(mu, zeta, bc):
+    return _mp_closed_form(mu, zeta, bc)[0]
 
 
 # coefficients past ~1e9 put mu = 1e-6 outside the domain at zeta near their end
@@ -236,8 +251,63 @@ def _up_outside(bc, zeta):
     return zeta <= 1e-13 and bc[0] >= 1e9 or zeta >= 1.0 - 1e-13 and bc[1] >= 1e9
 
 
+def test_zero_band_matches_mpmath():
+    # the mu = 0 values plus their first-order terms in mu, against the exact
+    # branches at 60 digits, coefficients up to 1e10: F within 4 ulp of |F|
+    # plus the remainder mu^2/3 (|d^2 u/dmu^2| <= 2*x^3/3 on each side, which
+    # counts only where |F| is of order mu, as at RobinBC(0, 0)); dF/dzeta
+    # within 4 ulp of the terms k0^2/p^2 + k1^2/r^2 that cancel in it, plus
+    # 4*mu^2.  The central difference of mu = +-1e-6 that this replaced was
+    # off by 3.0 in F at RobinBC(0, 1e8), zeta = 1, mu = -9.9e-9
+    ks = [0.0, 1e-3, 0.25, 1.0, 4.0, 1e3, 1e6, 1e8, 5e8, 1e9, 1e10]
+    zetas = [0.0, 1e-13, 1e-9, 0.1, 0.37, 0.5, 0.9, 1.0 - 1e-9, 1.0 - 1e-13, 1.0]
+    checked = 0
+    for k0 in ks:
+        for k1 in (k for k in ks if k >= k0):
+            bc = RobinBC(k0, k1)
+            for z in zetas:
+                for mu in (9.9e-9, -9.9e-9, 1e-12, -1e-12, 0.0):
+                    p = delta_strength(mu, z, bc)
+                    if not p.in_domain:
+                        continue
+                    f, d = _mp_closed_form(mu, z, bc)
+                    terms = (k0 / (1.0 + k0 * z)) ** 2 + (k1 / (1.0 + k1 * (1.0 - z))) ** 2
+                    assert abs(p.value - f) <= 4.0 * math.ulp(abs(f)) + mu * mu / 3.0, (bc, z, mu, p.value, f)
+                    got = delta_strength_dzeta(mu, z, bc)
+                    assert abs(got - d) <= 4.0 * math.ulp(terms) + 4.0 * mu * mu, (bc, z, mu, got, d)
+                    checked += 1
+    assert checked >= 2500
+
+
+def test_zero_band_domain_rule():
+    # a positive mu in the band is outside the domain only where both its own
+    # closed form and that of mu = 1e-6 are: so mu = 9.9e-9 is inside here,
+    # though mu = 1e-8, on the exact branch, is not
+    bc = RobinBC(1e10, 1e10)
+    assert delta_strength(9.9e-9, 1.0 - 1e-9, bc).in_domain
+    assert not delta_strength(1e-8, 1.0 - 1e-9, bc).in_domain
+    # the flags over a grid, pinned before the correction changed
+    import hashlib
+    import json
+
+    ks = [0.0, 1e-3, 0.25, 1.0, 1e3, 1e6, 1e7, 1e8, 1e9, 3e9, 1e10]
+    zetas = [0.0, 1e-15, 1e-13, 1e-11, 1e-9, 0.5, 1 - 1e-9, 1 - 1e-11, 1 - 1e-13, 1.0]
+    flags = [
+        delta_strength(mu, z, RobinBC(k0, k1)).in_domain
+        for k0 in ks
+        for k1 in ks
+        if k1 >= k0
+        for mu in (1e-15, 1e-12, 1e-10, 1e-9, 5e-9, 9.9e-9)
+        for z in zetas
+    ]
+    assert (len(flags), sum(flags)) == (3960, 3348)
+    digest = hashlib.sha256(json.dumps(flags).encode()).hexdigest()
+    assert digest == "44fa8117e16076043cba8d80038701e862e2e900305d0237cc091d77180b133e"
+
+
 def test_zero_band_keeps_its_bits():
-    # every value the zero band gave before its mu = 1e-6 fallback was mended
+    # every value of the zero band, pinned after the closed-form first-order
+    # term replaced the central difference (test_zero_band_matches_mpmath)
     import hashlib
     import json
 
@@ -250,7 +320,7 @@ def test_zero_band_keeps_its_bits():
     ]
     assert len(rows) == 576
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == "0a29e4141c4ad3a25b537a0a103058bbec12ea931410d307e058ba789da1f8b5"
+    assert digest == "c6e69b1fd8ec2e2d21c665ace3e23458ff7a0a05a8593d98e7483920e609e15f"
 
 
 @pytest.mark.parametrize("bc", [(1e10, 1e10), (0.0, 1e10), (1e3, 1e9)])

@@ -107,8 +107,8 @@ def _certified_solve(args, tol):
     return lam
 
 
-def _logged_kernel(args, tol, angle=None):
-    """lambda1_kernel's result and its shots as (lam, below), the predicate of each.
+def _logged_kernel(args, tol, angle=None, start=math.nan):
+    """lambda1_kernel's result from start and its shots as (lam, below), the predicate of each.
 
     angle(args, lam), if given, replaces the mismatch and its slope that each
     shot returns.
@@ -125,7 +125,7 @@ def _logged_kernel(args, tol, angle=None):
 
     K.shoot_kernel = logged
     try:
-        return K.lambda1_kernel(*args, tol), log
+        return K.lambda1_kernel(*args, tol, start), log
     finally:
         K.shoot_kernel = real
 
@@ -357,6 +357,34 @@ def test_certify_corrects_a_wrong_estimate(off):
                 while width > stop:
                     width, halvings = 0.5 * width, halvings + 1
                 assert len(log) - n <= halvings + 3, (len(log) - n, halvings)
+
+
+@pytest.mark.skipif(JIT_ENABLED, reason="compiled kernels call shoot_kernel without the module lookup")
+def test_search_up_from_a_start_below():
+    # the first-order start lam0 +- 1 is exact on the constant potentials
+    # +-1, so rounding puts the first shot below lambda1 at some pairs, as it
+    # did in half of check_bounds' solves at pieces_max 1, concentrated; the
+    # one-sided search then steps up toward the Rayleigh bound
+    ups = 0
+    for k0, k1 in BC_GRID6:
+        lam0 = _eig0(k0, k1)
+        for v in (1.0, -1.0):
+            args = _effective_arrays(Potential(segments=(Segment(0.0, 1.0, v),)), RobinBC(k0, k1))
+            (lam, _, status), log = _logged_kernel(args, 1e-10, start=lam0 + v)
+            assert status == K.STATUS_OK
+            _assert_certified(args, lam, 1e-10)
+            assert len(log) <= 3, (k0, k1, v, log)
+            ups += log[0][1]
+    # measured 6 of 12
+    assert ups >= 4
+    # a sample, from starts forced below lambda1: a stopping width to 100
+    args = _effective_arrays(sample_unit_mass(8, 7919, 1, False), RobinBC(0.25, 0.5))
+    lam1 = _certified_solve(args, 1e-10)
+    for off in (1e-10, 1e-6, 1e-3, 1.0, 100.0):
+        (lam, _, status), log = _logged_kernel(args, 1e-10, start=lam1 - off)
+        assert status == K.STATUS_OK and log[0][1]
+        _assert_certified(args, lam, 1e-10)
+        assert len(log) <= 8, (off, log)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-13, 1e-30])

@@ -1,10 +1,15 @@
-"""The bit-exactness that check_bounds' block path relies on.
+"""The bit-exactness that check_bounds' block path and the eigenfunction sampler rely on.
 
 check_bounds draws, tables and starts its samples a block at a time in numpy,
 and its reports must keep the bytes of the scalar stream and loops.  That
 holds only while numpy's uint64 arithmetic wraps as the Python ints are
-masked, and while its sin, cos and sqrt round as math's do; these tests fail,
-naming the function, on a platform where they do not.
+masked, and while its sin, cos and sqrt round as math's do.  The
+eigenfunction sampler (``eigensolver._sample_eigenfunction``) evaluates each
+trigonometric cell's slice with numpy's sin and cos, on a view of s*t that
+reaches far beyond one period, and ``eigen`` prints those samples; it keeps
+the bytes of its one-``math``-call-per-sample predecessor only while they
+round as math's do on such arguments too.  These tests fail, naming the
+function, on a platform where they do not.
 """
 
 import io
@@ -49,11 +54,18 @@ def test_array_sub_seeds_are_derive_seed():
 
 @pytest.mark.parametrize("name", ["sin", "cos", "sqrt"])
 def test_numpy_rounds_as_math(name):
-    x = np.random.default_rng(20260809).uniform(0.0, 40.0, 10**5)
-    got = getattr(np, name)(x).tolist()
-    want = [getattr(math, name)(t) for t in x.tolist()]
-    bad = [t for t, a, b in zip(x.tolist(), got, want) if a != b]
-    assert not bad, f"np.{name} differs from math.{name} on {len(bad)} of {len(x)} arguments, first {bad[0]!r}"
+    # [0, 40] for the block path's first-order starts, [0, 1e5] for the
+    # sampler's s*t; a strided view as well as a contiguous array
+    for top in (40.0, 1e5):
+        x = np.random.default_rng(20260809).uniform(0.0, top, 10**5)
+        for layout, args in (("contiguous", x), ("strided", np.repeat(x, 2)[::2])):
+            got = getattr(np, name)(args).tolist()
+            want = [getattr(math, name)(t) for t in x.tolist()]
+            bad = [t for t, a, b in zip(x.tolist(), got, want) if a != b]
+            assert not bad, (
+                f"np.{name} differs from math.{name} on {len(bad)} of {len(x)} {layout} arguments "
+                f"in [0, {top:g}], first {bad[0]!r}"
+            )
 
 
 def test_verify_warns_nothing():

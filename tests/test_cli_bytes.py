@@ -39,6 +39,16 @@ POTENTIALS = {
         '{"segments": [{"l": 0.1, "r": 0.3, "v": 6.0}, {"l": 0.3, "r": 0.55, "v": -9.0}, '
         '{"l": 0.7, "r": 0.9, "v": 4.0}], "atoms": [{"z": 0.62, "w": -1.5}]}',
     ),
+    # breakpoints at k/2000 that np.linspace(0, 1, 2001) misses by one ulp
+    # (all but 0.8), so union1d keeps both and two rows print the same x
+    "{ulp}": (
+        "ulp.json",
+        '{"segments": [{"l": 0.0045, "r": 0.0065, "v": 6.0}, {"l": 0.4775, "r": 0.5015, "v": -8.0}, '
+        '{"l": 0.5015, "r": 0.939, "v": 3.0}], "atoms": [{"z": 0.009, "w": -1.5}, {"z": 0.8, "w": 1.0}]}',
+    ),
+    # delta_strength(-562.341325190349, zeta, RobinBC(1.2800397168755726, 3.2429521130008903)):
+    # a deep strength-map atom, whose solve takes ~50 shots
+    "{deep}": ("deep.json", '{"atoms": [{"z": 0.11411219311240231, "w": -47.238266706641085}]}'),
 }
 
 PINNED = {
@@ -58,6 +68,18 @@ PINNED = {
     "eigen_mixed_sign": (
         ["eigen", "--k0sq", "0.25", "--k1sq", "0.5", "{mixed}"],
         "1ac91a2263051708f44a400281fe05221c78030d2492905303258644d55be8e6",
+    ),
+    "eigen_ulp_breakpoints": (
+        ["eigen", "--k0sq", "0.25", "--k1sq", "0.5", "{ulp}"],
+        "5d5fc7b2742c4e4d5fda3f7a01be97b98e1697b80da3393b2a4755d01e436f23",
+    ),
+    "eigen_ulp_breakpoints_csv": (
+        ["eigen", "--k0sq", "0.25", "--k1sq", "0.5", "--format", "csv", "{ulp}"],
+        "99cf3c251d4d7c17d9f0072a97189805ef786d3f84b425dd69fd05f5f6af7303",
+    ),
+    "eigen_deep_atom": (
+        ["eigen", "--k0sq", "1.2800397168755726", "--k1sq", "3.2429521130008903", "{deep}"],
+        "b71ea474310e41144017d950738281bb0c878506a320300afe32eeb4df226086",
     ),
     "extrema_0_0": (
         ["extrema", "--k0sq", "0", "--k1sq", "0"],

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 import robinsl.serialize
 from robinsl import DeltaAtom, Potential, RobinBC, Segment, lambda1
 from robinsl.cli import main
+from robinsl.eigensolver import DEFAULT_GRID_POINTS
 from robinsl.serialize import csv_lines, dumps, fmt_float
 
 # ---- the per-value formatter, kept verbatim as the oracle -----------------
@@ -168,3 +169,102 @@ def test_eigen_formats_without_per_value_calls(tmp_path, capsys, monkeypatch, fm
     assert code == 0 and len(capsys.readouterr().out) > 20000
     # the per-value path made one call per printed float, about 4000
     assert len(calls) < 10
+
+
+# ---- the default grid's kept row templates ----------------------------------
+
+GRID = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
+# grid indices whose value is one ulp off k/2000, so union1d keeps both
+ULP_OFF = [k for k in range(DEFAULT_GRID_POINTS) if GRID[k] != k / 2000]
+
+
+def one_percent(rows, cell_sep, row_open, row_close, row_sep):
+    """Every table's text before the grid's was kept: one generic template, one % call."""
+    n, m = rows.shape
+    template = row_open + cell_sep.join(["%.12g"] * m) + row_close
+    return row_sep.join([template] * n) % tuple((rows + 0.0).ravel().tolist())
+
+
+def _assert_one_percent_bytes(table):
+    assert dumps(table) == "[" + one_percent(table, ", ", "[", "]", ", ") + "]\n"
+    assert dumps({"eigenfunction": table}) == old_emit({"eigenfunction": table.tolist()}) + "\n"
+    assert csv_lines(["x", "y"], table) == "x,y\n" + one_percent(table, ",", "", "", "\n") + "\n"
+    assert csv_lines(["x", "y"], table) == old_csv_lines(["x", "y"], list(table))
+
+
+# first columns that hold the default grid, so the kept templates are used
+ON_GRID = {
+    "exact grid": GRID,
+    "interior breakpoints": np.union1d(GRID, [1e-9, 0.123456789, 0.25 + 2**-40, 0.7777777, 1.0 - 1e-12]),
+    "breakpoint equal to a grid value": np.union1d(GRID, [0.25, 0.5, GRID[1234]]),
+    "breakpoint one ulp off a grid value": np.union1d(GRID, [ULP_OFF[0] / 2000, np.nextafter(GRID[1000], 0.0)]),
+    "every k/2000": np.union1d(GRID, np.arange(2001) / 2000),
+    "signed zero first": np.concatenate(([-0.0], GRID[1:])),
+    "rows before and after the grid": np.union1d(GRID, [-0.5, -1e-300, 1.0 + 2**-52, 1.5]),
+}
+# first columns without it, which take the generic template throughout
+OFF_GRID = {
+    "coarser grid": np.linspace(0.0, 1.0, 1001),
+    "one grid value moved by an ulp": np.concatenate((GRID[:700], [np.nextafter(GRID[700], 1.0)], GRID[701:])),
+    "one grid value missing": np.delete(GRID, 1500),
+    "grid reversed": GRID[::-1].copy(),
+    "grid scaled": GRID * 3.0,
+    "grid with nan": np.concatenate((GRID, [np.nan])),
+    "one row": np.array([0.5]),
+}
+
+
+def _table(xs, seed=0):
+    rng = np.random.default_rng(seed)
+    ys = rng.standard_normal(len(xs)) * 10.0 ** rng.integers(-20, 20, len(xs))
+    ys[:: max(1, len(ys) // 7)] = -0.0
+    special = [np.nan, np.inf, -np.inf, 0.0, 5e-324, 1e300]
+    ys[1 : 1 + len(special)] = special[: max(0, len(ys) - 1)]
+    return np.column_stack((xs, ys))
+
+
+@pytest.mark.parametrize("name", list(ON_GRID) + list(OFF_GRID))
+def test_grid_templates_print_the_one_percent_bytes(name):
+    table = _table(ON_GRID.get(name, OFF_GRID.get(name)))
+    # each case takes the path it is named for
+    assert (robinsl.serialize._grid_rows(table[:, 0] + 0.0) is not None) == (name in ON_GRID)
+    _assert_one_percent_bytes(table)
+
+
+def test_one_ulp_breakpoints_print_the_same_x_twice():
+    # kept as printed: union1d keeps k/2000 and its one-ulp neighbour on the
+    # grid, and at 12 digits both rows read the same x
+    table = _table(ON_GRID["every k/2000"])
+    assert len(table) == DEFAULT_GRID_POINTS + len(ULP_OFF)
+    lines = csv_lines(["x", "y"], table).splitlines()[1:]
+    xs = [line.split(",")[0] for line in lines]
+    assert len(xs) - len(set(xs)) == len(ULP_OFF) == 282
+
+
+@given(
+    st.lists(
+        st.floats(0.0, 1.0)
+        | st.integers(0, DEFAULT_GRID_POINTS - 1).map(lambda k: GRID[k])
+        | st.integers(0, DEFAULT_GRID_POINTS - 1).map(lambda k: k / 2000),
+        max_size=12,
+    ),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_grid_with_breakpoints_prints_the_one_percent_bytes(extra, seed):
+    table = _table(np.union1d(GRID, extra), seed)
+    assert robinsl.serialize._grid_rows(table[:, 0]) is not None
+    _assert_one_percent_bytes(table)
+
+
+def test_grid_templates_are_built_once():
+    tables = [_table(ON_GRID[name]) for name in ("exact grid", "interior breakpoints")]
+    for fmt in (lambda t: dumps(t), lambda t: csv_lines(["x", "y"], t)):
+        fmt(tables[0])
+    before = robinsl.serialize._grid_text.cache_info()
+    for t in tables:
+        dumps(t)
+        csv_lines(["x", "y"], t)
+    after = robinsl.serialize._grid_text.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 4
+    assert not robinsl.serialize._grid().flags.writeable

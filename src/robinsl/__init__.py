@@ -17,10 +17,8 @@ from .eigensolver import (
     shoot,
 )
 from .errors import (
-    BranchUndefined,
     GridTooCoarse,
     NoConvergence,
-    NoCrossing,
     NonFiniteState,
     RobinSLError,
     ToleranceNotReached,
@@ -41,14 +39,12 @@ from .verify import SampleReport, approach_extremum, check_bounds, sample_unit_m
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchUndefined",
     "DeltaAtom",
     "EigenResult",
     "ExtremumReport",
     "GridTooCoarse",
     "JIT_ENABLED",
     "NoConvergence",
-    "NoCrossing",
     "NonFiniteState",
     "Potential",
     "RobinBC",

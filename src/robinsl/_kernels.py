@@ -116,7 +116,8 @@ _INF = math.inf
 def shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam):
     """Shoot from the left boundary condition to x=1.
 
-    edges[0] = 0 and edges[-1] = 1 partition the interval; vals[i] is the
+    edges[0] = 0 and edges[-1] = 1 partition the interval into cells wider
+    than MERGE_TOL, as cell_tables builds them; vals[i] is the
     constant potential on cell i and atomw[i] the delta weight sitting at
     edges[i] (endpoint weights must be folded into the coefficients first).
     The state is max-norm rescaled after every cell, so only the sign of the
@@ -142,27 +143,23 @@ def shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam):
         if i > 0 and atomw[i] != 0.0:
             yp = yp + atomw[i] * y
         h = edges[i + 1] - edges[i]
-        if h > 0.0:
-            w = lam - vals[i]
-            z = w * h * h
-            if -1e-4 < z < 1e-4:
-                # the closed form divides by w and cancels here: the integrals
-                # of cos^2, 2*cos*sin/s and sin^2/s^2 over the cell as series
-                # in u = -4*w*h^2, to a relative 1e-14
-                u = -4.0 * z
-                cc = 1.0 + u * (1.0 / 12.0 + u * (1.0 / 240.0))
-                cs = 1.0 + u * (1.0 / 12.0 + u * (1.0 / 360.0))
-                ss = 1.0 / 3.0 + u * (1.0 / 60.0 + u * (1.0 / 2520.0))
-                sq += h * (y * y * cc + h * (y * yp * cs + h * yp * yp * ss))
-                half_w = 0.0
-            else:
-                half_w = 0.5 / w
-                sq += (h * (w * y * y + yp * yp) + y * yp) * half_w
-            y, yp, dz, shift = propagate_step(y, yp, w, h)
-            nz += dz
-        else:
+        w = lam - vals[i]
+        z = w * h * h
+        if -1e-4 < z < 1e-4:
+            # the closed form divides by w and cancels here: the integrals
+            # of cos^2, 2*cos*sin/s and sin^2/s^2 over the cell as series
+            # in u = -4*w*h^2, to a relative 1e-14
+            u = -4.0 * z
+            cc = 1.0 + u * (1.0 / 12.0 + u * (1.0 / 240.0))
+            cs = 1.0 + u * (1.0 / 12.0 + u * (1.0 / 360.0))
+            ss = 1.0 / 3.0 + u * (1.0 / 60.0 + u * (1.0 / 2520.0))
+            sq += h * (y * y * cc + h * (y * yp * cs + h * yp * yp * ss))
             half_w = 0.0
-            shift = 0.0
+        else:
+            half_w = 0.5 / w
+            sq += (h * (w * y * y + yp * yp) + y * yp) * half_w
+        y, yp, dz, shift = propagate_step(y, yp, w, h)
+        nz += dz
         sc = abs(y)
         if abs(yp) > sc:
             sc = abs(yp)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .eigensolver import lambda1
 from .errors import RobinSLError
 from .extrema import all_extrema
-from .fmap import delta_strength, delta_strength_dzeta
+from .fmap import _strength
 from .potential import RobinBC, potential_from_dict, potential_to_dict
 from .serialize import csv_lines, dumps
 from .verify import check_bounds
@@ -98,7 +99,7 @@ def _cmd_extrema(args) -> int:
         k1s = _parse_axis(args.grid[1])
         # every pair is validated before the first (slow) solve
         grid = [(k0, k1, RobinBC(k0, k1)) for k0 in k0s for k1 in k1s]
-        rows = [[k0, k1] + [r.value for r in all_extrema(bc, tol)] for k0, k1, bc in grid]
+        rows = np.array([[k0, k1] + [r.value for r in all_extrema(bc, tol)] for k0, k1, bc in grid])
         text = csv_lines(["k0sq", "k1sq", "M1plus", "M1minus", "m1plus", "m1minus"], rows)
     else:
         reps = all_extrema(_bc_from(args), tol)
@@ -112,10 +113,10 @@ def _cmd_scan_f(args) -> int:
     rows = []
     for mu in _parse_axis(args.mu):
         for zeta in _parse_axis(args.zeta):
-            pt = delta_strength(mu, zeta, bc)
-            df = delta_strength_dzeta(mu, zeta, bc) if pt.in_domain else float("nan")
-            rows.append([mu, zeta, pt.in_domain, pt.value, df])
-    _write(csv_lines(["mu", "zeta", "in_domain", "F", "dF_dzeta"], rows), args.output)
+            # in_domain prints as 1 or 0; F and dF/dzeta are nan outside it
+            point = _strength(mu, zeta, bc)
+            rows.append([mu, zeta, 0.0, math.nan, math.nan] if point is None else [mu, zeta, 1.0, *point])
+    _write(csv_lines(["mu", "zeta", "in_domain", "F", "dF_dzeta"], np.array(rows)), args.output)
     return 0
 
 

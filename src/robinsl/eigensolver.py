@@ -83,9 +83,9 @@ def _solve_arrays(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
 
 
 def _effective_arrays(q, bc):
-    folded, eff = fold_endpoint_atoms(q, bc)
+    folded, k0, k1 = fold_endpoint_atoms(q, bc)
     edges, vals, atomw = compile_arrays(folded)
-    return edges, vals, atomw, eff.k0sq, eff.k1sq
+    return edges, vals, atomw, k0, k1
 
 
 def _check_tol(tol):
@@ -261,7 +261,7 @@ def fd_lambda1(q: Potential, bc: RobinBC, n: int) -> float:
 
     if n < 100:
         raise ValueError("n must be >= 100")
-    folded, eff = fold_endpoint_atoms(q, bc)
+    folded, k0, k1 = fold_endpoint_atoms(q, bc)
     h = 1.0 / n
     mids = (np.arange(n) + 0.5) * h
     mv = folded.value_at(mids)
@@ -277,8 +277,8 @@ def fd_lambda1(q: Potential, bc: RobinBC, n: int) -> float:
         qd[j] += col
 
     diag = 2.0 / h**2 + qd
-    diag[0] += 2.0 * eff.k0sq / h
-    diag[n] += 2.0 * eff.k1sq / h
+    diag[0] += 2.0 * k0 / h
+    diag[n] += 2.0 * k1 / h
     off = np.full(n, -1.0 / h**2)
     off[0] = off[-1] = -math.sqrt(2.0) / h**2  # symmetrized boundary couplings
 

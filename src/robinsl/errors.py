@@ -23,11 +23,3 @@ class GridTooCoarse(RobinSLError):
 
 class NoConvergence(RobinSLError):
     """LAPACK failed to find the finite-difference oracle's eigenvalue."""
-
-
-class BranchUndefined(RobinSLError):
-    """Logarithmic phase offset undefined because sqrt(|mu|) equals a boundary coefficient."""
-
-
-class NoCrossing(RobinSLError):
-    """Half-interval eigenvalue curves show no sign change on the search bracket."""

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 from .eigensolver import _check_tol, _solve_arrays, lambda1_value
-from .errors import NoCrossing
 from .fmap import phase_offsets
 from .potential import DeltaAtom, Potential, RobinBC, Segment
 
@@ -190,24 +189,17 @@ def _crossing_estimate(k0sq, k1sq):
     common eigenvalue lam, zeta = I(k0sq, lam) and 1 - zeta = I(k1sq, lam),
     with I = _riccati_length.  I(k0sq) + I(k1sq) - 1 falls from +inf at
     lam = -1/4 to below zero at lam = 16 (each I < pi/8 there); it is bisected
-    until the floats run out.  Returns (zeta, lam) with zeta = I(k0sq)/(I(k0sq)
-    + I(k1sq)), exactly 1/2 when k0sq = k1sq, or None when the curves do not
-    cross inside (0, 1).
+    until the floats run out.  For 1/2 < k0sq <= k1sq each I is positive, so
+    the returned (zeta, lam), zeta = I(k0sq)/(I(k0sq) + I(k1sq)), has
+    0 < zeta < 1, exactly 1/2 when k0sq = k1sq, and lam > -1/4.
     """
-    if k1sq < 0.5:
-        # (an unvalidated RobinBC) the curves cannot cross, as the right half
-        # needs lam < -1/4; I(k1sq) has a pole in (-1/4, 0)
-        return None
 
     def below_root(lam):
         return _riccati_length(k0sq, lam) + _riccati_length(k1sq, lam) - 1.0 > 0.0
 
     lo, _ = _bisect(below_root, -0.25 + 1e-16, 16.0, 0.0, steps=100)
     left, right = _riccati_length(k0sq, lo), _riccati_length(k1sq, lo)
-    zeta = left / (left + right)
-    if not 0.0 < zeta < 1.0:
-        return None
-    return zeta, lo
+    return left / (left + right), lo
 
 
 def inf_minus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
@@ -229,12 +221,7 @@ def inf_minus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
         q_star = Potential(atoms=(DeltaAtom(0.5, -1.0),))
         return _report("m1minus", -0.25, q_star, "m1minus/interior-any-zeta", bc)
     if k0 > 0.5:
-        crossing = _crossing_estimate(k0, k1)
-        if crossing is None:
-            raise NoCrossing("half-interval eigenvalue curves do not cross on (0, 1)")
-        zeta, value = crossing
-        if value < -(k0**2) - 1e-9:
-            raise NoCrossing(f"crossing value {value} below the admissible floor {-(k0**2)}")
+        zeta, value = _crossing_estimate(k0, k1)
         q_star = Potential(atoms=(DeltaAtom(zeta, -1.0),))
         return _report("m1minus", value, q_star, "m1minus/interior", bc)
     value = _eig0(k0 - 1.0, k1, tol)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BranchUndefined
 from .potential import RobinBC
 
 #: |mu| below this is evaluated from the mu=0 formula plus its first-order term
@@ -44,35 +43,23 @@ class StrengthPoint:
     in_domain: bool
 
 
-def _log_offset(nu, kappa):
-    # 0.5*log((kappa+nu)/(kappa-nu)) for nu<kappa, swapped arguments above
-    if abs(nu - kappa) < BRANCH_TOL:
-        raise BranchUndefined(f"sqrt(|mu|) = {nu} coincides with coefficient {kappa}")
-    return 0.5 * math.log((kappa + nu) / abs(kappa - nu))
-
-
 def phase_offsets(mu: float, bc: RobinBC) -> PhaseOffsets:
-    """Offsets matching the shot solution to the boundary conditions.
-
-    For mu > 0 these are arctan(k^2/sqrt(mu))/sqrt(mu); for mu < 0 the
-    logarithmic analogue 0.5*log((k^2+nu)/|k^2-nu|) with nu = sqrt(|mu|).
-    Raises BranchUndefined when nu equals a coefficient (the exponential
-    branch of the decay kernels covers that point instead).
-    """
-    if mu == 0.0:
-        raise ValueError("phase offsets are defined for mu != 0")
-    if mu > 0.0:
-        s = math.sqrt(mu)
-        return PhaseOffsets(math.atan2(bc.k0sq, s) / s, math.atan2(bc.k1sq, s) / s)
-    nu = math.sqrt(-mu)
-    return PhaseOffsets(_log_offset(nu, bc.k0sq), _log_offset(nu, bc.k1sq))
+    """Offsets arctan(k^2/sqrt(mu))/sqrt(mu) matching the shot solution to the
+    boundary conditions, for mu > 0."""
+    s = math.sqrt(mu)
+    return PhaseOffsets(math.atan2(bc.k0sq, s) / s, math.atan2(bc.k1sq, s) / s)
 
 
 def _decay(nu, kappa, x):
-    """decay_logslope and its x-derivative, nu*sech^2 (tanh) or -nu*csch^2 (coth)."""
+    """Scaled logarithmic slope of the decay profile at x and its x-derivative.
+
+    The slope is 1 where nu = kappa (to BRANCH_TOL), else tanh (nu > kappa)
+    or coth (nu < kappa) of nu*x plus the offset 0.5*log((kappa + nu)/|kappa
+    - nu|); its derivative is nu*sech^2 or -nu*csch^2 of the same argument.
+    """
     if abs(nu - kappa) < BRANCH_TOL:
         return 1.0, 0.0
-    arg = nu * x + _log_offset(nu, kappa)
+    arg = nu * x + 0.5 * math.log((kappa + nu) / abs(kappa - nu))
     if nu > kappa:
         g, wave, sign = math.tanh(arg), math.cosh, 1.0
     else:
@@ -83,11 +70,6 @@ def _decay(nu, kappa, x):
         # past |arg| ~ 355.6 the square leaves the float range, and sech^2 and
         # csch^2 are 4*exp(-2|arg|) to float precision
         return g, sign * math.exp(math.log(4.0 * nu) - 2.0 * abs(arg))
-
-
-def decay_logslope(nu: float, kappa: float, x: float) -> float:
-    """Scaled logarithmic slope of the decay profile: tanh / 1 / coth branches."""
-    return _decay(nu, kappa, x)[0]
 
 
 def _closed_form(mu, zeta, bc):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,27 +21,26 @@ MERGE_TOL = 1e-12
 class RobinBC:
     """Boundary coefficient pair: y'(0) = k0sq*y(0) and y'(1) = -k1sq*y(1).
 
-    User-facing pairs must satisfy k0sq >= 0 and k1sq >= k0sq.  Solvers also
-    work with arbitrary real effective coefficients (as produced by folding
-    endpoint atoms); construct those with ``validate=False``.
+    The coefficients are squares, k0sq >= 0, ordered by reflection so that
+    k1sq >= k0sq.  Any other real pair is the admissible pair (0, 0) plus the
+    endpoint masses DeltaAtom(0, k0sq) and DeltaAtom(1, k1sq), which the
+    solvers fold into the coefficients they shoot with.
     """
 
     k0sq: float
     k1sq: float
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
+    def __post_init__(self):
         object.__setattr__(self, "k0sq", float(self.k0sq))
         object.__setattr__(self, "k1sq", float(self.k1sq))
         if not (math.isfinite(self.k0sq) and math.isfinite(self.k1sq)):
             raise ValueError("boundary coefficients must be finite")
-        if validate:
-            if self.k0sq < 0.0:
-                raise ValueError(f"k0sq must be >= 0, got {self.k0sq}")
-            if self.k1sq < self.k0sq:
-                raise ValueError(
-                    f"k1sq must be >= k0sq, got k0sq={self.k0sq}, k1sq={self.k1sq}"
-                )
+        if self.k0sq < 0.0:
+            raise ValueError(f"k0sq must be >= 0, got {self.k0sq}")
+        if self.k1sq < self.k0sq:
+            raise ValueError(
+                f"k1sq must be >= k0sq, got k0sq={self.k0sq}, k1sq={self.k1sq}"
+            )
 
 
 @dataclass(frozen=True)
@@ -159,9 +158,10 @@ def delta_approx(zeta: float, n: int, weight: float) -> Potential:
 def fold_endpoint_atoms(q: Potential, bc: RobinBC):
     """Absorb atoms sitting at x=0 or x=1 into the boundary coefficients.
 
-    An atom of weight a at 0 becomes k0sq + a; at 1 it becomes k1sq + a.
-    Interior atoms are untouched.  The returned RobinBC is an effective pair
-    and may violate the user-facing invariants.
+    Returns (q without its endpoint atoms, k0sq, k1sq): an atom of weight a at
+    0 adds a to k0sq, one at 1 adds it to k1sq, and interior atoms are
+    untouched.  The two floats are the effective coefficients the solvers
+    shoot with; they are any real numbers, negative or out of order.
     """
     k0, k1 = bc.k0sq, bc.k1sq
     interior = []
@@ -172,9 +172,9 @@ def fold_endpoint_atoms(q: Potential, bc: RobinBC):
             k1 += a.weight
         else:
             interior.append(a)
-    if len(interior) == len(q.atoms):
-        return q, bc
-    return Potential(segments=q.segments, atoms=tuple(interior)), RobinBC(k0, k1, validate=False)
+    if len(interior) < len(q.atoms):
+        q = Potential(segments=q.segments, atoms=tuple(interior))
+    return q, k0, k1
 
 
 def combine(*potentials: Potential) -> Potential:

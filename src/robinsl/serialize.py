@@ -5,9 +5,10 @@ significant digits, ``-0.0`` printed as ``0``, and ``nan``, ``inf`` and
 ``-inf`` as Python spells them.  Dict keys keep their insertion order, so
 identical inputs produce identical bytes.
 
-A 1-D or 2-D float ndarray, such as an eigenfunction's ``(n, 2)`` table of
+A 2-D float ndarray, such as an eigenfunction's ``(n, 2)`` table of
 ``[x, y]`` samples, is formatted by one ``%`` call over all its values, not
 one call per value; the bytes are those of the same table as nested lists.
+Every CSV table is such an array.
 
 The x column of an eigenfunction table is the default grid,
 ``np.linspace(0, 1, DEFAULT_GRID_POINTS)``, plus the breakpoints that
@@ -117,14 +118,8 @@ def _emit(obj) -> str:
         return "{" + ", ".join(f"{json.dumps(str(k))}: {_emit(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim == 1:
-            return "[" + _float_table(obj.reshape(1, -1), ", ", "", "", "") + "]"
-        if obj.dtype.kind == "f" and obj.ndim == 2:
-            return "[" + _float_table(obj, ", ", "[", "]", ", ") + "]"
-        return _emit(obj.tolist())
-    if hasattr(obj, "item"):  # numpy scalar
-        return _emit(obj.item())
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim == 2:
+        return "[" + _float_table(obj, ", ", "[", "]", ", ") + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -134,25 +129,9 @@ def dumps(obj) -> str:
 
 
 def csv_lines(header, rows) -> str:
-    """CSV text: '.' decimal separator, floats at 12 significant digits.
-
-    ``rows`` is an iterable of rows, or a 2-D float ndarray.
-    """
+    """CSV text of a 2-D float ndarray: '.' decimal separator, floats at 12
+    significant digits."""
     out = [",".join(header)]
-    if isinstance(rows, np.ndarray) and rows.dtype.kind == "f" and rows.ndim == 2:
-        if len(rows):
-            out.append(_float_table(rows, ",", "", "", "\n"))
-        return "\n".join(out) + "\n"
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, bool):
-                cells.append("1" if v else "0")
-            elif isinstance(v, (int,)):
-                cells.append(str(v))
-            elif isinstance(v, str):
-                cells.append(v)
-            else:
-                cells.append(fmt_float(v))
-        out.append(",".join(cells))
+    if len(rows):
+        out.append(_float_table(rows, ",", "", "", "\n"))
     return "\n".join(out) + "\n"

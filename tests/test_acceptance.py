@@ -96,22 +96,27 @@ def test_criterion_3_strength_map_defining_identity():
         assert elapsed < 30.0, f"identity grid took {elapsed:.1f}s"
 
 
+def _endpoint_masses(w0, w1):
+    return Potential(atoms=(DeltaAtom(0.0, w0), DeltaAtom(1.0, w1)))
+
+
 def test_criterion_4_extremal_cross_checks():
     with criterion(4, "extrema agree with their recomputed potentials"):
         for bc in BC_GRID6:
             for rep in all_extrema(bc):
                 assert abs(rep.value - rep.cross_check) <= 1e-8, (bc, rep.kind)
         # negative-class branch seams: (a)=(b) at k0sq+k1sq=1, (b)=(c) at
-        # k1sq-k0sq=1, both realized through the effective zero-potential solves
+        # k1sq-k0sq=1, both realized through zero potentials whose endpoint
+        # masses give the effective coefficients
         k0, k1 = 0.3, 0.7
         va = k0 + k1 - 1.0
         c = 0.5 * (k0 + k1 - 1.0)
-        vb = lambda1_value(Potential(), RobinBC(c, c, validate=False), 1e-12)
+        vb = lambda1_value(_endpoint_masses(c, c), RobinBC(0.0, 0.0), 1e-12)
         assert abs(va - vb) <= 1e-9
         k0, k1 = 0.25, 1.25
         c = 0.5 * (k0 + k1 - 1.0)
-        vb = lambda1_value(Potential(), RobinBC(c, c, validate=False), 1e-12)
-        vc = lambda1_value(Potential(), RobinBC(k0, k1 - 1.0, validate=False), 1e-12)
+        vb = lambda1_value(_endpoint_masses(c, c), RobinBC(0.0, 0.0), 1e-12)
+        vc = lambda1_value(_endpoint_masses(k0, k1 - 1.0), RobinBC(0.0, 0.0), 1e-12)
         assert abs(vb - vc) <= 1e-9
 
 

@@ -189,6 +189,16 @@ def segment_lists(draw):
     return segs, atoms
 
 
+@settings(max_examples=300, deadline=None)
+@given(q=close_breakpoint_potentials(), case=segment_lists())
+def test_every_cell_is_wider_than_merge_tol(q, case):
+    # shoot_kernel propagates across every cell without a zero-width branch;
+    # breakpoints and atoms within about MERGE_TOL of each other must merge
+    for edges in (compile_arrays(q)[0], cell_tables(*case)[0]):
+        assert edges[0] == 0.0 and edges[-1] == 1.0
+        assert all(b - a > MERGE_TOL for a, b in zip(edges, edges[1:])), edges
+
+
 @settings(max_examples=400, deadline=None)
 @given(case=segment_lists())
 def test_direct_tables_are_the_merge(case):

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from robinsl import DeltaAtom, Potential, RobinBC, Segment, delta_strength, fd_lambda1, potential_to_dict
@@ -293,7 +294,8 @@ def test_dumps_fixed_order():
 
 
 def test_csv_lines_bools_and_floats():
-    text = csv_lines(["a", "b"], [[True, 0.25], [False, float("nan")]])
+    # a flag column (scan-f's in_domain) is 1.0 or 0.0 and prints as 1 or 0
+    text = csv_lines(["a", "b"], np.array([[1.0, 0.25], [0.0, float("nan")]]))
     assert text == "a,b\n1,0.25\n0,nan\n"
 
 

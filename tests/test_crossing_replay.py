@@ -11,9 +11,11 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import robinsl.extrema as ex
-from robinsl import NoCrossing, RobinBC, inf_minus
+from robinsl import RobinBC, inf_minus
 
 TOLS = (1e-13, 1e-12, 1e-10, 1e-3)
 
@@ -125,10 +127,21 @@ def test_near_flat_symmetric_pair_puts_the_atom_at_half():
     assert rep.q_star.atoms[0].position == 0.5
 
 
-@pytest.mark.parametrize("k1", [0.25, 0.5])
-def test_unvalidated_coefficients_have_no_crossing(k1):
-    with pytest.raises(NoCrossing):
-        inf_minus(RobinBC(0.75, k1, validate=False))
+_ABOVE_HALF = st.floats(min_value=0.5, max_value=1e10, exclude_min=True)
+
+
+@given(_ABOVE_HALF, _ABOVE_HALF)
+@example(math.nextafter(0.5, 1.0), math.nextafter(0.5, 1.0))
+@example(math.nextafter(0.5, 1.0), 1e10)
+@example(1e10, 1e10)
+@settings(max_examples=300, deadline=None)
+def test_crossing_lies_inside_for_every_admissible_pair(a, b):
+    # for 1/2 < k0sq <= k1sq both half lengths are positive, so the crossing
+    # is strictly inside (0, 1), and the value is above -1/4
+    k0, k1 = min(a, b), max(a, b)
+    zeta, value = ex._crossing_estimate(k0, k1)
+    assert 0.0 < zeta < 1.0, (k0, k1)
+    assert value >= -0.25, (k0, k1)
 
 
 def _quad(k, lam):

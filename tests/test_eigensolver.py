@@ -479,3 +479,42 @@ def test_fold_consistency_via_box_limit():
     ]
     assert gaps[-1] < 1e-3
     assert all(a > b for a, b in zip(gaps[-5:], gaps[-4:]))
+
+
+# lambda1_value (tol 1e-12) and fd_lambda1 (n = 400) of each potential with
+# the effective coefficients (k0sq, k1sq), recorded when the pair could still
+# be built as RobinBC(k0sq, k1sq) unvalidated; negative and out-of-order pairs
+# are now said by endpoint masses
+_EFFECTIVE_QS = {
+    "zero": Potential(),
+    "plateau": Potential(segments=(Segment(0.2, 0.7, 2.0),)),
+    "well": Potential(segments=(Segment(0.0, 0.4, -3.0),), atoms=(DeltaAtom(0.6, 1.5),)),
+}
+_EFFECTIVE_BITS = [
+    ((-0.5, 1.0), "zero", "-0x1.19799812dea11p-42", "0x1.57fc7aaf927b3p-35"),
+    ((-0.5, 1.0), "plateau", "0x1.04eb717e78ffbp+0", "0x1.04eb7a3c2b29cp+0"),
+    ((-0.5, 1.0), "well", "-0x1.fe018f83c0cc0p-1", "-0x1.fe01742225c76p-1"),
+    ((1.0, 0.25), "zero", "0x1.0915a061c4730p+0", "0x1.0915a6affd945p+0"),
+    ((1.0, 0.25), "plateau", "0x1.04f931d5b8d7ep+1", "0x1.04f9398f0b748p+1"),
+    ((1.0, 0.25), "well", "0x1.3a9d47f70953ap+0", "0x1.3a9d8e8dc5a32p+0"),
+    ((-2.0, -3.0), "zero", "-0x1.2c3db012d897fp+3", "-0x1.2c3cb95c3da96p+3"),
+    ((-2.0, -3.0), "plateau", "-0x1.206b8b52c910ap+3", "-0x1.206a880638b28p+3"),
+    ((-2.0, -3.0), "well", "-0x1.22b780f09db86p+3", "-0x1.22b6ae7e16b71p+3"),
+    ((0.75, -0.4), "zero", "0x1.6eb0ef8b05b04p-5", "0x1.6eb0e93a8d2acp-5"),
+    ((0.75, -0.4), "plateau", "0x1.e6650636e327ep-1", "0x1.e6651863bc51ap-1"),
+    ((0.75, -0.4), "well", "0x1.740a09a84bb84p-2", "0x1.740aa5648867ep-2"),
+    ((3.0, 1.0), "zero", "0x1.5247802a806d6p+1", "0x1.52478c0c01994p+1"),
+    ((3.0, 1.0), "plateau", "0x1.dc3e3cc80f7a5p+1", "0x1.dc3e4cd8725bep+1"),
+    ((3.0, 1.0), "well", "0x1.a5a361e315a3cp+1", "0x1.a5a39db124ae6p+1"),
+    ((-0.25, 0.0), "zero", "-0x1.16d2ffe0afd5ep-2", "-0x1.16d2fcd554eecp-2"),
+    ((-0.25, 0.0), "plateau", "0x1.66fea08d65d56p-1", "0x1.66feb35aaa4e7p-1"),
+    ((-0.25, 0.0), "well", "-0x1.856b7c4854045p-1", "-0x1.856b556617a4cp-1"),
+]
+
+
+@pytest.mark.parametrize("pair, name, lam_hex, fd_hex", _EFFECTIVE_BITS)
+def test_endpoint_masses_give_the_effective_pair_bits(pair, name, lam_hex, fd_hex):
+    base = _EFFECTIVE_QS[name]
+    q = Potential(segments=base.segments, atoms=(*base.atoms, DeltaAtom(0.0, pair[0]), DeltaAtom(1.0, pair[1])))
+    assert lambda1_value(q, BC00, 1e-12).hex() == lam_hex
+    assert fd_lambda1(q, BC00, 400).hex() == fd_hex

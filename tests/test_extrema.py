@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robinsl import (
+    DeltaAtom,
     Potential,
     RobinBC,
     all_extrema,
@@ -76,6 +77,10 @@ def test_sup_minus_right_mass_branch():
     assert rep.q_star.atoms[0].position == 1.0
 
 
+def _endpoint_masses(w0, w1):
+    return Potential(atoms=(DeltaAtom(0.0, w0), DeltaAtom(1.0, w1)))
+
+
 def test_sup_minus_case_boundary_continuity():
     # the (a)/(b) boundary: k0sq + k1sq = 1
     k0 = 0.3
@@ -85,8 +90,8 @@ def test_sup_minus_case_boundary_continuity():
     # the (b)/(c) boundary: k1sq - k0sq = 1
     k0 = 0.25
     c = 0.5 * (k0 + (k0 + 1.0) - 1.0)
-    vb = lambda1_value(Potential(), RobinBC(c, c, validate=False), 1e-12)
-    vc = lambda1_value(Potential(), RobinBC(k0, k0 + 1.0 - 1.0, validate=False), 1e-12)
+    vb = lambda1_value(_endpoint_masses(c, c), RobinBC(0.0, 0.0), 1e-12)
+    vc = lambda1_value(_endpoint_masses(k0, k0 + 1.0 - 1.0), RobinBC(0.0, 0.0), 1e-12)
     assert abs(vb - vc) <= 1e-9
 
 
@@ -177,7 +182,7 @@ def test_inf_minus_endpoint_case():
     assert abs(rep.value - rep.cross_check) <= 1e-8
     # left mass no worse than right mass for ordered coefficients
     lam0 = rep.value
-    lam1 = lambda1_value(Potential(), RobinBC(bc.k0sq, bc.k1sq - 1.0, validate=False), 1e-12)
+    lam1 = lambda1_value(_endpoint_masses(bc.k0sq, bc.k1sq - 1.0), RobinBC(0.0, 0.0), 1e-12)
     assert lam0 <= lam1 + 1e-12
 
 

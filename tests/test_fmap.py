@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from robinsl import (
-    BranchUndefined,
     DeltaAtom,
     Potential,
     RobinBC,
@@ -12,7 +11,7 @@ from robinsl import (
     delta_strength_dzeta,
     lambda1_value,
 )
-from robinsl.fmap import _decay, decay_logslope, phase_offsets
+from robinsl.fmap import _decay, phase_offsets
 
 BC00 = RobinBC(0.0, 0.0)
 BC11 = RobinBC(1.0, 1.0)
@@ -34,28 +33,17 @@ def test_phase_offsets_arctan():
     assert off.beta == pytest.approx(math.pi / 4, abs=1e-15)
 
 
-def test_phase_offsets_logarithmic():
-    off = phase_offsets(-1.0 / 16.0, BCHH)
-    # 0.5*log((0.5+0.25)/(0.5-0.25)) = 0.5*log(3)
-    assert off.alpha == pytest.approx(0.5 * math.log(3.0), rel=1e-14)
-    assert off.beta == pytest.approx(0.5 * math.log(3.0), rel=1e-14)
-
-
-def test_phase_offsets_branch_undefined():
-    with pytest.raises(BranchUndefined):
-        phase_offsets(-0.25, BCHH)  # sqrt(|mu|) = 0.5 = k0sq
-
-
 def test_decay_logslope_middle_branch():
     for x in (0.0, 0.3, 1.0):
-        assert decay_logslope(2.0, 2.0, x) == 1.0
+        assert _decay(2.0, 2.0, x) == (1.0, 0.0)
 
 
 def test_decay_logslope_at_origin():
+    # the offset 0.5*log((kappa+nu)/|kappa-nu|) is log(sqrt(3)) here, and
     # tanh(log(sqrt(3))) = (3-1)/(3+1)
-    assert decay_logslope(2.0, 1.0, 0.0) == pytest.approx(0.5, rel=1e-14)
+    assert _decay(2.0, 1.0, 0.0)[0] == pytest.approx(0.5, rel=1e-14)
     # the coth branch gives kappa/nu at x=0
-    assert decay_logslope(1.0, 2.0, 0.0) == pytest.approx(2.0, rel=1e-14)
+    assert _decay(1.0, 2.0, 0.0)[0] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_strength_zero_mu_neumann():
@@ -135,11 +123,10 @@ def test_dzeta_symmetric_midpoint():
 
 
 def test_dzeta_zero_mu_analytic():
-    bc10 = RobinBC(1.0, 0.0, validate=False)  # effective pair for the formula check
-    # d/dzeta of -1/(1+zeta) is 1/(1+zeta)^2
+    # F = -1/(2 - zeta) at mu = 0 and bc (0, 1); d/dzeta is -1/(2 - zeta)^2
     for z in (0.1, 0.5, 0.9):
-        assert delta_strength_dzeta(0.0, z, bc10) == pytest.approx(
-            1.0 / (1.0 + z) ** 2, rel=1e-12
+        assert delta_strength_dzeta(0.0, z, RobinBC(0.0, 1.0)) == pytest.approx(
+            -1.0 / (2.0 - z) ** 2, rel=1e-12
         )
 
 

@@ -54,6 +54,24 @@ def test_all_names_resolve():
             assert issubclass(obj, robinsl.RobinSLError), name
 
 
+def test_exported_errors_are_raised():
+    # an exported error type that no code in robinsl raises is dead API
+    src = Path(robinsl.__file__).parent
+    raised = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    errors = {
+        name
+        for name in robinsl.__all__
+        if isinstance(getattr(robinsl, name), type) and issubclass(getattr(robinsl, name), Exception)
+    }
+    assert errors - {"RobinSLError"} <= raised, sorted(errors - {"RobinSLError"} - raised)
+
+
 def test_workload_names_resolve():
     # loading runs the workloads' robinsl imports; every attribute they read
     # from a robinsl module must then exist

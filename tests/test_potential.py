@@ -66,23 +66,23 @@ def test_delta_approx_mass_and_width(zeta, n, w):
 
 def test_fold_atom_at_one():
     q = Potential(atoms=(DeltaAtom(1.0, 1.0),))
-    out, eff = fold_endpoint_atoms(q, RobinBC(0.0, 0.0))
+    out, k0, k1 = fold_endpoint_atoms(q, RobinBC(0.0, 0.0))
     assert out.atoms == ()
-    assert (eff.k0sq, eff.k1sq) == (0.0, 1.0)
+    assert (k0, k1) == (0.0, 1.0)
 
 
 def test_fold_atom_at_zero_negative():
     q = Potential(atoms=(DeltaAtom(0.0, -1.0),))
-    out, eff = fold_endpoint_atoms(q, RobinBC(1.0, 1.0))
+    out, k0, k1 = fold_endpoint_atoms(q, RobinBC(1.0, 1.0))
     assert out.atoms == ()
-    assert (eff.k0sq, eff.k1sq) == (0.0, 1.0)
+    assert (k0, k1) == (0.0, 1.0)
 
 
 def test_fold_identity_without_endpoint_atoms():
     q = Potential(segments=(Segment(0.2, 0.4, 1.0),), atoms=(DeltaAtom(0.5, 2.0),))
-    out, eff = fold_endpoint_atoms(q, RobinBC(0.25, 0.5))
+    out, k0, k1 = fold_endpoint_atoms(q, RobinBC(0.25, 0.5))
     assert out is q
-    assert (eff.k0sq, eff.k1sq) == (0.25, 0.5)
+    assert (k0, k1) == (0.25, 0.5)
 
 
 def test_atoms_merge_within_tolerance():
@@ -114,8 +114,11 @@ def test_robin_bc_invariants():
         RobinBC(-0.5, 1.0)
     with pytest.raises(ValueError):
         RobinBC(1.0, 0.5)
-    eff = RobinBC(-0.5, 1.0, validate=False)
-    assert eff.k0sq == -0.5
+    with pytest.raises(TypeError):
+        RobinBC(-0.5, 1.0, validate=False)
+    # the pair (-0.5, 1.0) is said by endpoint masses, and folds back
+    _, k0, k1 = fold_endpoint_atoms(Potential(atoms=(DeltaAtom(0.0, -0.5), DeltaAtom(1.0, 1.0))), RobinBC(0.0, 0.0))
+    assert (k0, k1) == (-0.5, 1.0)
 
 
 def test_json_round_trip():

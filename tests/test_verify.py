@@ -83,8 +83,8 @@ def test_sampler_tables_are_the_potential_tables():
                     rng = SplitMix64(derive_seed(20260809, tag, i))
                     pieces = pieces_max if concentrated else 1 + rng.next_u64() % pieces_max
                     segs = _draw(rng, pieces, sign, concentrated)
-                    q, eff = fold_endpoint_atoms(_potential(segs), bc)
-                    assert eff == bc
+                    q, k0, k1 = fold_endpoint_atoms(_potential(segs), bc)
+                    assert (k0, k1) == (bc.k0sq, bc.k1sq)
                     for got, want in zip(cell_tables(segs), compile_arrays(q)):
                         assert all(type(x) is float for x in got)
                         assert struct.pack(f"{len(got)}d", *got) == struct.pack(f"{len(want)}d", *want)

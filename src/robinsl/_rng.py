@@ -1,76 +1,49 @@
-"""Deterministic splitmix64 stream for reproducible sampling.
+"""Deterministic splitmix64 streams for reproducible sampling.
 
 The generator is fixed (not platform RNG) so that reports citing a seed can
-be regenerated bit-for-bit anywhere.  The same arithmetic runs on numpy
-uint64 arrays, whose products wrap modulo 2**64, for many streams at once.
+be regenerated bit-for-bit anywhere.  Streams are drawn on numpy uint64
+arrays, whose products wrap modulo 2**64, many streams at once; a Python
+int seed is wrapped to 64 bits and drawn as one stream.
 """
 
 import numpy as np
 
 _MASK = (1 << 64) - 1
-_GAMMA = 0x9E3779B97F4A7C15
-_M1 = 0xBF58476D1CE4E5B9
-_M2 = 0x94D049BB133111EB
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
 _UNIT = 2.0**-53
 
 
 def _mix(z):
-    # a Python int or a uint64 array; never in place, so an array argument
-    # is left as it was
-    z = z & _MASK
-    z = ((z ^ (z >> 30)) * _M1) & _MASK
-    z = ((z ^ (z >> 27)) * _M2) & _MASK
+    # a uint64 array, whose products wrap modulo 2**64; never in place, so
+    # the argument is left as it was
+    z = (z ^ (z >> 30)) * _M1
+    z = (z ^ (z >> 27)) * _M2
     return z ^ (z >> 31)
 
 
-def _tag_base(seed, tag):
-    return _mix((seed & _MASK) ^ _mix(((tag + 1) * _GAMMA) & _MASK))
-
-
-def derive_seed(seed: int, tag: int, index: int) -> int:
-    """Stable per-(tag, index) sub-seed of a master seed."""
-    return _mix((_tag_base(seed, tag) + index) & _MASK)
+def _as_seeds(seeds):
+    # a Python int is one stream, its seed wrapped to 64 bits
+    return seeds if isinstance(seeds, np.ndarray) else np.array([seeds & _MASK], dtype=np.uint64)
 
 
 def derive_seeds(seed: int, tag: int, start: int, stop: int) -> np.ndarray:
-    """derive_seed(seed, tag, i) for i in range(start, stop), as a uint64 array."""
-    return _mix(np.uint64(_tag_base(seed, tag)) + np.arange(start, stop, dtype=np.uint64))
+    """The sub-seeds of indices start..stop-1 of class tag under seed, as a uint64 array."""
+    base = _mix(_as_seeds(seed) ^ _mix(_as_seeds(tag + 1) * _GAMMA))
+    return _mix(base + np.arange(start, stop, dtype=np.uint64))
 
 
-def stream_units(seeds: np.ndarray, skip: int, count: int) -> list:
-    """Units of many streams in one pass: row j holds the count numbers that
-    SplitMix64(seeds[j]).units(count) gives after skip calls of next_u64.
+def stream(seeds, skip: int, count: int) -> np.ndarray:
+    """Outputs skip+1 .. skip+count of the streams of seeds, one row per seed.
 
-    Output k of a stream is the mix of seed + k*GAMMA.
+    seeds is a uint64 array or a Python int (one stream, wrapped to 64
+    bits).  Output k of a stream is the mix of seed + k*GAMMA.
     """
     k = np.arange(skip + 1, skip + count + 1, dtype=np.uint64)
-    z = _mix(seeds[:, None] + k * np.uint64(_GAMMA))
-    return (((z >> 11) + 1) * _UNIT).tolist()
+    return _mix(_as_seeds(seeds)[:, None] + k * _GAMMA)
 
 
-class SplitMix64:
-    """Scalar splitmix64 stream."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK
-        return _mix(self._state)
-
-    def units(self, n: int) -> list:
-        """The next n uniform doubles in (0, 1], ((next_u64() >> 11) + 1) * 2**-53 each.
-
-        The step and the mix are written out in the loop, one pass for all
-        the numbers of a sample: 25 take about 15 us, against about 18 us
-        with two calls per number.
-        """
-        s = self._state
-        out = []
-        for _ in range(n):
-            s = (s + _GAMMA) & _MASK
-            z = ((s ^ (s >> 30)) * _M1) & _MASK
-            z = ((z ^ (z >> 27)) * _M2) & _MASK
-            out.append((((z ^ (z >> 31)) >> 11) + 1) * _UNIT)
-        self._state = s
-        return out
+def stream_units(seeds, skip: int, count: int) -> list:
+    """The outputs of :func:`stream` as uniform doubles in (0, 1], ((z >> 11) + 1) * 2**-53 each, as lists."""
+    return (((stream(seeds, skip, count) >> 11) + 1) * _UNIT).tolist()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import _GAMMA, SplitMix64, _mix, derive_seeds, stream_units
+from ._rng import derive_seeds, stream, stream_units
 from .eigensolver import DEFAULT_TOL, _solve_arrays, lambda1_value
 from .errors import ZeroMass
 from .extrema import KINDS, _eig0, _makers, all_extrema
@@ -49,11 +49,16 @@ class SampleReport:
     seed: int = 0
 
 
+def _count(pieces: int, concentrated: bool) -> int:
+    """The uniforms one attempt at a sample takes."""
+    return 3 * pieces + (0 if concentrated else 1)
+
+
 def _segments(u: list, pieces: int, sign: int, concentrated: bool):
     """The (left, right, value) segments of one attempt on the uniforms u, or None.
 
-    u holds 3*pieces uniforms, plus one unless concentrated: breakpoints,
-    then a Box-Muller pair per height.  The segments come sorted, scaled to
+    u holds _count(pieces, concentrated) uniforms: breakpoints, then a
+    Box-Muller pair per height.  The segments come sorted, scaled to
     integral sign; None when no mass is left to scale.
     """
     if concentrated:
@@ -84,13 +89,16 @@ def _segments(u: list, pieces: int, sign: int, concentrated: bool):
     return [(l, r, v * c) for l, r, v in raw]
 
 
-def _draw(rng: SplitMix64, pieces: int, sign: int, concentrated: bool, tries: int = _TRIES) -> list:
-    """The segments of one sample: attempts of :func:`_segments` on rng's next uniforms.
+def _draw(seed: int, skip: int, pieces: int, sign: int, concentrated: bool, tries: int = _TRIES) -> list:
+    """The segments of one sample: attempts of :func:`_segments`, each on the
+    next uniforms of seed's stream, the first after its first skip outputs.
 
     Raises ZeroMass when none of the tries leaves mass.
     """
-    for _ in range(tries):
-        segs = _segments(rng.units(3 * pieces + (0 if concentrated else 1)), pieces, sign, concentrated)
+    c = _count(pieces, concentrated)
+    for t in range(tries):
+        (u,) = stream_units(seed, skip + t * c, c)
+        segs = _segments(u, pieces, sign, concentrated)
         if segs is not None:
             return segs
     raise ZeroMass("could not draw a potential with positive mass")
@@ -127,30 +135,32 @@ def _first_order_starts(tables: list, k0sq: float, lam0: float) -> list:
     return (lam0 + num / big[:, -1]).tolist()
 
 
-def _samples(seed, tag, n, pieces_max, sign, concentrated, k0sq, lam0):
-    """Yield (segments, cell tables, first-order start) of samples 0..n-1 of class tag.
+def _samples(seed, tag, start, stop, pieces_max, sign, concentrated, k0sq, lam0):
+    """Yield (segments, cell tables, first-order start) of samples start..stop-1 of class tag.
 
-    Each block of _BLOCK samples takes its sub-seeds, piece counts and
-    uniforms from numpy uint64 passes over its splitmix64 streams, and its
-    starts from one numpy pass over its tables; every number is the one the
-    scalar stream and loop give.
+    Sample i draws on the stream of its sub-seed, ``derive_seeds(seed, tag,
+    i, i + 1)``, so ``next(_samples(seed, tag, i, i + 1, ...))`` draws it
+    again as check_bounds does.  Each block of _BLOCK samples takes its
+    sub-seeds, piece counts and uniforms from numpy uint64 passes over its
+    streams, and its starts from one numpy pass over its tables; every
+    number is the one a sample drawn alone gets.
     """
-    for lo in range(0, n, _BLOCK):
-        seeds = derive_seeds(seed, tag, lo, min(n, lo + _BLOCK))
+    for lo in range(start, stop, _BLOCK):
+        seeds = derive_seeds(seed, tag, lo, min(stop, lo + _BLOCK))
         if concentrated:
             # concentrated mode pins the piece count so the support window
             # width 1/pieces_max shrinks as pieces_max grows
             skip, pieces = 0, [pieces_max] * len(seeds)
         else:
-            # the piece count is each stream's first next_u64
-            skip, pieces = 1, [1 + z % pieces_max for z in _mix(seeds + np.uint64(_GAMMA)).tolist()]
-        counts = [3 * p + skip for p in pieces]
+            # the piece count is each stream's first output
+            skip, pieces = 1, [1 + z % pieces_max for z in stream(seeds, 0, 1).ravel().tolist()]
+        counts = [_count(p, concentrated) for p in pieces]
         drawn = []
         for sub, p, c, u in zip(seeds.tolist(), pieces, counts, stream_units(seeds, skip, max(counts))):
             segs = _segments(u[:c], p, sign, concentrated)
             if segs is None:
-                # the next attempts go on along the same stream, as in _draw
-                segs = _draw(SplitMix64(sub + (skip + c) * _GAMMA), p, sign, concentrated, _TRIES - 1)
+                # the next attempts go on along the same stream
+                segs = _draw(sub, skip + c, p, sign, concentrated, _TRIES - 1)
             drawn.append(segs)
         tables = [cell_tables(segs) for segs in drawn]
         yield from zip(drawn, tables, _first_order_starts(tables, k0sq, lam0))
@@ -165,14 +175,14 @@ def sample_unit_mass(pieces: int, seed: int, sign: int, concentrated: bool = Fal
 
     Draws pieces+1 breakpoints uniformly (inside a shrinking window when
     ``concentrated``), heights |N(0,1)|, and normalizes the total integral to
-    ``sign``.  The stream is splitmix64 seeded with ``seed``, so identical
-    arguments reproduce the identical potential.
+    ``sign``.  The stream is splitmix64 seeded with ``seed`` (wrapped to 64
+    bits), so identical arguments reproduce the identical potential.
     """
     if not 1 <= pieces <= 64:
         raise ValueError("pieces must lie in 1..64")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _potential(_draw(SplitMix64(seed), pieces, sign, concentrated))
+    return _potential(_draw(seed, 0, pieces, sign, concentrated))
 
 
 def check_bounds(
@@ -185,20 +195,20 @@ def check_bounds(
     """Solve n random potentials per sign class and compare against the extrema.
 
     Sample i of class tag (0 for +, 1 for -) draws its piece count and shape
-    from the sub-seed ``derive_seed(seed, tag, i)``, so any violating sample
-    can be regenerated from the report's seed alone (``sample_unit_mass``
-    draws the same segments on the scalar stream).  A sample's cell tables
-    are built from its drawn segments, and its solve starts from first-order
-    perturbation about the zero potential, a block of samples at a time (see
-    ``_samples``); only a violating sample becomes a Potential, for the
-    report.  Violations are recorded, not raised.  n = 0
-    gives an empty report; a negative n or a pieces_max below 1 raises
-    ValueError.
+    from the stream of its sub-seed ``derive_seeds(seed, tag, i, i + 1)``,
+    so any violating sample can be regenerated from the report's seed alone,
+    by the same code.  A sample's cell tables are built from its drawn
+    segments, and its solve starts from first-order perturbation about the
+    zero potential, a block of samples at a time (see ``_samples``); only a
+    violating sample becomes a Potential, for the report.  Violations are
+    recorded, not raised.  n = 0 gives an empty report; a negative n, or a
+    pieces_max outside 1..64 (the piece counts ``sample_unit_mass``
+    accepts), raises ValueError.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if pieces_max < 1:
-        raise ValueError(f"pieces_max must be >= 1, got {pieces_max}")
+    if not 1 <= pieces_max <= 64:
+        raise ValueError(f"pieces_max must lie in 1..64, got {pieces_max}")
     ext = {r.kind: r for r in all_extrema(bc)}
     k0, k1 = bc.k0sq, bc.k1sq
     # each solve starts from first-order perturbation about the zero potential
@@ -211,7 +221,7 @@ def check_bounds(
     ):
         lo = ext[lo_kind].value
         hi = ext[hi_kind].value
-        for segs, (edges, vals, atomw), start in _samples(seed, tag, n, pieces_max, sign, concentrated, k0, lam0):
+        for segs, (edges, vals, atomw), start in _samples(seed, tag, 0, n, pieces_max, sign, concentrated, k0, lam0):
             lam = _solve_arrays(edges, vals, atomw, k0, k1, DEFAULT_TOL, start)[0]
             report.n_samples += 1
             if report.min_seen is None or lam < report.min_seen:
@@ -223,13 +233,14 @@ def check_bounds(
                 if gaps[kind] is None or gap < gaps[kind]:
                     gaps[kind] = gap
             if lam < lo - BOUND_TOL:
-                report.violations.append(
-                    {"potential": potential_to_dict(_potential(segs)), "lambda1": lam, "bound": lo_kind, "gap": lo - lam}
-                )
+                bound, gap = lo_kind, lo - lam
             elif lam > hi + BOUND_TOL:
-                report.violations.append(
-                    {"potential": potential_to_dict(_potential(segs)), "lambda1": lam, "bound": hi_kind, "gap": lam - hi}
-                )
+                bound, gap = hi_kind, lam - hi
+            else:
+                continue
+            report.violations.append(
+                {"potential": potential_to_dict(_potential(segs)), "lambda1": lam, "bound": bound, "gap": gap}
+            )
     report.extremum_gaps = gaps
     return report
 

@@ -1,15 +1,17 @@
 """The bit-exactness that check_bounds' block path and the eigenfunction sampler rely on.
 
 check_bounds draws, tables and starts its samples a block at a time in numpy,
-and its reports must keep the bytes of the scalar stream and loops.  That
-holds only while numpy's uint64 arithmetic wraps as the Python ints are
-masked, and while its sin, cos and sqrt round as math's do.  The
-eigenfunction sampler (``eigensolver._sample_eigenfunction``) evaluates each
-trigonometric cell's slice with numpy's sin and cos, on a view of s*t that
-reaches far beyond one period, and ``eigen`` prints those samples; it keeps
-the bytes of its one-``math``-call-per-sample predecessor only while they
-round as math's do on such arguments too.  These tests fail, naming the
-function, on a platform where they do not.
+and its reports must keep the bytes of the scalar splitmix64 stream and
+loops.  That holds only while numpy's uint64 arithmetic wraps as the Python
+ints are masked, and while its sin, cos and sqrt round as math's do.  The
+scalar stream is kept here, one Python-int step at a time, as the reference
+for ``_rng``'s arrays.  The eigenfunction sampler
+(``eigensolver._sample_eigenfunction``) evaluates each trigonometric cell's
+slice with numpy's sin and cos, on a view of s*t that reaches far beyond one
+period, and ``eigen`` prints those samples; it keeps the bytes of its
+one-``math``-call-per-sample predecessor only while they round as math's do
+on such arguments too.  These tests fail, naming the function, on a platform
+where they do not.
 """
 
 import io
@@ -20,36 +22,58 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from robinsl._rng import _GAMMA, SplitMix64, _mix, derive_seed, derive_seeds, stream_units
+from robinsl._rng import derive_seeds, stream, stream_units
 from robinsl.cli import main
 
-SEEDS = [0, 1, 2**64 - 1] + [derive_seed(s, t, i) for s in (0, 20260809) for t in (0, 1) for i in (0, 31, 32)]
+MASK = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def _scalar_stream(seed, n):
+    # the first n outputs of splitmix64 from seed
+    s, out = seed & MASK, []
+    for _ in range(n):
+        s = (s + GAMMA) & MASK
+        out.append(_mix(s))
+    return out
+
+
+def _derive_seed(seed, tag, index):
+    base = _mix((seed & MASK) ^ _mix(((tag + 1) * GAMMA) & MASK))
+    return _mix((base + index) & MASK)
+
+
+SEEDS = [0, 1, 2**64 - 1] + [_derive_seed(s, t, i) for s in (0, 20260809) for t in (0, 1) for i in (0, 31, 32)]
 # the most numbers one check_bounds sample takes at --pieces-max 64, plus one
 N_OUT = 3 * 64 + 2
 
 
 def test_array_stream_is_the_scalar_stream():
     seeds = np.array(SEEDS, dtype=np.uint64)
-    k = np.arange(1, N_OUT + 1, dtype=np.uint64)
-    raw = _mix(seeds[:, None] + k * np.uint64(_GAMMA)).tolist()
-    for seed, row in zip(SEEDS, raw):
-        rng = SplitMix64(seed)
-        assert row == [rng.next_u64() for _ in range(N_OUT)], seed
     for skip in (0, 1):
-        rows = stream_units(seeds, skip, N_OUT - skip)
-        assert len(rows) == len(SEEDS)
-        for seed, row in zip(SEEDS, rows):
-            rng = SplitMix64(seed)
-            for _ in range(skip):
-                rng.next_u64()
-            assert row == rng.units(N_OUT - skip), (seed, skip)
+        raw = stream(seeds, skip, N_OUT - skip).tolist()
+        units = stream_units(seeds, skip, N_OUT - skip)
+        assert len(raw) == len(units) == len(SEEDS)
+        for seed, row, urow in zip(SEEDS, raw, units):
+            want = _scalar_stream(seed, N_OUT)[skip:]
+            assert row == want, (seed, skip)
+            assert urow == [((z >> 11) + 1) * 2.0**-53 for z in want], (seed, skip)
+    # a Python int seed is one stream, wrapped to 64 bits
+    for seed in (0, 2**64 - 1, -1, -(2**70) + 5, 2**64 + 3, 2**200):
+        assert stream(seed, 5, 20).tolist() == [_scalar_stream(seed, 25)[5:]], seed
 
 
 def test_array_sub_seeds_are_derive_seed():
     for seed in (0, 1, 2**64 - 1, 20260809, -3):
         for tag in (0, 1):
             got = derive_seeds(seed, tag, 30, 70).tolist()
-            assert got == [derive_seed(seed, tag, i) for i in range(30, 70)], (seed, tag)
+            assert got == [_derive_seed(seed, tag, i) for i in range(30, 70)], (seed, tag)
 
 
 @pytest.mark.parametrize("name", ["sin", "cos", "sqrt"])

@@ -1,15 +1,14 @@
 """The list cell tables and the one-pass sampler give the bits of their numpy forms.
 
 ``compile_arrays`` builds (edges, vals, atomw) as lists of Python floats and
-``verify._draw`` draws each sample's segments as float tuples, from a stream
-with the splitmix64 step written out.  The numpy construction and the
-draw-then-normalize route they replace, with one stream call per uniform, are
-kept here as oracles; both must be matched bit for bit.  So is the general
+``verify._samples`` draws each sample's segments as float tuples, from one
+pass of its stream.  The numpy construction and the draw-then-normalize route
+they replace, with one uniform taken at a time, are kept here as oracles;
+both must be matched bit for bit.  So is the general
 merge of ``cell_tables``, which its direct branch for end-to-end segments
 skips.
 """
 
-import copy
 import math
 from bisect import bisect_left, bisect_right
 
@@ -19,9 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robinsl import DeltaAtom, Potential, Segment
-from robinsl._rng import SplitMix64, derive_seed
+from robinsl._rng import derive_seeds, stream, stream_units
 from robinsl.potential import MERGE_TOL, cell_tables, compile_arrays, total_integral
-from robinsl.verify import _draw, sample_unit_mass
+from robinsl.verify import _samples, sample_unit_mass
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
 
@@ -209,31 +208,34 @@ def test_direct_tables_are_the_merge(case):
 
 
 def test_direct_tables_of_a_drawn_sample():
-    segs = _draw(SplitMix64(derive_seed(20260809, 0, 0)), 8, 1, False)
+    segs = next(_samples(20260809, 0, 0, 1, 8, 1, False, 0.0, 0.0))[0]
     edges, vals, atomw = cell_tables(segs)
     assert edges == [0.0, segs[0][0], *(r for _, r, _ in segs), 1.0]
     assert vals == [0.0, *(v for _, _, v in segs), 0.0]
     assert atomw == [0.0] * len(edges)
 
 
-def _unit(rng):
-    return ((rng.next_u64() >> 11) + 1) * 2.0**-53
+def _units(seed, skip):
+    # the uniforms of seed's stream after its first skip outputs, one at a time
+    while True:
+        yield from stream_units(seed, skip, 64)[0]
+        skip += 64
 
 
-def _draw_then_normalize(rng, pieces, sign, concentrated):
-    # the sampler as it was: one call per uniform, raw Segments, then each
+def _draw_then_normalize(units, pieces, sign, concentrated):
+    # the sampler as it was: one uniform at a time, raw Segments, then each
     # scaled by sign / mass
     for _ in range(100):
         if concentrated:
             width = 1.0 / pieces
-            left = _unit(rng) * (1.0 - width)
-            inner = sorted(left + _unit(rng) * width for _ in range(pieces - 1))
+            left = next(units) * (1.0 - width)
+            inner = sorted(left + next(units) * width for _ in range(pieces - 1))
             pts = [left] + inner + [left + width]
         else:
-            pts = sorted(_unit(rng) for _ in range(pieces + 1))
+            pts = sorted(next(units) for _ in range(pieces + 1))
         heights = []
         for _ in range(pieces):
-            u1, u2 = _unit(rng), _unit(rng)
+            u1, u2 = next(units), next(units)
             heights.append(abs(math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)))
         segs = tuple(
             Segment(l, r, sign * h) for l, r, h in zip(pts, pts[1:], heights) if r - l > 1e-14 and h > 0.0
@@ -247,11 +249,12 @@ def _draw_then_normalize(rng, pieces, sign, concentrated):
 @pytest.mark.parametrize("concentrated", [False, True])
 @pytest.mark.parametrize("sign, tag", [(1, 0), (-1, 1)])
 def test_draw_matches_normalize_mass(sign, tag, concentrated):
-    for i in range(2000):
-        pieces_max = 8 if i % 2 else 16
-        rng = SplitMix64(derive_seed(20260809, tag, i))
-        pieces = pieces_max if concentrated else 1 + rng.next_u64() % pieces_max
-        ref = copy.copy(rng)
-        want = _draw_then_normalize(ref, pieces, sign, concentrated)
-        assert _draw(rng, pieces, sign, concentrated) == [(s.left, s.right, s.value) for s in want.segments]
-        assert rng._state == ref._state
+    for pieces_max in (8, 16):
+        subs = derive_seeds(20260809, tag, 0, 1000).tolist()
+        for sub, (segs, _, _) in zip(subs, _samples(20260809, tag, 0, 1000, pieces_max, sign, concentrated, 0.0, 0.0)):
+            if concentrated:
+                skip, pieces = 0, pieces_max
+            else:
+                skip, pieces = 1, 1 + stream(sub, 0, 1).item() % pieces_max
+            want = _draw_then_normalize(_units(sub, skip), pieces, sign, concentrated)
+            assert segs == [(s.left, s.right, s.value) for s in want.segments]

@@ -304,6 +304,7 @@ def test_csv_lines_bools_and_floats():
     [
         ("--pieces-max", "0", "pieces_max"),
         ("--pieces-max", "-2", "pieces_max"),
+        ("--pieces-max", "65", "pieces_max"),
         ("--n", "0", "--n"),
         ("--n", "-5", "--n"),
     ],

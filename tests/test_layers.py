@@ -72,6 +72,25 @@ def test_exported_errors_are_raised():
     assert errors - {"RobinSLError"} <= raised, sorted(errors - {"RobinSLError"} - raised)
 
 
+def test_stream_layout_stays_in_rng():
+    # the splitmix64 constants and mix are _rng's: any other module draws
+    # through its stream functions, so a sample regenerates by one code path
+    src = Path(robinsl.__file__).parent
+    private = {"_GAMMA", "_MASK", "_mix", "_UNIT"}
+    named = set()
+    for path in src.glob("*.py"):
+        if path.name == "_rng.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and node.id in private:
+                named.add((path.name, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in private:
+                named.add((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                named |= {(path.name, alias.name) for alias in node.names if alias.name in private}
+    assert not named, sorted(named)
+
+
 def test_workload_names_resolve():
     # loading runs the workloads' robinsl imports; every attribute they read
     # from a robinsl module must then exist

@@ -28,11 +28,9 @@ from hypothesis import strategies as st
 
 import robinsl._kernels as K
 from robinsl import JIT_ENABLED, DeltaAtom, Potential, RobinBC, Segment, delta_strength, sup_plus
-from robinsl._rng import SplitMix64, derive_seed
 from robinsl.eigensolver import _effective_arrays, _solve_arrays, lambda1_value
 from robinsl.extrema import _ATOMW0, _EDGES0, _MU_TOL, _VALS0, _eig0, left_half_eigenvalue, right_half_eigenvalue
-from robinsl.potential import cell_tables
-from robinsl.verify import _draw, _first_order_starts, _potential, sample_unit_mass
+from robinsl.verify import _potential, _samples, sample_unit_mass
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
 
@@ -308,14 +306,11 @@ def test_shot_budget_per_solve(monkeypatch):
         k0, k1 = BC_GRID6[i % 6]
         sign, tag = (1, 0) if i // 6 % 2 == 0 else (-1, 1)
         pieces_max = 8 if i // 12 % 2 == 0 else 16
-        rng = SplitMix64(derive_seed(20260809, tag, i))
-        segs = _draw(rng, 1 + rng.next_u64() % pieces_max, sign, False)
+        segs, tables, start = next(_samples(20260809, tag, i, i + 1, pieces_max, sign, False, k0, lam0[k0, k1]))
         shots.append(0)
         assert math.isfinite(lambda1_value(_potential(segs), RobinBC(k0, k1)))
         # and as check_bounds solves, from the first-order start
-        tables = cell_tables(segs)
         shots.append(0)
-        (start,) = _first_order_starts([tables], k0, lam0[k0, k1])
         assert math.isfinite(_solve_arrays(*tables, k0, k1, 1e-10, start)[0])
         started.append(shots.pop())
     print(f"shots per solve: mean {np.mean(shots):.2f}, max {max(shots)}")

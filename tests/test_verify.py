@@ -3,6 +3,7 @@ import hashlib
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from robinsl import (
@@ -11,9 +12,10 @@ from robinsl import (
     check_bounds,
     sample_unit_mass,
 )
-from robinsl._rng import SplitMix64, derive_seed
-from robinsl.potential import cell_tables, compile_arrays, fold_endpoint_atoms, potential_to_dict, total_integral
-from robinsl.verify import _draw, _potential
+from robinsl._rng import derive_seeds, stream, stream_units
+from robinsl.extrema import _eig0
+from robinsl.potential import compile_arrays, fold_endpoint_atoms, potential_to_dict, total_integral
+from robinsl.verify import _potential, _samples
 
 
 def _sha256(obj):
@@ -48,8 +50,8 @@ REPORTS = {
 def test_samples_pinned():
     # a report names each sample by (seed, tag, index), so the sampler must
     # draw the same potential, to the bit, from the same seed on any version.
-    # Recorded with one stream call per uniform, before the draw loop took
-    # them all from SplitMix64.units
+    # Recorded with one stream call per uniform, before the draw took them
+    # all from one pass of the stream
     samples = [
         potential_to_dict(sample_unit_mass(pieces, seed, sign, concentrated))
         for pieces in (1, 8, 16, 64)
@@ -61,33 +63,44 @@ def test_samples_pinned():
 
 
 def test_stream_pinned():
-    # the sub-seeds of derive_seed and three raw streams, recorded with the
+    # the sub-seeds of derive_seeds and three raw streams, recorded with the
     # same sampler as test_samples_pinned
-    subs = [derive_seed(seed, tag, i) for seed in (0, 1, 20260809) for tag in (0, 1) for i in (0, 1, 999)]
-    streams = []
-    for seed in (0, 20260809, 2**64 - 1):
-        rng = SplitMix64(seed)
-        streams.append([rng.next_u64() for _ in range(1000)])
+    subs = [
+        derive_seeds(seed, tag, i, i + 1).item() for seed in (0, 1, 20260809) for tag in (0, 1) for i in (0, 1, 999)
+    ]
+    streams = stream(np.array([0, 20260809, 2**64 - 1], dtype=np.uint64), 0, 1000).tolist()
     assert _sha256([subs, streams]) == "3df4ee6e416ede5920712be2c011dadcba1c46122055f4ba51f68e2417c5cde9"
 
 
 def test_sampler_tables_are_the_potential_tables():
     # check_bounds builds each sample's cell tables from the drawn segments,
-    # without a Potential; they must be the tables of the Potential that
-    # sample_unit_mass returns, bit for bit.  2400 draws
+    # without a Potential; they must be the tables of that Potential, bit
+    # for bit.  2400 draws
     bc = RobinBC(0.25, 0.5)
+    lam0 = _eig0(bc.k0sq, bc.k1sq)
     for concentrated in (False, True):
         for pieces_max in (1, 8, 16, 64):
             for tag, sign in ((0, 1), (1, -1)):
-                for i in range(150):
-                    rng = SplitMix64(derive_seed(20260809, tag, i))
-                    pieces = pieces_max if concentrated else 1 + rng.next_u64() % pieces_max
-                    segs = _draw(rng, pieces, sign, concentrated)
+                for segs, tables, _ in _samples(20260809, tag, 0, 150, pieces_max, sign, concentrated, bc.k0sq, lam0):
                     q, k0, k1 = fold_endpoint_atoms(_potential(segs), bc)
                     assert (k0, k1) == (bc.k0sq, bc.k1sq)
-                    for got, want in zip(cell_tables(segs), compile_arrays(q)):
+                    for got, want in zip(tables, compile_arrays(q)):
                         assert all(type(x) is float for x in got)
                         assert struct.pack(f"{len(got)}d", *got) == struct.pack(f"{len(want)}d", *want)
+
+
+@pytest.mark.parametrize("concentrated", [False, True])
+def test_seeds_wrap_to_64_bits(concentrated):
+    for pieces in (1, 8, 64):
+        for sign in (1, -1):
+            want = sample_unit_mass(pieces, 2**64 - 1, sign, concentrated)
+            assert sample_unit_mass(pieces, -1, sign, concentrated) == want
+            assert sample_unit_mass(pieces, 2**65 - 1, sign, concentrated) == want
+    reports = [
+        dataclasses.asdict(check_bounds(RobinBC(0.25, 0.5), 40, 8, seed, concentrated)) for seed in (-1, 2**64 - 1)
+    ]
+    assert reports[0].pop("seed") == -1 and reports[1].pop("seed") == 2**64 - 1
+    assert reports[0] == reports[1]
 
 
 def test_violations_carry_the_drawn_potential(monkeypatch):
@@ -122,8 +135,9 @@ def test_reports_pinned(pieces_max, concentrated):
 
 @pytest.mark.parametrize("concentrated", [False, True])
 def test_failed_first_attempt_draws_on(monkeypatch, concentrated):
-    # a first attempt with no mass goes on with _draw's next attempt, from
-    # the same stream: the sample is the second attempt's
+    # a first attempt with no mass goes on with _draw's next attempt, on the
+    # uniforms that follow it in the same stream: the sample is the second
+    # attempt's
     import robinsl.verify as V
 
     real_segments, real_extrema = V._segments, V.all_extrema
@@ -141,11 +155,13 @@ def test_failed_first_attempt_draws_on(monkeypatch, concentrated):
     monkeypatch.setattr(V, "_segments", fail_once)
     monkeypatch.setattr(V, "all_extrema", unreachable)
     report = check_bounds(RobinBC(0.25, 0.5), 3, 16, 7, concentrated)
-    rng = SplitMix64(derive_seed(7, 0, 0))
-    pieces = 16 if concentrated else 1 + rng.next_u64() % 16
+    sub = derive_seeds(7, 0, 0, 1)
+    skip, pieces = (0, 16) if concentrated else (1, 1 + stream(sub, 0, 1).item() % 16)
+    count = 3 * pieces + (0 if concentrated else 1)
     assert list(failed[0][1:]) == [pieces, 1, concentrated]
-    assert failed[0][0] == rng.units(3 * pieces + (0 if concentrated else 1))
-    want = _draw(rng, pieces, 1, concentrated)
+    (u,) = stream_units(sub, skip, 2 * count)
+    assert failed[0][0] == u[:count]
+    want = real_segments(u[count:], pieces, 1, concentrated)
     assert report.violations[0]["potential"] == potential_to_dict(_potential(want))
     # the other samples are drawn as without the failure
     monkeypatch.setattr(V, "_segments", real_segments)
@@ -271,7 +287,9 @@ def test_depth_limits():
         approach_extremum(RobinBC(0.0, 0.0), "nope", 8)
 
 
-@pytest.mark.parametrize("n, pieces_max, named", [(-1, 8, "n must"), (5, 0, "pieces_max"), (5, -2, "pieces_max")])
+@pytest.mark.parametrize(
+    "n, pieces_max, named", [(-1, 8, "n must"), (5, 0, "pieces_max"), (5, -2, "pieces_max"), (5, 65, "pieces_max")]
+)
 def test_check_bounds_rejects_bad_counts(n, pieces_max, named):
     with pytest.raises(ValueError, match=named):
         check_bounds(RobinBC(0.0, 0.0), n, pieces_max, 1)

@@ -7,11 +7,12 @@ otherwise the same functions run as ordinary Python (the pure fallback path).
 The two paths execute identical code and must agree to roundoff.
 
 The cell tables ``edges``, ``vals`` and ``atomw`` come from
-``potential.cell_tables`` (through ``compile_arrays``, or straight from a
-``check_bounds`` sample) as lists of Python floats.  The pure path reads
-them several times per cell per shot, and a float read from a list keeps every
-later operation on plain floats instead of numpy scalars; numba takes the same
-lists as reflected lists.
+``potential.cell_tables`` (through ``compile_arrays``, which also adds the
+endpoint masses to k0sq and k1sq, or straight from a ``check_bounds``
+sample) as lists of Python floats.  The pure path reads them several times
+per cell per shot, and a float read from a list keeps every later operation
+on plain floats instead of numpy scalars; numba takes the same lists as
+reflected lists.
 """
 
 import math
@@ -119,7 +120,8 @@ def shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam):
     edges[0] = 0 and edges[-1] = 1 partition the interval into cells wider
     than MERGE_TOL, as cell_tables builds them; vals[i] is the
     constant potential on cell i and atomw[i] the delta weight sitting at
-    edges[i] (endpoint weights must be folded into the coefficients first).
+    edges[i].  atomw[0] and atomw[-1] are 0: a mass at 0 or 1 is part of
+    k0sq or k1sq, as compile_arrays passes it.
     The state is max-norm rescaled after every cell, so only the sign of the
     returned residual y'(1) + k1sq*y(1) is meaningful at large |lam|.
 

@@ -33,10 +33,12 @@ from ._kernels import (
     shoot_kernel,
 )
 from .errors import GridTooCoarse, NoConvergence, NonFiniteState, ToleranceNotReached
-from .potential import Potential, RobinBC, compile_arrays, fold_endpoint_atoms
+from .potential import Potential, RobinBC, compile_arrays
 
 DEFAULT_TOL = 1e-10
-DEFAULT_GRID_POINTS = 2001
+#: the uniform points every eigenfunction is sampled on, besides its breakpoints
+DEFAULT_GRID = np.linspace(0.0, 1.0, 2001)
+DEFAULT_GRID.flags.writeable = False
 _NONFINITE = "shooting state overflowed or vanished"
 
 
@@ -59,12 +61,11 @@ def shoot(q: Potential, bc: RobinBC, lam: float):
     """Terminal defect and interior zero count for a trial eigenvalue.
 
     Starts from y(0) = 1, y'(0) = k0sq (the left condition holds exactly) and
-    returns (y'(1) + k1sq*y(1), zero_count).  Endpoint atoms must already be
-    folded into the coefficients; the state is rescaled between cells, so the
-    defect is meaningful up to a positive factor.
+    returns (y'(1) + k1sq*y(1), zero_count), with endpoint masses added to
+    the coefficients by :func:`compile_arrays`.  The state is rescaled
+    between cells, so the defect is meaningful up to a positive factor.
     """
-    edges, vals, atomw = compile_arrays(q)
-    res, zc, _, _, ok = shoot_kernel(edges, vals, atomw, bc.k0sq, bc.k1sq, lam)
+    res, zc, _, _, ok = shoot_kernel(*compile_arrays(q, bc), lam)
     if not ok:
         raise NonFiniteState(_NONFINITE)
     return res, zc
@@ -82,12 +83,6 @@ def _solve_arrays(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
     return lam, width
 
 
-def _effective_arrays(q, bc):
-    folded, k0, k1 = fold_endpoint_atoms(q, bc)
-    edges, vals, atomw = compile_arrays(folded)
-    return edges, vals, atomw, k0, k1
-
-
 def _check_tol(tol):
     # `not 0 < tol < inf` also rejects nan, which every comparison fails
     if not 0.0 < tol < math.inf:
@@ -97,33 +92,25 @@ def _check_tol(tol):
 def lambda1_value(q: Potential, bc: RobinBC, tol: float = DEFAULT_TOL) -> float:
     """First eigenvalue only (no eigenfunction sampling), from the Rayleigh quotient."""
     _check_tol(tol)
-    edges, vals, atomw, k0, k1 = _effective_arrays(q, bc)
-    return _solve_arrays(edges, vals, atomw, k0, k1, tol)[0]
+    return _solve_arrays(*compile_arrays(q, bc), tol)[0]
 
 
-def lambda1(
-    q: Potential,
-    bc: RobinBC,
-    tol: float = DEFAULT_TOL,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> EigenResult:
+def lambda1(q: Potential, bc: RobinBC, tol: float = DEFAULT_TOL) -> EigenResult:
     """First eigenvalue with its positive eigenfunction sampled on a grid.
 
     The bracket [lo, hi] around the unique lam where the
     zero-free-and-positive-defect predicate flips is narrowed to width
     tol + 1e-14*|lam| (see the module docstring).  One shot at the converged
-    value is sampled on ``grid_points`` uniform points plus every breakpoint
-    and normalized to max 1; its end state gives the residual.
+    value is sampled on ``DEFAULT_GRID`` plus every breakpoint and normalized
+    to max 1; its end state gives the residual.
 
     Raises ToleranceNotReached if 200 root-find steps cannot reach that width.
     """
     _check_tol(tol)
-    if grid_points < 1001:
-        raise ValueError("grid_points must be >= 1001")
-    edges, vals, atomw, k0, k1 = _effective_arrays(q, bc)
-    lam, width = _solve_arrays(edges, vals, atomw, k0, k1, tol)
-    xs = np.union1d(np.linspace(0.0, 1.0, grid_points), edges)
-    ys, res = _sample_eigenfunction(edges, vals, atomw, k0, k1, lam, xs)
+    args = compile_arrays(q, bc)
+    lam, width = _solve_arrays(*args, tol)
+    xs = np.union1d(DEFAULT_GRID, args[0])
+    ys, res = _sample_eigenfunction(*args, lam, xs)
     return EigenResult(lam, xs, ys, res, width)
 
 
@@ -203,15 +190,17 @@ def _sample_eigenfunction(edges, vals, atomw, k0sq, k1sq, lam, xs):
 def quadratic_form(q: Potential, bc: RobinBC, lam: float, xs, ys) -> float:
     """Energy form at the sampled function: int (y')^2 + (q - lam) y^2 plus boundary terms.
 
-    xs must contain every segment edge and atom position.  y' is estimated by
-    central differences, falling back to one-sided differences at breakpoints
-    (where y' may jump) and at the interval ends; the integral is a composite
-    trapezoid over the grid cells.
+    xs must be strictly increasing and contain every segment edge and atom
+    position.  y' is estimated by central differences, falling back to
+    one-sided differences at breakpoints (where y' may jump) and at the
+    interval ends; the integral is a composite trapezoid over the grid cells.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if len(xs) < 11:
         raise GridTooCoarse("quadratic_form needs at least 11 grid points")
+    if not (xs[1:] > xs[:-1]).all():
+        raise ValueError("grid must be strictly increasing")
     kinks = q.breakpoints()
     idx = np.searchsorted(xs, kinks)
     idx = np.clip(idx, 0, len(xs) - 1)
@@ -248,8 +237,9 @@ def fd_lambda1(q: Potential, bc: RobinBC, n: int) -> float:
 
     Assembles the (n+1)-node second-difference matrix with the Robin
     conditions eliminated through ghost points, samples segments at cell
-    midpoints, spreads each interior atom as a weight/h column at the nearest
-    node, and symmetrizes the boundary couplings.  The smallest eigenvalue of
+    midpoints, spreads each atom as a weight/h column at the nearest node
+    (twice that at an end node, whose row the ghost elimination doubles), and
+    symmetrizes the boundary couplings.  The smallest eigenvalue of
     that symmetric tridiagonal matrix comes from LAPACK ``dstebz`` (Sturm-count
     bisection) through ``scipy.linalg.eigh_tridiagonal``.
 
@@ -261,15 +251,14 @@ def fd_lambda1(q: Potential, bc: RobinBC, n: int) -> float:
 
     if n < 100:
         raise ValueError("n must be >= 100")
-    folded, k0, k1 = fold_endpoint_atoms(q, bc)
     h = 1.0 / n
     mids = (np.arange(n) + 0.5) * h
-    mv = folded.value_at(mids)
+    mv = q.value_at(mids)
     qd = np.empty(n + 1)
     qd[0] = mv[0]
     qd[n] = mv[-1]
     qd[1:n] = 0.5 * (mv[:-1] + mv[1:])
-    for a in folded.atoms:
+    for a in q.atoms:
         j = int(round(a.position * n))
         col = a.weight / h
         if j == 0 or j == n:
@@ -277,8 +266,8 @@ def fd_lambda1(q: Potential, bc: RobinBC, n: int) -> float:
         qd[j] += col
 
     diag = 2.0 / h**2 + qd
-    diag[0] += 2.0 * k0 / h
-    diag[n] += 2.0 * k1 / h
+    diag[0] += 2.0 * bc.k0sq / h
+    diag[n] += 2.0 * bc.k1sq / h
     off = np.full(n, -1.0 / h**2)
     off[0] = off[-1] = -math.sqrt(2.0) / h**2  # symmetrized boundary couplings
 

@@ -23,8 +23,8 @@ class RobinBC:
 
     The coefficients are squares, k0sq >= 0, ordered by reflection so that
     k1sq >= k0sq.  Any other real pair is the admissible pair (0, 0) plus the
-    endpoint masses DeltaAtom(0, k0sq) and DeltaAtom(1, k1sq), which the
-    solvers fold into the coefficients they shoot with.
+    endpoint masses DeltaAtom(0, k0sq) and DeltaAtom(1, k1sq), which
+    :func:`compile_arrays` adds to the coefficients the solvers shoot with.
     """
 
     k0sq: float
@@ -155,28 +155,6 @@ def delta_approx(zeta: float, n: int, weight: float) -> Potential:
     return Potential(segments=(Segment(left, left + w, n * weight),))
 
 
-def fold_endpoint_atoms(q: Potential, bc: RobinBC):
-    """Absorb atoms sitting at x=0 or x=1 into the boundary coefficients.
-
-    Returns (q without its endpoint atoms, k0sq, k1sq): an atom of weight a at
-    0 adds a to k0sq, one at 1 adds it to k1sq, and interior atoms are
-    untouched.  The two floats are the effective coefficients the solvers
-    shoot with; they are any real numbers, negative or out of order.
-    """
-    k0, k1 = bc.k0sq, bc.k1sq
-    interior = []
-    for a in q.atoms:
-        if a.position <= MERGE_TOL:
-            k0 += a.weight
-        elif a.position >= 1.0 - MERGE_TOL:
-            k1 += a.weight
-        else:
-            interior.append(a)
-    if len(interior) < len(q.atoms):
-        q = Potential(segments=q.segments, atoms=tuple(interior))
-    return q, k0, k1
-
-
 def combine(*potentials: Potential) -> Potential:
     """Pointwise sum of potentials, splitting segments so interiors stay disjoint."""
     edges = {0.0, 1.0}
@@ -201,35 +179,43 @@ def combine(*potentials: Potential) -> Potential:
     return Potential(segments=tuple(segs), atoms=tuple(atoms))
 
 
-def compile_arrays(q: Potential):
-    """Flatten q into (edges, vals, atomw) cell tables for the shooting kernels.
+def compile_arrays(q: Potential, bc: RobinBC):
+    """The shooting kernels' arguments (edges, vals, atomw, k0sq, k1sq) for q under bc.
 
-    edges covers [0, 1] with every segment edge and atom position as a
-    breakpoint (points within MERGE_TOL of the previous edge are dropped);
-    vals[i] is the value at the midpoint of cell i, taken from the last
-    segment covering it (as in :meth:`Potential.value_at`), and atomw[i] the
-    weight of the atoms whose nearest edge (the first, on a tie) is edges[i].
-    Endpoint atoms must be folded away first.
+    An atom within MERGE_TOL of 0 or 1 is an endpoint mass: its weight is
+    added to k0sq or k1sq, the effective coefficients the kernels shoot
+    with, which may be any real numbers, negative or out of order.  The cell
+    tables come from :func:`cell_tables` on the segments and the other atoms.
+    """
+    k0, k1 = bc.k0sq, bc.k1sq
+    interior = []
+    for a in q.atoms:
+        if a.position <= MERGE_TOL:
+            k0 += a.weight
+        elif a.position >= 1.0 - MERGE_TOL:
+            k1 += a.weight
+        else:
+            interior.append((float(a.position), float(a.weight)))
+    segments = [(float(s.left), float(s.right), float(s.value)) for s in q.segments]
+    return (*cell_tables(segments, interior), k0, k1)
+
+
+def cell_tables(segments, atoms=()):
+    """Cell tables (edges, vals, atomw) for the shooting kernels from float tuples.
+
+    segments holds (left, right, value) sorted by left, atoms (position,
+    weight) more than MERGE_TOL from 0 and 1, both as they would sit in a
+    Potential.  edges covers [0, 1] with every segment edge and atom position
+    as a breakpoint (points within MERGE_TOL of the previous edge are
+    dropped); vals[i] is the value at the midpoint of cell i, taken from the
+    last segment covering it (as in :meth:`Potential.value_at`), and atomw[i]
+    the weight of the atoms whose nearest edge (the first, on a tie) is
+    edges[i].  :func:`compile_arrays` calls this on a Potential's pieces, and
+    the sampler of ``verify`` on the segments it draws.
 
     The tables are lists of Python floats: the pure kernels index them once
     per cell per shot, and a float read from a list avoids numpy's scalar
     overhead on every later operation.
-    """
-    for a in q.atoms:
-        if a.position <= MERGE_TOL or a.position >= 1.0 - MERGE_TOL:
-            raise ValueError("endpoint atoms must be folded with fold_endpoint_atoms")
-    return cell_tables(
-        [(float(s.left), float(s.right), float(s.value)) for s in q.segments],
-        [(float(a.position), float(a.weight)) for a in q.atoms],
-    )
-
-
-def cell_tables(segments, atoms=()):
-    """The tables of :func:`compile_arrays` from float tuples, without a Potential.
-
-    segments holds (left, right, value) sorted by left, atoms (position,
-    weight), both as they would sit in a Potential.  The sampler of
-    ``verify`` calls this on the segments it draws.
 
     Atom-free segments that meet end to end, with every point more than
     MERGE_TOL from the next and from 0 and 1 (as drawn samples nearly always

@@ -10,15 +10,14 @@ A 2-D float ndarray, such as an eigenfunction's ``(n, 2)`` table of
 one call per value; the bytes are those of the same table as nested lists.
 Every CSV table is such an array.
 
-The x column of an eigenfunction table is the default grid,
-``np.linspace(0, 1, DEFAULT_GRID_POINTS)``, plus the breakpoints that
-``lambda1`` adds.  The first time a table in one of the two layouts (JSON or
-CSV) holds that grid exactly, the grid rows' template, each row's x text in
-place and ``%.12g`` for its y, is formatted once and kept for the process:
-one string of ~25-33 kB per layout, with each row's offset in it.  A table
-that holds the grid is cut from that string, its other rows take the
-generic template, and the one ``%`` call formats the y values and those
-rows; the bytes are those of the generic template alone.
+The x column of an eigenfunction table is ``eigensolver.DEFAULT_GRID`` plus
+the breakpoints that ``lambda1`` adds.  The first time a table in one of the
+two layouts (JSON or CSV) holds that grid exactly, the grid rows' template,
+each row's x text in place and ``%.12g`` for its y, is formatted once and
+kept for the process: one string of ~25-33 kB per layout, with each row's
+offset in it.  A table that holds the grid is cut from that string, its
+other rows take the generic template, and the one ``%`` call formats the y
+values and those rows; the bytes are those of the generic template alone.
 """
 
 import json
@@ -27,19 +26,12 @@ from itertools import accumulate
 
 import numpy as np
 
-from .eigensolver import DEFAULT_GRID_POINTS
+from .eigensolver import DEFAULT_GRID
 
 
 def fmt_float(x) -> str:
     # adding 0.0 turns -0.0 into 0.0
     return format(float(x) + 0.0, ".12g")
-
-
-@cache
-def _grid():
-    grid = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
-    grid.flags.writeable = False
-    return grid
 
 
 @cache
@@ -49,8 +41,7 @@ def _grid_text(cell_sep, row_open, row_close, row_sep):
     Row k is the text of grid[k] and ``%.12g`` for its y, followed by
     ``row_sep``; row k starts at offset k of the second array.
     """
-    grid = _grid()
-    texts = ("%.12g " * len(grid) % tuple(grid.tolist())).split()
+    texts = ("%.12g " * len(DEFAULT_GRID) % tuple(DEFAULT_GRID.tolist())).split()
     rows = [row_open + x + cell_sep + "%.12g" + row_close + row_sep for x in texts]
     starts = np.fromiter(accumulate(map(len, rows), initial=0), np.intp, len(rows) + 1)
     starts.flags.writeable = False
@@ -63,11 +54,10 @@ def _grid_rows(col):
     None unless col is sorted and holds every grid value; the rows between
     them are the breakpoints ``lambda1`` adds.
     """
-    grid = _grid()
-    if len(col) < len(grid) or not (col[1:] >= col[:-1]).all():
+    if len(col) < len(DEFAULT_GRID) or not (col[1:] >= col[:-1]).all():
         return None
-    at = np.searchsorted(col, grid)
-    if at[-1] >= len(col) or not (col[at] == grid).all():
+    at = np.searchsorted(col, DEFAULT_GRID)
+    if at[-1] >= len(col) or not (col[at] == DEFAULT_GRID).all():
         return None
     return at
 

@@ -4,9 +4,10 @@
 ``verify._samples`` draws each sample's segments as float tuples, from one
 pass of its stream.  The numpy construction and the draw-then-normalize route
 they replace, with one uniform taken at a time, are kept here as oracles;
-both must be matched bit for bit.  So is the general
-merge of ``cell_tables``, which its direct branch for end-to-end segments
-skips.
+both must be matched bit for bit.  So are the general merge of
+``cell_tables``, which its direct branch for end-to-end segments skips, and
+the fold of endpoint masses into a rebuilt Potential that ``compile_arrays``
+replaced.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robinsl import DeltaAtom, Potential, Segment
+from robinsl import DeltaAtom, Potential, RobinBC, Segment
 from robinsl._rng import derive_seeds, stream, stream_units
 from robinsl.potential import MERGE_TOL, cell_tables, compile_arrays, total_integral
 from robinsl.verify import _samples, sample_unit_mass
@@ -41,7 +42,7 @@ def _numpy_tables(q):
 
 
 def _assert_same_tables(q):
-    got = compile_arrays(q)
+    got = compile_arrays(q, RobinBC(0.0, 0.0))[:3]
     for new, old in zip(got, _numpy_tables(q)):
         assert type(new) is list and all(type(x) is float for x in new)
         assert np.array(new, dtype=float).tobytes() == old.tobytes(), q
@@ -119,6 +120,51 @@ def test_tables_of_random_potentials(q):
     _assert_same_tables(q)
 
 
+def _fold_then_compile(q, bc):
+    # compile_arrays as it was: endpoint atoms folded into the coefficients
+    # and a Potential rebuilt without them, whose tables were then built
+    k0, k1 = bc.k0sq, bc.k1sq
+    interior = []
+    for a in q.atoms:
+        if a.position <= MERGE_TOL:
+            k0 += a.weight
+        elif a.position >= 1.0 - MERGE_TOL:
+            k1 += a.weight
+        else:
+            interior.append(a)
+    if len(interior) < len(q.atoms):
+        q = Potential(segments=q.segments, atoms=tuple(interior))
+    tables = cell_tables(
+        [(float(s.left), float(s.right), float(s.value)) for s in q.segments],
+        [(float(a.position), float(a.weight)) for a in q.atoms],
+    )
+    return (*tables, k0, k1)
+
+
+# at an end, within MERGE_TOL of it, and just beyond that
+_NEAR_ENDS = st.one_of(
+    st.sampled_from([0.0, 1.0, MERGE_TOL, 1.0 - MERGE_TOL]),
+    st.floats(0.0, 2 * MERGE_TOL),
+    st.floats(1.0 - 2 * MERGE_TOL, 1.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    q=close_breakpoint_potentials(),
+    ends=st.lists(st.tuples(_NEAR_ENDS, st.floats(-10.0, 10.0)), max_size=4),
+    bc=st.sampled_from(BC_GRID6),
+)
+def test_compile_arrays_is_the_fold(q, ends, bc):
+    q = Potential(segments=q.segments, atoms=(*q.atoms, *(DeltaAtom(z, w) for z, w in ends)))
+    bc = RobinBC(*bc)
+    got, want = compile_arrays(q, bc), _fold_then_compile(q, bc)
+    for new, old in zip(got[:3], want[:3]):
+        assert all(type(x) is float for x in new)
+        assert np.array(new, dtype=float).tobytes() == np.array(old, dtype=float).tobytes(), q
+    assert np.array(got[3:]).tobytes() == np.array(want[3:]).tobytes(), q
+
+
 def _merged_tables(segments, atoms):
     # cell_tables' general merge, without its direct branch
     pts = {0.0, 1.0}
@@ -193,7 +239,7 @@ def segment_lists(draw):
 def test_every_cell_is_wider_than_merge_tol(q, case):
     # shoot_kernel propagates across every cell without a zero-width branch;
     # breakpoints and atoms within about MERGE_TOL of each other must merge
-    for edges in (compile_arrays(q)[0], cell_tables(*case)[0]):
+    for edges in (compile_arrays(q, RobinBC(0.0, 0.0))[0], cell_tables(*case)[0]):
         assert edges[0] == 0.0 and edges[-1] == 1.0
         assert all(b - a > MERGE_TOL for a, b in zip(edges, edges[1:])), edges
 

@@ -24,6 +24,7 @@ from robinsl import (
     shoot,
 )
 from robinsl._kernels import propagate_step
+from robinsl.eigensolver import _sample_eigenfunction, compile_arrays
 from robinsl.potential import delta_approx
 
 BC00 = RobinBC(0.0, 0.0)
@@ -95,10 +96,30 @@ def test_shoot_interior_atom_known_eigenvalue():
     assert zc == 0
 
 
-def test_shoot_rejects_endpoint_atoms():
-    q = Potential(atoms=(DeltaAtom(1.0, 1.0),))
-    with pytest.raises(ValueError):
-        shoot(q, BC00, 0.5)
+def test_endpoint_masses_are_the_shifted_pair():
+    # a mass at 0 or 1, or within MERGE_TOL of it, shifts the coefficient
+    # beside it by its weight: the shooting entries give the bits of the
+    # shifted pair, and fd_lambda1 and quadratic_form, which sum it in
+    # another order, agree to rounding
+    for lam in (-3.0, 0.0, 0.5, LAM_DELTA1, 7.0):
+        assert shoot(Potential(atoms=(DeltaAtom(1.0, 1.0),)), BC00, lam) == shoot(Potential(), RobinBC(0, 1), lam)
+    base = Potential(segments=(Segment(0.1, 0.5, 2.0),), atoms=(DeltaAtom(0.6, -1.0),))
+    bc = RobinBC(0.25, 2.0)
+    ends = [(0.0, None), (1e-13, None), (None, 1.0), (None, 1.0 - 1e-13), (0.0, 1.0), (1e-13, 1.0 - 1e-13)]
+    for left, right in ends:
+        masses = [DeltaAtom(z, w) for z, w in ((left, 0.5), (right, -0.5)) if z is not None]
+        q = Potential(segments=base.segments, atoms=(*base.atoms, *masses))
+        shifted = RobinBC(bc.k0sq + 0.5 * (left is not None), bc.k1sq - 0.5 * (right is not None))
+        for lam in (-3.0, 0.5, 7.0, 40.0):
+            assert shoot(q, bc, lam) == shoot(base, shifted, lam)
+        assert lambda1_value(q, bc).hex() == lambda1_value(base, shifted).hex()
+        got, want = lambda1(q, bc), lambda1(base, shifted)
+        assert (got.lambda1, got.residual, got.bracket_width) == (want.lambda1, want.residual, want.bracket_width)
+        assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
+        assert fd_lambda1(q, bc, 400) == pytest.approx(fd_lambda1(base, shifted, 400), rel=1e-12, abs=0.0)
+        lam = got.lambda1 - 0.5
+        energy = quadratic_form(base, shifted, lam, got.xs, got.ys)
+        assert quadratic_form(q, bc, lam, got.xs, got.ys) == pytest.approx(energy, rel=1e-12, abs=0.0)
 
 
 def test_shoot_survives_large_negative_lambda():
@@ -334,6 +355,15 @@ def test_quadratic_form_grid_too_coarse():
     xs = np.linspace(0.0, 1.0, 5)
     with pytest.raises(GridTooCoarse):
         quadratic_form(Potential(), BC00, 0.0, xs, np.ones_like(xs))
+    # a repeated x gave 2.0e-4 on the README's example, against -5.9e-8 on
+    # the true grid, and no error
+    q = Potential(segments=(Segment(0.1, 0.6, 3.0),), atoms=(DeltaAtom(0.7, -1.5),))
+    bc = RobinBC(0.25, 0.5)
+    res = lambda1(q, bc)
+    xs = res.xs.copy()
+    xs[900] = xs[899]
+    with pytest.raises(ValueError, match="strictly increasing"):
+        quadratic_form(q, bc, res.lambda1, xs, res.ys)
 
 
 def test_fd_neumann_laplacian():
@@ -460,10 +490,13 @@ def test_zero_count_matches_brute_force():
 def test_quadratic_form_second_order_convergence():
     q = Potential(segments=(Segment(0.1, 0.5, 2.0),), atoms=(DeltaAtom(0.6, -1.0),))
     bc = RobinBC(0.25, 0.5)
+    args = compile_arrays(q, bc)
+    lam = lambda1_value(q, bc, 1e-13)
     errs = []
     for npts in (1001, 2001, 4001):
-        res = lambda1(q, bc, 1e-13, grid_points=npts)
-        errs.append(abs(quadratic_form(q, bc, res.lambda1, res.xs, res.ys)))
+        xs = np.union1d(np.linspace(0.0, 1.0, npts), args[0])
+        ys, _ = _sample_eigenfunction(*args, lam, xs)
+        errs.append(abs(quadratic_form(q, bc, lam, xs, ys)))
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
 

@@ -9,7 +9,7 @@ import pytest
 
 from robinsl import lambda1, lambda1_value, sup_plus, RobinBC, Potential, DeltaAtom, Segment
 from robinsl._kernels import lambda1_kernel, propagate_step, shoot_kernel
-from robinsl.eigensolver import _effective_arrays
+from robinsl.potential import compile_arrays
 
 _PROBE = r"""
 import json
@@ -225,7 +225,7 @@ def test_cell_shares_are_the_eigenvalue_gradient():
     )
     bc = RobinBC(0.25, 0.5)
     res = lambda1(q, bc, 1e-13)
-    edges, vals, atomw, k0, _ = _effective_arrays(q, bc)
+    edges, vals, atomw, k0, _ = compile_arrays(q, bc)
     ys = res.ys[np.searchsorted(res.xs, edges)]
     prefix = [0.0]
     for j in range(1, len(edges)):

@@ -72,23 +72,34 @@ def test_exported_errors_are_raised():
     assert errors - {"RobinSLError"} <= raised, sorted(errors - {"RobinSLError"} - raised)
 
 
+def _named_outside(owner, names):
+    """(file, name) for each of names that a robinsl module other than owner names."""
+    src = Path(robinsl.__file__).parent
+    named = set()
+    for path in src.glob("*.py"):
+        if path.name == owner:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and node.id in names:
+                named.add((path.name, node.id))
+            elif isinstance(node, ast.Attribute) and node.attr in names:
+                named.add((path.name, node.attr))
+            elif isinstance(node, ast.ImportFrom):
+                named |= {(path.name, alias.name) for alias in node.names if alias.name in names}
+    return sorted(named)
+
+
 def test_stream_layout_stays_in_rng():
     # the splitmix64 constants and mix are _rng's: any other module draws
     # through its stream functions, so a sample regenerates by one code path
-    src = Path(robinsl.__file__).parent
-    private = {"_GAMMA", "_MASK", "_mix", "_UNIT"}
-    named = set()
-    for path in src.glob("*.py"):
-        if path.name == "_rng.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and node.id in private:
-                named.add((path.name, node.id))
-            elif isinstance(node, ast.Attribute) and node.attr in private:
-                named.add((path.name, node.attr))
-            elif isinstance(node, ast.ImportFrom):
-                named |= {(path.name, alias.name) for alias in node.names if alias.name in private}
-    assert not named, sorted(named)
+    assert not _named_outside("_rng.py", {"_GAMMA", "_MASK", "_mix", "_UNIT"})
+
+
+def test_merge_tolerance_stays_in_potential():
+    # which points merge and which atoms are endpoint masses is potential's
+    # decision: any other module builds its cell tables and coefficients
+    # through compile_arrays or cell_tables, so no second fold can drift
+    assert not _named_outside("potential.py", {"MERGE_TOL"})
 
 
 def test_workload_names_resolve():

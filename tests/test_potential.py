@@ -11,7 +11,7 @@ from robinsl import (
     potential_from_dict,
     potential_to_dict,
 )
-from robinsl.potential import combine, delta_approx, fold_endpoint_atoms, total_integral
+from robinsl.potential import cell_tables, combine, compile_arrays, delta_approx, total_integral
 
 
 def test_total_integral_constant_one():
@@ -66,23 +66,17 @@ def test_delta_approx_mass_and_width(zeta, n, w):
 
 def test_fold_atom_at_one():
     q = Potential(atoms=(DeltaAtom(1.0, 1.0),))
-    out, k0, k1 = fold_endpoint_atoms(q, RobinBC(0.0, 0.0))
-    assert out.atoms == ()
-    assert (k0, k1) == (0.0, 1.0)
+    assert compile_arrays(q, RobinBC(0.0, 0.0)) == ([0.0, 1.0], [0.0], [0.0, 0.0], 0.0, 1.0)
 
 
 def test_fold_atom_at_zero_negative():
     q = Potential(atoms=(DeltaAtom(0.0, -1.0),))
-    out, k0, k1 = fold_endpoint_atoms(q, RobinBC(1.0, 1.0))
-    assert out.atoms == ()
-    assert (k0, k1) == (0.0, 1.0)
+    assert compile_arrays(q, RobinBC(1.0, 1.0)) == ([0.0, 1.0], [0.0], [0.0, 0.0], 0.0, 1.0)
 
 
 def test_fold_identity_without_endpoint_atoms():
     q = Potential(segments=(Segment(0.2, 0.4, 1.0),), atoms=(DeltaAtom(0.5, 2.0),))
-    out, k0, k1 = fold_endpoint_atoms(q, RobinBC(0.25, 0.5))
-    assert out is q
-    assert (k0, k1) == (0.25, 0.5)
+    assert compile_arrays(q, RobinBC(0.25, 0.5)) == (*cell_tables([(0.2, 0.4, 1.0)], [(0.5, 2.0)]), 0.25, 0.5)
 
 
 def test_atoms_merge_within_tolerance():
@@ -117,8 +111,8 @@ def test_robin_bc_invariants():
     with pytest.raises(TypeError):
         RobinBC(-0.5, 1.0, validate=False)
     # the pair (-0.5, 1.0) is said by endpoint masses, and folds back
-    _, k0, k1 = fold_endpoint_atoms(Potential(atoms=(DeltaAtom(0.0, -0.5), DeltaAtom(1.0, 1.0))), RobinBC(0.0, 0.0))
-    assert (k0, k1) == (-0.5, 1.0)
+    q = Potential(atoms=(DeltaAtom(0.0, -0.5), DeltaAtom(1.0, 1.0)))
+    assert compile_arrays(q, RobinBC(0.0, 0.0))[3:] == (-0.5, 1.0)
 
 
 def test_json_round_trip():

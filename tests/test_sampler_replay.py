@@ -18,9 +18,9 @@ from robinsl import DeltaAtom, Potential, RobinBC, Segment
 from robinsl._kernels import propagate_step
 from robinsl.eigensolver import (
     _NONFINITE,
-    _effective_arrays,
     _sample_eigenfunction,
     _solve_arrays,
+    compile_arrays,
 )
 from robinsl.errors import NonFiniteState, RobinSLError
 
@@ -78,7 +78,7 @@ def _outcome(sampler, arrays, lam, xs):
 
 def _replays(q, bc, lam, grid_points):
     """The outcome of both samplers at lam, asserted equal; returns it."""
-    edges, vals, atomw, k0, k1 = arrays = _effective_arrays(q, bc)
+    edges, vals, atomw, k0, k1 = arrays = compile_arrays(q, bc)
     xs = np.union1d(np.linspace(0.0, 1.0, grid_points), edges)
     want = _outcome(_scalar_sample, arrays, lam, xs)
     got = _outcome(_sample_eigenfunction, arrays, lam, xs)
@@ -106,7 +106,7 @@ def test_random_potentials_replay(grid_points):
     kinds = {"ok": 0, "error": 0}
     for seed in range(256):
         q, bc, rng = _random_case(seed)
-        edges, vals, atomw, k0, k1 = _effective_arrays(q, bc)
+        edges, vals, atomw, k0, k1 = compile_arrays(q, bc)
         try:
             lam1 = _solve_arrays(edges, vals, atomw, k0, k1, 1e-10)[0]
         except RobinSLError:

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 import robinsl.serialize
 from robinsl import DeltaAtom, Potential, RobinBC, Segment, lambda1
 from robinsl.cli import main
-from robinsl.eigensolver import DEFAULT_GRID_POINTS
+from robinsl.eigensolver import DEFAULT_GRID as GRID
 from robinsl.serialize import csv_lines, dumps, fmt_float
 
 # ---- the per-value formatter, kept verbatim as the oracle -----------------
@@ -165,9 +165,8 @@ def test_eigen_formats_without_per_value_calls(tmp_path, capsys, monkeypatch, fm
 
 # ---- the default grid's kept row templates ----------------------------------
 
-GRID = np.linspace(0.0, 1.0, DEFAULT_GRID_POINTS)
 # grid indices whose value is one ulp off k/2000, so union1d keeps both
-ULP_OFF = [k for k in range(DEFAULT_GRID_POINTS) if GRID[k] != k / 2000]
+ULP_OFF = [k for k in range(len(GRID)) if GRID[k] != k / 2000]
 
 
 def one_percent(rows, cell_sep, row_open, row_close, row_sep):
@@ -227,7 +226,7 @@ def test_one_ulp_breakpoints_print_the_same_x_twice():
     # kept as printed: union1d keeps k/2000 and its one-ulp neighbour on the
     # grid, and at 12 digits both rows read the same x
     table = _table(ON_GRID["every k/2000"])
-    assert len(table) == DEFAULT_GRID_POINTS + len(ULP_OFF)
+    assert len(table) == len(GRID) + len(ULP_OFF)
     lines = csv_lines(["x", "y"], table).splitlines()[1:]
     xs = [line.split(",")[0] for line in lines]
     assert len(xs) - len(set(xs)) == len(ULP_OFF) == 282
@@ -236,8 +235,8 @@ def test_one_ulp_breakpoints_print_the_same_x_twice():
 @given(
     st.lists(
         st.floats(0.0, 1.0)
-        | st.integers(0, DEFAULT_GRID_POINTS - 1).map(lambda k: GRID[k])
-        | st.integers(0, DEFAULT_GRID_POINTS - 1).map(lambda k: k / 2000),
+        | st.integers(0, len(GRID) - 1).map(lambda k: GRID[k])
+        | st.integers(0, len(GRID) - 1).map(lambda k: k / 2000),
         max_size=12,
     ),
     st.integers(0, 2**32 - 1),
@@ -259,4 +258,4 @@ def test_grid_templates_are_built_once():
         csv_lines(["x", "y"], t)
     after = robinsl.serialize._grid_text.cache_info()
     assert after.misses == before.misses and after.hits == before.hits + 4
-    assert not robinsl.serialize._grid().flags.writeable
+    assert not robinsl.serialize.DEFAULT_GRID.flags.writeable

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 import robinsl._kernels as K
 from robinsl import JIT_ENABLED, DeltaAtom, Potential, RobinBC, Segment, delta_strength, sup_plus
-from robinsl.eigensolver import _effective_arrays, _solve_arrays, lambda1_value
+from robinsl.eigensolver import _solve_arrays, compile_arrays, lambda1_value
 from robinsl.extrema import _ATOMW0, _EDGES0, _MU_TOL, _VALS0, _eig0, left_half_eigenvalue, right_half_eigenvalue
 from robinsl.verify import _potential, _samples, sample_unit_mass
 
@@ -147,7 +147,7 @@ def test_replay_unit_mass_samples(pieces, concentrated):
         for sign in (1, -1):
             for i in range(42):
                 q = sample_unit_mass(pieces, 7919 * j + 31 * i + sign, sign, concentrated)
-                _certified_solve(_effective_arrays(q, bc), 1e-10)
+                _certified_solve(compile_arrays(q, bc), 1e-10)
 
 
 def test_replay_half_interval_problems():
@@ -183,14 +183,14 @@ def test_replay_strength_map_atoms():
     mus = [s * 10.0**e for e in np.linspace(-2.0, 4.0, 13) for s in (1.0, -1.0)]
     for key, q, bc in _strength_map_atoms(mus, (0.0, 0.1, 0.37, 0.5, 0.8, 1.0)):
         if key not in _NONFINITE_ATOMS:
-            _certified_solve(_effective_arrays(q, bc), 1e-10)
+            _certified_solve(compile_arrays(q, bc), 1e-10)
 
 
 @pytest.mark.parametrize("k0, k1, mu, zeta", _NONFINITE_ATOMS)
 def test_strength_map_atom_lost_to_cancellation(k0, k1, mu, zeta):
     bc = RobinBC(k0, k1)
     q = Potential(atoms=(DeltaAtom(zeta, delta_strength(mu, zeta, bc).value),))
-    _certified_solve(_effective_arrays(q, bc), 1e-10)
+    _certified_solve(compile_arrays(q, bc), 1e-10)
 
 
 @pytest.mark.skipif(JIT_ENABLED, reason="compiled kernels call shoot_kernel without the module lookup")
@@ -199,7 +199,7 @@ def test_reshot_of_a_vanished_state(monkeypatch):
     # cancels to a zero state past the atom; the kernel shoots again a
     # quarter stopping width toward the bracket's middle, once
     mu, zeta, bc = -2671.197966284571, 0.518542003680756, RobinBC(0.45343828558878474, 1.0743245926269425)
-    args = _effective_arrays(Potential(atoms=(DeltaAtom(zeta, delta_strength(mu, zeta, bc).value),)), bc)
+    args = compile_arrays(Potential(atoms=(DeltaAtom(zeta, delta_strength(mu, zeta, bc).value),)), bc)
     real, lost = K.shoot_kernel, []
 
     def counted(*a):
@@ -218,7 +218,7 @@ def test_deep_atom_certified():
     # the plain bisection's shot at lam = -160000, the eigenvalue to the last
     # bit, cancelled to a zero state; the kernel does not shoot there.  The
     # isolated atom's eigenvalue is -(800/2)**2 up to terms of order exp(-400)
-    args = _effective_arrays(Potential(atoms=(DeltaAtom(0.5, -800.0),)), RobinBC(0.25, 0.5))
+    args = compile_arrays(Potential(atoms=(DeltaAtom(0.5, -800.0),)), RobinBC(0.25, 0.5))
     assert abs(_certified_solve(args, 1e-10) + 160000.0) <= 1e-10 + 1e-13 * 160000.0
 
 
@@ -244,7 +244,7 @@ _DOUBLE_WELL = Potential(
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: the forward shot's rounding grows through the barrier")
 @pytest.mark.parametrize("tol", [1e-10, 1e-13])
 def test_double_well_certified(tol):
-    _certified_solve(_effective_arrays(_DOUBLE_WELL, RobinBC(0.0, 0.0)), tol)
+    _certified_solve(compile_arrays(_DOUBLE_WELL, RobinBC(0.0, 0.0)), tol)
 
 
 def _float_below(args, lam):
@@ -273,7 +273,7 @@ def test_replay_mixed_sign_potentials(q, bc, tol):
     # lambda1 must lie within b of the farthest probe lam +- k*b, k <= 256, at
     # which the float predicate disagrees with the exact one: the kernel then
     # misses only by the reach of its predicate's rounding
-    args = _effective_arrays(q, RobinBC(*bc))
+    args = compile_arrays(q, RobinBC(*bc))
     lam, _, status = K.lambda1_kernel(*args, tol)
     assert status == K.STATUS_OK, (args, tol)
     if _certified(args, lam, tol):
@@ -343,7 +343,7 @@ def test_certify_corrects_a_wrong_estimate(off):
         for sign in (1, -1):
             for i in range(4):
                 q = sample_unit_mass(8, 7919 * j + 31 * i + sign, sign, i % 2 == 1)
-                args = _effective_arrays(q, RobinBC(k0, k1))
+                args = compile_arrays(q, RobinBC(k0, k1))
                 (lam, _, status), log = _logged_kernel(args, 1e-10, wrong_angle)
                 assert status == K.STATUS_OK
                 _assert_certified(args, lam, 1e-10)
@@ -364,7 +364,7 @@ def test_search_up_from_a_start_below():
     for k0, k1 in BC_GRID6:
         lam0 = _eig0(k0, k1)
         for v in (1.0, -1.0):
-            args = _effective_arrays(Potential(segments=(Segment(0.0, 1.0, v),)), RobinBC(k0, k1))
+            args = compile_arrays(Potential(segments=(Segment(0.0, 1.0, v),)), RobinBC(k0, k1))
             (lam, _, status), log = _logged_kernel(args, 1e-10, start=lam0 + v)
             assert status == K.STATUS_OK
             _assert_certified(args, lam, 1e-10)
@@ -373,7 +373,7 @@ def test_search_up_from_a_start_below():
     # measured 6 of 12
     assert ups >= 4
     # a sample, from starts forced below lambda1: a stopping width to 100
-    args = _effective_arrays(sample_unit_mass(8, 7919, 1, False), RobinBC(0.25, 0.5))
+    args = compile_arrays(sample_unit_mass(8, 7919, 1, False), RobinBC(0.25, 0.5))
     lam1 = _certified_solve(args, 1e-10)
     for off in (1e-10, 1e-6, 1e-3, 1.0, 100.0):
         (lam, _, status), log = _logged_kernel(args, 1e-10, start=lam1 - off)
@@ -415,7 +415,7 @@ def test_half_eigenvalue_below_float_spacing_tolerance(side, zeta, bc):
 def test_strength_map_atoms_match_mpmath():
     for _, q, bc in _strength_map_atoms((-100.0, -10.0, -0.3, 0.0, 0.7, 5.0, 30.0), (0.1, 0.37, 0.5, 0.8)):
         for tol in (1e-10, 1e-13):
-            _assert_certified(_effective_arrays(q, bc), lambda1_value(q, bc, tol), tol)
+            _assert_certified(compile_arrays(q, bc), lambda1_value(q, bc, tol), tol)
 
 
 def test_plateau_matches_mpmath():
@@ -423,7 +423,7 @@ def test_plateau_matches_mpmath():
         bc = RobinBC(k0, k1)
         q = Potential(segments=sup_plus(bc).q_star.segments)
         for tol in (1e-10, 1e-13):
-            _assert_certified(_effective_arrays(q, bc), lambda1_value(q, bc, tol), tol)
+            _assert_certified(compile_arrays(q, bc), lambda1_value(q, bc, tol), tol)
 
 
 @pytest.mark.parametrize("depth", [-1e6, -1e7])
@@ -434,7 +434,7 @@ def test_deep_square_well_matches_mpmath(depth):
     # half-width a = 0.1: k sin(k a) = sqrt(-lam) cos(k a), k^2 = lam - depth
     q, bc = Potential(segments=(Segment(0.4, 0.6, depth),)), RobinBC(0.25, 0.5)
     lam = lambda1_value(q, bc, 1e-10)
-    _assert_certified(_effective_arrays(q, bc), lam, 1e-10)
+    _assert_certified(compile_arrays(q, bc), lam, 1e-10)
 
     def even_state(x):
         k = mpmath.sqrt(mpmath.mpf(x) - depth)
@@ -457,6 +457,6 @@ def test_lambda1_growth_starts_from_known_bounds():
         (Potential(segments=(Segment(0.4, 0.6, -1e7),)), RobinBC(0.25, 0.5), 4),
     ]
     for q, bc, shots in cases:
-        (_, _, status), log = _logged_kernel(_effective_arrays(q, bc), 1e-10)
+        (_, _, status), log = _logged_kernel(compile_arrays(q, bc), 1e-10)
         assert status == K.STATUS_OK
         assert _growth(log)[0] <= shots

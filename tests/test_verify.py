@@ -14,7 +14,7 @@ from robinsl import (
 )
 from robinsl._rng import derive_seeds, stream, stream_units
 from robinsl.extrema import _eig0
-from robinsl.potential import compile_arrays, fold_endpoint_atoms, potential_to_dict, total_integral
+from robinsl.potential import compile_arrays, potential_to_dict, total_integral
 from robinsl.verify import _potential, _samples
 
 
@@ -82,9 +82,9 @@ def test_sampler_tables_are_the_potential_tables():
         for pieces_max in (1, 8, 16, 64):
             for tag, sign in ((0, 1), (1, -1)):
                 for segs, tables, _ in _samples(20260809, tag, 0, 150, pieces_max, sign, concentrated, bc.k0sq, lam0):
-                    q, k0, k1 = fold_endpoint_atoms(_potential(segs), bc)
+                    *arrays, k0, k1 = compile_arrays(_potential(segs), bc)
                     assert (k0, k1) == (bc.k0sq, bc.k1sq)
-                    for got, want in zip(tables, compile_arrays(q)):
+                    for got, want in zip(tables, arrays):
                         assert all(type(x) is float for x in got)
                         assert struct.pack(f"{len(got)}d", *got) == struct.pack(f"{len(want)}d", *want)
 

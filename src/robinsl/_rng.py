@@ -44,6 +44,6 @@ def stream(seeds, skip: int, count: int) -> np.ndarray:
     return _mix(_as_seeds(seeds)[:, None] + k * _GAMMA)
 
 
-def stream_units(seeds, skip: int, count: int) -> list:
-    """The outputs of :func:`stream` as uniform doubles in (0, 1], ((z >> 11) + 1) * 2**-53 each, as lists."""
-    return (((stream(seeds, skip, count) >> 11) + 1) * _UNIT).tolist()
+def units(z: np.ndarray) -> np.ndarray:
+    """Outputs z of :func:`stream` as uniform doubles in (0, 1], ((z >> 11) + 1) * 2**-53 each."""
+    return ((z >> 11) + 1) * _UNIT

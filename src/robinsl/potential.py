@@ -253,6 +253,17 @@ def cell_tables(segments, atoms=()):
     return edges, vals, atomw
 
 
+def spaced_lanes(edges: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Whether each row of edges has :func:`cell_tables`' direct tables.
+
+    Row r holds the edges [0, *points, 1] of end-to-end segments in its
+    first n[r] entries, padded with 1.  Its direct tables hold when every
+    edge is more than MERGE_TOL from the next.
+    """
+    gaps = edges[:, 1:] - edges[:, :-1]
+    return ((gaps > MERGE_TOL) | (np.arange(gaps.shape[1]) >= n[:, None] - 1)).all(axis=1)
+
+
 def potential_to_dict(q: Potential) -> dict:
     """JSON-schema dict: {"segments": [{"l", "r", "v"}], "atoms": [{"z", "w"}]}."""
     return {

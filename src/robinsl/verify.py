@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import derive_seeds, stream, stream_units
+from ._rng import derive_seeds, stream, units
 from .eigensolver import DEFAULT_TOL, _solve_arrays, lambda1_value
 from .errors import ZeroMass
 from .extrema import KINDS, _eig0, _makers, all_extrema
@@ -25,6 +25,7 @@ from .potential import (
     combine,
     delta_approx,
     potential_to_dict,
+    spaced_lanes,
 )
 
 #: slack allowed before a sample counts as violating a bound
@@ -32,8 +33,8 @@ BOUND_TOL = 1e-7
 _TWO_PI = 2.0 * math.pi
 #: attempts at a sample with mass before ZeroMass
 _TRIES = 100
-#: samples per numpy pass of check_bounds' streams and starts; a larger
-#: block holds more uniforms as Python floats at once
+#: samples per numpy pass of check_bounds' streams, draws and starts; a
+#: larger block holds more lanes' cell tables as Python floats at once
 _BLOCK = 32
 
 
@@ -54,96 +55,131 @@ def _count(pieces: int, concentrated: bool) -> int:
     return 3 * pieces + (0 if concentrated else 1)
 
 
-def _segments(u: list, pieces: int, sign: int, concentrated: bool):
-    """The (left, right, value) segments of one attempt on the uniforms u, or None.
+def _block(u: np.ndarray, pieces: list, sign: int, concentrated: bool):
+    """Attempts at samples of the given sign, one per row of the uniforms u, as lane arrays.
 
-    u holds _count(pieces, concentrated) uniforms: breakpoints, then a
-    Box-Muller pair per height.  The segments come sorted, scaled to
-    integral sign; None when no mass is left to scale.
+    Row r takes the first _count(pieces[r], concentrated) uniforms of u[r]:
+    breakpoints, then a Box-Muller pair per height (in concentrated mode
+    every row has the same piece count).  A cell is kept when it is wider
+    than 1e-14 and its height is positive; the kept cells, their values
+    scaled to integral sign, are the attempt's segments.
+
+    Returns (edges, vals, odd).  A row whose cells are all kept, with
+    breakpoints spaced for :func:`cell_tables`' direct tables, holds those
+    tables: edges [0, *breakpoints, 1] padded with 1, vals [0, *values, 0]
+    padded with 0.  Every other row is a key of odd, whose value is its
+    segments as (left, right, value) tuples, or None when no mass is left to
+    scale.  Each number has the bits of a scalar loop over the row: the
+    breakpoints sort exactly, numpy's sqrt and cos round as math's do,
+    math.log is mapped over the height uniforms (numpy's log differs in the
+    last bit), and the mass is summed cell by cell in order.
     """
+    rows, top = len(pieces), max(pieces)
+    p = np.array(pieces)[:, None]
+    valid = np.arange(top) < p
     if concentrated:
         # support pinned to a window of width exactly 1/pieces at a random
         # center, so larger piece counts concentrate the unit mass harder
-        width = 1.0 / pieces
-        left = u[0] * (1.0 - width)
-        inner = sorted(left + x * width for x in u[1:pieces])
-        pts = [left] + inner + [left + width]
+        width = 1.0 / top
+        left = u[:, :1] * (1.0 - width)
+        pts = np.hstack([left, np.sort(left + u[:, 1:top] * width), left + width])
     else:
-        pts = sorted(u[: pieces + 1])
+        # a row's breakpoints are its first pieces + 1 uniforms; the columns
+        # past them are set to 1, no less than any uniform, and sort last
+        pts = u[:, : top + 1].copy()
+        pts[np.arange(top + 1) > p] = 1.0
+        pts.sort()
     # |N(0, 1)| by Box-Muller, from two uniforms each
-    heights = [
-        abs(math.sqrt(-2.0 * math.log(u[j])) * math.cos(_TWO_PI * u[j + 1]))
-        for j in range(len(u) - 2 * pieces, len(u), 2)
-    ]
-    raw = [
-        (l, r, sign * h)
-        for l, r, h in zip(pts, pts[1:], heights)
-        if r - l > 1e-14 and h > 0.0
-    ]
-    tot = 0.0
-    for l, r, v in raw:
-        tot += v * (r - l)
-    if tot == 0.0:
-        return None
-    c = sign / tot
-    return [(l, r, v * c) for l, r, v in raw]
+    lane, cell = valid.nonzero()
+    j = (p[:, 0] + (0 if concentrated else 1))[lane] + 2 * cell
+    log = np.fromiter(map(math.log, u[lane, j].tolist()), float, len(j))
+    heights = np.zeros((rows, top))
+    heights[valid] = np.abs(np.sqrt(-2.0 * log) * np.cos(_TWO_PI * u[lane, j + 1]))
+    widths = pts[:, 1:] - pts[:, :-1]
+    kept = (widths > 1e-14) & (heights > 0.0)
+    values = sign * heights
+    tot = np.zeros(rows)
+    for mass in (values * widths * kept).T:
+        tot += mass
+    empty = tot == 0.0
+    tot[empty] = 1.0
+    values *= (sign / tot)[:, None]
+    values[~valid] = 0.0
+    edges = np.ones((rows, top + 3))
+    edges[:, 0] = 0.0
+    edges[:, 1:-1] = pts
+    vals = np.zeros((rows, top + 2))
+    vals[:, 1:-1] = values
+    direct = (kept == valid).all(axis=1) & spaced_lanes(edges, p[:, 0] + 3)
+    odd = {}
+    for r in (~direct).nonzero()[0].tolist():
+        if empty[r]:
+            odd[r] = None
+        else:
+            x, v, k = pts[r].tolist(), values[r].tolist(), kept[r].tolist()
+            odd[r] = [(x[i], x[i + 1], v[i]) for i in range(pieces[r]) if k[i]]
+    return edges, vals, odd
+
+
+def _row_segments(edges: list, vals: list) -> list:
+    """The segments of a lane holding direct tables: cell k + 1 is segment k."""
+    return list(zip(edges[1:-2], edges[2:-1], vals[1:-1]))
 
 
 def _draw(seed: int, skip: int, pieces: int, sign: int, concentrated: bool, tries: int = _TRIES) -> list:
-    """The segments of one sample: attempts of :func:`_segments`, each on the
-    next uniforms of seed's stream, the first after its first skip outputs.
+    """The segments of one sample: attempts of :func:`_block` on one row,
+    each on the next uniforms of seed's stream, the first after its first
+    skip outputs.
 
     Raises ZeroMass when none of the tries leaves mass.
     """
     c = _count(pieces, concentrated)
     for t in range(tries):
-        (u,) = stream_units(seed, skip + t * c, c)
-        segs = _segments(u, pieces, sign, concentrated)
+        edges, vals, odd = _block(units(stream(seed, skip + t * c, c)), [pieces], sign, concentrated)
+        segs = odd[0] if odd else _row_segments(edges[0].tolist(), vals[0].tolist())
         if segs is not None:
             return segs
     raise ZeroMass("could not draw a potential with positive mass")
 
 
-def _first_order_starts(tables: list, k0sq: float, lam0: float) -> list:
+def _first_order_starts(edges: np.ndarray, vals: np.ndarray, k0sq: float, lam0: float) -> list:
     """First-order estimates of the first eigenvalue about the zero potential.
 
-    tables holds the atom-free (edges, vals, atomw) cell tables of each
-    sample.  lam0 must be the first eigenvalue of the zero potential under
-    the same coefficients, and lam0 >= 0 (so k0sq, k1sq >= 0).  Its
-    eigenfunction y0 = cos(s*x) + k0sq*sin(s*x)/s, s = sqrt(lam0)
-    (y0 = 1 + k0sq*x at lam0 = 0), gives lam0 + (sum of vals[i] * the
-    integral of y0^2 over cell i) / the integral of y0^2 over [0, 1].
+    Row r of edges and vals holds the atom-free cell tables of sample r,
+    padded with empty cells at 1.  lam0 must be the first eigenvalue of the
+    zero potential under the same coefficients, and lam0 >= 0 (so k0sq,
+    k1sq >= 0).  Its eigenfunction y0 = cos(s*x) + k0sq*sin(s*x)/s,
+    s = sqrt(lam0) (y0 = 1 + k0sq*x at lam0 = 0), gives lam0 + (sum of
+    vals[i] * the integral of y0^2 over cell i) / the integral of y0^2 over
+    [0, 1].
 
-    One numpy pass serves all samples: the tables are padded to one width
-    with empty cells at 1, and the sum runs cell by cell, in the order of a
-    scalar loop, so each start has the bits of that loop.
+    One numpy pass serves all samples: the sum runs cell by cell, in the
+    order of a scalar loop, so each start has the bits of that loop.
     """
-    width = max(len(edges) for edges, _, _ in tables)
-    x = np.array([edges + [1.0] * (width - len(edges)) for edges, _, _ in tables])
-    v = np.array([vals + [0.0] * (width - 1 - len(vals)) for _, vals, _ in tables])
     s = math.sqrt(lam0) if lam0 > 0.0 else 0.0
     if s > 0.0:
         b = k0sq / s
-        sn = np.sin(s * x)
-        cn = np.cos(s * x)
-        big = 0.5 * (1.0 + b * b) * x + (0.5 * (1.0 - b * b) * cn + b * sn) * sn / s
+        sn = np.sin(s * edges)
+        cn = np.cos(s * edges)
+        big = 0.5 * (1.0 + b * b) * edges + (0.5 * (1.0 - b * b) * cn + b * sn) * sn / s
     else:
-        big = x * (1.0 + k0sq * x * (1.0 + k0sq * x / 3.0))
-    num = np.zeros(len(tables))
-    for cell in (v * (big[:, 1:] - big[:, :-1])).T:
+        big = edges * (1.0 + k0sq * edges * (1.0 + k0sq * edges / 3.0))
+    num = np.zeros(len(edges))
+    for cell in (vals * (big[:, 1:] - big[:, :-1])).T:
         num += cell
     return (lam0 + num / big[:, -1]).tolist()
 
 
-def _samples(seed, tag, start, stop, pieces_max, sign, concentrated, k0sq, lam0):
-    """Yield (segments, cell tables, first-order start) of samples start..stop-1 of class tag.
+def _lanes(seed, tag, start, stop, pieces_max, sign, concentrated, k0sq, lam0):
+    """Yield (cell tables, first-order starts, segments) of each block of samples start..stop-1 of class tag.
 
     Sample i draws on the stream of its sub-seed, ``derive_seeds(seed, tag,
-    i, i + 1)``, so ``next(_samples(seed, tag, i, i + 1, ...))`` draws it
-    again as check_bounds does.  Each block of _BLOCK samples takes its
-    sub-seeds, piece counts and uniforms from numpy uint64 passes over its
-    streams, and its starts from one numpy pass over its tables; every
-    number is the one a sample drawn alone gets.
+    i, i + 1)``.  A block of _BLOCK samples takes its sub-seeds, piece
+    counts and uniforms from one numpy uint64 pass over its streams, its
+    draws from one :func:`_block`, and its starts from one numpy pass over
+    its padded tables; every number is the one a sample drawn alone gets.
+    A sample's segments are None where they are its tables' cells (see
+    :func:`_row_segments`), built only when asked for.
     """
     for lo in range(start, stop, _BLOCK):
         seeds = derive_seeds(seed, tag, lo, min(stop, lo + _BLOCK))
@@ -151,23 +187,53 @@ def _samples(seed, tag, start, stop, pieces_max, sign, concentrated, k0sq, lam0)
             # concentrated mode pins the piece count so the support window
             # width 1/pieces_max shrinks as pieces_max grows
             skip, pieces = 0, [pieces_max] * len(seeds)
+            u = units(stream(seeds, 0, 3 * pieces_max))
         else:
             # the piece count is each stream's first output
-            skip, pieces = 1, [1 + z % pieces_max for z in stream(seeds, 0, 1).ravel().tolist()]
-        counts = [_count(p, concentrated) for p in pieces]
-        drawn = []
-        for sub, p, c, u in zip(seeds.tolist(), pieces, counts, stream_units(seeds, skip, max(counts))):
-            segs = _segments(u[:c], p, sign, concentrated)
+            raw = stream(seeds, 0, 3 * pieces_max + 2)
+            skip, pieces = 1, [1 + z % pieces_max for z in raw[:, 0].tolist()]
+            u = units(raw[:, 1:])
+        edges, vals, odd = _block(u, pieces, sign, concentrated)
+        n = [p + 3 for p in pieces]
+        segments = [None] * len(n)
+        for r, segs in odd.items():
             if segs is None:
                 # the next attempts go on along the same stream
-                segs = _draw(sub, skip + c, p, sign, concentrated, _TRIES - 1)
-            drawn.append(segs)
-        tables = [cell_tables(segs) for segs in drawn]
-        yield from zip(drawn, tables, _first_order_starts(tables, k0sq, lam0))
+                c = _count(pieces[r], concentrated)
+                segs = _draw(int(seeds[r]), skip + c, pieces[r], sign, concentrated, _TRIES - 1)
+            e, v, _ = cell_tables(segs)
+            edges[r], vals[r], n[r] = 1.0, 0.0, len(e)
+            edges[r, : len(e)], vals[r, : len(v)] = e, v
+            segments[r] = segs
+        tables = [(e[:m], v[: m - 1], [0.0] * m) for e, v, m in zip(edges.tolist(), vals.tolist(), n)]
+        yield tables, _first_order_starts(edges, vals, k0sq, lam0), segments
+
+
+def _samples(seed, tag, start, stop, pieces_max, sign, concentrated, k0sq, lam0):
+    """Yield (segments, cell tables, first-order start) of samples start..stop-1 of class tag.
+
+    The samples of :func:`_lanes`, one at a time, so ``next(_samples(seed,
+    tag, i, i + 1, ...))`` draws sample i again as check_bounds does.
+    """
+    for tables, starts, segments in _lanes(seed, tag, start, stop, pieces_max, sign, concentrated, k0sq, lam0):
+        for t, s, segs in zip(tables, starts, segments):
+            yield (_row_segments(*t[:2]) if segs is None else segs), t, s
 
 
 def _potential(segments) -> Potential:
     return Potential(segments=tuple(Segment(l, r, v) for l, r, v in segments))
+
+
+def regenerate(seed: int, tag: int, index: int, pieces_max: int, concentrated: bool = False) -> Potential:
+    """Sample index of class tag (0 for +, 1 for -) as :func:`check_bounds` drew it under seed and pieces_max."""
+    if tag not in (0, 1):
+        raise ValueError(f"tag must be 0 or 1, got {tag}")
+    if index < 0:
+        raise ValueError(f"index must be >= 0, got {index}")
+    if not 1 <= pieces_max <= 64:
+        raise ValueError(f"pieces_max must lie in 1..64, got {pieces_max}")
+    segs = next(_samples(seed, tag, index, index + 1, pieces_max, 1 - 2 * tag, concentrated, 0.0, 0.0))[0]
+    return _potential(segs)
 
 
 def sample_unit_mass(pieces: int, seed: int, sign: int, concentrated: bool = False) -> Potential:
@@ -176,7 +242,9 @@ def sample_unit_mass(pieces: int, seed: int, sign: int, concentrated: bool = Fal
     Draws pieces+1 breakpoints uniformly (inside a shrinking window when
     ``concentrated``), heights |N(0,1)|, and normalizes the total integral to
     ``sign``.  The stream is splitmix64 seeded with ``seed`` (wrapped to 64
-    bits), so identical arguments reproduce the identical potential.
+    bits), so identical arguments reproduce the identical potential.  A
+    sample of :func:`check_bounds` draws on a sub-seed of its run's seed;
+    :func:`regenerate` draws it again.
     """
     if not 1 <= pieces <= 64:
         raise ValueError("pieces must lie in 1..64")
@@ -196,11 +264,11 @@ def check_bounds(
 
     Sample i of class tag (0 for +, 1 for -) draws its piece count and shape
     from the stream of its sub-seed ``derive_seeds(seed, tag, i, i + 1)``,
-    so any violating sample can be regenerated from the report's seed alone,
-    by the same code.  A sample's cell tables are built from its drawn
-    segments, and its solve starts from first-order perturbation about the
-    zero potential, a block of samples at a time (see ``_samples``); only a
-    violating sample becomes a Potential, for the report.  Violations are
+    so any sample can be drawn again from the report's seed alone, by the
+    same code, as :func:`regenerate` does.  Samples are drawn, tabled and
+    started from first-order perturbation about the zero potential a block
+    at a time, as lane arrays (see ``_lanes``); only a violating sample
+    becomes a Potential, for the report.  Violations are
     recorded, not raised.  n = 0 gives an empty report; a negative n, or a
     pieces_max outside 1..64 (the piece counts ``sample_unit_mass``
     accepts), raises ValueError.
@@ -221,26 +289,27 @@ def check_bounds(
     ):
         lo = ext[lo_kind].value
         hi = ext[hi_kind].value
-        for segs, (edges, vals, atomw), start in _samples(seed, tag, 0, n, pieces_max, sign, concentrated, k0, lam0):
-            lam = _solve_arrays(edges, vals, atomw, k0, k1, DEFAULT_TOL, start)[0]
-            report.n_samples += 1
-            if report.min_seen is None or lam < report.min_seen:
-                report.min_seen = lam
-            if report.max_seen is None or lam > report.max_seen:
-                report.max_seen = lam
+        for tables, starts, segments in _lanes(seed, tag, 0, n, pieces_max, sign, concentrated, k0, lam0):
+            lams = [_solve_arrays(*t, k0, k1, DEFAULT_TOL, s)[0] for t, s in zip(tables, starts)]
+            report.n_samples += len(lams)
+            # min, max and the distances are exact, so a block's bookkeeping
+            # gives the numbers of one sample at a time
+            least, most = min(lams), max(lams)
+            if report.min_seen is None or least < report.min_seen:
+                report.min_seen = least
+            if report.max_seen is None or most > report.max_seen:
+                report.max_seen = most
+            lam = np.array(lams)
             for kind in (lo_kind, hi_kind):
-                gap = abs(lam - ext[kind].value)
+                gap = float(np.abs(lam - ext[kind].value).min())
                 if gaps[kind] is None or gap < gaps[kind]:
                     gaps[kind] = gap
-            if lam < lo - BOUND_TOL:
-                bound, gap = lo_kind, lo - lam
-            elif lam > hi + BOUND_TOL:
-                bound, gap = hi_kind, lam - hi
-            else:
-                continue
-            report.violations.append(
-                {"potential": potential_to_dict(_potential(segs)), "lambda1": lam, "bound": bound, "gap": gap}
-            )
+            for i in ((lam < lo - BOUND_TOL) | (lam > hi + BOUND_TOL)).nonzero()[0].tolist():
+                bound, gap = (lo_kind, lo - lams[i]) if lams[i] < lo - BOUND_TOL else (hi_kind, lams[i] - hi)
+                segs = _row_segments(*tables[i][:2]) if segments[i] is None else segments[i]
+                report.violations.append(
+                    {"potential": potential_to_dict(_potential(segs)), "lambda1": lams[i], "bound": bound, "gap": gap}
+                )
     report.extremum_gaps = gaps
     return report
 

@@ -22,7 +22,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from robinsl._rng import derive_seeds, stream, stream_units
+from robinsl._rng import derive_seeds, stream, units
 from robinsl.cli import main
 
 MASK = (1 << 64) - 1
@@ -58,9 +58,9 @@ def test_array_stream_is_the_scalar_stream():
     seeds = np.array(SEEDS, dtype=np.uint64)
     for skip in (0, 1):
         raw = stream(seeds, skip, N_OUT - skip).tolist()
-        units = stream_units(seeds, skip, N_OUT - skip)
-        assert len(raw) == len(units) == len(SEEDS)
-        for seed, row, urow in zip(SEEDS, raw, units):
+        urows = units(stream(seeds, skip, N_OUT - skip)).tolist()
+        assert len(raw) == len(urows) == len(SEEDS)
+        for seed, row, urow in zip(SEEDS, raw, urows):
             want = _scalar_stream(seed, N_OUT)[skip:]
             assert row == want, (seed, skip)
             assert urow == [((z >> 11) + 1) * 2.0**-53 for z in want], (seed, skip)

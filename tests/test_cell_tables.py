@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robinsl import DeltaAtom, Potential, RobinBC, Segment
-from robinsl._rng import derive_seeds, stream, stream_units
+from robinsl._rng import derive_seeds, stream, units
 from robinsl.potential import MERGE_TOL, cell_tables, compile_arrays, total_integral
 from robinsl.verify import _samples, sample_unit_mass
 
@@ -264,7 +264,7 @@ def test_direct_tables_of_a_drawn_sample():
 def _units(seed, skip):
     # the uniforms of seed's stream after its first skip outputs, one at a time
     while True:
-        yield from stream_units(seed, skip, 64)[0]
+        yield from units(stream(seed, skip, 64))[0].tolist()
         skip += 64
 
 

@@ -12,10 +12,11 @@ from robinsl import (
     check_bounds,
     sample_unit_mass,
 )
-from robinsl._rng import derive_seeds, stream, stream_units
+from robinsl._rng import derive_seeds, stream, units
 from robinsl.extrema import _eig0
 from robinsl.potential import compile_arrays, potential_to_dict, total_integral
-from robinsl.verify import _potential, _samples
+from robinsl.verify import _potential, _samples, regenerate
+from test_block_draw import _segments
 
 
 def _sha256(obj):
@@ -137,37 +138,60 @@ def test_reports_pinned(pieces_max, concentrated):
 def test_failed_first_attempt_draws_on(monkeypatch, concentrated):
     # a first attempt with no mass goes on with _draw's next attempt, on the
     # uniforms that follow it in the same stream: the sample is the second
-    # attempt's
+    # attempt's.  The block draw reports the first lane of the first block
+    # massless, as it reports a row whose heights are all 0
     import robinsl.verify as V
 
-    real_segments, real_extrema = V._segments, V.all_extrema
+    real_block, real_extrema = V._block, V.all_extrema
     failed = []
 
-    def fail_once(*args):
+    def fail_once(u, pieces, sign, concentrated):
+        edges, vals, odd = real_block(u, pieces, sign, concentrated)
         if not failed:
-            failed.append(args)
-            return None
-        return real_segments(*args)
+            failed.append((u[0].tolist(), pieces[0], sign, concentrated))
+            odd[0] = None
+        return edges, vals, odd
 
     def unreachable(bc):
         return [dataclasses.replace(r, value=1e9 if r.kind[0] == "m" else -1e9) for r in real_extrema(bc)]
 
-    monkeypatch.setattr(V, "_segments", fail_once)
+    monkeypatch.setattr(V, "_block", fail_once)
     monkeypatch.setattr(V, "all_extrema", unreachable)
     report = check_bounds(RobinBC(0.25, 0.5), 3, 16, 7, concentrated)
     sub = derive_seeds(7, 0, 0, 1)
     skip, pieces = (0, 16) if concentrated else (1, 1 + stream(sub, 0, 1).item() % 16)
     count = 3 * pieces + (0 if concentrated else 1)
     assert list(failed[0][1:]) == [pieces, 1, concentrated]
-    (u,) = stream_units(sub, skip, 2 * count)
-    assert failed[0][0] == u[:count]
-    want = real_segments(u[count:], pieces, 1, concentrated)
+    (u,) = units(stream(sub, skip, 2 * count)).tolist()
+    assert failed[0][0][:count] == u[:count]
+    want = _segments(u[count:], pieces, 1, concentrated)
     assert report.violations[0]["potential"] == potential_to_dict(_potential(want))
     # the other samples are drawn as without the failure
-    monkeypatch.setattr(V, "_segments", real_segments)
+    monkeypatch.setattr(V, "_block", real_block)
     again = check_bounds(RobinBC(0.25, 0.5), 3, 16, 7, concentrated)
     assert again.violations[1:] == report.violations[1:]
     assert again.violations[0] != report.violations[0]
+
+
+@pytest.mark.parametrize("concentrated", [False, True])
+def test_violations_regenerate(monkeypatch, concentrated):
+    # every violation of a report names its sample by (seed, tag, index);
+    # regenerate draws that sample's potential again, as the schema dict
+    import robinsl.verify as V
+
+    real = V.all_extrema
+
+    def unreachable(bc):
+        return [dataclasses.replace(r, value=1e9 if r.kind[0] == "m" else -1e9) for r in real(bc)]
+
+    monkeypatch.setattr(V, "all_extrema", unreachable)
+    for pieces_max in (1, 16, 64):
+        report = check_bounds(RobinBC(0.25, 0.5), 40, pieces_max, 7, concentrated)
+        assert len(report.violations) == 80
+        for k, v in enumerate(report.violations):
+            tag, index = divmod(k, 40)
+            q = regenerate(report.seed, tag, index, pieces_max, concentrated)
+            assert potential_to_dict(q) == v["potential"], (pieces_max, tag, index)
 
 
 def test_sample_is_deterministic():

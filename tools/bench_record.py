@@ -1,0 +1,130 @@
+#!/usr/bin/env python3
+"""Record the benchmark of BENCHMARK.json into a BENCH_*.json file.
+
+Usage, from the repository root:
+
+    python3 tools/bench_record.py --out BENCH_21.json
+    python3 tools/bench_record.py --out BENCH_21.json --against HEAD~1
+
+Each run is ``python3 perfbench/run.py`` in a child process; the last JSON
+line of its stdout is its result.  Every run lasts BENCHMARK.json's
+run_seconds.  Without --against, the working tree runs each workload ten
+times at --trace 0, plus one --trace 1 run, which traces every workload.
+With --against REV, the committed files of REV are extracted (``git
+archive``) into a temporary directory outside the repository, and the two
+sides run in ten alternating pairs: pair i runs both sides at seed i + 1,
+the working tree first in even pairs and REV first in odd ones.  The file
+holds each side's runs, median and quartiles per metric
+and workload, the pairs each side won, the machine facts that run.py prints
+and ``cat src/robinsl/*.py | wc -l`` of each side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+
+
+def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run in root: its result, and the machine facts it printed."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
+    machine = next((json.loads(line[len("machine: ") :]) for line in out if line.startswith("machine: ")), None)
+    result = json.loads(next(line for line in reversed(out) if line.startswith("{")))
+    return {"machine": machine, "failed": result["failed"], "attempted": result["attempted"], "metrics": result["metrics"]}
+
+
+def _lines(root: Path) -> int:
+    # cat src/robinsl/*.py | wc -l
+    return sum(p.read_bytes().count(b"\n") for p in sorted((root / "src" / "robinsl").glob("*.py")))
+
+
+def _summary(values: list) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "runs": values}
+
+
+def _record(sides: dict, bench: dict) -> dict:
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    names = list(sides)
+    runs = {name: {w["name"]: [] for w in bench["workloads"]} for name in names}
+    machine = None
+    for i in range(PAIRS):
+        order = names if i % 2 == 0 else names[::-1]
+        for workload in runs[names[0]]:
+            for name in order:
+                r = _run(sides[name], workload, i + 1, seconds, 0)
+                machine = machine or r["machine"]
+                runs[name][workload].append(r)
+                print(f"pair {i + 1}/{PAIRS} {workload} {name}: {json.dumps({k: v['value'] for k, v in r['metrics'].items()})}", file=sys.stderr, flush=True)
+    workloads = {}
+    for workload in runs[names[0]]:
+        entry = {"failed": {name: [r["failed"] for r in runs[name][workload]] for name in names}, "metrics": {}}
+        for metric, direction in better.items():
+            values = {name: [r["metrics"][metric]["value"] for r in runs[name][workload]] for name in names}
+            m = {name: _summary(values[name]) for name in names}
+            m["better"] = direction
+            if len(names) == 2:
+                head, base = (values[name] for name in names)
+                sign = 1.0 if direction == "higher" else -1.0
+                m["pairs_won"] = {
+                    names[0]: sum(sign * (a - b) > 0 for a, b in zip(head, base)),
+                    names[1]: sum(sign * (b - a) > 0 for a, b in zip(head, base)),
+                }
+                m["median_change"] = m[names[0]]["median"] - m[names[1]]["median"]
+                m["base_iqr"] = m[names[1]]["q3"] - m[names[1]]["q1"]
+            entry["metrics"][metric] = m
+        workloads[workload] = entry
+    traced = {}
+    for name in names:
+        r = _run(sides[name], bench["workloads"][0]["name"], 1, seconds, 1)
+        traced[name] = {"failed": r["failed"], "attempted": r["attempted"],
+                        "metrics": {k: v["value"] for k, v in r["metrics"].items()}}
+    return {
+        "machine": machine,
+        "pairs": PAIRS,
+        "run_seconds": seconds,
+        "src_lines": {name: _lines(root) for name, root in sides.items()},
+        "workloads": workloads,
+        "trace": traced,
+    }
+
+
+def main():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--out", required=True, help="file to write, e.g. BENCH_21.json")
+    ap.add_argument("--against", metavar="REV", help="a git revision to compare the working tree with")
+    args = ap.parse_args()
+    tmp = None
+    try:
+        sides = {"head": ROOT}
+        if args.against:
+            tmp = Path(tempfile.mkdtemp(prefix="bench_record_"))
+            archive = subprocess.run(["git", "archive", args.against], cwd=ROOT, capture_output=True, check=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive, check=True)
+            sides["base"] = tmp
+        record = _record(sides, bench)
+        if args.against:
+            record["against"] = subprocess.run(
+                ["git", "rev-parse", args.against], cwd=ROOT, capture_output=True, text=True, check=True
+            ).stdout.strip()
+        (ROOT / args.out).write_text(json.dumps(record, indent=1) + "\n")
+    finally:
+        if tmp is not None:
+            shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    main()

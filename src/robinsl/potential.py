@@ -216,17 +216,7 @@ def cell_tables(segments, atoms=()):
     The tables are lists of Python floats: the pure kernels index them once
     per cell per shot, and a float read from a list avoids numpy's scalar
     overhead on every later operation.
-
-    Atom-free segments that meet end to end, with every point more than
-    MERGE_TOL from the next and from 0 and 1 (as drawn samples nearly always
-    are), give the merge's tables directly: edges [0, *points, 1], vals
-    [0, *values, 0].
     """
-    if segments and not atoms:
-        lefts, rights, values = zip(*segments)
-        edges = [0.0, lefts[0], *rights, 1.0]
-        if lefts[1:] == rights[:-1] and all(b - a > MERGE_TOL for a, b in zip(edges, edges[1:])):
-            return edges, [0.0, *values, 0.0], [0.0] * len(edges)
     pts = {0.0, 1.0}
     for l, r, _ in segments:
         pts.add(l)
@@ -254,11 +244,11 @@ def cell_tables(segments, atoms=()):
 
 
 def spaced_lanes(edges: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Whether each row of edges has :func:`cell_tables`' direct tables.
+    """Whether :func:`cell_tables` would keep each row of edges as it is.
 
     Row r holds the edges [0, *points, 1] of end-to-end segments in its
-    first n[r] entries, padded with 1.  Its direct tables hold when every
-    edge is more than MERGE_TOL from the next.
+    first n[r] entries, padded with 1.  The merge keeps them when every edge
+    is more than MERGE_TOL from the next.
     """
     gaps = edges[:, 1:] - edges[:, :-1]
     return ((gaps > MERGE_TOL) | (np.arange(gaps.shape[1]) >= n[:, None] - 1)).all(axis=1)

@@ -65,14 +65,14 @@ def _block(u: np.ndarray, pieces: list, sign: int, concentrated: bool):
     scaled to integral sign, are the attempt's segments.
 
     Returns (edges, vals, odd).  A row whose cells are all kept, with
-    breakpoints spaced for :func:`cell_tables`' direct tables, holds those
-    tables: edges [0, *breakpoints, 1] padded with 1, vals [0, *values, 0]
-    padded with 0.  Every other row is a key of odd, whose value is its
-    segments as (left, right, value) tuples, or None when no mass is left to
-    scale.  Each number has the bits of a scalar loop over the row: the
-    breakpoints sort exactly, numpy's sqrt and cos round as math's do,
-    math.log is mapped over the height uniforms (numpy's log differs in the
-    last bit), and the mass is summed cell by cell in order.
+    breakpoints more than MERGE_TOL apart (see :func:`spaced_lanes`), holds
+    its cell tables: edges [0, *breakpoints, 1] padded with 1, vals
+    [0, *values, 0] padded with 0.  Every other row is a key of odd, whose
+    value is its segments as (left, right, value) tuples, or None when no
+    mass is left to scale.  Each number has the bits of a scalar loop over
+    the row: the breakpoints sort exactly, numpy's sqrt and cos round as
+    math's do, math.log is mapped over the height uniforms (numpy's log
+    differs in the last bit), and the mass is summed cell by cell in order.
     """
     rows, top = len(pieces), max(pieces)
     p = np.array(pieces)[:, None]
@@ -121,11 +121,6 @@ def _block(u: np.ndarray, pieces: list, sign: int, concentrated: bool):
     return edges, vals, odd
 
 
-def _row_segments(edges: list, vals: list) -> list:
-    """The segments of a lane holding direct tables: cell k + 1 is segment k."""
-    return list(zip(edges[1:-2], edges[2:-1], vals[1:-1]))
-
-
 def _draw(seed: int, skip: int, pieces: int, sign: int, concentrated: bool, tries: int = _TRIES) -> list:
     """The segments of one sample: attempts of :func:`_block` on one row,
     each on the next uniforms of seed's stream, the first after its first
@@ -136,10 +131,27 @@ def _draw(seed: int, skip: int, pieces: int, sign: int, concentrated: bool, trie
     c = _count(pieces, concentrated)
     for t in range(tries):
         edges, vals, odd = _block(units(stream(seed, skip + t * c, c)), [pieces], sign, concentrated)
-        segs = odd[0] if odd else _row_segments(edges[0].tolist(), vals[0].tolist())
+        e, v = edges[0].tolist(), vals[0].tolist()
+        # a row holding its cell tables: cell k + 1 is segment k
+        segs = odd[0] if odd else list(zip(e[1:-2], e[2:-1], v[1:-1]))
         if segs is not None:
             return segs
     raise ZeroMass("could not draw a potential with positive mass")
+
+
+def _layout(seeds: np.ndarray, pieces_max: int, concentrated: bool):
+    """(skip, piece counts, first attempts' uniforms) of check_bounds samples on the streams of seeds.
+
+    In concentrated mode every sample has pieces_max pieces and its draw
+    starts at its stream's first output; otherwise its piece count is
+    1 + that output % pieces_max, and its draw skips it.
+    """
+    if concentrated:
+        # concentrated mode pins the piece count so the support window
+        # width 1/pieces_max shrinks as pieces_max grows
+        return 0, [pieces_max] * len(seeds), units(stream(seeds, 0, 3 * pieces_max))
+    raw = stream(seeds, 0, 3 * pieces_max + 2)
+    return 1, [1 + z % pieces_max for z in raw[:, 0].tolist()], units(raw[:, 1:])
 
 
 def _first_order_starts(edges: np.ndarray, vals: np.ndarray, k0sq: float, lam0: float) -> list:
@@ -170,32 +182,22 @@ def _first_order_starts(edges: np.ndarray, vals: np.ndarray, k0sq: float, lam0: 
     return (lam0 + num / big[:, -1]).tolist()
 
 
-def _lanes(seed, tag, start, stop, pieces_max, sign, concentrated, k0sq, lam0):
-    """Yield (cell tables, first-order starts, segments) of each block of samples start..stop-1 of class tag.
+def _lanes(seed, tag, start, stop, pieces_max, concentrated, k0sq, lam0):
+    """Yield (cell tables, first-order starts) of each block of samples start..stop-1 of class tag.
 
     Sample i draws on the stream of its sub-seed, ``derive_seeds(seed, tag,
-    i, i + 1)``.  A block of _BLOCK samples takes its sub-seeds, piece
-    counts and uniforms from one numpy uint64 pass over its streams, its
-    draws from one :func:`_block`, and its starts from one numpy pass over
-    its padded tables; every number is the one a sample drawn alone gets.
-    A sample's segments are None where they are its tables' cells (see
-    :func:`_row_segments`), built only when asked for.
+    i, i + 1)``, laid out by :func:`_layout`, with sign 1 - 2*tag.  A block
+    of _BLOCK samples takes its sub-seeds, piece counts and uniforms from
+    one numpy uint64 pass over its streams, its draws from one
+    :func:`_block`, and its starts from one numpy pass over its padded
+    tables; every number is the one a sample drawn alone gets.
     """
+    sign = 1 - 2 * tag
     for lo in range(start, stop, _BLOCK):
         seeds = derive_seeds(seed, tag, lo, min(stop, lo + _BLOCK))
-        if concentrated:
-            # concentrated mode pins the piece count so the support window
-            # width 1/pieces_max shrinks as pieces_max grows
-            skip, pieces = 0, [pieces_max] * len(seeds)
-            u = units(stream(seeds, 0, 3 * pieces_max))
-        else:
-            # the piece count is each stream's first output
-            raw = stream(seeds, 0, 3 * pieces_max + 2)
-            skip, pieces = 1, [1 + z % pieces_max for z in raw[:, 0].tolist()]
-            u = units(raw[:, 1:])
+        skip, pieces, u = _layout(seeds, pieces_max, concentrated)
         edges, vals, odd = _block(u, pieces, sign, concentrated)
         n = [p + 3 for p in pieces]
-        segments = [None] * len(n)
         for r, segs in odd.items():
             if segs is None:
                 # the next attempts go on along the same stream
@@ -204,20 +206,8 @@ def _lanes(seed, tag, start, stop, pieces_max, sign, concentrated, k0sq, lam0):
             e, v, _ = cell_tables(segs)
             edges[r], vals[r], n[r] = 1.0, 0.0, len(e)
             edges[r, : len(e)], vals[r, : len(v)] = e, v
-            segments[r] = segs
         tables = [(e[:m], v[: m - 1], [0.0] * m) for e, v, m in zip(edges.tolist(), vals.tolist(), n)]
-        yield tables, _first_order_starts(edges, vals, k0sq, lam0), segments
-
-
-def _samples(seed, tag, start, stop, pieces_max, sign, concentrated, k0sq, lam0):
-    """Yield (segments, cell tables, first-order start) of samples start..stop-1 of class tag.
-
-    The samples of :func:`_lanes`, one at a time, so ``next(_samples(seed,
-    tag, i, i + 1, ...))`` draws sample i again as check_bounds does.
-    """
-    for tables, starts, segments in _lanes(seed, tag, start, stop, pieces_max, sign, concentrated, k0sq, lam0):
-        for t, s, segs in zip(tables, starts, segments):
-            yield (_row_segments(*t[:2]) if segs is None else segs), t, s
+        yield tables, _first_order_starts(edges, vals, k0sq, lam0)
 
 
 def _potential(segments) -> Potential:
@@ -228,12 +218,13 @@ def regenerate(seed: int, tag: int, index: int, pieces_max: int, concentrated: b
     """Sample index of class tag (0 for +, 1 for -) as :func:`check_bounds` drew it under seed and pieces_max."""
     if tag not in (0, 1):
         raise ValueError(f"tag must be 0 or 1, got {tag}")
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
+    if not 0 <= index < 2**64:
+        raise ValueError(f"index must lie in 0..2**64 - 1, got {index}")
     if not 1 <= pieces_max <= 64:
         raise ValueError(f"pieces_max must lie in 1..64, got {pieces_max}")
-    segs = next(_samples(seed, tag, index, index + 1, pieces_max, 1 - 2 * tag, concentrated, 0.0, 0.0))[0]
-    return _potential(segs)
+    sub = derive_seeds(seed, tag, index, index + 1)
+    skip, (pieces,), _ = _layout(sub, pieces_max, concentrated)
+    return _potential(_draw(int(sub[0]), skip, pieces, 1 - 2 * tag, concentrated))
 
 
 def sample_unit_mass(pieces: int, seed: int, sign: int, concentrated: bool = False) -> Potential:
@@ -268,10 +259,10 @@ def check_bounds(
     same code, as :func:`regenerate` does.  Samples are drawn, tabled and
     started from first-order perturbation about the zero potential a block
     at a time, as lane arrays (see ``_lanes``); only a violating sample
-    becomes a Potential, for the report.  Violations are
-    recorded, not raised.  n = 0 gives an empty report; a negative n, or a
-    pieces_max outside 1..64 (the piece counts ``sample_unit_mass``
-    accepts), raises ValueError.
+    becomes a Potential, drawn again by :func:`regenerate` for the report.
+    Violations are recorded, not raised.  n = 0 gives an empty report; a
+    negative n, or a pieces_max outside 1..64 (the piece counts
+    ``sample_unit_mass`` accepts), raises ValueError.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -283,13 +274,10 @@ def check_bounds(
     lam0 = _eig0(k0, k1)
     report = SampleReport(n_samples=0, seed=seed)
     gaps = {k: None for k in KINDS}
-    for sign, tag, lo_kind, hi_kind in (
-        (1, 0, "m1plus", "M1plus"),
-        (-1, 1, "m1minus", "M1minus"),
-    ):
+    for tag, lo_kind, hi_kind in ((0, "m1plus", "M1plus"), (1, "m1minus", "M1minus")):
         lo = ext[lo_kind].value
         hi = ext[hi_kind].value
-        for tables, starts, segments in _lanes(seed, tag, 0, n, pieces_max, sign, concentrated, k0, lam0):
+        for b, (tables, starts) in enumerate(_lanes(seed, tag, 0, n, pieces_max, concentrated, k0, lam0)):
             lams = [_solve_arrays(*t, k0, k1, DEFAULT_TOL, s)[0] for t, s in zip(tables, starts)]
             report.n_samples += len(lams)
             # min, max and the distances are exact, so a block's bookkeeping
@@ -306,9 +294,9 @@ def check_bounds(
                     gaps[kind] = gap
             for i in ((lam < lo - BOUND_TOL) | (lam > hi + BOUND_TOL)).nonzero()[0].tolist():
                 bound, gap = (lo_kind, lo - lams[i]) if lams[i] < lo - BOUND_TOL else (hi_kind, lams[i] - hi)
-                segs = _row_segments(*tables[i][:2]) if segments[i] is None else segments[i]
+                q = regenerate(seed, tag, b * _BLOCK + i, pieces_max, concentrated)
                 report.violations.append(
-                    {"potential": potential_to_dict(_potential(segs)), "lambda1": lams[i], "bound": bound, "gap": gap}
+                    {"potential": potential_to_dict(q), "lambda1": lams[i], "bound": bound, "gap": gap}
                 )
     report.extremum_gaps = gaps
     return report

@@ -7,7 +7,7 @@ column.  The scalar draw it replaced, one attempt on one list of uniforms, is
 kept here as its oracle, with the scalar first-order start; both must be
 matched bit for bit, on real streams and on crafted uniform rows that force
 each rare path: a dropped cell, a zero height, no mass at all, and
-breakpoints too close for the direct cell tables.
+breakpoints too close to keep as a lane's cell tables.
 """
 
 import math
@@ -19,7 +19,7 @@ from robinsl import RobinBC
 from robinsl._rng import derive_seeds, stream, units
 from robinsl.extrema import _eig0
 from robinsl.potential import cell_tables
-from robinsl.verify import _block, _count, _lanes, _row_segments, regenerate
+from robinsl.verify import _block, _count, _lanes, regenerate
 
 _TWO_PI = 2.0 * math.pi
 
@@ -86,10 +86,10 @@ def _assert_block_is_scalar(u, pieces, sign, concentrated):
                 continue
         else:
             e, v = edges[r].tolist(), vals[r].tolist()
-            # the direct tables, padded with empty cells at 1
+            # the lane's cell tables, padded with empty cells at 1
             assert _bits(e[p + 3 :]) == _bits([1.0] * (len(e) - p - 3))
             assert _bits(v[p + 2 :]) == _bits([0.0] * (len(v) - p - 2))
-            got = _row_segments(e[: p + 3], v[: p + 2])
+            got = list(zip(e[1 : p + 1], e[2 : p + 2], v[1 : p + 1]))
             edges_want, vals_want, _ = cell_tables(want)
             assert _bits(e[: p + 3]) == _bits(edges_want) and _bits(v[: p + 2]) == _bits(vals_want)
         assert all(type(x) is float for seg in got for x in seg)
@@ -115,24 +115,24 @@ def test_block_is_the_scalar_draw(sign, concentrated):
 @pytest.mark.parametrize("concentrated", [False, True])
 def test_lanes_are_the_scalar_draw(concentrated):
     # the tables and starts of whole blocks, against the scalar draw and
-    # start of each sample on its stream
+    # start of each sample on its stream; regenerate draws the same segments
     for k0, k1 in ((0.0, 0.0), (0.25, 0.5), (1.0, 4.0)):
         lam0 = _eig0(k0, k1)
         for pieces_max in (1, 8, 16, 64):
             for tag, sign in ((0, 1), (1, -1)):
                 subs = derive_seeds(77, tag, 0, 40).tolist()
-                lanes = _lanes(77, tag, 0, 40, pieces_max, sign, concentrated, k0, lam0)
-                got = [lane for tables, starts, segments in lanes for lane in zip(tables, starts, segments)]
+                lanes = _lanes(77, tag, 0, 40, pieces_max, concentrated, k0, lam0)
+                got = [lane for tables, starts in lanes for lane in zip(tables, starts)]
                 assert len(got) == 40
-                for sub, (tables, start, segs) in zip(subs, got):
+                for i, (sub, (tables, start)) in enumerate(zip(subs, got)):
                     if concentrated:
                         skip, p = 0, pieces_max
                     else:
                         skip, p = 1, 1 + stream(sub, 0, 1).item() % pieces_max
                     want = _segments(units(stream(sub, skip, _count(p, concentrated)))[0].tolist(), p, sign, concentrated)
-                    if segs is None:
-                        segs = _row_segments(*tables[:2])
-                    assert _bits(segs) == _bits(want)
+                    if k0 == 0.0:
+                        q = regenerate(77, tag, i, pieces_max, concentrated)
+                        assert _bits([(s.left, s.right, s.value) for s in q.segments]) == _bits(want)
                     for a, b in zip(tables, cell_tables(want)):
                         assert all(type(x) is float for x in a) and _bits(a) == _bits(b)
                     assert _bits([start]) == _bits([_start(*tables[:2], k0, lam0)])
@@ -146,7 +146,7 @@ def _row(breaks, heights, tail=()):
 def test_crafted_rows_take_the_rare_paths():
     ok = [(0.3, 0.1), (0.6, 0.2), (0.9, 0.7)]
     rows = [
-        # three cells, all kept and spaced: the direct tables
+        # three cells, all kept and spaced: the lane holds its tables
         _row([0.2, 0.5, 0.9, 0.7], ok),
         # a repeated breakpoint: a cell of zero width is dropped
         _row([0.2, 0.5, 0.5, 0.7], ok),
@@ -174,8 +174,8 @@ def test_crafted_rows_take_the_rare_paths():
 
 def test_crafted_concentrated_rows():
     # a left end within MERGE_TOL of 0 (the smallest uniform, 2**-53) and a
-    # right end within it of 1 take the general merge; a spaced window the
-    # direct tables
+    # right end within it of 1 take cell_tables' merge; a spaced window is
+    # held in the lane
     heights = [0.3, 0.1, 0.6, 0.2, 0.9, 0.7, 0.5, 0.4]
     rows = [[x, 0.25, 0.5, 0.75, *heights] for x in (2.0**-53, 1.0, 0.5)]
     for sign in (1, -1):
@@ -200,20 +200,24 @@ def test_lanes_retry_a_sample_without_mass(monkeypatch):
 
     monkeypatch.setattr(V, "_block", empty_first)
     lam0 = _eig0(0.25, 0.5)
-    tables, starts, segments = next(_lanes(5, 0, 0, 8, 16, 1, False, 0.25, lam0))
+    tables, starts = next(_lanes(5, 0, 0, 8, 16, False, 0.25, lam0))
     assert calls == [8, 1]
     sub = derive_seeds(5, 0, 2, 3)
     p = 1 + stream(sub, 0, 1).item() % 16
     c = _count(p, False)
     want = _segments(units(stream(sub, 1 + c, c))[0].tolist(), p, 1, False)
-    assert _bits(segments[2]) == _bits(want)
     for a, b in zip(tables[2], cell_tables(want)):
         assert _bits(a) == _bits(b)
     assert _bits([starts[2]]) == _bits([_start(*tables[2][:2], 0.25, lam0)])
 
 
 def test_regenerate_rejects_bad_arguments():
-    for args, named in (((1, 2, 0, 8), "tag"), ((1, 0, -1, 8), "index"), ((1, 0, 0, 65), "pieces_max")):
+    for args, named in (
+        ((1, 2, 0, 8), "tag"),
+        ((1, 0, -1, 8), "index"),
+        ((1, 0, 2**64, 8), "index"),
+        ((1, 0, 0, 65), "pieces_max"),
+    ):
         with pytest.raises(ValueError, match=named):
             regenerate(*args)
 
@@ -229,8 +233,8 @@ def test_check_bounds_gaps_are_the_scalar_gaps():
     ext = {r.kind: r.value for r in all_extrema(bc)}
     lam0 = _eig0(bc.k0sq, bc.k1sq)
     seen, gaps = [], {}
-    for tag, sign, kinds in ((0, 1, ("m1plus", "M1plus")), (1, -1, ("m1minus", "M1minus"))):
-        for tables, starts, _ in _lanes(3, tag, 0, 70, 8, sign, False, bc.k0sq, lam0):
+    for tag, kinds in ((0, ("m1plus", "M1plus")), (1, ("m1minus", "M1minus"))):
+        for tables, starts in _lanes(3, tag, 0, 70, 8, False, bc.k0sq, lam0):
             for t, s in zip(tables, starts):
                 lam = _solve_arrays(*t, bc.k0sq, bc.k1sq, DEFAULT_TOL, s)[0]
                 seen.append(lam)

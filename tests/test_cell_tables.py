@@ -1,13 +1,12 @@
 """The list cell tables and the one-pass sampler give the bits of their numpy forms.
 
-``compile_arrays`` builds (edges, vals, atomw) as lists of Python floats and
-``verify._samples`` draws each sample's segments as float tuples, from one
-pass of its stream.  The numpy construction and the draw-then-normalize route
+``compile_arrays`` builds (edges, vals, atomw) as lists of Python floats, and
+``verify._lanes`` draws each check_bounds sample's cell tables from one pass
+of its stream.  The numpy construction and the draw-then-normalize route
 they replace, with one uniform taken at a time, are kept here as oracles;
-both must be matched bit for bit.  So are the general merge of
-``cell_tables``, which its direct branch for end-to-end segments skips, and
-the fold of endpoint masses into a rebuilt Potential that ``compile_arrays``
-replaced.
+both must be matched bit for bit.  So are a copy of ``cell_tables``' merge
+and the fold of endpoint masses into a rebuilt Potential that
+``compile_arrays`` replaced.
 """
 
 import math
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 from robinsl import DeltaAtom, Potential, RobinBC, Segment
 from robinsl._rng import derive_seeds, stream, units
 from robinsl.potential import MERGE_TOL, cell_tables, compile_arrays, total_integral
-from robinsl.verify import _samples, sample_unit_mass
+from robinsl.verify import _lanes, regenerate, sample_unit_mass
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
 
@@ -166,7 +165,7 @@ def test_compile_arrays_is_the_fold(q, ends, bc):
 
 
 def _merged_tables(segments, atoms):
-    # cell_tables' general merge, without its direct branch
+    # cell_tables' merge, the reference its tables must match bit for bit
     pts = {0.0, 1.0}
     for l, r, _ in segments:
         pts.add(l)
@@ -254,7 +253,7 @@ def test_direct_tables_are_the_merge(case):
 
 
 def test_direct_tables_of_a_drawn_sample():
-    segs = next(_samples(20260809, 0, 0, 1, 8, 1, False, 0.0, 0.0))[0]
+    segs = [(s.left, s.right, s.value) for s in regenerate(20260809, 0, 0, 8).segments]
     edges, vals, atomw = cell_tables(segs)
     assert edges == [0.0, segs[0][0], *(r for _, r, _ in segs), 1.0]
     assert vals == [0.0, *(v for _, _, v in segs), 0.0]
@@ -297,10 +296,11 @@ def _draw_then_normalize(units, pieces, sign, concentrated):
 def test_draw_matches_normalize_mass(sign, tag, concentrated):
     for pieces_max in (8, 16):
         subs = derive_seeds(20260809, tag, 0, 1000).tolist()
-        for sub, (segs, _, _) in zip(subs, _samples(20260809, tag, 0, 1000, pieces_max, sign, concentrated, 0.0, 0.0)):
+        lanes = [t for tables, _ in _lanes(20260809, tag, 0, 1000, pieces_max, concentrated, 0.0, 0.0) for t in tables]
+        for sub, tables in zip(subs, lanes, strict=True):
             if concentrated:
                 skip, pieces = 0, pieces_max
             else:
                 skip, pieces = 1, 1 + stream(sub, 0, 1).item() % pieces_max
             want = _draw_then_normalize(_units(sub, skip), pieces, sign, concentrated)
-            assert segs == [(s.left, s.right, s.value) for s in want.segments]
+            assert tables == compile_arrays(want, RobinBC(0.0, 0.0))[:3]

@@ -30,7 +30,7 @@ import robinsl._kernels as K
 from robinsl import JIT_ENABLED, DeltaAtom, Potential, RobinBC, Segment, delta_strength, sup_plus
 from robinsl.eigensolver import _solve_arrays, compile_arrays, lambda1_value
 from robinsl.extrema import _ATOMW0, _EDGES0, _MU_TOL, _VALS0, _eig0, left_half_eigenvalue, right_half_eigenvalue
-from robinsl.verify import _potential, _samples, sample_unit_mass
+from robinsl.verify import _lanes, regenerate, sample_unit_mass
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
 
@@ -304,11 +304,11 @@ def test_shot_budget_per_solve(monkeypatch):
     for i in range(200):
         # as check_bounds draws: every pair, both signs, --pieces-max 8 and 16
         k0, k1 = BC_GRID6[i % 6]
-        sign, tag = (1, 0) if i // 6 % 2 == 0 else (-1, 1)
+        tag = i // 6 % 2
         pieces_max = 8 if i // 12 % 2 == 0 else 16
-        segs, tables, start = next(_samples(20260809, tag, i, i + 1, pieces_max, sign, False, k0, lam0[k0, k1]))
+        (tables,), (start,) = next(_lanes(20260809, tag, i, i + 1, pieces_max, False, k0, lam0[k0, k1]))
         shots.append(0)
-        assert math.isfinite(lambda1_value(_potential(segs), RobinBC(k0, k1)))
+        assert math.isfinite(lambda1_value(regenerate(20260809, tag, i, pieces_max), RobinBC(k0, k1)))
         # and as check_bounds solves, from the first-order start
         shots.append(0)
         assert math.isfinite(_solve_arrays(*tables, k0, k1, 1e-10, start)[0])

@@ -15,7 +15,7 @@ from robinsl import (
 from robinsl._rng import derive_seeds, stream, units
 from robinsl.extrema import _eig0
 from robinsl.potential import compile_arrays, potential_to_dict, total_integral
-from robinsl.verify import _potential, _samples, regenerate
+from robinsl.verify import _count, _lanes, _potential, regenerate
 from test_block_draw import _segments
 
 
@@ -74,16 +74,19 @@ def test_stream_pinned():
 
 
 def test_sampler_tables_are_the_potential_tables():
-    # check_bounds builds each sample's cell tables from the drawn segments,
-    # without a Potential; they must be the tables of that Potential, bit
-    # for bit.  2400 draws
+    # check_bounds builds each sample's cell tables in its lane arrays,
+    # without a Potential; they must be the tables of the Potential that
+    # regenerate draws for that sample, bit for bit.  2400 draws
     bc = RobinBC(0.25, 0.5)
     lam0 = _eig0(bc.k0sq, bc.k1sq)
     for concentrated in (False, True):
         for pieces_max in (1, 8, 16, 64):
-            for tag, sign in ((0, 1), (1, -1)):
-                for segs, tables, _ in _samples(20260809, tag, 0, 150, pieces_max, sign, concentrated, bc.k0sq, lam0):
-                    *arrays, k0, k1 = compile_arrays(_potential(segs), bc)
+            for tag in (0, 1):
+                blocks = _lanes(20260809, tag, 0, 150, pieces_max, concentrated, bc.k0sq, lam0)
+                lanes = [t for tables, _ in blocks for t in tables]
+                assert len(lanes) == 150
+                for index, tables in enumerate(lanes):
+                    *arrays, k0, k1 = compile_arrays(regenerate(20260809, tag, index, pieces_max, concentrated), bc)
                     assert (k0, k1) == (bc.k0sq, bc.k1sq)
                     for got, want in zip(tables, arrays):
                         assert all(type(x) is float for x in got)
@@ -138,24 +141,28 @@ def test_reports_pinned(pieces_max, concentrated):
 def test_failed_first_attempt_draws_on(monkeypatch, concentrated):
     # a first attempt with no mass goes on with _draw's next attempt, on the
     # uniforms that follow it in the same stream: the sample is the second
-    # attempt's.  The block draw reports the first lane of the first block
-    # massless, as it reports a row whose heights are all 0
+    # attempt's.  The block draw reports the first attempt of the first
+    # block's first lane massless wherever it meets those uniforms, as it
+    # reports a row whose heights are all 0, so regenerate draws the same
+    # sample for the report
     import robinsl.verify as V
 
     real_block, real_extrema = V._block, V.all_extrema
     failed = []
 
-    def fail_once(u, pieces, sign, concentrated):
+    def fail_first(u, pieces, sign, concentrated):
         edges, vals, odd = real_block(u, pieces, sign, concentrated)
         if not failed:
-            failed.append((u[0].tolist(), pieces[0], sign, concentrated))
-            odd[0] = None
+            failed.append((u[0, : _count(pieces[0], concentrated)].tolist(), pieces[0], sign, concentrated))
+        for r, p in enumerate(pieces):
+            if (u[r, : _count(p, concentrated)].tolist(), p, sign, concentrated) == failed[0]:
+                odd[r] = None
         return edges, vals, odd
 
     def unreachable(bc):
         return [dataclasses.replace(r, value=1e9 if r.kind[0] == "m" else -1e9) for r in real_extrema(bc)]
 
-    monkeypatch.setattr(V, "_block", fail_once)
+    monkeypatch.setattr(V, "_block", fail_first)
     monkeypatch.setattr(V, "all_extrema", unreachable)
     report = check_bounds(RobinBC(0.25, 0.5), 3, 16, 7, concentrated)
     sub = derive_seeds(7, 0, 0, 1)

@@ -16,22 +16,28 @@ sides run in ten alternating pairs: pair i runs both sides at seed i + 1,
 the working tree first in even pairs and REV first in odd ones.  The file
 holds each side's runs, median and quartiles per metric
 and workload, the pairs each side won, the machine facts that run.py prints
-and ``cat src/robinsl/*.py | wc -l`` of each side.
+and ``cat src/robinsl/*.py | wc -l`` of each side.  After the benchmark
+runs, each side runs its Tier-1 suite once (ROADMAP.md's command, with
+``--durations=0`` and without pytest's cache); the file holds its wall time, its summary line and the
+share of that time the acceptance bound check, criterion 5, took.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
+CRITERION_5 = "tests/test_acceptance.py::test_criterion_5_randomized_bound_holding"
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -42,6 +48,24 @@ def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> di
     machine = next((json.loads(line[len("machine: ") :]) for line in out if line.startswith("machine: ")), None)
     result = json.loads(next(line for line in reversed(out) if line.startswith("{")))
     return {"machine": machine, "failed": result["failed"], "attempted": result["attempted"], "metrics": result["metrics"]}
+
+
+def _tier1(root: Path) -> dict:
+    """One Tier-1 run in root: its wall time, summary line and criterion 5's call time and share."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "--durations=0"]
+    t0 = time.perf_counter()
+    out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True).stdout
+    wall = time.perf_counter() - t0
+    lines = out.splitlines()
+    # a durations line reads "5.52s call     tests/...::test_name"
+    c5 = [float(x.split("s ", 1)[0]) for x in lines if x.endswith(CRITERION_5) and " call " in x]
+    return {
+        "wall_s": wall,
+        "summary": lines[-1] if lines else None,
+        "criterion_5_s": c5[0] if c5 else None,
+        "criterion_5_share": c5[0] / wall if c5 else None,
+    }
 
 
 def _lines(root: Path) -> int:
@@ -98,6 +122,7 @@ def _record(sides: dict, bench: dict) -> dict:
         "src_lines": {name: _lines(root) for name, root in sides.items()},
         "workloads": workloads,
         "trace": traced,
+        "tier1": {name: _tier1(root) for name, root in sides.items()},
     }
 
 

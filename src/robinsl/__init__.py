@@ -25,7 +25,7 @@ from .errors import (
     ZeroMass,
 )
 from .extrema import ExtremumReport, all_extrema, inf_minus, inf_plus, sup_minus, sup_plus
-from .fmap import StrengthPoint, delta_strength, delta_strength_dzeta
+from .fmap import StrengthPoint, delta_strength
 from .potential import (
     DeltaAtom,
     Potential,
@@ -58,7 +58,6 @@ __all__ = [
     "approach_extremum",
     "check_bounds",
     "delta_strength",
-    "delta_strength_dzeta",
     "fd_lambda1",
     "inf_minus",
     "inf_plus",

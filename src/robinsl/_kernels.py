@@ -74,16 +74,14 @@ def propagate_step(y, yp, w, h):
             # zeros lie pi/s apart, so the closed cell holds at most one: an
             # interior one exactly when y changes sign across it
             return y1, yp1, 1 if y < 0.0 < y1 or y1 < 0.0 < y else 0, 0.0
-        # zeros of R*cos(s*t - phi) for t in (0, h)
+        # zeros of R*cos(s*t - phi) for t in (0, h); sh >= pi puts b at
+        # least a + 1, so the count is never negative
         phi = math.atan2(yp / s, y)
         a = (-phi - 0.5 * _PI) / _PI
         b = (sh - phi - 0.5 * _PI) / _PI
         k_lo = int(math.floor(a)) + 1
         k_hi = int(math.ceil(b)) - 1
-        nz = k_hi - k_lo + 1
-        if nz < 0:
-            nz = 0
-        return y1, yp1, nz, 0.0
+        return y1, yp1, k_hi - k_lo + 1, 0.0
     if w == 0.0:
         nz = 0
         if yp != 0.0:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -21,7 +20,7 @@ import numpy as np
 from .eigensolver import lambda1
 from .errors import RobinSLError
 from .extrema import all_extrema
-from .fmap import _strength
+from .fmap import delta_strength
 from .potential import RobinBC, potential_from_dict, potential_to_dict
 from .serialize import csv_lines, dumps
 from .verify import check_bounds
@@ -114,8 +113,8 @@ def _cmd_scan_f(args) -> int:
     for mu in _parse_axis(args.mu):
         for zeta in _parse_axis(args.zeta):
             # in_domain prints as 1 or 0; F and dF/dzeta are nan outside it
-            point = _strength(mu, zeta, bc)
-            rows.append([mu, zeta, 0.0, math.nan, math.nan] if point is None else [mu, zeta, 1.0, *point])
+            p = delta_strength(mu, zeta, bc)
+            rows.append([mu, zeta, float(p.in_domain), p.value, p.dzeta])
     _write(csv_lines(["mu", "zeta", "in_domain", "F", "dF_dzeta"], np.array(rows)), args.output)
     return 0
 

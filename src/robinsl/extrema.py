@@ -87,8 +87,8 @@ def sup_plus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
         hi *= 2.0
     lo, hi = _bisect(lambda mu: w(mu) > 0.0, lo, hi, tol)
     mu = 0.5 * (lo + hi)
-    off = phase_offsets(mu, bc)
-    q_star = Potential(segments=(Segment(off.alpha, 1.0 - off.beta, mu),))
+    alpha, beta = phase_offsets(mu, bc)
+    q_star = Potential(segments=(Segment(alpha, 1.0 - beta, mu),))
     return _report("M1plus", mu, q_star, "M1plus/plateau", bc)
 
 

@@ -1,11 +1,11 @@
 """Closed forms for the delta strength that pins the first eigenvalue.
 
 ``delta_strength(mu, zeta, bc)`` returns the weight a such that a point mass
-a*delta_zeta has first eigenvalue mu.  The formula changes with the sign of
-mu: a tangent sum above zero, a tanh/coth sum below zero, and a rational
-expression at zero, with its first-order term in mu across |mu| < 1e-8.
-One dispatch on that sign gives the weight and its zeta-derivative
-together, both in closed form.
+a*delta_zeta has first eigenvalue mu, with its zeta-derivative, as one
+``StrengthPoint``.  The formula changes with the sign of mu: a tangent sum
+above zero, a tanh/coth sum below zero, and a rational expression at zero,
+with its first-order term in mu across |mu| < 1e-8.  One dispatch on that
+sign gives the weight and its zeta-derivative together, both in closed form.
 """
 
 from __future__ import annotations
@@ -26,28 +26,22 @@ _HALF_PI = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
-class PhaseOffsets:
-    """Phase offsets alpha (left) and beta (right)."""
-
-    alpha: float
-    beta: float
-
-
-@dataclass(frozen=True)
 class StrengthPoint:
-    """Delta strength at (mu, zeta) plus the domain flag."""
+    """Delta strength at (mu, zeta), its zeta-derivative and the domain flag."""
 
     mu: float
     zeta: float
     value: float
+    dzeta: float
     in_domain: bool
 
 
-def phase_offsets(mu: float, bc: RobinBC) -> PhaseOffsets:
-    """Offsets arctan(k^2/sqrt(mu))/sqrt(mu) matching the shot solution to the
-    boundary conditions, for mu > 0."""
+def phase_offsets(mu: float, bc: RobinBC) -> tuple[float, float]:
+    """Offsets (alpha, beta) = arctan(k^2/sqrt(mu))/sqrt(mu) at the left and
+    right ends, matching the shot solution to the boundary conditions, for
+    mu > 0."""
     s = math.sqrt(mu)
-    return PhaseOffsets(math.atan2(bc.k0sq, s) / s, math.atan2(bc.k1sq, s) / s)
+    return math.atan2(bc.k0sq, s) / s, math.atan2(bc.k1sq, s) / s
 
 
 def _decay(nu, kappa, x):
@@ -80,9 +74,9 @@ def _closed_form(mu, zeta, bc):
         return -k0 / p - k1 / r, k0**2 / p**2 - k1**2 / r**2
     if mu > 0.0:
         s = math.sqrt(mu)
-        off = phase_offsets(mu, bc)
-        a = s * (zeta - off.alpha)
-        b = s * (1.0 - off.beta - zeta)
+        alpha, beta = phase_offsets(mu, bc)
+        a = s * (zeta - alpha)
+        b = s * (1.0 - beta - zeta)
         lim = _HALF_PI - DOMAIN_MARGIN
         if not (-lim < a < lim and -lim < b < lim):
             return None
@@ -93,11 +87,19 @@ def _closed_form(mu, zeta, bc):
     return -nu * (g0 + g1), -nu * (d0 - d1)
 
 
-def _strength(mu, zeta, bc):
-    """(F, dF/dzeta), or None outside the domain.
+def delta_strength(mu: float, zeta: float, bc: RobinBC) -> StrengthPoint:
+    """Weight a with first eigenvalue of a*delta_zeta equal to mu, and da/dzeta.
 
-    In the zero band, the mu = 0 values plus their first-order terms: with
-    u = y'/y, u' = -mu - u^2 and F = u_R - u_L, du/dmu at mu = 0 solves
+    For mu > 0 the point may fall outside the domain (the tangent phases must
+    stay inside the open half-period); the result then carries
+    ``in_domain=False`` and NaN for the value and the derivative.  For
+    mu <= 0 the map is defined everywhere on [0, 1], and the derivative is
+    finite for every finite mu.  A non-finite mu or a zeta outside [0, 1]
+    raises ValueError.
+
+    Inside the band |mu| < 1e-8, where the exact branches lose digits, the
+    mu = 0 values plus their first-order terms stand in: with u = y'/y,
+    u' = -mu - u^2 and F = u_R - u_L, du/dmu at mu = 0 solves
     v' = -1 - 2*u*v, so dF/dmu = zeta*g(t) + (1 - zeta)*g(s) and its
     zeta-derivative is 2*(s*g(s) - t*g(t)), g(x) = 1 - x + x^2/3, with
     t = k0*zeta/(1 + k0*zeta) and s = k1*(1 - zeta)/(1 + k1*(1 - zeta)).
@@ -109,39 +111,15 @@ def _strength(mu, zeta, bc):
     if not 0.0 <= zeta <= 1.0:
         raise ValueError("zeta must lie in [0, 1]")
     if abs(mu) >= ZERO_BAND:
-        return _closed_form(mu, zeta, bc)
-    if mu > 0.0 and _closed_form(mu, zeta, bc) is None and _closed_form(1e-6, zeta, bc) is None:
-        return None
-    t = bc.k0sq * zeta / (1.0 + bc.k0sq * zeta)
-    s = bc.k1sq * (1.0 - zeta) / (1.0 + bc.k1sq * (1.0 - zeta))
-    gl, gr = 1.0 - t + t * t / 3.0, 1.0 - s + s * s / 3.0
-    f0, d0 = _closed_form(0.0, zeta, bc)
-    return f0 + mu * (zeta * gl + (1.0 - zeta) * gr), d0 + 2.0 * mu * (s * gr - t * gl)
-
-
-def delta_strength(mu: float, zeta: float, bc: RobinBC) -> StrengthPoint:
-    """Weight a with first eigenvalue of a*delta_zeta equal to mu.
-
-    For mu > 0 the point may fall outside the domain (the tangent phases must
-    stay inside the open half-period); the result then carries
-    ``in_domain=False`` and a NaN value.  For mu <= 0 the map is defined
-    everywhere on [0, 1].  Inside the band |mu| < 1e-8, where the exact
-    branches lose digits, the mu=0 formula plus its first-order term in mu
-    stands in; a positive mu there is outside only where both its own formula
-    and that of mu = 1e-6 are.  A non-finite mu raises ValueError.
-    """
-    point = _strength(mu, zeta, bc)
+        point = _closed_form(mu, zeta, bc)
+    elif mu > 0.0 and _closed_form(mu, zeta, bc) is None and _closed_form(1e-6, zeta, bc) is None:
+        point = None
+    else:
+        t = bc.k0sq * zeta / (1.0 + bc.k0sq * zeta)
+        s = bc.k1sq * (1.0 - zeta) / (1.0 + bc.k1sq * (1.0 - zeta))
+        gl, gr = 1.0 - t + t * t / 3.0, 1.0 - s + s * s / 3.0
+        f0, d0 = _closed_form(0.0, zeta, bc)
+        point = f0 + mu * (zeta * gl + (1.0 - zeta) * gr), d0 + 2.0 * mu * (s * gr - t * gl)
     if point is None:
-        return StrengthPoint(mu, zeta, math.nan, False)
-    return StrengthPoint(mu, zeta, point[0], True)
-
-
-def delta_strength_dzeta(mu: float, zeta: float, bc: RobinBC) -> float:
-    """Closed-form zeta-derivative of :func:`delta_strength`, finite for every finite mu.
-
-    Raises ValueError outside the domain and for a non-finite mu.
-    """
-    point = _strength(mu, zeta, bc)
-    if point is None:
-        raise ValueError(f"(mu, zeta) = ({mu}, {zeta}) is outside the domain")
-    return point[1]
+        return StrengthPoint(mu, zeta, math.nan, math.nan, False)
+    return StrengthPoint(mu, zeta, *point, True)

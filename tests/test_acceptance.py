@@ -19,7 +19,6 @@ from robinsl import (
     Segment,
     all_extrema,
     delta_strength,
-    delta_strength_dzeta,
     fd_lambda1,
     lambda1,
     lambda1_value,
@@ -190,7 +189,7 @@ def test_criterion_7_property_suite():
                     if not (pt.in_domain and up.in_domain and dn.in_domain):
                         continue
                     fd = (up.value - dn.value) / (2.0 * h)
-                    assert abs(delta_strength_dzeta(float(mu), float(z), bc) - fd) <= 1e-6 * max(
+                    assert abs(pt.dzeta - fd) <= 1e-6 * max(
                         1.0, abs(fd)
                     )
 

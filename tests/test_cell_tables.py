@@ -4,13 +4,11 @@
 ``verify._lanes`` draws each check_bounds sample's cell tables from one pass
 of its stream.  The numpy construction and the draw-then-normalize route
 they replace, with one uniform taken at a time, are kept here as oracles;
-both must be matched bit for bit.  So are a copy of ``cell_tables``' merge
-and the fold of endpoint masses into a rebuilt Potential that
-``compile_arrays`` replaced.
+both must be matched bit for bit.  So is the fold of endpoint masses into a
+rebuilt Potential that ``compile_arrays`` replaced.
 """
 
 import math
-from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -164,34 +162,6 @@ def test_compile_arrays_is_the_fold(q, ends, bc):
     assert np.array(got[3:]).tobytes() == np.array(want[3:]).tobytes(), q
 
 
-def _merged_tables(segments, atoms):
-    # cell_tables' merge, the reference its tables must match bit for bit
-    pts = {0.0, 1.0}
-    for l, r, _ in segments:
-        pts.add(l)
-        pts.add(r)
-    for z, _ in atoms:
-        pts.add(z)
-    pts = sorted(pts)
-    edges = [0.0]
-    for p in pts[1:]:
-        if p - edges[-1] > MERGE_TOL:
-            edges.append(p)
-    edges[-1] = 1.0
-    n = len(edges)
-    mids = [0.5 * (edges[i] + edges[i + 1]) for i in range(n - 1)]
-    vals = [0.0] * (n - 1)
-    for l, r, v in segments:
-        lo = bisect_left(mids, l)
-        hi = bisect_right(mids, r)
-        vals[lo:hi] = [v] * (hi - lo)
-    atomw = [0.0] * n
-    for z, w in atoms:
-        i = min(range(n), key=lambda j: abs(edges[j] - z))
-        atomw[i] += w
-    return edges, vals, atomw
-
-
 # steps about the merge distance, at it exactly, and ordinary widths
 _STEP = st.one_of(st.floats(0.5 * MERGE_TOL, 3 * MERGE_TOL), st.just(MERGE_TOL), st.floats(1e-3, 0.3))
 
@@ -243,13 +213,16 @@ def test_every_cell_is_wider_than_merge_tol(q, case):
         assert all(b - a > MERGE_TOL for a, b in zip(edges, edges[1:])), edges
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(case=segment_lists())
-def test_direct_tables_are_the_merge(case):
+def test_tables_of_segment_lists(case):
     segs, atoms = case
-    for got, want in zip(cell_tables(segs, atoms), _merged_tables(segs, atoms)):
-        assert all(type(x) is float for x in got)
-        assert np.array(got, dtype=float).tobytes() == np.array(want, dtype=float).tobytes(), case
+    _assert_same_tables(
+        Potential(
+            segments=tuple(Segment(*s) for s in segs),
+            atoms=tuple(DeltaAtom(z, w) for z, w in atoms if MERGE_TOL < z < 1.0 - MERGE_TOL),
+        )
+    )
 
 
 def test_direct_tables_of_a_drawn_sample():

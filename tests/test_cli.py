@@ -226,6 +226,23 @@ def test_scan_f_rejects_non_finite_mu(capsys, mu):
     assert err == f"robinsl: error: mu must be finite, got {mu}\n"
 
 
+@pytest.mark.parametrize(
+    "spec, message", [("0:1", "axis spec must be start:stop:count, got '0:1'"), ("0:1:0", "axis count must be >= 1")]
+)
+def test_scan_f_rejects_bad_axis_spec(capsys, spec, message):
+    code, out, err = run_cli(capsys, ["scan-f", "--k0sq", "0", "--k1sq", "0", f"--mu={spec}", "--zeta", "0.5"])
+    assert code == 2
+    assert out == ""
+    assert err == f"robinsl: error: {message}\n"
+
+
+def test_verify_rejects_non_finite_coefficient(capsys):
+    code, out, err = run_cli(capsys, ["verify", "--k0sq", "nan", "--k1sq", "0", "--n", "5"])
+    assert code == 2
+    assert out == ""
+    assert err == "robinsl: error: boundary coefficients must be finite\n"
+
+
 def test_verify_small(capsys):
     code, out, _ = run_cli(
         capsys,

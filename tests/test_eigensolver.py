@@ -366,6 +366,14 @@ def test_quadratic_form_grid_too_coarse():
         quadratic_form(q, bc, res.lambda1, xs, res.ys)
 
 
+def test_quadratic_form_needs_every_breakpoint():
+    # the atom at 0.123 falls between two grid points
+    q = Potential(atoms=(DeltaAtom(0.123, 1.0),))
+    xs = np.linspace(0.0, 1.0, 101)
+    with pytest.raises(ValueError, match="^grid must contain every breakpoint and atom position$"):
+        quadratic_form(q, BC00, 0.0, xs, np.ones_like(xs))
+
+
 def test_fd_neumann_laplacian():
     assert fd_lambda1(Potential(), BC00, 1000) == pytest.approx(0.0, abs=1e-8)
 

@@ -139,6 +139,18 @@ def test_half_eigenvalue_monotonicity():
     assert all(a < b for a, b in zip(mu1s, mu1s[1:]))
 
 
+@pytest.mark.parametrize("zeta", [0.0, -0.1, 1.1, math.nan])
+def test_left_half_eigenvalue_rejects_zeta(zeta):
+    with pytest.raises(ValueError, match=r"^zeta must lie in \(0, 1\]$"):
+        left_half_eigenvalue(zeta, RobinBC(0.25, 0.5))
+
+
+@pytest.mark.parametrize("zeta", [1.0, -0.1, 1.1, math.nan])
+def test_right_half_eigenvalue_rejects_zeta(zeta):
+    with pytest.raises(ValueError, match=r"^zeta must lie in \[0, 1\)$"):
+        right_half_eigenvalue(zeta, RobinBC(0.25, 0.5))
+
+
 def test_inf_minus_flat_case():
     rep = inf_minus(RobinBC(0.5, 0.5))
     assert rep.value == -0.25

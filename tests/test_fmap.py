@@ -8,7 +8,6 @@ from robinsl import (
     Potential,
     RobinBC,
     delta_strength,
-    delta_strength_dzeta,
     lambda1_value,
 )
 from robinsl.fmap import _decay, phase_offsets
@@ -23,14 +22,13 @@ BC_GRID = (BC00, RobinBC(0.25, 0.5), BC11, RobinBC(0.0, 2.0))
 
 
 def test_phase_offsets_zero_coefficients():
-    off = phase_offsets(1.0, BC00)
-    assert off.alpha == 0.0 and off.beta == 0.0
+    assert phase_offsets(1.0, BC00) == (0.0, 0.0)
 
 
 def test_phase_offsets_arctan():
-    off = phase_offsets(1.0, BC11)
-    assert off.alpha == pytest.approx(math.pi / 4, abs=1e-15)
-    assert off.beta == pytest.approx(math.pi / 4, abs=1e-15)
+    alpha, beta = phase_offsets(1.0, BC11)
+    assert alpha == pytest.approx(math.pi / 4, abs=1e-15)
+    assert beta == pytest.approx(math.pi / 4, abs=1e-15)
 
 
 def test_decay_logslope_middle_branch():
@@ -119,13 +117,13 @@ def test_continuity_across_regimes():
 
 def test_dzeta_symmetric_midpoint():
     for mu in (-0.5, 0.0, 0.5, 2.0):
-        assert delta_strength_dzeta(mu, 0.5, BC11) == pytest.approx(0.0, abs=1e-10)
+        assert delta_strength(mu, 0.5, BC11).dzeta == pytest.approx(0.0, abs=1e-10)
 
 
 def test_dzeta_zero_mu_analytic():
     # F = -1/(2 - zeta) at mu = 0 and bc (0, 1); d/dzeta is -1/(2 - zeta)^2
     for z in (0.1, 0.5, 0.9):
-        assert delta_strength_dzeta(0.0, z, RobinBC(0.0, 1.0)) == pytest.approx(
+        assert delta_strength(0.0, z, RobinBC(0.0, 1.0)).dzeta == pytest.approx(
             -1.0 / (2.0 - z) ** 2, rel=1e-12
         )
 
@@ -143,7 +141,7 @@ def test_dzeta_matches_central_differences():
                 if not (up.in_domain and dn.in_domain):
                     continue
                 fd = (up.value - dn.value) / (2.0 * h)
-                assert delta_strength_dzeta(float(mu), float(z), bc) == pytest.approx(
+                assert pt.dzeta == pytest.approx(
                     fd, abs=1e-6, rel=1e-6
                 )
 
@@ -153,19 +151,25 @@ def test_dzeta_strictly_negative_between_coefficient_scales():
     bc = RobinBC(0.5, 1.0)
     mu = -0.5  # between -(1.0)^2 and -(0.5)^2
     for z in np.linspace(0.05, 0.95, 10):
-        assert delta_strength_dzeta(mu, float(z), bc) < 0.0
+        assert delta_strength(mu, float(z), bc).dzeta < 0.0
 
 
-def test_dzeta_out_of_domain_raises():
-    with pytest.raises(ValueError):
-        delta_strength_dzeta(3.0, 0.0, BC00)
+def test_dzeta_out_of_domain_is_nan():
+    pt = delta_strength(3.0, 0.0, BC00)
+    assert not pt.in_domain
+    assert math.isnan(pt.value) and math.isnan(pt.dzeta)
 
 
 @pytest.mark.parametrize("mu, text", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
 def test_non_finite_mu_rejected(mu, text):
-    for fn in (delta_strength, delta_strength_dzeta):
-        with pytest.raises(ValueError, match=f"^mu must be finite, got {text}$"):
-            fn(mu, 0.5, BC00)
+    with pytest.raises(ValueError, match=f"^mu must be finite, got {text}$"):
+        delta_strength(mu, 0.5, BC00)
+
+
+@pytest.mark.parametrize("zeta", [-1e-300, -0.5, 1.0 + 1e-15, 2.0, math.nan])
+def test_zeta_outside_unit_interval_rejected(zeta):
+    with pytest.raises(ValueError, match=r"^zeta must lie in \[0, 1\]$"):
+        delta_strength(-1.0, zeta, BC00)
 
 
 def test_decay_slope_derivative_continuous_across_the_square_overflow():
@@ -187,15 +191,15 @@ def test_dzeta_finite_at_deep_negative_mu(bc, mu):
     # did not; both come from one evaluator now
     nu = math.sqrt(-mu)
     for z in (0.0, 0.3, 0.5, 1.0):
-        d = delta_strength_dzeta(mu, z, bc)
+        d = delta_strength(mu, z, bc).dzeta
         assert math.isfinite(d) and math.isfinite(delta_strength(mu, z, bc).value)
         assert abs(d) <= nu * nu * 1.000001
     # hundreds of decay lengths from both ends the map is flat
-    assert abs(delta_strength_dzeta(mu, 0.5, bc)) <= 1e-100
+    assert abs(delta_strength(mu, 0.5, bc).dzeta) <= 1e-100
     # at a Neumann end the slope is -nu * nu*sech^2(0) = mu, less the far end's
     if bc is BC00:
-        assert delta_strength_dzeta(mu, 0.0, bc) == mu
-        assert delta_strength_dzeta(mu, 1.0, bc) == -mu
+        assert delta_strength(mu, 0.0, bc).dzeta == mu
+        assert delta_strength(mu, 1.0, bc).dzeta == -mu
 
 
 def _mp_closed_form(mu, zeta, bc):
@@ -260,7 +264,7 @@ def test_zero_band_matches_mpmath():
                     f, d = _mp_closed_form(mu, z, bc)
                     terms = (k0 / (1.0 + k0 * z)) ** 2 + (k1 / (1.0 + k1 * (1.0 - z))) ** 2
                     assert abs(p.value - f) <= 4.0 * math.ulp(abs(f)) + mu * mu / 3.0, (bc, z, mu, p.value, f)
-                    got = delta_strength_dzeta(mu, z, bc)
+                    got = p.dzeta
                     assert abs(got - d) <= 4.0 * math.ulp(terms) + 4.0 * mu * mu, (bc, z, mu, got, d)
                     checked += 1
     assert checked >= 2500
@@ -299,7 +303,7 @@ def test_zero_band_keeps_its_bits():
     import json
 
     rows = [
-        [bc, mu, z, repr(delta_strength(mu, z, RobinBC(*bc)).value), repr(delta_strength_dzeta(mu, z, RobinBC(*bc)))]
+        [bc, mu, z, repr(delta_strength(mu, z, RobinBC(*bc)).value), repr(delta_strength(mu, z, RobinBC(*bc)).dzeta)]
         for bc in BIG_BCS
         for mu in BAND_MUS
         for z in BAND_ZETAS
@@ -312,7 +316,7 @@ def test_zero_band_keeps_its_bits():
 
 @pytest.mark.parametrize("bc", [(1e10, 1e10), (0.0, 1e10), (1e3, 1e9)])
 def test_zero_band_where_its_upper_neighbour_is_outside(bc):
-    # these gave nan with in_domain=True, and dzeta raised "outside the domain"
+    # these gave nan with in_domain=True; outside the domain F and dF/dzeta are nan
     q = RobinBC(*bc)
     for z in BAND_ZETAS:
         if not _up_outside(bc, z):
@@ -320,12 +324,10 @@ def test_zero_band_where_its_upper_neighbour_is_outside(bc):
         for mu in BAND_MUS:
             p = delta_strength(mu, z, q)
             if mu > 0.0:
-                assert not p.in_domain and math.isnan(p.value), (mu, z)
-                with pytest.raises(ValueError, match="outside the domain"):
-                    delta_strength_dzeta(mu, z, q)
+                assert not p.in_domain and math.isnan(p.value) and math.isnan(p.dzeta), (mu, z)
                 continue
             assert p.in_domain and math.isfinite(p.value), (mu, z)
-            assert math.isfinite(delta_strength_dzeta(mu, z, q)), (mu, z)
+            assert math.isfinite(p.dzeta), (mu, z)
             if mu < 0.0:
                 # F is ~1e10 here; a difference with mu = -1e-6 would be off by ~1e4
                 assert abs(p.value - _mp_strength(mu, z, q)) < 1e-6, (mu, z)

@@ -102,6 +102,12 @@ def test_merge_tolerance_stays_in_potential():
     assert not _named_outside("potential.py", {"MERGE_TOL"})
 
 
+def test_strength_map_stays_in_fmap():
+    # the strength map has one entry, delta_strength, which returns F and
+    # dF/dzeta from one evaluation: no other module reaches its internals
+    assert not _named_outside("fmap.py", {"_strength", "_closed_form", "_decay"})
+
+
 def test_workload_names_resolve():
     # loading runs the workloads' robinsl imports; every attribute they read
     # from a robinsl module must then exist

@@ -1,3 +1,4 @@
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -115,6 +116,14 @@ def test_robin_bc_invariants():
     assert compile_arrays(q, RobinBC(0.0, 0.0))[3:] == (-0.5, 1.0)
 
 
+def test_delta_approx_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        delta_approx(0.5, 0, 1.0)
+    for zeta in (-0.1, 1.1, math.nan):
+        with pytest.raises(ValueError, match=r"^zeta must lie in \[0, 1\]$"):
+            delta_approx(zeta, 4, 1.0)
+
+
 def test_json_round_trip():
     q = Potential(
         segments=(Segment(0.0, 0.25, 2.0), Segment(0.75, 1.0, 2.0)),
@@ -138,6 +147,9 @@ def test_segment_validation():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_values_rejected(bad):
+    for pair in ((bad, 1.0), (0.0, bad)):
+        with pytest.raises(ValueError, match="^boundary coefficients must be finite$"):
+            RobinBC(*pair)
     with pytest.raises(ValueError, match="Segment.value must be finite"):
         Segment(0.0, 0.5, bad)
     with pytest.raises(ValueError, match="DeltaAtom.weight must be finite"):

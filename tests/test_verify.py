@@ -8,6 +8,7 @@ import pytest
 
 from robinsl import (
     RobinBC,
+    ZeroMass,
     approach_extremum,
     check_bounds,
     sample_unit_mass,
@@ -238,6 +239,24 @@ def test_sample_rejects_bad_arguments():
         sample_unit_mass(65, 1, 1)
     with pytest.raises(ValueError):
         sample_unit_mass(4, 1, 0)
+
+
+def test_massless_draws_raise_zero_mass(monkeypatch):
+    # a sample whose every attempt leaves no mass fails after _TRIES of them
+    import robinsl.verify as V
+
+    real_block = V._block
+    attempts = []
+
+    def massless(u, pieces, sign, concentrated):
+        edges, vals, _ = real_block(u, pieces, sign, concentrated)
+        attempts.append(len(pieces))
+        return edges, vals, {r: None for r in range(len(pieces))}
+
+    monkeypatch.setattr(V, "_block", massless)
+    with pytest.raises(ZeroMass, match="^could not draw a potential with positive mass$"):
+        sample_unit_mass(4, 1, 1)
+    assert attempts == [1] * V._TRIES
 
 
 def test_check_bounds_empty():

@@ -16,7 +16,9 @@ sides run in ten alternating pairs: pair i runs both sides at seed i + 1,
 the working tree first in even pairs and REV first in odd ones.  The file
 holds each side's runs, median and quartiles per metric
 and workload, the pairs each side won, the machine facts that run.py prints
-and ``cat src/robinsl/*.py | wc -l`` of each side.  After the benchmark
+and ``cat src/robinsl/*.py | wc -l`` and the length of ``robinsl.__all__``
+(read from ``src/robinsl/__init__.py`` with ``ast``, not imported) of each
+side.  After the benchmark
 runs, each side runs its Tier-1 suite once (ROADMAP.md's command, with
 ``--durations=0`` and without pytest's cache); the file holds its wall time, its summary line and the
 share of that time the acceptance bound check, criterion 5, took.
@@ -25,6 +27,7 @@ share of that time the acceptance bound check, criterion 5, took.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import shutil
@@ -71,6 +74,17 @@ def _tier1(root: Path) -> dict:
 def _lines(root: Path) -> int:
     # cat src/robinsl/*.py | wc -l
     return sum(p.read_bytes().count(b"\n") for p in sorted((root / "src" / "robinsl").glob("*.py")))
+
+
+def _all_names(root: Path) -> int:
+    # len(robinsl.__all__) from the source: both sides' packages are named
+    # robinsl, so one process cannot import both
+    tree = ast.parse((root / "src" / "robinsl" / "__init__.py").read_text())
+    return next(
+        len(node.value.elts)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
 
 
 def _summary(values: list) -> dict:
@@ -120,6 +134,7 @@ def _record(sides: dict, bench: dict) -> dict:
         "pairs": PAIRS,
         "run_seconds": seconds,
         "src_lines": {name: _lines(root) for name, root in sides.items()},
+        "all_names": {name: _all_names(root) for name, root in sides.items()},
         "workloads": workloads,
         "trace": traced,
         "tier1": {name: _tier1(root) for name, root in sides.items()},

@@ -8,11 +8,12 @@ The two paths execute identical code and must agree to roundoff.
 
 The cell tables ``edges``, ``vals`` and ``atomw`` come from
 ``potential.cell_tables`` (through ``compile_arrays``, which also adds the
-endpoint masses to k0sq and k1sq, or straight from a ``check_bounds``
-sample) as lists of Python floats.  The pure path reads them several times
-per cell per shot, and a float read from a list keeps every later operation
-on plain floats instead of numpy scalars; numba takes the same lists as
-reflected lists.
+endpoint masses to k0sq and k1sq) as lists of Python floats.  The pure path
+reads them several times per cell per shot, and a float read from a list
+keeps every later operation on plain floats instead of numpy scalars; numba
+takes the same lists as reflected lists.  ``check_bounds`` does not call
+these kernels: it solves its samples together with their lockstep twins in
+``_lockstep``, which give each sample the bits these give it.
 """
 
 import math

@@ -14,8 +14,11 @@ one end of the bracket (``_kernels.lambda1_kernel``), which is narrowed to
 width tol + 1e-14*|lam|.  On check_bounds' samples of 1 to 16 segments a
 solve takes 4.2-4.6 shots from first-order perturbation about the zero
 potential, and 4.4-7.3 from the Rayleigh quotient, where the Illinois step
-it replaced took 8-11.6.  An independent finite-difference discretization
-provides a cross-check oracle.
+it replaced took 8-11.6.  check_bounds solves its samples in lockstep
+(``_lockstep.lambda1_lanes``), with the bits of one ``lambda1_kernel`` call
+each; a lane that is not OK raises what :func:`_checked` raises for it here.
+An independent finite-difference discretization provides a cross-check
+oracle.
 """
 
 from __future__ import annotations
@@ -72,7 +75,11 @@ def shoot(q: Potential, bc: RobinBC, lam: float):
 
 
 def _solve_arrays(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
-    lam, width, status = lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start)
+    return _checked(*lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start), tol)
+
+
+def _checked(lam, width, status, tol):
+    """(lam, width) of a solve whose status is OK; else the error that status names."""
     if status == STATUS_NONFINITE:
         raise NonFiniteState(_NONFINITE)
     if status != STATUS_OK:

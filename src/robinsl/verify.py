@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import derive_seeds, stream, units
-from .eigensolver import DEFAULT_TOL, _solve_arrays, lambda1_value
+from ._kernels import STATUS_OK
+from ._lockstep import lambda1_lanes
+from .eigensolver import DEFAULT_TOL, _checked, lambda1_value
 from .errors import ZeroMass
 from .extrema import KINDS, _eig0, _makers, all_extrema
 from .potential import (
@@ -33,9 +35,14 @@ BOUND_TOL = 1e-7
 _TWO_PI = 2.0 * math.pi
 #: attempts at a sample with mass before ZeroMass
 _TRIES = 100
-#: samples per numpy pass of check_bounds' streams, draws and starts; a
-#: larger block holds more lanes' cell tables as Python floats at once
+#: samples per numpy pass of check_bounds' streams, draws and starts
 _BLOCK = 32
+#: table entries (lanes x the widest lane's edges) past which check_bounds
+#: solves the lanes it holds as one lockstep batch: numpy's per-call cost is
+#: spread over ~500 lanes at --pieces-max 64 and ~3000 at 8, and a call
+#: holds under 3 MB at any n (1.4 MB at half this, at 30 % more time per
+#: solve; 5.4 MB at twice it, for 12 % less)
+_BATCH = 1 << 15
 
 
 @dataclass
@@ -154,7 +161,7 @@ def _layout(seeds: np.ndarray, pieces_max: int, concentrated: bool):
     return 1, [1 + z % pieces_max for z in raw[:, 0].tolist()], units(raw[:, 1:])
 
 
-def _first_order_starts(edges: np.ndarray, vals: np.ndarray, k0sq: float, lam0: float) -> list:
+def _first_order_starts(edges: np.ndarray, vals: np.ndarray, k0sq: float, lam0: float) -> np.ndarray:
     """First-order estimates of the first eigenvalue about the zero potential.
 
     Row r of edges and vals holds the atom-free cell tables of sample r,
@@ -179,25 +186,28 @@ def _first_order_starts(edges: np.ndarray, vals: np.ndarray, k0sq: float, lam0: 
     num = np.zeros(len(edges))
     for cell in (vals * (big[:, 1:] - big[:, :-1])).T:
         num += cell
-    return (lam0 + num / big[:, -1]).tolist()
+    return lam0 + num / big[:, -1]
 
 
 def _lanes(seed, tag, start, stop, pieces_max, concentrated, k0sq, lam0):
-    """Yield (cell tables, first-order starts) of each block of samples start..stop-1 of class tag.
+    """Yield (edges, vals, n, starts) of each block of samples start..stop-1 of class tag.
 
     Sample i draws on the stream of its sub-seed, ``derive_seeds(seed, tag,
     i, i + 1)``, laid out by :func:`_layout`, with sign 1 - 2*tag.  A block
     of _BLOCK samples takes its sub-seeds, piece counts and uniforms from
     one numpy uint64 pass over its streams, its draws from one
     :func:`_block`, and its starts from one numpy pass over its padded
-    tables; every number is the one a sample drawn alone gets.
+    tables.  Row r of edges and vals holds the atom-free cell tables of the
+    block's sample r, its n[r] edges padded with 1 and its values with 0, as
+    :func:`lambda1_lanes` takes them; every number is the one a sample drawn
+    alone gets.
     """
     sign = 1 - 2 * tag
     for lo in range(start, stop, _BLOCK):
         seeds = derive_seeds(seed, tag, lo, min(stop, lo + _BLOCK))
         skip, pieces, u = _layout(seeds, pieces_max, concentrated)
         edges, vals, odd = _block(u, pieces, sign, concentrated)
-        n = [p + 3 for p in pieces]
+        n = np.array(pieces) + 3
         for r, segs in odd.items():
             if segs is None:
                 # the next attempts go on along the same stream
@@ -206,8 +216,42 @@ def _lanes(seed, tag, start, stop, pieces_max, concentrated, k0sq, lam0):
             e, v, _ = cell_tables(segs)
             edges[r], vals[r], n[r] = 1.0, 0.0, len(e)
             edges[r, : len(e)], vals[r, : len(v)] = e, v
-        tables = [(e[:m], v[: m - 1], [0.0] * m) for e, v, m in zip(edges.tolist(), vals.tolist(), n)]
-        yield tables, _first_order_starts(edges, vals, k0sq, lam0)
+        yield edges, vals, n, _first_order_starts(edges, vals, k0sq, lam0)
+
+
+def _batches(seed, n, pieces_max, concentrated, k0sq, lam0):
+    """Yield check_bounds' samples as lockstep batches: (tags, indices, edges, vals, n, starts).
+
+    Samples come in sample order, class 0 then class 1, a block of
+    :func:`_lanes` at a time, until a batch reaches _BATCH table entries.
+    """
+    parts, rows, width = [], 0, 0
+    for tag in (0, 1):
+        for b, block in enumerate(_lanes(seed, tag, 0, n, pieces_max, concentrated, k0sq, lam0)):
+            parts.append((tag, b * _BLOCK, *block))
+            rows, width = rows + len(block[3]), max(width, block[0].shape[1])
+            if rows * width >= _BATCH:
+                yield _stack(parts)
+                rows, width = 0, 0
+    if parts:
+        yield _stack(parts)
+
+
+def _stack(parts):
+    # the blocks in parts as one batch of lane arrays, tables padded to the
+    # widest; parts is emptied, so that no block outlives its copy
+    rows, width = sum(len(p[5]) for p in parts), max(p[2].shape[1] for p in parts)
+    edges, vals = np.ones((rows, width)), np.zeros((rows, width - 1))
+    r = 0
+    for _, _, e, v, _, s in parts:
+        edges[r : r + len(s), : e.shape[1]] = e
+        vals[r : r + len(s), : v.shape[1]] = v
+        r += len(s)
+    tags = np.concatenate([np.full(len(p[5]), p[0]) for p in parts])
+    index = np.concatenate([np.arange(p[1], p[1] + len(p[5])) for p in parts])
+    n, starts = (np.concatenate([p[k] for p in parts]) for k in (4, 5))
+    parts.clear()
+    return tags, index, edges, vals, n, starts
 
 
 def _potential(segments) -> Potential:
@@ -258,11 +302,16 @@ def check_bounds(
     so any sample can be drawn again from the report's seed alone, by the
     same code, as :func:`regenerate` does.  Samples are drawn, tabled and
     started from first-order perturbation about the zero potential a block
-    at a time, as lane arrays (see ``_lanes``); only a violating sample
-    becomes a Potential, drawn again by :func:`regenerate` for the report.
-    Violations are recorded, not raised.  n = 0 gives an empty report; a
-    negative n, or a pieces_max outside 1..64 (the piece counts
-    ``sample_unit_mass`` accepts), raises ValueError.
+    at a time, as lane arrays (see ``_lanes``), and solved together, both
+    classes in sample order, by :func:`lambda1_lanes` in batches of up to
+    _BATCH table entries; each eigenvalue has the bits of a scalar
+    ``lambda1_kernel`` solve of its sample.  A sample the solver cannot
+    settle raises what that solve raises (ToleranceNotReached or
+    NonFiniteState), the first such sample in sample order.  Only a
+    violating sample becomes a Potential, drawn again by :func:`regenerate`
+    for the report.  Violations are recorded, not raised.  n = 0 gives an
+    empty report; a negative n, or a pieces_max outside 1..64 (the piece
+    counts ``sample_unit_mass`` accepts), raises ValueError.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -274,27 +323,37 @@ def check_bounds(
     lam0 = _eig0(k0, k1)
     report = SampleReport(n_samples=0, seed=seed)
     gaps = {k: None for k in KINDS}
-    for tag, lo_kind, hi_kind in ((0, "m1plus", "M1plus"), (1, "m1minus", "M1minus")):
-        lo = ext[lo_kind].value
-        hi = ext[hi_kind].value
-        for b, (tables, starts) in enumerate(_lanes(seed, tag, 0, n, pieces_max, concentrated, k0, lam0)):
-            lams = [_solve_arrays(*t, k0, k1, DEFAULT_TOL, s)[0] for t, s in zip(tables, starts)]
+    for tags, index, edges, vals, m, starts in _batches(seed, n, pieces_max, concentrated, k0, lam0):
+        lam, width, status = lambda1_lanes(edges, vals, m, k0, k1, DEFAULT_TOL, starts)
+        unsolved = (status != STATUS_OK).nonzero()[0]
+        if unsolved.size:
+            # the first unsolved sample raises what a scalar solve of it raises
+            i = unsolved[0]
+            _checked(float(lam[i]), float(width[i]), int(status[i]), DEFAULT_TOL)
+        for tag, lo_kind, hi_kind in ((0, "m1plus", "M1plus"), (1, "m1minus", "M1minus")):
+            ours = tags == tag
+            if not ours.any():
+                continue
+            lo = ext[lo_kind].value
+            hi = ext[hi_kind].value
+            got = lam[ours]
+            lams = got.tolist()
             report.n_samples += len(lams)
-            # min, max and the distances are exact, so a block's bookkeeping
+            # min, max and the distances are exact, so a batch's bookkeeping
             # gives the numbers of one sample at a time
             least, most = min(lams), max(lams)
             if report.min_seen is None or least < report.min_seen:
                 report.min_seen = least
             if report.max_seen is None or most > report.max_seen:
                 report.max_seen = most
-            lam = np.array(lams)
             for kind in (lo_kind, hi_kind):
-                gap = float(np.abs(lam - ext[kind].value).min())
+                gap = float(np.abs(got - ext[kind].value).min())
                 if gaps[kind] is None or gap < gaps[kind]:
                     gaps[kind] = gap
-            for i in ((lam < lo - BOUND_TOL) | (lam > hi + BOUND_TOL)).nonzero()[0].tolist():
+            bad = (got < lo - BOUND_TOL) | (got > hi + BOUND_TOL)
+            for i, j in zip(bad.nonzero()[0].tolist(), index[ours][bad].tolist()):
                 bound, gap = (lo_kind, lo - lams[i]) if lams[i] < lo - BOUND_TOL else (hi_kind, lams[i] - hi)
-                q = regenerate(seed, tag, b * _BLOCK + i, pieces_max, concentrated)
+                q = regenerate(seed, tag, j, pieces_max, concentrated)
                 report.violations.append(
                     {"potential": potential_to_dict(q), "lambda1": lams[i], "bound": bound, "gap": gap}
                 )

@@ -1,19 +1,24 @@
-"""The bit-exactness that check_bounds' block path and the eigenfunction sampler rely on.
+"""The bit-exactness that check_bounds' block path, its lockstep solve and the eigenfunction sampler rely on.
 
 check_bounds draws, tables and starts its samples a block at a time in numpy,
 and its reports must keep the bytes of the scalar splitmix64 stream and
 loops.  That holds only while numpy's uint64 arithmetic wraps as the Python
 ints are masked, and while its sin, cos and sqrt round as math's do.  The
 scalar stream is kept here, one Python-int step at a time, as the reference
-for ``_rng``'s arrays.  The eigenfunction sampler
-(``eigensolver._sample_eigenfunction``) evaluates each trigonometric cell's
-slice with numpy's sin and cos, on a view of s*t that reaches far beyond one
-period, and ``eigen`` prints those samples; it keeps the bytes of its
-one-``math``-call-per-sample predecessor only while they round as math's do
-on such arguments too.  These tests fail, naming the function, on a platform
-where they do not.
+for ``_rng``'s arrays.  check_bounds then solves its samples in lockstep
+(``_lockstep.lambda1_lanes``), which gives every lane the bits of
+``lambda1_kernel`` only while numpy's sqrt of |lam - q| and its cos and sin
+of s*h round as math's do at every scale those reach, and only while it
+leaves cosh, sinh, exp, log, atan2, atanh, max and min to math and Python
+(numpy's differ in the last bit, or in their NaN rules).  The eigenfunction
+sampler (``eigensolver._sample_eigenfunction``) evaluates each trigonometric
+cell's slice with numpy's sin and cos, on a view of s*t that reaches far
+beyond one period, and ``eigen`` prints those samples; it keeps the bytes of
+its one-``math``-call-per-sample predecessor only while they round as math's
+do on such arguments too.  These tests fail, naming the function, on a
+platform where they do not.
 """
-
+import ast
 import io
 import math
 import warnings
@@ -22,6 +27,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
+import robinsl._lockstep
 from robinsl._rng import derive_seeds, stream, units
 from robinsl.cli import main
 
@@ -90,6 +96,36 @@ def test_numpy_rounds_as_math(name):
                 f"np.{name} differs from math.{name} on {len(bad)} of {len(x)} {layout} arguments "
                 f"in [0, {top:g}], first {bad[0]!r}"
             )
+
+
+@pytest.mark.parametrize(
+    "name, decades", [("sqrt", (-300.0, 300.0)), ("sin", (-12.0, 15.0)), ("cos", (-12.0, 15.0))], ids=["sqrt", "sin", "cos"]
+)
+def test_numpy_rounds_as_math_at_every_scale(name, decades):
+    # the lockstep's sqrt(|lam - q|) and its cos and sin of s*h, log-uniform
+    # over the decades a shot can reach: a cell narrower than MERGE_TOL under
+    # a lam near its value, up to a tall barrier or a deep well
+    x = 10.0 ** np.random.default_rng(20260810).uniform(*decades, 10**5)
+    got = getattr(np, name)(x).tolist()
+    want = [getattr(math, name)(t) for t in x.tolist()]
+    bad = [t for t, a, b in zip(x.tolist(), got, want) if a != b]
+    assert not bad, f"np.{name} differs from math.{name} on {len(bad)} of {len(x)} arguments, first {bad[0]!r}"
+
+
+def test_lockstep_leaves_the_rest_to_math():
+    # numpy's versions of these differ from math's in the last bit, or
+    # (maximum, minimum, fmax, fmin) from Python's max and min where a NaN
+    # is compared; the lockstep maps math's over the lanes or uses where
+    banned = {"sinh", "cosh", "exp", "log", "arctan2", "arctanh", "maximum", "minimum", "fmax", "fmin"}
+    tree = ast.parse(open(robinsl._lockstep.__file__).read())
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np"
+    }
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "numpy" for a in node.names}
+    assert not (used | imported) & banned, sorted((used | imported) & banned)
+    assert {"sqrt", "cos", "sin"} <= used
 
 
 def test_verify_warns_nothing():

@@ -73,6 +73,11 @@ def _bits(xs):
     return np.array(xs, dtype=float).tobytes()
 
 
+def _row_tables(edges, vals, n):
+    """Each padded row of a ``_lanes`` block as the lists a scalar solve takes: (edges, vals, atomw)."""
+    return [(e[:m], v[: m - 1], [0.0] * m) for e, v, m in zip(edges.tolist(), vals.tolist(), n.tolist())]
+
+
 def _assert_block_is_scalar(u, pieces, sign, concentrated):
     """Each row of _block(u, ...) against _segments on that row's uniforms; returns the odd rows."""
     edges, vals, odd = _block(u, pieces, sign, concentrated)
@@ -122,7 +127,7 @@ def test_lanes_are_the_scalar_draw(concentrated):
             for tag, sign in ((0, 1), (1, -1)):
                 subs = derive_seeds(77, tag, 0, 40).tolist()
                 lanes = _lanes(77, tag, 0, 40, pieces_max, concentrated, k0, lam0)
-                got = [lane for tables, starts in lanes for lane in zip(tables, starts)]
+                got = [lane for *block, starts in lanes for lane in zip(_row_tables(*block), starts.tolist())]
                 assert len(got) == 40
                 for i, (sub, (tables, start)) in enumerate(zip(subs, got)):
                     if concentrated:
@@ -200,7 +205,8 @@ def test_lanes_retry_a_sample_without_mass(monkeypatch):
 
     monkeypatch.setattr(V, "_block", empty_first)
     lam0 = _eig0(0.25, 0.5)
-    tables, starts = next(_lanes(5, 0, 0, 8, 16, False, 0.25, lam0))
+    *block, starts = next(_lanes(5, 0, 0, 8, 16, False, 0.25, lam0))
+    tables, starts = _row_tables(*block), starts.tolist()
     assert calls == [8, 1]
     sub = derive_seeds(5, 0, 2, 3)
     p = 1 + stream(sub, 0, 1).item() % 16
@@ -223,7 +229,8 @@ def test_regenerate_rejects_bad_arguments():
 
 
 def test_check_bounds_gaps_are_the_scalar_gaps():
-    # the block bookkeeping against one sample at a time on the same draws
+    # the lockstep batch and its bookkeeping against a scalar solve of one
+    # sample at a time, each padded row of the same draws sliced to its lists
     from robinsl import check_bounds
     from robinsl.eigensolver import DEFAULT_TOL, _solve_arrays
     from robinsl.extrema import all_extrema
@@ -234,8 +241,8 @@ def test_check_bounds_gaps_are_the_scalar_gaps():
     lam0 = _eig0(bc.k0sq, bc.k1sq)
     seen, gaps = [], {}
     for tag, kinds in ((0, ("m1plus", "M1plus")), (1, ("m1minus", "M1minus"))):
-        for tables, starts in _lanes(3, tag, 0, 70, 8, False, bc.k0sq, lam0):
-            for t, s in zip(tables, starts):
+        for *block, starts in _lanes(3, tag, 0, 70, 8, False, bc.k0sq, lam0):
+            for t, s in zip(_row_tables(*block), starts.tolist()):
                 lam = _solve_arrays(*t, bc.k0sq, bc.k1sq, DEFAULT_TOL, s)[0]
                 seen.append(lam)
                 for kind in kinds:

@@ -12,13 +12,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robinsl import DeltaAtom, Potential, RobinBC, Segment
 from robinsl._rng import derive_seeds, stream, units
 from robinsl.potential import MERGE_TOL, cell_tables, compile_arrays, total_integral
 from robinsl.verify import _lanes, regenerate, sample_unit_mass
+from test_block_draw import _row_tables
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
 
@@ -171,7 +172,8 @@ def segment_lists(draw):
     # breakpoints from 0 or a step past it, ending anywhere, at 1 or about
     # MERGE_TOL below it; segments between neighbours, end to end, some
     # dropped, some moved off their left neighbour by a gap or an overlap
-    # about MERGE_TOL
+    # about MERGE_TOL, never past that neighbour's left end (a neighbour
+    # narrower than MERGE_TOL would otherwise be overlapped)
     x = draw(st.one_of(st.just(0.0), _STEP))
     pts = [x]
     for _ in range(draw(st.integers(1, 8))):
@@ -191,7 +193,7 @@ def segment_lists(draw):
         if draw(st.integers(0, 5)) == 0:
             continue
         if segs and draw(st.integers(0, 4)) == 0:
-            a = max(a + draw(st.floats(-MERGE_TOL, 3 * MERGE_TOL)), segs[-1][1] - MERGE_TOL, 0.0)
+            a = max(a + draw(st.floats(-MERGE_TOL, 3 * MERGE_TOL)), segs[-1][1] - MERGE_TOL, segs[-1][0])
         if a < b:
             segs.append((a, b, draw(st.floats(-50.0, 50.0))))
     atoms = draw(
@@ -215,6 +217,10 @@ def test_every_cell_is_wider_than_merge_tol(q, case):
 
 @settings(max_examples=300, deadline=None)
 @given(case=segment_lists())
+# a segment moved back onto the left end of a neighbour narrower than
+# MERGE_TOL; the draw that once put it before that end, 9.145216477654253e-13,
+# gave segments that Potential rightly rejects as overlapping
+@example(case=([(0.0, 1e-12, 0.0), (1e-12, 1.5e-12, 0.0), (1e-12, 2.9333054831877148e-12, 0.0)], []))
 def test_tables_of_segment_lists(case):
     segs, atoms = case
     _assert_same_tables(
@@ -269,7 +275,8 @@ def _draw_then_normalize(units, pieces, sign, concentrated):
 def test_draw_matches_normalize_mass(sign, tag, concentrated):
     for pieces_max in (8, 16):
         subs = derive_seeds(20260809, tag, 0, 1000).tolist()
-        lanes = [t for tables, _ in _lanes(20260809, tag, 0, 1000, pieces_max, concentrated, 0.0, 0.0) for t in tables]
+        blocks = _lanes(20260809, tag, 0, 1000, pieces_max, concentrated, 0.0, 0.0)
+        lanes = [t for *block, _ in blocks for t in _row_tables(*block)]
         for sub, tables in zip(subs, lanes, strict=True):
             if concentrated:
                 skip, pieces = 0, pieces_max

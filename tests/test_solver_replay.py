@@ -31,6 +31,7 @@ from robinsl import JIT_ENABLED, DeltaAtom, Potential, RobinBC, Segment, delta_s
 from robinsl.eigensolver import _solve_arrays, compile_arrays, lambda1_value
 from robinsl.extrema import _ATOMW0, _EDGES0, _MU_TOL, _VALS0, _eig0, left_half_eigenvalue, right_half_eigenvalue
 from robinsl.verify import _lanes, regenerate, sample_unit_mass
+from test_block_draw import _row_tables
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
 
@@ -306,7 +307,8 @@ def test_shot_budget_per_solve(monkeypatch):
         k0, k1 = BC_GRID6[i % 6]
         tag = i // 6 % 2
         pieces_max = 8 if i // 12 % 2 == 0 else 16
-        (tables,), (start,) = next(_lanes(20260809, tag, i, i + 1, pieces_max, False, k0, lam0[k0, k1]))
+        *block, (start,) = next(_lanes(20260809, tag, i, i + 1, pieces_max, False, k0, lam0[k0, k1]))
+        (tables,) = _row_tables(*block)
         shots.append(0)
         assert math.isfinite(lambda1_value(regenerate(20260809, tag, i, pieces_max), RobinBC(k0, k1)))
         # and as check_bounds solves, from the first-order start

@@ -17,7 +17,7 @@ from robinsl._rng import derive_seeds, stream, units
 from robinsl.extrema import _eig0
 from robinsl.potential import compile_arrays, potential_to_dict, total_integral
 from robinsl.verify import _count, _lanes, _potential, regenerate
-from test_block_draw import _segments
+from test_block_draw import _row_tables, _segments
 
 
 def _sha256(obj):
@@ -84,7 +84,7 @@ def test_sampler_tables_are_the_potential_tables():
         for pieces_max in (1, 8, 16, 64):
             for tag in (0, 1):
                 blocks = _lanes(20260809, tag, 0, 150, pieces_max, concentrated, bc.k0sq, lam0)
-                lanes = [t for tables, _ in blocks for t in tables]
+                lanes = [t for *block, _ in blocks for t in _row_tables(*block)]
                 assert len(lanes) == 150
                 for index, tables in enumerate(lanes):
                     *arrays, k0, k1 = compile_arrays(regenerate(20260809, tag, index, pieces_max, concentrated), bc)

@@ -7,7 +7,6 @@ first eigenvalue over unit-mass potential classes, and verifies the bounds
 statistically against an independent finite-difference oracle.
 """
 
-from ._kernels import JIT_ENABLED
 from .eigensolver import (
     EigenResult,
     fd_lambda1,
@@ -38,12 +37,14 @@ from .verify import SampleReport, approach_extremum, check_bounds, sample_unit_m
 
 __version__ = "0.1.0"
 
+# perfbench's machine_facts reports this; the kernels have one, uncompiled path.
+JIT_ENABLED = False
+
 __all__ = [
     "DeltaAtom",
     "EigenResult",
     "ExtremumReport",
     "GridTooCoarse",
-    "JIT_ENABLED",
     "NoConvergence",
     "NonFiniteState",
     "Potential",

@@ -1,24 +1,19 @@
 """Scalar shooting kernels.
 
-Everything here is written in plain ``math``-level Python so that numba can
-compile it unchanged.  When numba is importable and the environment variable
-``ROBINSL_NO_JIT`` is unset, every kernel is wrapped in ``@njit(cache=True)``;
-otherwise the same functions run as ordinary Python (the pure fallback path).
-The two paths execute identical code and must agree to roundoff.
+Plain ``math``-level Python: one solve at a time, for ``lambda1``,
+``lambda1_value`` and the extrema.
 
 The cell tables ``edges``, ``vals`` and ``atomw`` come from
 ``potential.cell_tables`` (through ``compile_arrays``, which also adds the
-endpoint masses to k0sq and k1sq) as lists of Python floats.  The pure path
-reads them several times per cell per shot, and a float read from a list
-keeps every later operation on plain floats instead of numpy scalars; numba
-takes the same lists as reflected lists.  ``check_bounds`` does not call
-these kernels: it solves its samples together with their lockstep twins in
-``_lockstep``, which give each sample the bits these give it.
+endpoint masses to k0sq and k1sq) as lists of Python floats.  The kernels
+read them several times per cell per shot, and a float read from a list
+keeps every later operation on plain floats instead of numpy scalars.
+``check_bounds`` does not call these kernels: it solves its samples together
+with their lockstep twins in ``_lockstep``, which give each sample the bits
+these give it.
 """
 
 import math
-import os
-import warnings
 
 _PI = math.pi
 
@@ -28,35 +23,6 @@ STATUS_TOL = 1
 STATUS_NONFINITE = 2
 
 
-def _no_jit_requested():
-    return os.environ.get("ROBINSL_NO_JIT", "").strip().lower() in ("1", "true", "yes")
-
-
-if _no_jit_requested():
-    JIT_ENABLED = False
-
-    def jit(func):
-        return func
-
-else:
-    try:
-        from numba import njit as _njit
-
-        JIT_ENABLED = True
-
-        def jit(func):
-            return _njit(cache=True)(func)
-
-    except ImportError:  # pragma: no cover - exercised only without numba
-        JIT_ENABLED = False
-
-        def jit(func):
-            return func
-
-        warnings.warn("numba not available, robinsl kernels run uncompiled", RuntimeWarning)
-
-
-@jit
 def propagate_step(y, yp, w, h):
     """Advance (y, y') across a cell of width h on which y'' = -w*y.
 
@@ -112,7 +78,6 @@ def propagate_step(y, yp, w, h):
 _INF = math.inf
 
 
-@jit
 def shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam):
     """Shoot from the left boundary condition to x=1.
 
@@ -177,7 +142,6 @@ def shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam):
     return yp + k1sq * y, nz, mismatch, sq / (y * y + yp * yp), True
 
 
-@jit
 def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
     """Locate the smallest eigenvalue to a bracket of width tol + 1e-14*|lam|.
 

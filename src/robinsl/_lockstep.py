@@ -20,7 +20,7 @@ cell with s*h >= pi, the series of a short cell) run on the lanes that take
 them.  Lanes that have converged are dropped between shots.
 
 The scalar kernels stay: a single solve is cheaper without numpy's per-call
-cost, numba compiles them, and they are the reference these match.
+cost, and they are the reference these match.
 """
 
 import math

@@ -213,8 +213,8 @@ def cell_tables(segments, atoms=()):
     edges[i].  :func:`compile_arrays` calls this on a Potential's pieces, and
     the sampler of ``verify`` on the segments it draws.
 
-    The tables are lists of Python floats: the pure kernels index them once
-    per cell per shot, and a float read from a list avoids numpy's scalar
+    The tables are lists of Python floats: the kernels index them once per
+    cell per shot, and a float read from a list avoids numpy's scalar
     overhead on every later operation.
     """
     pts = {0.0, 1.0}

@@ -1,8 +1,8 @@
 """Acceptance gate: every criterion at its stated tolerance.
 
 Each test prints one `ACCEPTANCE <n> <name>: PASS|FAIL` line (visible with
-`pytest -s`).  Runtime-limited criteria time the computation itself; the
-one-off numba compile/cache load is warmed up beforehand.
+`pytest -s`).  Runtime-limited criteria time the computation itself; a
+warm-up call beforehand absorbs the first call's one-off imports.
 """
 
 import json
@@ -51,7 +51,7 @@ def criterion(num, name):
 def test_criterion_1_cli_reproduces_reference_value(capsys):
     with criterion(1, "cli inf_plus value at (0,0) under 1s"):
         argv = ["extrema", "--k0sq", "0", "--k1sq", "0"]
-        assert main(argv) == 0  # warm-up call absorbs jit compile / cache load
+        assert main(argv) == 0  # warm-up call absorbs first-call imports
         capsys.readouterr()
         t0 = time.perf_counter()
         code = main(argv)

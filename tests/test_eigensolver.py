@@ -7,7 +7,6 @@ from scipy.linalg import LinAlgError
 
 import robinsl._kernels as K
 from robinsl import (
-    JIT_ENABLED,
     DeltaAtom,
     GridTooCoarse,
     NoConvergence,
@@ -303,7 +302,6 @@ def test_huge_positive_potential_reaches_the_pinned_limit(kind):
     assert abs(lambda1_value(_tall(kind, 1e60), RobinBC(0.25, 0.5)) - _PINNED[kind]) <= 1e-9
 
 
-@pytest.mark.skipif(JIT_ENABLED, reason="compiled kernels call shoot_kernel without the module lookup")
 def test_huge_positive_potentials_do_not_stall(monkeypatch):
     # the bracket [0, ~w] spans hundreds of decades, which 200 halvings could
     # not close from w = 1e80 up; bisecting it in log scale took 50-65 shots

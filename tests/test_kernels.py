@@ -7,24 +7,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from robinsl import lambda1, lambda1_value, sup_plus, RobinBC, Potential, DeltaAtom, Segment
+from robinsl import inf_minus, lambda1, lambda1_value, sup_plus, RobinBC, Potential, DeltaAtom, Segment
 from robinsl._kernels import lambda1_kernel, propagate_step, shoot_kernel
 from robinsl.potential import compile_arrays
 
 _PROBE = r"""
 import json
 import robinsl as rs
-try:
-    from numba import njit
-    numba_ok = True
-except ImportError:
-    numba_ok = False
 q = rs.Potential(segments=(rs.Segment(0.1, 0.6, 3.0),), atoms=(rs.DeltaAtom(0.7, -1.5),))
-bc = rs.RobinBC(0.25, 0.5)
 out = {
-    "jit": rs.JIT_ENABLED,
-    "numba": numba_ok,
-    "lam": rs.lambda1_value(q, bc, 1e-12),
+    "lam": rs.lambda1_value(q, rs.RobinBC(0.25, 0.5), 1e-12),
     "sup_plus": rs.sup_plus(rs.RobinBC(1.0, 1.0)).value,
     "inf_minus": rs.inf_minus(rs.RobinBC(1.0, 1.0)).value,
 }
@@ -32,53 +24,17 @@ print(json.dumps(out))
 """
 
 
-def _run_probe(env, flag):
-    """Run _PROBE in a fresh interpreter under env; return its JSON report and its stderr.
-
-    flag is the child's ROBINSL_NO_JIT value; None removes the variable.
-    -W keeps RuntimeWarnings visible whatever PYTHONWARNINGS the caller runs
-    under.
-    """
-    env = dict(env)
-    if flag is None:
-        env.pop("ROBINSL_NO_JIT", None)
-    else:
-        env["ROBINSL_NO_JIT"] = flag
-    res = subprocess.run(
-        [sys.executable, "-W", "default::RuntimeWarning", "-c", _PROBE],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    return json.loads(res.stdout), res.stderr
-
-
-def test_pure_fallback_matches_compiled_path(child_env):
-    pure, _ = _run_probe(child_env, "1")
-    assert pure["jit"] is False
+def test_fresh_interpreter_imports_silently_and_matches(child_env):
+    # -W error turns any warning, the import's included, into a failure; the
+    # child runs the one kernel path this process runs, so its floats are these
+    res = subprocess.run([sys.executable, "-W", "error", "-c", _PROBE], env=child_env, capture_output=True, text=True)
+    assert res.returncode == 0 and res.stderr == "", res.stderr
     q = Potential(segments=(Segment(0.1, 0.6, 3.0),), atoms=(DeltaAtom(0.7, -1.5),))
-    here = {
+    assert json.loads(res.stdout) == {
         "lam": lambda1_value(q, RobinBC(0.25, 0.5), 1e-12),
         "sup_plus": sup_plus(RobinBC(1.0, 1.0)).value,
+        "inf_minus": inf_minus(RobinBC(1.0, 1.0)).value,
     }
-    # The compiled-vs-pure comparison is meaningful only where JIT_ENABLED is
-    # true in this process; elsewhere `here` is the pure path too.  numba's
-    # libm may differ from CPython's by an ulp, never more
-    assert pure["lam"] == pytest.approx(here["lam"], abs=1e-12)
-    assert pure["sup_plus"] == pytest.approx(here["sup_plus"], abs=1e-12)
-
-
-def test_env_flag_enables_jit_by_default(child_env):
-    # Unset and empty ROBINSL_NO_JIT both ask for JIT.  It is then on exactly
-    # when numba imports; without numba the pure path runs and says so.
-    for flag in (None, ""):
-        probe, stderr = _run_probe(child_env, flag)
-        if probe["numba"]:
-            assert probe["jit"] is True
-        else:
-            assert probe["jit"] is False
-            assert "RuntimeWarning: numba not available" in stderr
 
 
 def test_propagate_step_scaled_hyperbolic_branch():

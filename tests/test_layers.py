@@ -44,7 +44,7 @@ def test_layer_resolves_to_callable(modname, attr):
 
 
 def test_jit_flag_exported():
-    assert isinstance(robinsl.JIT_ENABLED, bool)
+    assert robinsl.JIT_ENABLED is False and "JIT_ENABLED" not in robinsl.__all__
 
 
 def test_all_names_resolve():
@@ -106,6 +106,26 @@ def test_strength_map_stays_in_fmap():
     # the strength map has one entry, delta_strength, which returns F and
     # dF/dzeta from one evaluation: no other module reaches its internals
     assert not _named_outside("fmap.py", {"_strength", "_closed_form", "_decay"})
+
+
+def test_one_solver_path():
+    # the kernels are plain Python and the only path: robinsl imports nothing
+    # beyond the standard library, numpy and scipy, and reads no environment
+    # variable, so no compiled second path or switch returns unseen
+    src = Path(robinsl.__file__).parent
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy"}
+    foreign = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            foreign |= {(path.name, m) for m in modules if m.split(".")[0] not in allowed}
+    assert not sorted(foreign)
+    assert not _named_outside(None, {"environ", "getenv"})
 
 
 def test_workload_names_resolve():

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import robinsl._kernels as K
 import robinsl._lockstep as L
 import robinsl.verify as V
-from robinsl import JIT_ENABLED, RobinBC, check_bounds
+from robinsl import RobinBC, check_bounds
 from robinsl._kernels import STATUS_NONFINITE, STATUS_OK, STATUS_TOL, lambda1_kernel, shoot_kernel
 from robinsl._lockstep import lambda1_lanes, shoot_lanes
 from robinsl.eigensolver import DEFAULT_TOL
@@ -167,7 +167,6 @@ def _lost(x):
     return (struct.unpack("<Q", struct.pack("<d", x))[0] >> 7) % 5 == 0
 
 
-@pytest.mark.skipif(JIT_ENABLED, reason="compiled kernels call shoot_kernel without the module lookup")
 def test_lost_shots_are_taken_again(monkeypatch):
     # both kernels lose the same shots; inside a bracket a lane shoots again
     # a quarter stopping width toward its middle, and a lane that loses a

@@ -27,7 +27,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import robinsl._kernels as K
-from robinsl import JIT_ENABLED, DeltaAtom, Potential, RobinBC, Segment, delta_strength, sup_plus
+from robinsl import DeltaAtom, Potential, RobinBC, Segment, delta_strength, sup_plus
 from robinsl.eigensolver import _solve_arrays, compile_arrays, lambda1_value
 from robinsl.extrema import _ATOMW0, _EDGES0, _MU_TOL, _VALS0, _eig0, left_half_eigenvalue, right_half_eigenvalue
 from robinsl.verify import _lanes, regenerate, sample_unit_mass
@@ -194,7 +194,6 @@ def test_strength_map_atom_lost_to_cancellation(k0, k1, mu, zeta):
     _certified_solve(compile_arrays(q, bc), 1e-10)
 
 
-@pytest.mark.skipif(JIT_ENABLED, reason="compiled kernels call shoot_kernel without the module lookup")
 def test_reshot_of_a_vanished_state(monkeypatch):
     # the shot at lam = -2671.1979662845706, the eigenvalue to the last bits,
     # cancels to a zero state past the atom; the kernel shoots again a
@@ -285,7 +284,6 @@ def test_replay_mixed_sign_potentials(q, bc, tol):
     assert _within(args, lam, b + d), (args, lam, tol, d)
 
 
-@pytest.mark.skipif(JIT_ENABLED, reason="compiled kernels call shoot_kernel without the module lookup")
 def test_shot_budget_per_solve(monkeypatch):
     # the module-global name is the hook perfbench/tracing.py counts shots by
     shots = []
@@ -294,7 +292,7 @@ def test_shot_budget_per_solve(monkeypatch):
     def counted(*args):
         shots[-1] += 1
         # the cell tables reach the kernel as lists of Python floats, which
-        # the pure path reads without numpy's scalar overhead
+        # it reads without numpy's scalar overhead
         for table in args[:3]:
             assert type(table) is list and all(type(x) is float for x in table)
         return real(*args)
@@ -327,7 +325,6 @@ def test_shot_budget_per_solve(monkeypatch):
     assert np.mean(started) <= 4.7 and max(started) <= 6
 
 
-@pytest.mark.skipif(JIT_ENABLED, reason="compiled kernels call shoot_kernel without the module lookup")
 @pytest.mark.parametrize("off", [3.0, -3.0, 20.0, -20.0, None])
 def test_certify_corrects_a_wrong_estimate(off):
     # every shot returns the mismatch and its slope at lam + off stopping
@@ -356,7 +353,6 @@ def test_certify_corrects_a_wrong_estimate(off):
                 assert len(log) - n <= halvings + 3, (len(log) - n, halvings)
 
 
-@pytest.mark.skipif(JIT_ENABLED, reason="compiled kernels call shoot_kernel without the module lookup")
 def test_search_up_from_a_start_below():
     # the first-order start lam0 +- 1 is exact on the constant potentials
     # +-1, so rounding puts the first shot below lambda1 at some pairs, as it
@@ -447,7 +443,6 @@ def test_deep_square_well_matches_mpmath(depth):
         assert even_state(lam - b) < 0 < even_state(lam + b), lam
 
 
-@pytest.mark.skipif(JIT_ENABLED, reason="compiled kernels call shoot_kernel without the module lookup")
 def test_lambda1_growth_starts_from_known_bounds():
     # deep wells: the first shot at the Rayleigh bound fails, so it is hi,
     # and Newton steps down no further than the geometric search for lo

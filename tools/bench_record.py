@@ -20,8 +20,8 @@ and ``cat src/robinsl/*.py | wc -l`` and the length of ``robinsl.__all__``
 (read from ``src/robinsl/__init__.py`` with ``ast``, not imported) of each
 side.  After the benchmark
 runs, each side runs its Tier-1 suite once (ROADMAP.md's command, with
-``--durations=0`` and without pytest's cache); the file holds its wall time, its summary line and the
-share of that time the acceptance bound check, criterion 5, took.
+``--durations=0`` and ``-rf``, without pytest's cache); the file holds its wall time, its summary line,
+its ``FAILED ...`` lines and the share of that time the acceptance bound check, criterion 5, took.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> di
 
 
 def _tier1(root: Path) -> dict:
-    """One Tier-1 run in root: its wall time, summary line and criterion 5's call time and share."""
+    """One Tier-1 run in root: its wall time, summary line, failed tests and criterion 5's call time and share."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
-    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "--durations=0"]
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider", "--durations=0", "-rf"]
     t0 = time.perf_counter()
     out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True).stdout
     wall = time.perf_counter() - t0
@@ -66,6 +66,7 @@ def _tier1(root: Path) -> dict:
     return {
         "wall_s": wall,
         "summary": lines[-1] if lines else None,
+        "failed": [x for x in lines if x.startswith("FAILED ")],
         "criterion_5_s": c5[0] if c5 else None,
         "criterion_5_share": c5[0] / wall if c5 else None,
     }

@@ -35,13 +35,11 @@ BOUND_TOL = 1e-7
 _TWO_PI = 2.0 * math.pi
 #: attempts at a sample with mass before ZeroMass
 _TRIES = 100
-#: samples per numpy pass of check_bounds' streams, draws and starts
-_BLOCK = 32
-#: table entries (lanes x the widest lane's edges) past which check_bounds
-#: solves the lanes it holds as one lockstep batch: numpy's per-call cost is
-#: spread over ~500 lanes at --pieces-max 64 and ~3000 at 8, and a call
-#: holds under 3 MB at any n (1.4 MB at half this, at 30 % more time per
-#: solve; 5.4 MB at twice it, for 12 % less)
+#: table entries (samples x (pieces_max + 3)) of one check_bounds batch,
+#: drawn and solved in lockstep: numpy's per-call cost is spread over ~500
+#: samples at --pieces-max 64 and ~3000 at 8, and a call holds about 4 MiB
+#: at any n (tracemalloc peak 3.8 MiB at 8, 4.0 at 64; 2.0 MiB at half
+#: this, at 12 % more time per sample; 6.0-7.8 MiB at twice it, for 12 % less)
 _BATCH = 1 << 15
 
 
@@ -62,8 +60,10 @@ def _count(pieces: int, concentrated: bool) -> int:
     return 3 * pieces + (0 if concentrated else 1)
 
 
-def _block(u: np.ndarray, pieces: list, sign: int, concentrated: bool):
-    """Attempts at samples of the given sign, one per row of the uniforms u, as lane arrays.
+def _block(u: np.ndarray, pieces: list, sign, concentrated: bool):
+    """Attempts at samples, one per row of the uniforms u, as lane arrays.
+
+    sign is +1 or -1 for every row, or an integer array of one per row.
 
     Row r takes the first _count(pieces[r], concentrated) uniforms of u[r]:
     breakpoints, then a Box-Muller pair per height (in concentrated mode
@@ -104,13 +104,14 @@ def _block(u: np.ndarray, pieces: list, sign: int, concentrated: bool):
     heights[valid] = np.abs(np.sqrt(-2.0 * log) * np.cos(_TWO_PI * u[lane, j + 1]))
     widths = pts[:, 1:] - pts[:, :-1]
     kept = (widths > 1e-14) & (heights > 0.0)
+    sign = np.reshape(sign, (-1, 1))
     values = sign * heights
     tot = np.zeros(rows)
     for mass in (values * widths * kept).T:
         tot += mass
     empty = tot == 0.0
     tot[empty] = 1.0
-    values *= (sign / tot)[:, None]
+    values *= sign / tot[:, None]
     values[~valid] = 0.0
     edges = np.ones((rows, top + 3))
     edges[:, 0] = 0.0
@@ -189,69 +190,52 @@ def _first_order_starts(edges: np.ndarray, vals: np.ndarray, k0sq: float, lam0: 
     return lam0 + num / big[:, -1]
 
 
-def _lanes(seed, tag, start, stop, pieces_max, concentrated, k0sq, lam0):
-    """Yield (edges, vals, n, starts) of each block of samples start..stop-1 of class tag.
+def _lanes(seed, runs, pieces_max, concentrated, k0sq, lam0):
+    """One lockstep batch of check_bounds samples: (tags, indices, edges, vals, n, starts).
 
-    Sample i draws on the stream of its sub-seed, ``derive_seeds(seed, tag,
-    i, i + 1)``, laid out by :func:`_layout`, with sign 1 - 2*tag.  A block
-    of _BLOCK samples takes its sub-seeds, piece counts and uniforms from
-    one numpy uint64 pass over its streams, its draws from one
-    :func:`_block`, and its starts from one numpy pass over its padded
-    tables.  Row r of edges and vals holds the atom-free cell tables of the
-    block's sample r, its n[r] edges padded with 1 and its values with 0, as
-    :func:`lambda1_lanes` takes them; every number is the one a sample drawn
-    alone gets.
+    runs holds a (tag, start, stop) per class: samples start..stop-1 of
+    class tag, in that order.  Sample i of class tag draws on the stream of
+    its sub-seed, ``derive_seeds(seed, tag, i, i + 1)``, laid out by
+    :func:`_layout`, with sign 1 - 2*tag.  The batch takes its sub-seeds
+    from one derive_seeds call per run, its piece counts and uniforms from
+    one numpy uint64 pass over their streams, its draws from one
+    :func:`_block` with a sign per row, and its starts from one numpy pass
+    over its padded tables.  Row r of edges and vals holds the atom-free
+    cell tables of sample indices[r] of class tags[r], its n[r] edges padded
+    with 1 and its values with 0, as :func:`lambda1_lanes` takes them; every
+    number is the one a sample drawn alone gets.
     """
-    sign = 1 - 2 * tag
-    for lo in range(start, stop, _BLOCK):
-        seeds = derive_seeds(seed, tag, lo, min(stop, lo + _BLOCK))
-        skip, pieces, u = _layout(seeds, pieces_max, concentrated)
-        edges, vals, odd = _block(u, pieces, sign, concentrated)
-        n = np.array(pieces) + 3
-        for r, segs in odd.items():
-            if segs is None:
-                # the next attempts go on along the same stream
-                c = _count(pieces[r], concentrated)
-                segs = _draw(int(seeds[r]), skip + c, pieces[r], sign, concentrated, _TRIES - 1)
-            e, v, _ = cell_tables(segs)
-            edges[r], vals[r], n[r] = 1.0, 0.0, len(e)
-            edges[r, : len(e)], vals[r, : len(v)] = e, v
-        yield edges, vals, n, _first_order_starts(edges, vals, k0sq, lam0)
+    tags = np.concatenate([np.full(stop - start, tag) for tag, start, stop in runs])
+    index = np.concatenate([np.arange(start, stop) for _, start, stop in runs])
+    seeds = np.concatenate([derive_seeds(seed, tag, start, stop) for tag, start, stop in runs])
+    sign = 1 - 2 * tags
+    skip, pieces, u = _layout(seeds, pieces_max, concentrated)
+    edges, vals, odd = _block(u, pieces, sign, concentrated)
+    n = np.array(pieces) + 3
+    for r, segs in odd.items():
+        if segs is None:
+            # the next attempts go on along the same stream
+            c = _count(pieces[r], concentrated)
+            segs = _draw(int(seeds[r]), skip + c, pieces[r], int(sign[r]), concentrated, _TRIES - 1)
+        e, v, _ = cell_tables(segs)
+        edges[r], vals[r], n[r] = 1.0, 0.0, len(e)
+        edges[r, : len(e)], vals[r, : len(v)] = e, v
+    return tags, index, edges, vals, n, _first_order_starts(edges, vals, k0sq, lam0)
 
 
 def _batches(seed, n, pieces_max, concentrated, k0sq, lam0):
-    """Yield check_bounds' samples as lockstep batches: (tags, indices, edges, vals, n, starts).
+    """Yield check_bounds' samples as lockstep batches of :func:`_lanes`.
 
-    Samples come in sample order, class 0 then class 1, a block of
-    :func:`_lanes` at a time, until a batch reaches _BATCH table entries.
+    Samples come in sample order, class 0 then class 1, as many to a batch
+    as keep samples x (pieces_max + 3) within _BATCH, and at least one; a
+    batch may end one class and start the other.
     """
-    parts, rows, width = [], 0, 0
-    for tag in (0, 1):
-        for b, block in enumerate(_lanes(seed, tag, 0, n, pieces_max, concentrated, k0sq, lam0)):
-            parts.append((tag, b * _BLOCK, *block))
-            rows, width = rows + len(block[3]), max(width, block[0].shape[1])
-            if rows * width >= _BATCH:
-                yield _stack(parts)
-                rows, width = 0, 0
-    if parts:
-        yield _stack(parts)
-
-
-def _stack(parts):
-    # the blocks in parts as one batch of lane arrays, tables padded to the
-    # widest; parts is emptied, so that no block outlives its copy
-    rows, width = sum(len(p[5]) for p in parts), max(p[2].shape[1] for p in parts)
-    edges, vals = np.ones((rows, width)), np.zeros((rows, width - 1))
-    r = 0
-    for _, _, e, v, _, s in parts:
-        edges[r : r + len(s), : e.shape[1]] = e
-        vals[r : r + len(s), : v.shape[1]] = v
-        r += len(s)
-    tags = np.concatenate([np.full(len(p[5]), p[0]) for p in parts])
-    index = np.concatenate([np.arange(p[1], p[1] + len(p[5])) for p in parts])
-    n, starts = (np.concatenate([p[k] for p in parts]) for k in (4, 5))
-    parts.clear()
-    return tags, index, edges, vals, n, starts
+    size = max(1, _BATCH // (pieces_max + 3))
+    for lo in range(0, 2 * n, size):
+        # samples lo..hi-1 of the 2n, class 0's n first
+        hi = min(lo + size, 2 * n)
+        runs = [(tag, max(lo - tag * n, 0), min(hi - tag * n, n)) for tag in (0, 1)]
+        yield _lanes(seed, [r for r in runs if r[1] < r[2]], pieces_max, concentrated, k0sq, lam0)
 
 
 def _potential(segments) -> Potential:
@@ -300,12 +284,12 @@ def check_bounds(
     Sample i of class tag (0 for +, 1 for -) draws its piece count and shape
     from the stream of its sub-seed ``derive_seeds(seed, tag, i, i + 1)``,
     so any sample can be drawn again from the report's seed alone, by the
-    same code, as :func:`regenerate` does.  Samples are drawn, tabled and
-    started from first-order perturbation about the zero potential a block
-    at a time, as lane arrays (see ``_lanes``), and solved together, both
-    classes in sample order, by :func:`lambda1_lanes` in batches of up to
-    _BATCH table entries; each eigenvalue has the bits of a scalar
-    ``lambda1_kernel`` solve of its sample.  A sample the solver cannot
+    same code, as :func:`regenerate` does.  Samples go, both classes in
+    sample order, into batches of up to _BATCH table entries; each batch is
+    drawn, tabled and started from first-order perturbation about the zero
+    potential in one pass, as lane arrays (see ``_lanes``), and solved
+    together by :func:`lambda1_lanes`; each eigenvalue has the bits of a
+    scalar ``lambda1_kernel`` solve of its sample.  A sample the solver cannot
     settle raises what that solve raises (ToleranceNotReached or
     NonFiniteState), the first such sample in sample order.  Only a
     violating sample becomes a Potential, drawn again by :func:`regenerate`

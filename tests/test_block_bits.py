@@ -1,6 +1,6 @@
-"""The bit-exactness that check_bounds' block path, its lockstep solve and the eigenfunction sampler rely on.
+"""The bit-exactness that check_bounds' batch draw, its lockstep solve and the eigenfunction sampler rely on.
 
-check_bounds draws, tables and starts its samples a block at a time in numpy,
+check_bounds draws, tables and starts its samples a batch at a time in numpy,
 and its reports must keep the bytes of the scalar splitmix64 stream and
 loops.  That holds only while numpy's uint64 arithmetic wraps as the Python
 ints are masked, and while its sin, cos and sqrt round as math's do.  The

@@ -74,7 +74,7 @@ def _bits(xs):
 
 
 def _row_tables(edges, vals, n):
-    """Each padded row of a ``_lanes`` block as the lists a scalar solve takes: (edges, vals, atomw)."""
+    """Each padded row of a ``_lanes`` batch as the lists a scalar solve takes: (edges, vals, atomw)."""
     return [(e[:m], v[: m - 1], [0.0] * m) for e, v, m in zip(edges.tolist(), vals.tolist(), n.tolist())]
 
 
@@ -119,15 +119,15 @@ def test_block_is_the_scalar_draw(sign, concentrated):
 
 @pytest.mark.parametrize("concentrated", [False, True])
 def test_lanes_are_the_scalar_draw(concentrated):
-    # the tables and starts of whole blocks, against the scalar draw and
+    # the tables and starts of a whole batch, against the scalar draw and
     # start of each sample on its stream; regenerate draws the same segments
     for k0, k1 in ((0.0, 0.0), (0.25, 0.5), (1.0, 4.0)):
         lam0 = _eig0(k0, k1)
         for pieces_max in (1, 8, 16, 64):
             for tag, sign in ((0, 1), (1, -1)):
                 subs = derive_seeds(77, tag, 0, 40).tolist()
-                lanes = _lanes(77, tag, 0, 40, pieces_max, concentrated, k0, lam0)
-                got = [lane for *block, starts in lanes for lane in zip(_row_tables(*block), starts.tolist())]
+                _, _, *block, starts = _lanes(77, [(tag, 0, 40)], pieces_max, concentrated, k0, lam0)
+                got = list(zip(_row_tables(*block), starts.tolist()))
                 assert len(got) == 40
                 for i, (sub, (tables, start)) in enumerate(zip(subs, got)):
                     if concentrated:
@@ -189,8 +189,8 @@ def test_crafted_concentrated_rows():
 
 
 def test_lanes_retry_a_sample_without_mass(monkeypatch):
-    # a row with no mass draws on along its own stream, and its tables and
-    # start join the block's
+    # a row with no mass draws on along its own stream, with its own class's
+    # sign, and its tables and start join the batch's
     import robinsl.verify as V
 
     real = V._block
@@ -200,21 +200,22 @@ def test_lanes_retry_a_sample_without_mass(monkeypatch):
         edges, vals, odd = real(u, pieces, sign, concentrated)
         calls.append(len(pieces))
         if len(calls) == 1:
-            odd[2] = None
+            odd[2] = odd[10] = None
         return edges, vals, odd
 
     monkeypatch.setattr(V, "_block", empty_first)
     lam0 = _eig0(0.25, 0.5)
-    *block, starts = next(_lanes(5, 0, 0, 8, 16, False, 0.25, lam0))
+    _, _, *block, starts = _lanes(5, [(0, 0, 8), (1, 0, 8)], 16, False, 0.25, lam0)
     tables, starts = _row_tables(*block), starts.tolist()
-    assert calls == [8, 1]
-    sub = derive_seeds(5, 0, 2, 3)
-    p = 1 + stream(sub, 0, 1).item() % 16
-    c = _count(p, False)
-    want = _segments(units(stream(sub, 1 + c, c))[0].tolist(), p, 1, False)
-    for a, b in zip(tables[2], cell_tables(want)):
-        assert _bits(a) == _bits(b)
-    assert _bits([starts[2]]) == _bits([_start(*tables[2][:2], 0.25, lam0)])
+    assert calls == [16, 1, 1]
+    for row, tag, sign in ((2, 0, 1), (10, 1, -1)):
+        sub = derive_seeds(5, tag, 2, 3)
+        p = 1 + stream(sub, 0, 1).item() % 16
+        c = _count(p, False)
+        want = _segments(units(stream(sub, 1 + c, c))[0].tolist(), p, sign, False)
+        for a, b in zip(tables[row], cell_tables(want)):
+            assert _bits(a) == _bits(b)
+        assert _bits([starts[row]]) == _bits([_start(*tables[row][:2], 0.25, lam0)])
 
 
 def test_regenerate_rejects_bad_arguments():
@@ -241,12 +242,12 @@ def test_check_bounds_gaps_are_the_scalar_gaps():
     lam0 = _eig0(bc.k0sq, bc.k1sq)
     seen, gaps = [], {}
     for tag, kinds in ((0, ("m1plus", "M1plus")), (1, ("m1minus", "M1minus"))):
-        for *block, starts in _lanes(3, tag, 0, 70, 8, False, bc.k0sq, lam0):
-            for t, s in zip(_row_tables(*block), starts.tolist()):
-                lam = _solve_arrays(*t, bc.k0sq, bc.k1sq, DEFAULT_TOL, s)[0]
-                seen.append(lam)
-                for kind in kinds:
-                    gaps[kind] = min(gaps.get(kind, math.inf), abs(lam - ext[kind]))
+        _, _, *block, starts = _lanes(3, [(tag, 0, 70)], 8, False, bc.k0sq, lam0)
+        for t, s in zip(_row_tables(*block), starts.tolist()):
+            lam = _solve_arrays(*t, bc.k0sq, bc.k1sq, DEFAULT_TOL, s)[0]
+            seen.append(lam)
+            for kind in kinds:
+                gaps[kind] = min(gaps.get(kind, math.inf), abs(lam - ext[kind]))
     assert report.n_samples == len(seen) == 140
     assert (report.min_seen, report.max_seen) == (min(seen), max(seen))
     assert report.extremum_gaps == gaps

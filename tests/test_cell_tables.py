@@ -275,8 +275,8 @@ def _draw_then_normalize(units, pieces, sign, concentrated):
 def test_draw_matches_normalize_mass(sign, tag, concentrated):
     for pieces_max in (8, 16):
         subs = derive_seeds(20260809, tag, 0, 1000).tolist()
-        blocks = _lanes(20260809, tag, 0, 1000, pieces_max, concentrated, 0.0, 0.0)
-        lanes = [t for *block, _ in blocks for t in _row_tables(*block)]
+        _, _, *block, _ = _lanes(20260809, [(tag, 0, 1000)], pieces_max, concentrated, 0.0, 0.0)
+        lanes = _row_tables(*block)
         for sub, tables in zip(subs, lanes, strict=True):
             if concentrated:
                 skip, pieces = 0, pieces_max

@@ -108,6 +108,25 @@ def test_strength_map_stays_in_fmap():
     assert not _named_outside("fmap.py", {"_strength", "_closed_form", "_decay"})
 
 
+def test_one_draw_per_batch():
+    # check_bounds draws each lockstep batch in one pass: verify has no
+    # block size or stacking of blocks, and _block runs only in the batch
+    # draw and in _draw, the one-sample path regenerate takes
+    tree = ast.parse((Path(robinsl.__file__).parent / "verify.py").read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not names & {"_BLOCK", "_stack"}
+    callers = {
+        fn.name
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_block"
+    }
+    assert callers == {"_lanes", "_draw"}
+    assert sum(isinstance(node, ast.Name) and node.id == "_block" for node in ast.walk(tree)) == 2
+
+
 def test_one_solver_path():
     # the kernels are plain Python and the only path: robinsl imports nothing
     # beyond the standard library, numpy and scipy, and reads no environment

@@ -14,6 +14,7 @@ state, and lanes that end STATUS_NONFINITE or STATUS_TOL.
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from robinsl._lockstep import lambda1_lanes, shoot_lanes
 from robinsl.eigensolver import DEFAULT_TOL
 from robinsl.errors import NonFiniteState, ToleranceNotReached
 from robinsl.extrema import _eig0
+from robinsl.extrema import all_extrema as _all_extrema
 from test_block_draw import _row_tables
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
@@ -205,10 +207,55 @@ def test_batches_split_the_report_nowhere(monkeypatch):
     monkeypatch.setattr(V, "all_extrema", unreachable)
     whole = dataclasses.asdict(check_bounds(RobinBC(0.25, 0.5), 100, 8, 11))
     assert len(whole["violations"]) == 100
-    monkeypatch.setattr(V, "_BATCH", 500)
+    # 45 samples of 8 pieces or fewer, 11 table entries each, to a batch
+    monkeypatch.setattr(V, "_BATCH", 45 * 11)
     tags = [b[0].tolist() for b in V._batches(11, 100, 8, False, 0.25, _eig0(0.25, 0.5))]
+    assert [len(t) for t in tags] == [45, 45, 45, 45, 20]
     assert len(tags) > 2 and [0, 1] in [sorted(set(t)) for t in tags]
     assert dataclasses.asdict(check_bounds(RobinBC(0.25, 0.5), 100, 8, 11)) == whole
+
+
+def _midway(bc):
+    # M1plus and m1minus cut halfway into their classes' ranges, so that
+    # some samples of each class violate and some do not
+    real = _all_extrema(bc)
+    ext = {r.kind: r.value for r in real}
+    cut = {"M1plus": (ext["m1plus"] + ext["M1plus"]) / 2, "m1minus": (ext["m1minus"] + ext["M1minus"]) / 2}
+    return [dataclasses.replace(r, value=cut.get(r.kind, r.value)) for r in real]
+
+
+@pytest.mark.parametrize("concentrated", [False, True])
+@pytest.mark.parametrize("pieces_max", [1, 8, 64])
+def test_batch_size_changes_no_report(monkeypatch, pieces_max, concentrated):
+    # batches that end a class mid-way, the default batches and one batch
+    # for every sample give the same report, violations and their
+    # regenerated potentials included
+    monkeypatch.setattr(V, "all_extrema", _midway)
+    reports = []
+    for batch in (37 * (pieces_max + 3), V._BATCH, 2**20):
+        monkeypatch.setattr(V, "_BATCH", batch)
+        reports.append(
+            [
+                dataclasses.asdict(check_bounds(RobinBC(k0, k1), 50, pieces_max, 11, concentrated))
+                for k0, k1 in BC_GRID6[1::4]
+            ]
+        )
+    assert reports[0] == reports[1] == reports[2]
+    violations = [v for r in reports[0] for v in r["violations"]]
+    assert {v["bound"] for v in violations} == {"M1plus", "m1minus"} and len(violations) < 200
+
+
+def test_batch_memory_is_bounded():
+    # a batch's draw, tables and solve are sized by _BATCH, not by n: the
+    # tracemalloc peak of a criterion-5 call and of --pieces-max 64 calls
+    for n, pieces_max in ((10**4, 8), (3000, 64)):
+        tracemalloc.start()
+        try:
+            check_bounds(RobinBC(0.25, 0.5), n, pieces_max, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, (n, pieces_max, peak)
 
 
 @pytest.mark.parametrize("error, status", [(ToleranceNotReached, STATUS_TOL), (NonFiniteState, STATUS_NONFINITE)])

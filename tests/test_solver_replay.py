@@ -305,7 +305,7 @@ def test_shot_budget_per_solve(monkeypatch):
         k0, k1 = BC_GRID6[i % 6]
         tag = i // 6 % 2
         pieces_max = 8 if i // 12 % 2 == 0 else 16
-        *block, (start,) = next(_lanes(20260809, tag, i, i + 1, pieces_max, False, k0, lam0[k0, k1]))
+        _, _, *block, (start,) = _lanes(20260809, [(tag, i, i + 1)], pieces_max, False, k0, lam0[k0, k1])
         (tables,) = _row_tables(*block)
         shots.append(0)
         assert math.isfinite(lambda1_value(regenerate(20260809, tag, i, pieces_max), RobinBC(k0, k1)))

@@ -82,16 +82,18 @@ def test_sampler_tables_are_the_potential_tables():
     lam0 = _eig0(bc.k0sq, bc.k1sq)
     for concentrated in (False, True):
         for pieces_max in (1, 8, 16, 64):
-            for tag in (0, 1):
-                blocks = _lanes(20260809, tag, 0, 150, pieces_max, concentrated, bc.k0sq, lam0)
-                lanes = [t for *block, _ in blocks for t in _row_tables(*block)]
-                assert len(lanes) == 150
-                for index, tables in enumerate(lanes):
-                    *arrays, k0, k1 = compile_arrays(regenerate(20260809, tag, index, pieces_max, concentrated), bc)
-                    assert (k0, k1) == (bc.k0sq, bc.k1sq)
-                    for got, want in zip(tables, arrays):
-                        assert all(type(x) is float for x in got)
-                        assert struct.pack(f"{len(got)}d", *got) == struct.pack(f"{len(want)}d", *want)
+            # both classes in one batch, each row drawn with its class's sign
+            runs = [(0, 0, 150), (1, 0, 150)]
+            tags, index, *block, _ = _lanes(20260809, runs, pieces_max, concentrated, bc.k0sq, lam0)
+            lanes = _row_tables(*block)
+            assert len(lanes) == 300
+            assert tags.tolist() == [0] * 150 + [1] * 150 and index.tolist() == [*range(150)] * 2
+            for tag, i, tables in zip(tags.tolist(), index.tolist(), lanes):
+                *arrays, k0, k1 = compile_arrays(regenerate(20260809, tag, i, pieces_max, concentrated), bc)
+                assert (k0, k1) == (bc.k0sq, bc.k1sq)
+                for got, want in zip(tables, arrays):
+                    assert all(type(x) is float for x in got)
+                    assert struct.pack(f"{len(got)}d", *got) == struct.pack(f"{len(want)}d", *want)
 
 
 @pytest.mark.parametrize("concentrated", [False, True])
@@ -129,7 +131,8 @@ def test_violations_carry_the_drawn_potential(monkeypatch):
 
 @pytest.mark.parametrize("pieces_max, concentrated", sorted(REPORTS))
 def test_reports_pinned(pieces_max, concentrated):
-    # n = 33 straddles a block of the sample stream
+    # one lockstep batch a call, two at --pieces-max 64 and n = 250 (489
+    # samples to a batch); test_batch_size_changes_no_report splits more
     reports = [
         dataclasses.asdict(check_bounds(RobinBC(k0, k1), n, pieces_max, 20260809, concentrated))
         for k0, k1 in BC_GRID6
@@ -142,8 +145,8 @@ def test_reports_pinned(pieces_max, concentrated):
 def test_failed_first_attempt_draws_on(monkeypatch, concentrated):
     # a first attempt with no mass goes on with _draw's next attempt, on the
     # uniforms that follow it in the same stream: the sample is the second
-    # attempt's.  The block draw reports the first attempt of the first
-    # block's first lane massless wherever it meets those uniforms, as it
+    # attempt's.  The batch draw reports the first attempt of the first
+    # batch's first lane massless wherever it meets those uniforms, as it
     # reports a row whose heights are all 0, so regenerate draws the same
     # sample for the report
     import robinsl.verify as V
@@ -153,10 +156,11 @@ def test_failed_first_attempt_draws_on(monkeypatch, concentrated):
 
     def fail_first(u, pieces, sign, concentrated):
         edges, vals, odd = real_block(u, pieces, sign, concentrated)
+        signs = np.broadcast_to(sign, len(pieces)).tolist()
         if not failed:
-            failed.append((u[0, : _count(pieces[0], concentrated)].tolist(), pieces[0], sign, concentrated))
+            failed.append((u[0, : _count(pieces[0], concentrated)].tolist(), pieces[0], signs[0], concentrated))
         for r, p in enumerate(pieces):
-            if (u[r, : _count(p, concentrated)].tolist(), p, sign, concentrated) == failed[0]:
+            if (u[r, : _count(p, concentrated)].tolist(), p, signs[r], concentrated) == failed[0]:
                 odd[r] = None
         return edges, vals, odd
 

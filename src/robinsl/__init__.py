@@ -12,11 +12,8 @@ from .eigensolver import (
     fd_lambda1,
     lambda1,
     lambda1_value,
-    quadratic_form,
-    shoot,
 )
 from .errors import (
-    GridTooCoarse,
     NoConvergence,
     NonFiniteState,
     RobinSLError,
@@ -44,7 +41,6 @@ __all__ = [
     "DeltaAtom",
     "EigenResult",
     "ExtremumReport",
-    "GridTooCoarse",
     "NoConvergence",
     "NonFiniteState",
     "Potential",
@@ -66,9 +62,7 @@ __all__ = [
     "lambda1_value",
     "potential_from_dict",
     "potential_to_dict",
-    "quadratic_form",
     "sample_unit_mass",
-    "shoot",
     "sup_minus",
     "sup_plus",
 ]

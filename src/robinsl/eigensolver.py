@@ -35,7 +35,7 @@ from ._kernels import (
     propagate_step,
     shoot_kernel,
 )
-from .errors import GridTooCoarse, NoConvergence, NonFiniteState, ToleranceNotReached
+from .errors import NoConvergence, NonFiniteState, ToleranceNotReached
 from .potential import Potential, RobinBC, compile_arrays
 
 DEFAULT_TOL = 1e-10
@@ -58,20 +58,6 @@ class EigenResult:
     ys: np.ndarray
     residual: float
     bracket_width: float
-
-
-def shoot(q: Potential, bc: RobinBC, lam: float):
-    """Terminal defect and interior zero count for a trial eigenvalue.
-
-    Starts from y(0) = 1, y'(0) = k0sq (the left condition holds exactly) and
-    returns (y'(1) + k1sq*y(1), zero_count), with endpoint masses added to
-    the coefficients by :func:`compile_arrays`.  The state is rescaled
-    between cells, so the defect is meaningful up to a positive factor.
-    """
-    res, zc, _, _, ok = shoot_kernel(*compile_arrays(q, bc), lam)
-    if not ok:
-        raise NonFiniteState(_NONFINITE)
-    return res, zc
 
 
 def _solve_arrays(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
@@ -192,51 +178,6 @@ def _sample_eigenfunction(edges, vals, atomw, k0sq, k1sq, lam, xs):
     if raw.min() <= 0.0:
         raise NonFiniteState("sampled eigenfunction is not strictly positive")
     return raw, yp + k1sq * y
-
-
-def quadratic_form(q: Potential, bc: RobinBC, lam: float, xs, ys) -> float:
-    """Energy form at the sampled function: int (y')^2 + (q - lam) y^2 plus boundary terms.
-
-    xs must be strictly increasing and contain every segment edge and atom
-    position.  y' is estimated by central differences, falling back to
-    one-sided differences at breakpoints (where y' may jump) and at the
-    interval ends; the integral is a composite trapezoid over the grid cells.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if len(xs) < 11:
-        raise GridTooCoarse("quadratic_form needs at least 11 grid points")
-    if not (xs[1:] > xs[:-1]).all():
-        raise ValueError("grid must be strictly increasing")
-    kinks = q.breakpoints()
-    idx = np.searchsorted(xs, kinks)
-    idx = np.clip(idx, 0, len(xs) - 1)
-    near = np.minimum(np.abs(xs[idx] - kinks), np.abs(xs[np.maximum(idx - 1, 0)] - kinks))
-    if np.any(near > 1e-9):
-        raise ValueError("grid must contain every breakpoint and atom position")
-    use_central = np.ones(len(xs), dtype=bool)
-    for z in kinks:
-        use_central[int(np.argmin(np.abs(xs - z)))] = False
-    use_central[0] = use_central[-1] = False
-
-    dx = np.diff(xs)
-    cell_slope = np.diff(ys) / dx
-    central = np.zeros(len(xs))
-    central[1:-1] = (ys[2:] - ys[:-2]) / (xs[2:] - xs[:-2])
-    # slope as seen from inside each cell at its two ends: central difference
-    # where y' is smooth, one-sided into the cell at kinks and interval ends
-    left_sl = np.where(use_central[:-1], central[:-1], cell_slope)
-    right_sl = np.where(use_central[1:], central[1:], cell_slope)
-
-    grad_term = float(np.sum(0.5 * dx * (left_sl**2 + right_sl**2)))
-    mids = 0.5 * (xs[1:] + xs[:-1])
-    vmid = q.value_at(mids)
-    pot_term = float(np.sum(0.5 * dx * (vmid - lam) * (ys[1:] ** 2 + ys[:-1] ** 2)))
-    atom_term = 0.0
-    for a in q.atoms:
-        j = int(np.argmin(np.abs(xs - a.position)))
-        atom_term += a.weight * ys[j] ** 2
-    return grad_term + pot_term + atom_term + bc.k0sq * ys[0] ** 2 + bc.k1sq * ys[-1] ** 2
 
 
 def fd_lambda1(q: Potential, bc: RobinBC, n: int) -> float:

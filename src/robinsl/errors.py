@@ -17,9 +17,5 @@ class ToleranceNotReached(RobinSLError):
     """The root-find could not narrow its bracket to the requested tolerance."""
 
 
-class GridTooCoarse(RobinSLError):
-    """Sampled function has too few points for the quadrature."""
-
-
 class NoConvergence(RobinSLError):
     """LAPACK failed to find the finite-difference oracle's eigenvalue."""

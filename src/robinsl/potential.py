@@ -59,10 +59,6 @@ class Segment:
         if not math.isfinite(self.value):
             raise ValueError(f"Segment.value must be finite, got {self.value}")
 
-    @property
-    def width(self) -> float:
-        return self.right - self.left
-
 
 @dataclass(frozen=True)
 class DeltaAtom:
@@ -107,16 +103,6 @@ class Potential:
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "atoms", tuple(a for a in merged if a.weight != 0.0))
 
-    def breakpoints(self):
-        """Sorted positions where the potential changes: segment edges and atoms."""
-        pts = {0.0, 1.0}
-        for s in self.segments:
-            pts.add(s.left)
-            pts.add(s.right)
-        for a in self.atoms:
-            pts.add(a.position)
-        return sorted(pts)
-
     def value_at(self, x):
         """Piecewise value at points x (segment edges resolve to the segment value)."""
         x = np.asarray(x, dtype=float)
@@ -124,16 +110,6 @@ class Potential:
         for s in self.segments:
             out = np.where((x >= s.left) & (x <= s.right), s.value, out)
         return out
-
-
-def total_integral(q: Potential) -> float:
-    """Integral of q over [0, 1]: segment value*width plus atom weights."""
-    tot = 0.0
-    for s in q.segments:
-        tot += s.value * s.width
-    for a in q.atoms:
-        tot += a.weight
-    return tot
 
 
 def delta_approx(zeta: float, n: int, weight: float) -> Potential:

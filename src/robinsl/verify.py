@@ -37,9 +37,9 @@ _TWO_PI = 2.0 * math.pi
 _TRIES = 100
 #: table entries (samples x (pieces_max + 3)) of one check_bounds batch,
 #: drawn and solved in lockstep: numpy's per-call cost is spread over ~500
-#: samples at --pieces-max 64 and ~3000 at 8, and a call holds about 4 MiB
-#: at any n (tracemalloc peak 3.8 MiB at 8, 4.0 at 64; 2.0 MiB at half
-#: this, at 12 % more time per sample; 6.0-7.8 MiB at twice it, for 12 % less)
+#: samples at --pieces-max 64 and ~3000 at 8, and a call holds about 2.7 MiB
+#: at any n (tracemalloc peak 2.70 MiB at 8, 2.75 at 64; 1.4 MiB at half
+#: this, at 13-25 % more time per sample; 5.0 MiB at twice it, for 5-8 % less)
 _BATCH = 1 << 15
 
 
@@ -84,28 +84,37 @@ def _block(u: np.ndarray, pieces: list, sign, concentrated: bool):
     rows, top = len(pieces), max(pieces)
     p = np.array(pieces)[:, None]
     valid = np.arange(top) < p
+    # pts and values are views of the tables, so the draw fills them with
+    # no copy: the breakpoints, and the heights, then the values
+    edges = np.ones((rows, top + 3))
+    edges[:, 0] = 0.0
+    pts = edges[:, 1:-1]
+    vals = np.zeros((rows, top + 2))
+    values = vals[:, 1:-1]
     if concentrated:
         # support pinned to a window of width exactly 1/pieces at a random
         # center, so larger piece counts concentrate the unit mass harder
         width = 1.0 / top
         left = u[:, :1] * (1.0 - width)
-        pts = np.hstack([left, np.sort(left + u[:, 1:top] * width), left + width])
+        pts[:, :1] = left
+        pts[:, 1:-1] = np.sort(left + u[:, 1:top] * width)
+        pts[:, -1:] = left + width
     else:
         # a row's breakpoints are its first pieces + 1 uniforms; the columns
         # past them are set to 1, no less than any uniform, and sort last
-        pts = u[:, : top + 1].copy()
+        pts[:] = u[:, : top + 1]
         pts[np.arange(top + 1) > p] = 1.0
         pts.sort()
     # |N(0, 1)| by Box-Muller, from two uniforms each
     lane, cell = valid.nonzero()
     j = (p[:, 0] + (0 if concentrated else 1))[lane] + 2 * cell
     log = np.fromiter(map(math.log, u[lane, j].tolist()), float, len(j))
-    heights = np.zeros((rows, top))
-    heights[valid] = np.abs(np.sqrt(-2.0 * log) * np.cos(_TWO_PI * u[lane, j + 1]))
+    values[valid] = np.abs(np.sqrt(-2.0 * log) * np.cos(_TWO_PI * u[lane, j + 1]))
+    del lane, cell, j, log
     widths = pts[:, 1:] - pts[:, :-1]
-    kept = (widths > 1e-14) & (heights > 0.0)
+    kept = (widths > 1e-14) & (values > 0.0)
     sign = np.reshape(sign, (-1, 1))
-    values = sign * heights
+    values *= sign
     tot = np.zeros(rows)
     for mass in (values * widths * kept).T:
         tot += mass
@@ -113,11 +122,6 @@ def _block(u: np.ndarray, pieces: list, sign, concentrated: bool):
     tot[empty] = 1.0
     values *= sign / tot[:, None]
     values[~valid] = 0.0
-    edges = np.ones((rows, top + 3))
-    edges[:, 0] = 0.0
-    edges[:, 1:-1] = pts
-    vals = np.zeros((rows, top + 2))
-    vals[:, 1:-1] = values
     direct = (kept == valid).all(axis=1) & spaced_lanes(edges, p[:, 0] + 3)
     odd = {}
     for r in (~direct).nonzero()[0].tolist():
@@ -341,6 +345,9 @@ def check_bounds(
                 report.violations.append(
                     {"potential": potential_to_dict(q), "lambda1": lams[i], "bound": bound, "gap": gap}
                 )
+        # drop this batch before _batches draws the next, so that a call holds
+        # one at a time; every batch has a sample, so got, lams and bad are bound
+        del tags, index, edges, vals, m, starts, lam, width, status, got, lams, bad
     report.extremum_gaps = gaps
     return report
 

@@ -17,15 +17,16 @@ from hypothesis import strategies as st
 
 from robinsl import DeltaAtom, Potential, RobinBC, Segment
 from robinsl._rng import derive_seeds, stream, units
-from robinsl.potential import MERGE_TOL, cell_tables, compile_arrays, total_integral
+from robinsl.potential import MERGE_TOL, cell_tables, compile_arrays
 from robinsl.verify import _lanes, regenerate, sample_unit_mass
+from oracles import breakpoints, total_integral
 from test_block_draw import _row_tables
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
 
 
 def _numpy_tables(q):
-    pts = q.breakpoints()
+    pts = breakpoints(q)
     edges = [pts[0]]
     for p in pts[1:]:
         if p - edges[-1] > MERGE_TOL:

@@ -8,7 +8,6 @@ from scipy.linalg import LinAlgError
 import robinsl._kernels as K
 from robinsl import (
     DeltaAtom,
-    GridTooCoarse,
     NoConvergence,
     NonFiniteState,
     Potential,
@@ -19,12 +18,11 @@ from robinsl import (
     fd_lambda1,
     lambda1,
     lambda1_value,
-    quadratic_form,
-    shoot,
 )
-from robinsl._kernels import propagate_step
+from robinsl._kernels import propagate_step, shoot_kernel
 from robinsl.eigensolver import _sample_eigenfunction, compile_arrays
 from robinsl.potential import delta_approx
+from oracles import quadratic_form
 
 BC00 = RobinBC(0.0, 0.0)
 BCHH = RobinBC(0.5, 0.5)
@@ -81,17 +79,17 @@ def test_propagate_hyperbolic_single_crossing():
 
 def test_shoot_constant_exact():
     q = Potential(segments=(Segment(0.0, 1.0, 1.0),))
-    res, zc = shoot(q, BC00, 1.0)
-    assert res == 0.0 and zc == 0
-    res, zc = shoot(Potential(), BC00, 0.0)
-    assert res == 0.0 and zc == 0
+    res, zc, _, _, ok = shoot_kernel(*compile_arrays(q, BC00), 1.0)
+    assert ok and res == 0.0 and zc == 0
+    res, zc, _, _, ok = shoot_kernel(*compile_arrays(Potential(), BC00), 0.0)
+    assert ok and res == 0.0 and zc == 0
 
 
 def test_shoot_interior_atom_known_eigenvalue():
     # -delta_{1/2} with both coefficients 1/2 has eigenfunction exp(|x-1/2|-ish)
     q = Potential(atoms=(DeltaAtom(0.5, -1.0),))
-    res, zc = shoot(q, BCHH, -0.25)
-    assert abs(res) < 1e-12
+    res, zc, _, _, ok = shoot_kernel(*compile_arrays(q, BCHH), -0.25)
+    assert ok and abs(res) < 1e-12
     assert zc == 0
 
 
@@ -101,7 +99,8 @@ def test_endpoint_masses_are_the_shifted_pair():
     # shifted pair, and fd_lambda1 and quadratic_form, which sum it in
     # another order, agree to rounding
     for lam in (-3.0, 0.0, 0.5, LAM_DELTA1, 7.0):
-        assert shoot(Potential(atoms=(DeltaAtom(1.0, 1.0),)), BC00, lam) == shoot(Potential(), RobinBC(0, 1), lam)
+        got = shoot_kernel(*compile_arrays(Potential(atoms=(DeltaAtom(1.0, 1.0),)), BC00), lam)
+        assert got[4] and got == shoot_kernel(*compile_arrays(Potential(), RobinBC(0, 1)), lam)
     base = Potential(segments=(Segment(0.1, 0.5, 2.0),), atoms=(DeltaAtom(0.6, -1.0),))
     bc = RobinBC(0.25, 2.0)
     ends = [(0.0, None), (1e-13, None), (None, 1.0), (None, 1.0 - 1e-13), (0.0, 1.0), (1e-13, 1.0 - 1e-13)]
@@ -110,7 +109,8 @@ def test_endpoint_masses_are_the_shifted_pair():
         q = Potential(segments=base.segments, atoms=(*base.atoms, *masses))
         shifted = RobinBC(bc.k0sq + 0.5 * (left is not None), bc.k1sq - 0.5 * (right is not None))
         for lam in (-3.0, 0.5, 7.0, 40.0):
-            assert shoot(q, bc, lam) == shoot(base, shifted, lam)
+            got = shoot_kernel(*compile_arrays(q, bc), lam)
+            assert got[4] and got == shoot_kernel(*compile_arrays(base, shifted), lam)
         assert lambda1_value(q, bc).hex() == lambda1_value(base, shifted).hex()
         got, want = lambda1(q, bc), lambda1(base, shifted)
         assert (got.lambda1, got.residual, got.bracket_width) == (want.lambda1, want.residual, want.bracket_width)
@@ -123,8 +123,8 @@ def test_endpoint_masses_are_the_shifted_pair():
 
 def test_shoot_survives_large_negative_lambda():
     q = Potential(segments=(Segment(0.0, 1.0, 5.0),))
-    res, zc = shoot(q, BC00, -1.0e6)
-    assert math.isfinite(res)
+    res, zc, _, _, ok = shoot_kernel(*compile_arrays(q, BC00), -1.0e6)
+    assert ok and math.isfinite(res)
     assert zc == 0 and res > 0
 
 
@@ -168,7 +168,7 @@ def test_lambda1_tolerance_below_float_spacing():
 def _eigen_profile_style(i):
     """(q, bc) like `robinsl eigen`'s inputs: a strength-map atom or a mixed-sign potential.
 
-    No atom sits at an endpoint, so `shoot` sees the potential that `lambda1`
+    No atom sits at an endpoint, so `shoot_kernel` sees the potential that `lambda1`
     solves.
     """
     rng = random.Random(f"eigen-style:{i}")
@@ -194,10 +194,11 @@ def _eigen_profile_style(i):
 @pytest.mark.parametrize("i", range(40))
 def test_lambda1_residual_is_the_shot_at_lambda1(i):
     # the sampler is the one shot at lambda1: the same jumps, steps and
-    # max-norm rescales as shoot, so the same residual to the last bit
+    # max-norm rescales as shoot_kernel, so the same residual to the last bit
     q, bc = _eigen_profile_style(i)
     res = lambda1(q, bc)
-    assert res.residual == shoot(q, bc, res.lambda1)[0]
+    residual, _, _, _, ok = shoot_kernel(*compile_arrays(q, bc), res.lambda1)
+    assert ok and res.residual == residual
 
 
 @pytest.mark.parametrize(
@@ -209,10 +210,10 @@ def test_lambda1_residual_is_the_shot_at_lambda1(i):
 )
 def test_value_survives_a_cancelling_shot_at_the_eigenvalue(mu, zeta, bc):
     # the shot at the eigenvalue, mu to the last bit, cancels past the deep
-    # atom to an exactly zero state; two-sided shooting would mend it
+    # atom to an exactly zero state, which the kernel flags as not ok;
+    # two-sided shooting would mend it
     q = Potential(atoms=(DeltaAtom(zeta, delta_strength(mu, zeta, bc).value),))
-    with pytest.raises(NonFiniteState, match="overflowed or vanished"):
-        shoot(q, bc, mu)
+    assert shoot_kernel(*compile_arrays(q, bc), mu)[4] is False
     # the root-find does not rest on that shot, so the value returns
     assert abs(lambda1_value(q, bc) - mu) <= 1e-10 + 1e-13 * abs(mu)
 
@@ -351,7 +352,7 @@ def test_quadratic_form_sign_flips_across_lambda1():
 
 def test_quadratic_form_grid_too_coarse():
     xs = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(GridTooCoarse):
+    with pytest.raises(ValueError, match="^quadratic_form needs at least 11 grid points$"):
         quadratic_form(Potential(), BC00, 0.0, xs, np.ones_like(xs))
     # a repeated x gave 2.0e-4 on the README's example, against -5.9e-8 on
     # the true grid, and no error

@@ -17,7 +17,7 @@ from robinsl import (
     sup_plus,
 )
 from robinsl.extrema import _ATOMW0, _EDGES0, _VALS0, ROOT_TOL, left_half_eigenvalue, right_half_eigenvalue
-from robinsl.potential import total_integral
+from oracles import total_integral
 from test_solver_replay import _assert_certified
 
 BC_GRID = [

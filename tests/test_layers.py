@@ -9,6 +9,7 @@ the suite.
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -16,7 +17,8 @@ import pytest
 
 import robinsl
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 WORKLOADS = PERFBENCH / "workloads.py"
 
@@ -52,6 +54,16 @@ def test_all_names_resolve():
         obj = getattr(robinsl, name)
         if isinstance(obj, type) and issubclass(obj, Exception):
             assert issubclass(obj, robinsl.RobinSLError), name
+
+
+def test_readme_lists_the_public_api():
+    # README's "Public API" bullets name each exported name once, and only those
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+    bullets = " ".join(section.split("\n* ")[1:])
+    named = re.findall(r"`(\w+)`", bullets)
+    assert len(named) == len(set(named)), named
+    assert sorted(named) == sorted(robinsl.__all__)
 
 
 def test_exported_errors_are_raised():

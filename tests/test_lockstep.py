@@ -245,17 +245,32 @@ def test_batch_size_changes_no_report(monkeypatch, pieces_max, concentrated):
     assert {v["bound"] for v in violations} == {"M1plus", "m1minus"} and len(violations) < 200
 
 
+def _peak(n, pieces_max):
+    """The tracemalloc peak of one check_bounds call, in bytes."""
+    tracemalloc.start()
+    try:
+        check_bounds(RobinBC(0.25, 0.5), n, pieces_max, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_batch_memory_is_bounded():
     # a batch's draw, tables and solve are sized by _BATCH, not by n: the
     # tracemalloc peak of a criterion-5 call and of --pieces-max 64 calls
     for n, pieces_max in ((10**4, 8), (3000, 64)):
-        tracemalloc.start()
-        try:
-            check_bounds(RobinBC(0.25, 0.5), n, pieces_max, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = _peak(n, pieces_max)
         assert peak < 6 * 2**20, (n, pieces_max, peak)
+
+
+def test_a_call_holds_one_batch_at_a_time():
+    # check_bounds drops each batch before it draws the next: a call of
+    # seven batches peaks where a call of one full batch does, not a
+    # batch above it
+    size = V._BATCH // (8 + 3)
+    assert -(-2 * 10**4 // size) == 7
+    one, seven = _peak(size // 2, 8), _peak(10**4, 8)
+    assert seven <= 1.1 * one, (one, seven)
 
 
 @pytest.mark.parametrize("error, status", [(ToleranceNotReached, STATUS_TOL), (NonFiniteState, STATUS_NONFINITE)])

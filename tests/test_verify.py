@@ -15,8 +15,9 @@ from robinsl import (
 )
 from robinsl._rng import derive_seeds, stream, units
 from robinsl.extrema import _eig0
-from robinsl.potential import compile_arrays, potential_to_dict, total_integral
+from robinsl.potential import compile_arrays, potential_to_dict
 from robinsl.verify import _count, _lanes, _potential, regenerate
+from oracles import total_integral
 from test_block_draw import _row_tables, _segments
 
 

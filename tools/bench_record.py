@@ -15,10 +15,11 @@ archive``) into a temporary directory outside the repository, and the two
 sides run in ten alternating pairs: pair i runs both sides at seed i + 1,
 the working tree first in even pairs and REV first in odd ones.  The file
 holds each side's runs, median and quartiles per metric
-and workload, the pairs each side won, the machine facts that run.py prints
-and ``cat src/robinsl/*.py | wc -l`` and the length of ``robinsl.__all__``
-(read from ``src/robinsl/__init__.py`` with ``ast``, not imported) of each
-side.  After the benchmark
+and workload, the pairs each side won, the machine facts that run.py prints,
+``cat src/robinsl/*.py | wc -l``, ``cat tests/*.py | wc -l`` and the
+length of ``robinsl.__all__`` (read from ``src/robinsl/__init__.py`` with
+``ast``, not imported) of each side, so that code moved from the package
+into the tests reads as a move.  After the benchmark
 runs, each side runs its Tier-1 suite once (ROADMAP.md's command, with
 ``--durations=0`` and ``-rf``, without pytest's cache); the file holds its wall time, its summary line,
 its ``FAILED ...`` lines and the share of that time the acceptance bound check, criterion 5, took.
@@ -72,9 +73,9 @@ def _tier1(root: Path) -> dict:
     }
 
 
-def _lines(root: Path) -> int:
-    # cat src/robinsl/*.py | wc -l
-    return sum(p.read_bytes().count(b"\n") for p in sorted((root / "src" / "robinsl").glob("*.py")))
+def _lines(root: Path, pattern: str) -> int:
+    # cat <pattern> | wc -l, in root
+    return sum(p.read_bytes().count(b"\n") for p in sorted(root.glob(pattern)))
 
 
 def _all_names(root: Path) -> int:
@@ -134,7 +135,8 @@ def _record(sides: dict, bench: dict) -> dict:
         "machine": machine,
         "pairs": PAIRS,
         "run_seconds": seconds,
-        "src_lines": {name: _lines(root) for name, root in sides.items()},
+        "src_lines": {name: _lines(root, "src/robinsl/*.py") for name, root in sides.items()},
+        "test_lines": {name: _lines(root, "tests/*.py") for name, root in sides.items()},
         "all_names": {name: _all_names(root) for name, root in sides.items()},
         "workloads": workloads,
         "trace": traced,

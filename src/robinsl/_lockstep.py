@@ -1,28 +1,36 @@
 """Lockstep twins of the shooting kernels: many atom-free samples per numpy pass.
 
 ``check_bounds`` solves thousands of random samples.  ``lambda1_lanes``
-solves them all at once, one numpy operation per cell or root-finding step
-over every lane, and gives each lane the bits of ``_kernels.lambda1_kernel``
-on its own tables (``shoot_lanes`` likewise for ``shoot_kernel``).  Every
+solves them all at once, one numpy operation per root-finding step over
+every lane, and gives each lane the bits of ``_kernels.lambda1_kernel`` on
+its own tables (``shoot_lanes`` likewise for ``shoot_kernel``).  Every
 operation of the scalar kernels is evaluated in their order, under three
 rules:
 
-* numpy does only + - * /, sqrt, cos, sin, abs and comparisons, which round
-  as math's do (``tests/test_block_bits.py``);
-* math's cosh, sinh, exp, atanh and atan2 are mapped over just the lanes
+* numpy does only + - * /, sqrt, cos, sin, abs, sign, copysign and
+  comparisons, which round as math's do and decide as the scalar
+  comparisons do (``tests/test_block_bits.py``);
+* math's cosh, sinh, exp, atanh and atan2 are mapped over just the cells
   that need them, since numpy's differ in the last bit;
 * Python's max and min and its NaN comparisons are kept with ``where``.
 
 The tables are (cells x lanes), the lanes sorted by cell count, most first,
-so cell i updates a prefix of the lanes and padding costs nothing.  A lane's
-branch is a mask; the rare branches (hyperbolic, w == 0, a trigonometric
-cell with s*h >= pi, the series of a short cell) run on the lanes that take
-them.  Lanes that have converged are dropped between shots.
+so cell i is a prefix of the lanes.  A shot takes two passes.  The first
+does, for every real cell of the table at once, the half of a cell step
+that needs lam but not the state: w = lam - q, the series coefficients of
+a short cell, sqrt(|w|), cos and sin or cosh and sinh, and which branch
+each cell takes; padding gets no entry.  The second carries the state (y,
+y', the integral of y^2, the zero count) a cell at a time over the lanes
+that have the cell; the rare branches that need the state (the series,
+atanh, a trigonometric cell with s*h >= pi, w == 0) run only in the cells
+that have them, on just their lanes.  Lanes that have converged are
+dropped between shots.
 
 The scalar kernels stay: a single solve is cheaper without numpy's per-call
 cost, and they are the reference these match.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -61,90 +69,117 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
     n = len(lam)
     y = np.ones(n)
     yp = np.full(n, float(k0sq))
+    yy = yp.copy()  # y*y' of the state entering the cell
     nz = np.zeros(n)
     sq = np.zeros(n)
-    flat = bool((vals == lam).any())  # some cell has w == 0
     with np.errstate(all="ignore"):
-        for i, m in enumerate(cols):
-            Y, YP, SQ = y[:m], yp[:m], sq[:m]
-            hh = h[i, :m]
-            w = lam[:m] - vals[i, :m]
-            z = w * hh * hh
-            half_w = 0.5 / w
-            ser = ((-1e-4 < z) & (z < 1e-4)).nonzero()[0]
-            if ser.size:
-                # the series of the integral of y^2 where the closed form cancels
-                hs, ys, yps = hh[ser], Y[ser], YP[ser]
-                u = -4.0 * z[ser]
-                cc = 1.0 + u * (1.0 / 12.0 + u * (1.0 / 240.0))
-                cs = 1.0 + u * (1.0 / 12.0 + u * (1.0 / 360.0))
-                ss = 1.0 / 3.0 + u * (1.0 / 60.0 + u * (1.0 / 2520.0))
-                sqs = SQ[ser] + hs * (ys * ys * cc + hs * (ys * yps * cs + hs * yps * yps * ss))
-                half_w[ser] = 0.0
-            SQ += (hh * (w * Y * Y + YP * YP) + Y * YP) * half_w
-            if ser.size:
-                SQ[ser] = sqs
+        # pass 1, the work that needs lam but not the state, for every cell
+        # at once: the real cells in rows, cell i of lanes 0..cols[i]-1 at
+        # ends[i]..ends[i+1]-1, with no entry for padding
+        real = np.arange(n) < np.array(cols).reshape(-1, 1)
+        ends = [0, *itertools.accumulate(cols)]
+        lane = np.broadcast_to(np.arange(n), real.shape)[real]
+        hh = h[: len(cols)][real]
+        w = lam[lane] - vals[: len(cols)][real]
+        del real
+        z = w * hh * hh
+        # the series of the integral of y^2 where the closed form cancels:
+        # row i's at ser[i]..ser[i+1]-1, on lanes sl with widths hs
+        at = np.flatnonzero((-1e-4 < z) & (z < 1e-4))
+        ser = np.searchsorted(at, ends).tolist()
+        sl, hs = lane[at], hh[at]
+        half_w = 0.5 / w
+        half_w[at] = 0.0
+        u = -4.0 * z[at]
+        del z, lane, at
+        cc = 1.0 + u * (1.0 / 12.0 + u * (1.0 / 240.0))
+        cs = 1.0 + u * (1.0 / 12.0 + u * (1.0 / 360.0))
+        ss = 1.0 / 3.0 + u * (1.0 / 60.0 + u * (1.0 / 2520.0))
+        del u
 
-            # propagate_step: sqrt(|w|) is sqrt(w) or sqrt(-w), and cos and
-            # sin are replaced where the cell is hyperbolic
-            s = np.sqrt(np.abs(w))
-            sh = s * hh
-            c = np.cos(sh)
-            sn = np.sin(sh)
-            neg = (w < 0.0).nonzero()[0]
-            far = None
-            if neg.size:
-                beyond = ~(sh[neg] <= 350.0)
-                near = neg
-                if beyond.any():
-                    # exp(sh) factored out, as shift
-                    far, near = neg[beyond], neg[~beyond]
-                    e = _map(math.exp, -2.0 * sh[far])
-                    c[far] = 0.5 * (1.0 + e)
-                    sn[far] = 0.5 * (1.0 - e)
-                c[near] = _map(math.cosh, sh[near])
-                sn[near] = _map(math.sinh, sh[near])
-            y1 = Y * c + YP * sn / s
-            # -y*s*sn + yp*c on a trigonometric cell, y*s*sn + yp*c on a
-            # hyperbolic one
-            t1 = Y * s * sn
-            if neg.size:
-                t1[neg] = -t1[neg]
-            yp1 = YP * c - t1
-            dz = ((Y < 0.0) & (0.0 < y1)) | ((y1 < 0.0) & (0.0 < Y))
-            if neg.size:
-                dz[neg] = False
-                r = -s[neg] * Y[neg] / YP[neg]
-                k = ((0.0 < r) & (r < 1.0)).nonzero()[0]
-                nz[neg[k]] += _map(math.atanh, r[k]) < sh[neg[k]]
-            rot = (sh >= _PI).nonzero()[0]
-            rot = rot[w[rot] > 0.0]
-            if rot.size:
+        # propagate_step: sqrt(|w|) is sqrt(w) or sqrt(-w), and cos and
+        # sin are replaced where the cell is hyperbolic
+        s = np.sqrt(np.abs(w))
+        sh = s * hh
+        c = np.cos(sh)
+        sn = np.sin(sh)
+        neg = w < 0.0
+        far = neg & ~(sh <= 350.0)
+        e = None
+        if far.any():
+            # exp(sh) factored out, as shift; e also rescales the integral,
+            # and is 1 on the other cells
+            e = np.ones_like(w)
+            e[far] = _map(math.exp, -2.0 * sh[far])
+            c[far] = 0.5 * (1.0 + e[far])
+            sn[far] = 0.5 * (1.0 - e[far])
+        k = np.flatnonzero(neg & ~far)
+        x = sh[k].tolist()
+        c[k] = np.fromiter(map(math.cosh, x), float, len(x))
+        sn[k] = np.fromiter(map(math.sinh, x), float, len(x))
+        del k, x
+        # -y*s*sn + yp*c on a trigonometric cell, y*s*sn + yp*c on a
+        # hyperbolic one: yp*c - y*t*sn with t = -s there
+        t = np.copysign(s, w)
+        # the zeros: a sign change on a trigonometric cell with s*h < pi,
+        # where y1*sign(y) < cut (0 there, -inf elsewhere); on a hyperbolic
+        # one where 0 < -s*y/yp < lim (1 there, 0 elsewhere) and atanh of
+        # it is below s*h; the rotation on a trigonometric one with s*h >= pi
+        trig = w > 0.0
+        cut = np.where(trig & (sh < _PI), 0.0, -math.inf)
+        lim = neg + 0.0
+        rot = trig & (sh >= _PI)
+        lin = w == 0.0
+        rows = [np.logical_or.reduceat(x, ends[:-1]).tolist() for x in (neg, rot, lin, far)]
+        del trig, neg, far
+
+        # pass 2, the state, a cell at a time over the lanes that have it
+        for m, i0, i1, j0, j1, hyp, turn, flat, shift in zip(cols, ends, ends[1:], ser, ser[1:], *rows):
+            Y, YP, SQ, YY = y[:m], yp[:m], sq[:m], yy[:m]
+            hc, hw = hh[i0:i1], half_w[i0:i1]
+            if j0 < j1:
+                k, hk = sl[j0:j1], hs[j0:j1]
+                yk, ypk = Y[k], YP[k]
+                sqs = SQ[k] + hk * (yk * yk * cc[j0:j1] + hk * (YY[k] * cs[j0:j1] + hk * ypk * ypk * ss[j0:j1]))
+            SQ += (hc * (w[i0:i1] * Y * Y + YP * YP) + YY) * hw
+            if j0 < j1:
+                SQ[k] = sqs
+
+            ci, si, sni = c[i0:i1], s[i0:i1], sn[i0:i1]
+            y1 = Y * ci + YP * sni / si
+            yp1 = YP * ci - Y * t[i0:i1] * sni
+            dz = y1 * np.sign(Y) < cut[i0:i1]
+            if hyp:
+                r = Y * t[i0:i1] / YP
+                k = np.flatnonzero((0.0 < r) & (r < lim[i0:i1]))
+                if k.size:
+                    dz[k] = _map(math.atanh, r[k]) < sh[i0 + k]
+            if turn:
                 # zeros of R*cos(s*t - phi) in the cell
-                dz[rot] = False
-                phi = _map(math.atan2, YP[rot] / s[rot], Y[rot])
+                k = np.flatnonzero(rot[i0:i1])
+                phi = _map(math.atan2, YP[k] / si[k], Y[k])
                 a = (-phi - _HALF_PI) / _PI
-                b = (sh[rot] - phi - _HALF_PI) / _PI
-                nz[rot] += (np.ceil(b) - 1.0) - (np.floor(a) + 1.0) + 1.0
+                b = (sh[i0 + k] - phi - _HALF_PI) / _PI
+                nz[k] += (np.ceil(b) - 1.0) - (np.floor(a) + 1.0) + 1.0
             if flat:
-                lin = (w == 0.0).nonzero()[0]
-                if lin.size:
-                    yl, ypl, hl = Y[lin], YP[lin], hh[lin]
-                    y1[lin] = yl + ypl * hl
-                    yp1[lin] = ypl
-                    t = -yl / ypl
-                    dz[lin] = (0.0 < t) & (t < hl)
+                k = np.flatnonzero(lin[i0:i1])
+                yl, ypl, hl = Y[k], YP[k], hc[k]
+                y1[k] = yl + ypl * hl
+                yp1[k] = ypl
+                tl = -yl / ypl
+                dz[k] = (0.0 < tl) & (tl < hl)
             nz[:m] += dz
 
             ay, ayp = np.abs(y1), np.abs(yp1)
             sc = np.where(ayp > ay, ayp, ay)
             np.divide(y1, sc, out=Y)
             np.divide(yp1, sc, out=YP)
-            if far is not None:
-                sq[far] *= e
+            if shift:
+                SQ *= e[i0:i1]
             SQ /= sc
             SQ /= sc
-            SQ -= Y * YP * half_w
+            np.multiply(Y, YP, out=YY)
+            SQ -= YY * hw
 
         # a lane fails where its scale was 0, inf or NaN: y is NaN from then
         # on, or, past its last cell, 0 beside a NaN y'
@@ -186,14 +221,12 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
     # would page in its sorting code for one call per batch
     order = np.array(sorted(range(lanes), key=np.asarray(n).tolist().__getitem__, reverse=True))
     cells = np.asarray(n)[order] - 1
-    # (cells x lanes) tables, a row at a time
-    h = np.empty((edges.shape[1] - 1, lanes))
-    v = np.empty((edges.shape[1] - 1, lanes))
-    right = edges[order, 0]
-    for i in range(len(h)):
-        left, right = right, edges[order, i + 1]
-        np.subtract(right, left, out=h[i])
-        v[i] = vals[order, i]
+    # the (cells x lanes) tables in C order, gathered once: h is the
+    # difference of consecutive rows of edges
+    e = np.take(edges.T, order, axis=1)
+    h = e[1:] - e[:-1]
+    del e
+    v = np.take(vals.T, order, axis=1)
     start = np.asarray(start, dtype=float)[order]
     total = np.zeros(lanes)
     for i in range(len(v)):

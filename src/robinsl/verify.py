@@ -37,9 +37,10 @@ _TWO_PI = 2.0 * math.pi
 _TRIES = 100
 #: table entries (samples x (pieces_max + 3)) of one check_bounds batch,
 #: drawn and solved in lockstep: numpy's per-call cost is spread over ~500
-#: samples at --pieces-max 64 and ~3000 at 8, and a call holds about 2.7 MiB
-#: at any n (tracemalloc peak 2.70 MiB at 8, 2.75 at 64; 1.4 MiB at half
-#: this, at 13-25 % more time per sample; 5.0 MiB at twice it, for 5-8 % less)
+#: samples at --pieces-max 64 and ~3000 at 8, and a call holds about 4 MiB at
+#: any n, most of it the solve's per-shot tables (tracemalloc peak 3.96 MiB at
+#: 8, 2.95 at 64; 2.0 MiB at half this, at 12-21 % more time per sample;
+#: 7.9 MiB at twice it, for 0-4 % less)
 _BATCH = 1 << 15
 
 

@@ -8,9 +8,11 @@ scalar stream is kept here, one Python-int step at a time, as the reference
 for ``_rng``'s arrays.  check_bounds then solves its samples in lockstep
 (``_lockstep.lambda1_lanes``), which gives every lane the bits of
 ``lambda1_kernel`` only while numpy's sqrt of |lam - q| and its cos and sin
-of s*h round as math's do at every scale those reach, and only while it
-leaves cosh, sinh, exp, log, atan2, atanh, max and min to math and Python
-(numpy's differ in the last bit, or in their NaN rules).  The eigenfunction
+of s*h round as math's do at every scale those reach, while its sign and
+copysign decide a cell's zero and its hyperbolic sign as propagate_step's
+comparisons do, and only while it leaves cosh, sinh, exp, log, atan2,
+atanh, max and min to math and Python (numpy's differ in the last bit, or
+in their NaN rules).  The eigenfunction
 sampler (``eigensolver._sample_eigenfunction``) evaluates each trigonometric
 cell's slice with numpy's sin and cos, on a view of s*t that reaches far
 beyond one period, and ``eigen`` prints those samples; it keeps the bytes of
@@ -21,6 +23,7 @@ platform where they do not.
 import ast
 import io
 import math
+import struct
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -126,6 +129,33 @@ def test_lockstep_leaves_the_rest_to_math():
     imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "numpy" for a in node.names}
     assert not (used | imported) & banned, sorted((used | imported) & banned)
     assert {"sqrt", "cos", "sin"} <= used
+
+
+_SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.5, 1e308, -1e308]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_numpy_sign_and_copysign_decide_as_propagate_step(layout):
+    # the lockstep counts a sign change where y1*sign(y) < 0, which
+    # propagate_step tests as y < 0 < y1 or y1 < 0 < y, and takes
+    # copysign(sqrt(|w|), w) as the s of a trigonometric cell (w > 0) and
+    # the -s of a hyperbolic one (w < 0): at +-0, NaN, +-inf and subnormals,
+    # as arrays long enough for numpy's vector loops
+    pairs = [(a, b) for a in _SPECIAL for b in _SPECIAL]
+    y, y1 = (np.array(col) for col in zip(*pairs))
+    if layout == "strided":
+        y, y1 = np.repeat(y, 2)[::2], np.repeat(y1, 2)[::2]
+    with np.errstate(all="ignore"):
+        crossed = (y1 * np.sign(y) < 0.0).tolist()
+        s = np.sqrt(np.abs(y1))
+        t = np.copysign(s, y1)
+    for (a, b), cross, si, ti in zip(pairs, crossed, s.tolist(), t.tolist()):
+        assert cross == (a < 0.0 < b or b < 0.0 < a), (a, b)
+        # b as a cell's w
+        if b > 0.0:
+            assert struct.pack("<d", ti) == struct.pack("<d", si), b
+        elif b < 0.0:
+            assert struct.pack("<d", ti) == struct.pack("<d", -si), b
 
 
 def test_verify_warns_nothing():

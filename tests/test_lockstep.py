@@ -164,6 +164,44 @@ def test_crafted_shots():
     assert _assert_shots_are_scalar(edges[1:], vals[1:], n[1:], -1024.0, 0.0, [0.0]) == [False]
 
 
+def test_no_math_call_touches_padding(monkeypatch):
+    # at a trial lam < 0 every padding entry (width 0, value 0) would be
+    # hyperbolic; cosh and sinh must run once per real hyperbolic cell, and
+    # atanh as often as in the scalar shots.  A mapped padding entry costs
+    # time that no bit test sees
+    lanes = [
+        ([0.0, 0.1, 0.3, 0.45, 0.7, 1.0], [2.0, -4.0, 0.5, -1.0, 3.0]),
+        ([0.0, 0.25, 0.5, 1.0], [1.0, -9.0, 0.0]),
+        ([0.0, 0.6, 1.0], [-0.5, 6.0]),
+        ([0.0, 1.0], [0.25]),
+    ]
+    edges, vals, n = _padded(lanes)
+    lam = [-1.0, -2.0, -0.75, -1.5]
+    calls = {"cosh": 0, "sinh": 0, "atanh": 0}
+
+    def counted(name):
+        f = getattr(math, name)
+
+        def g(x):
+            calls[name] += 1
+            return f(x)
+
+        return g
+
+    for name in calls:
+        monkeypatch.setattr(math, name, counted(name))
+    # y' = -3 entering a first cell of s < 3 puts -s*y/y' in (0, 1); lane 0
+    # has a cell with w == 0
+    for tables, x in zip(_row_tables(edges, vals, n), lam):
+        shoot_kernel(*tables, -3.0, 0.5, x)
+    scalar = dict(calls)
+    _assert_shots_are_scalar(edges, vals, n, -3.0, 0.5, lam)
+    lockstep = {name: calls[name] - 2 * scalar[name] for name in calls}
+    hyperbolic = sum(x < v for (_, vs), x in zip(lanes, lam) for v in vs)
+    assert lockstep["cosh"] == lockstep["sinh"] == scalar["cosh"] == hyperbolic == 8, (lockstep, scalar)
+    assert lockstep["atanh"] == scalar["atanh"] > 0, (lockstep, scalar)
+
+
 def _lost(x):
     # a shot that the fault injection below loses: about one in five, by the bits of its lam
     return (struct.unpack("<Q", struct.pack("<d", x))[0] >> 7) % 5 == 0

@@ -23,6 +23,8 @@ into the tests reads as a move.  After the benchmark
 runs, each side runs its Tier-1 suite once (ROADMAP.md's command, with
 ``--durations=0`` and ``-rf``, without pytest's cache); the file holds its wall time, its summary line,
 its ``FAILED ...`` lines and the share of that time the acceptance bound check, criterion 5, took.
+Each side also records, in a fresh interpreter, the tracemalloc peak in MiB of criterion 5's
+``check_bounds`` call and of a bound_check-sized one (250 samples per class, --pieces-max 16).
 """
 
 from __future__ import annotations
@@ -71,6 +73,31 @@ def _tier1(root: Path) -> dict:
         "criterion_5_s": c5[0] if c5 else None,
         "criterion_5_share": c5[0] / wall if c5 else None,
     }
+
+
+#: check_bounds calls whose memory each side records: criterion 5's, and one
+#: the size of a bound_check item's at its larger --pieces-max
+MEMORY_CALLS = {
+    "criterion_5": "RobinBC(0.25, 0.5), 10**4, 8, 1",
+    "bound_check_16": "RobinBC(0.25, 0.5), 250, 16, 1",
+}
+
+
+def _memory(root: Path) -> dict:
+    """The tracemalloc peak, in MiB, of each MEMORY_CALLS call in root, one fresh interpreter each."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    peaks = {}
+    for name, args in MEMORY_CALLS.items():
+        code = (
+            "import tracemalloc\n"
+            "from robinsl import RobinBC, check_bounds\n"
+            "tracemalloc.start()\n"
+            f"check_bounds({args})\n"
+            "print(tracemalloc.get_traced_memory()[1] / 2**20)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, check=True)
+        peaks[name] = float(out.stdout)
+    return peaks
 
 
 def _lines(root: Path, pattern: str) -> int:
@@ -140,6 +167,7 @@ def _record(sides: dict, bench: dict) -> dict:
         "all_names": {name: _all_names(root) for name, root in sides.items()},
         "workloads": workloads,
         "trace": traced,
+        "peak_mib": {name: _memory(root) for name, root in sides.items()},
         "tier1": {name: _tier1(root) for name, root in sides.items()},
     }
 

@@ -30,7 +30,7 @@ from .potential import (
     potential_from_dict,
     potential_to_dict,
 )
-from .verify import SampleReport, approach_extremum, check_bounds, sample_unit_mass
+from .verify import SampleReport, check_bounds, sample_unit_mass
 
 __version__ = "0.1.0"
 
@@ -52,7 +52,6 @@ __all__ = [
     "ToleranceNotReached",
     "ZeroMass",
     "all_extrema",
-    "approach_extremum",
     "check_bounds",
     "delta_strength",
     "fd_lambda1",

@@ -184,7 +184,7 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
         # a lane fails where its scale was 0, inf or NaN: y is NaN from then
         # on, or, past its last cell, 0 beside a NaN y'
         bad = np.isnan(y) | ((y == 0.0) & np.isnan(yp))
-        sg = 1.0 - 2.0 * (nz % 2.0)
+        sg = 1.0 - 2.0 * (nz - 2.0 * np.floor(0.5 * nz))
         mismatch = _PI * nz + _map(math.atan2, sg * y, sg * yp) - math.atan2(1.0, -k1sq)
         res = yp + k1sq * y
         slope = sq / (y * y + yp * yp)

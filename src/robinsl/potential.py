@@ -79,9 +79,8 @@ class Potential:
     """Piecewise-constant part plus Dirac atoms.
 
     Segments are stored sorted by left endpoint and must have disjoint
-    interiors; use :func:`combine` to sum overlapping pieces.  Atoms closer
-    than ``MERGE_TOL`` are merged by weight addition and zero-weight atoms are
-    dropped.
+    interiors.  Atoms closer than ``MERGE_TOL`` are merged by weight addition
+    and zero-weight atoms are dropped.
     """
 
     segments: tuple = ()
@@ -110,49 +109,6 @@ class Potential:
         for s in self.segments:
             out = np.where((x >= s.left) & (x <= s.right), s.value, out)
         return out
-
-
-def delta_approx(zeta: float, n: int, weight: float) -> Potential:
-    """Box approximation of weight*delta_zeta: width 1/n, height n*weight.
-
-    The box is centered at zeta and shifted inward at the endpoints so the
-    width (and hence the total integral) is preserved exactly.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError("zeta must lie in [0, 1]")
-    w = 1.0 / n
-    left = zeta - 0.5 * w
-    if left < 0.0:
-        left = 0.0
-    elif left + w > 1.0:
-        left = 1.0 - w
-    return Potential(segments=(Segment(left, left + w, n * weight),))
-
-
-def combine(*potentials: Potential) -> Potential:
-    """Pointwise sum of potentials, splitting segments so interiors stay disjoint."""
-    edges = {0.0, 1.0}
-    for q in potentials:
-        for s in q.segments:
-            edges.add(s.left)
-            edges.add(s.right)
-    edges = sorted(edges)
-    segs = []
-    for l, r in zip(edges, edges[1:]):
-        if r - l <= MERGE_TOL:
-            continue
-        mid = 0.5 * (l + r)
-        v = 0.0
-        for q in potentials:
-            for s in q.segments:
-                if s.left <= mid <= s.right:
-                    v += s.value
-        if v != 0.0:
-            segs.append(Segment(l, r, v))
-    atoms = [a for q in potentials for a in q.atoms]
-    return Potential(segments=tuple(segs), atoms=tuple(atoms))
 
 
 def compile_arrays(q: Potential, bc: RobinBC):

@@ -2,8 +2,6 @@
 
 Draws random unit-mass potentials of either sign class, solves each one, and
 checks that every first eigenvalue stays inside [inf, sup] for its class.
-Delta-type extrema are additionally approached through box approximations of
-the extremal point masses.
 """
 
 from __future__ import annotations
@@ -16,16 +14,14 @@ import numpy as np
 from ._rng import derive_seeds, stream, units
 from ._kernels import STATUS_OK
 from ._lockstep import lambda1_lanes
-from .eigensolver import DEFAULT_TOL, _checked, lambda1_value
+from .eigensolver import DEFAULT_TOL, _checked
 from .errors import ZeroMass
-from .extrema import KINDS, _eig0, _makers, all_extrema
+from .extrema import KINDS, _eig0, all_extrema
 from .potential import (
     Potential,
     RobinBC,
     Segment,
     cell_tables,
-    combine,
-    delta_approx,
     potential_to_dict,
     spaced_lanes,
 )
@@ -56,21 +52,20 @@ class SampleReport:
     seed: int = 0
 
 
-def _count(pieces: int, concentrated: bool) -> int:
+def _count(pieces: int) -> int:
     """The uniforms one attempt at a sample takes."""
-    return 3 * pieces + (0 if concentrated else 1)
+    return 3 * pieces + 1
 
 
-def _block(u: np.ndarray, pieces: list, sign, concentrated: bool):
+def _block(u: np.ndarray, pieces: list, sign):
     """Attempts at samples, one per row of the uniforms u, as lane arrays.
 
     sign is +1 or -1 for every row, or an integer array of one per row.
 
-    Row r takes the first _count(pieces[r], concentrated) uniforms of u[r]:
-    breakpoints, then a Box-Muller pair per height (in concentrated mode
-    every row has the same piece count).  A cell is kept when it is wider
-    than 1e-14 and its height is positive; the kept cells, their values
-    scaled to integral sign, are the attempt's segments.
+    Row r takes the first _count(pieces[r]) uniforms of u[r]: pieces[r] + 1
+    breakpoints, then a Box-Muller pair per height.  A cell is kept when it
+    is wider than 1e-14 and its height is positive; the kept cells, their
+    values scaled to integral sign, are the attempt's segments.
 
     Returns (edges, vals, odd).  A row whose cells are all kept, with
     breakpoints more than MERGE_TOL apart (see :func:`spaced_lanes`), holds
@@ -92,23 +87,14 @@ def _block(u: np.ndarray, pieces: list, sign, concentrated: bool):
     pts = edges[:, 1:-1]
     vals = np.zeros((rows, top + 2))
     values = vals[:, 1:-1]
-    if concentrated:
-        # support pinned to a window of width exactly 1/pieces at a random
-        # center, so larger piece counts concentrate the unit mass harder
-        width = 1.0 / top
-        left = u[:, :1] * (1.0 - width)
-        pts[:, :1] = left
-        pts[:, 1:-1] = np.sort(left + u[:, 1:top] * width)
-        pts[:, -1:] = left + width
-    else:
-        # a row's breakpoints are its first pieces + 1 uniforms; the columns
-        # past them are set to 1, no less than any uniform, and sort last
-        pts[:] = u[:, : top + 1]
-        pts[np.arange(top + 1) > p] = 1.0
-        pts.sort()
+    # a row's breakpoints are its first pieces + 1 uniforms; the columns past
+    # them are set to 1, no less than any uniform, and sort last
+    pts[:] = u[:, : top + 1]
+    pts[np.arange(top + 1) > p] = 1.0
+    pts.sort()
     # |N(0, 1)| by Box-Muller, from two uniforms each
     lane, cell = valid.nonzero()
-    j = (p[:, 0] + (0 if concentrated else 1))[lane] + 2 * cell
+    j = (p[:, 0] + 1)[lane] + 2 * cell
     log = np.fromiter(map(math.log, u[lane, j].tolist()), float, len(j))
     values[valid] = np.abs(np.sqrt(-2.0 * log) * np.cos(_TWO_PI * u[lane, j + 1]))
     del lane, cell, j, log
@@ -134,16 +120,16 @@ def _block(u: np.ndarray, pieces: list, sign, concentrated: bool):
     return edges, vals, odd
 
 
-def _draw(seed: int, skip: int, pieces: int, sign: int, concentrated: bool, tries: int = _TRIES) -> list:
+def _draw(seed: int, skip: int, pieces: int, sign: int, tries: int = _TRIES) -> list:
     """The segments of one sample: attempts of :func:`_block` on one row,
     each on the next uniforms of seed's stream, the first after its first
     skip outputs.
 
     Raises ZeroMass when none of the tries leaves mass.
     """
-    c = _count(pieces, concentrated)
+    c = _count(pieces)
     for t in range(tries):
-        edges, vals, odd = _block(units(stream(seed, skip + t * c, c)), [pieces], sign, concentrated)
+        edges, vals, odd = _block(units(stream(seed, skip + t * c, c)), [pieces], sign)
         e, v = edges[0].tolist(), vals[0].tolist()
         # a row holding its cell tables: cell k + 1 is segment k
         segs = odd[0] if odd else list(zip(e[1:-2], e[2:-1], v[1:-1]))
@@ -152,19 +138,14 @@ def _draw(seed: int, skip: int, pieces: int, sign: int, concentrated: bool, trie
     raise ZeroMass("could not draw a potential with positive mass")
 
 
-def _layout(seeds: np.ndarray, pieces_max: int, concentrated: bool):
-    """(skip, piece counts, first attempts' uniforms) of check_bounds samples on the streams of seeds.
+def _layout(seeds: np.ndarray, pieces_max: int):
+    """(piece counts, first attempts' uniforms) of check_bounds samples on the streams of seeds.
 
-    In concentrated mode every sample has pieces_max pieces and its draw
-    starts at its stream's first output; otherwise its piece count is
-    1 + that output % pieces_max, and its draw skips it.
+    A sample's piece count is 1 + its stream's first output % pieces_max,
+    and its draw starts at the output after it.
     """
-    if concentrated:
-        # concentrated mode pins the piece count so the support window
-        # width 1/pieces_max shrinks as pieces_max grows
-        return 0, [pieces_max] * len(seeds), units(stream(seeds, 0, 3 * pieces_max))
     raw = stream(seeds, 0, 3 * pieces_max + 2)
-    return 1, [1 + z % pieces_max for z in raw[:, 0].tolist()], units(raw[:, 1:])
+    return [1 + z % pieces_max for z in raw[:, 0].tolist()], units(raw[:, 1:])
 
 
 def _first_order_starts(edges: np.ndarray, vals: np.ndarray, k0sq: float, lam0: float) -> np.ndarray:
@@ -195,7 +176,7 @@ def _first_order_starts(edges: np.ndarray, vals: np.ndarray, k0sq: float, lam0: 
     return lam0 + num / big[:, -1]
 
 
-def _lanes(seed, runs, pieces_max, concentrated, k0sq, lam0):
+def _lanes(seed, runs, pieces_max, k0sq, lam0):
     """One lockstep batch of check_bounds samples: (tags, indices, edges, vals, n, starts).
 
     runs holds a (tag, start, stop) per class: samples start..stop-1 of
@@ -214,21 +195,21 @@ def _lanes(seed, runs, pieces_max, concentrated, k0sq, lam0):
     index = np.concatenate([np.arange(start, stop) for _, start, stop in runs])
     seeds = np.concatenate([derive_seeds(seed, tag, start, stop) for tag, start, stop in runs])
     sign = 1 - 2 * tags
-    skip, pieces, u = _layout(seeds, pieces_max, concentrated)
-    edges, vals, odd = _block(u, pieces, sign, concentrated)
+    pieces, u = _layout(seeds, pieces_max)
+    edges, vals, odd = _block(u, pieces, sign)
     n = np.array(pieces) + 3
     for r, segs in odd.items():
         if segs is None:
             # the next attempts go on along the same stream
-            c = _count(pieces[r], concentrated)
-            segs = _draw(int(seeds[r]), skip + c, pieces[r], int(sign[r]), concentrated, _TRIES - 1)
+            c = _count(pieces[r])
+            segs = _draw(int(seeds[r]), 1 + c, pieces[r], int(sign[r]), _TRIES - 1)
         e, v, _ = cell_tables(segs)
         edges[r], vals[r], n[r] = 1.0, 0.0, len(e)
         edges[r, : len(e)], vals[r, : len(v)] = e, v
     return tags, index, edges, vals, n, _first_order_starts(edges, vals, k0sq, lam0)
 
 
-def _batches(seed, n, pieces_max, concentrated, k0sq, lam0):
+def _batches(seed, n, pieces_max, k0sq, lam0):
     """Yield check_bounds' samples as lockstep batches of :func:`_lanes`.
 
     Samples come in sample order, class 0 then class 1, as many to a batch
@@ -240,14 +221,14 @@ def _batches(seed, n, pieces_max, concentrated, k0sq, lam0):
         # samples lo..hi-1 of the 2n, class 0's n first
         hi = min(lo + size, 2 * n)
         runs = [(tag, max(lo - tag * n, 0), min(hi - tag * n, n)) for tag in (0, 1)]
-        yield _lanes(seed, [r for r in runs if r[1] < r[2]], pieces_max, concentrated, k0sq, lam0)
+        yield _lanes(seed, [r for r in runs if r[1] < r[2]], pieces_max, k0sq, lam0)
 
 
 def _potential(segments) -> Potential:
     return Potential(segments=tuple(Segment(l, r, v) for l, r, v in segments))
 
 
-def regenerate(seed: int, tag: int, index: int, pieces_max: int, concentrated: bool = False) -> Potential:
+def regenerate(seed: int, tag: int, index: int, pieces_max: int) -> Potential:
     """Sample index of class tag (0 for +, 1 for -) as :func:`check_bounds` drew it under seed and pieces_max."""
     if tag not in (0, 1):
         raise ValueError(f"tag must be 0 or 1, got {tag}")
@@ -256,34 +237,27 @@ def regenerate(seed: int, tag: int, index: int, pieces_max: int, concentrated: b
     if not 1 <= pieces_max <= 64:
         raise ValueError(f"pieces_max must lie in 1..64, got {pieces_max}")
     sub = derive_seeds(seed, tag, index, index + 1)
-    skip, (pieces,), _ = _layout(sub, pieces_max, concentrated)
-    return _potential(_draw(int(sub[0]), skip, pieces, 1 - 2 * tag, concentrated))
+    (pieces,), _ = _layout(sub, pieces_max)
+    return _potential(_draw(int(sub[0]), 1, pieces, 1 - 2 * tag))
 
 
-def sample_unit_mass(pieces: int, seed: int, sign: int, concentrated: bool = False) -> Potential:
+def sample_unit_mass(pieces: int, seed: int, sign: int) -> Potential:
     """Random piecewise-constant potential of the given sign with |mass| = 1.
 
-    Draws pieces+1 breakpoints uniformly (inside a shrinking window when
-    ``concentrated``), heights |N(0,1)|, and normalizes the total integral to
-    ``sign``.  The stream is splitmix64 seeded with ``seed`` (wrapped to 64
-    bits), so identical arguments reproduce the identical potential.  A
-    sample of :func:`check_bounds` draws on a sub-seed of its run's seed;
-    :func:`regenerate` draws it again.
+    Draws pieces+1 breakpoints uniformly, heights |N(0,1)|, and normalizes
+    the total integral to ``sign``.  The stream is splitmix64 seeded with
+    ``seed`` (wrapped to 64 bits), so identical arguments reproduce the
+    identical potential.  A sample of :func:`check_bounds` draws on a
+    sub-seed of its run's seed; :func:`regenerate` draws it again.
     """
     if not 1 <= pieces <= 64:
         raise ValueError("pieces must lie in 1..64")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _potential(_draw(seed, 0, pieces, sign, concentrated))
+    return _potential(_draw(seed, 0, pieces, sign))
 
 
-def check_bounds(
-    bc: RobinBC,
-    n: int,
-    pieces_max: int,
-    seed: int,
-    concentrated: bool = False,
-) -> SampleReport:
+def check_bounds(bc: RobinBC, n: int, pieces_max: int, seed: int) -> SampleReport:
     """Solve n random potentials per sign class and compare against the extrema.
 
     Sample i of class tag (0 for +, 1 for -) draws its piece count and shape
@@ -312,7 +286,7 @@ def check_bounds(
     lam0 = _eig0(k0, k1)
     report = SampleReport(n_samples=0, seed=seed)
     gaps = {k: None for k in KINDS}
-    for tags, index, edges, vals, m, starts in _batches(seed, n, pieces_max, concentrated, k0, lam0):
+    for tags, index, edges, vals, m, starts in _batches(seed, n, pieces_max, k0, lam0):
         lam, width, status = lambda1_lanes(edges, vals, m, k0, k1, DEFAULT_TOL, starts)
         unsolved = (status != STATUS_OK).nonzero()[0]
         if unsolved.size:
@@ -342,7 +316,7 @@ def check_bounds(
             bad = (got < lo - BOUND_TOL) | (got > hi + BOUND_TOL)
             for i, j in zip(bad.nonzero()[0].tolist(), index[ours][bad].tolist()):
                 bound, gap = (lo_kind, lo - lams[i]) if lams[i] < lo - BOUND_TOL else (hi_kind, lams[i] - hi)
-                q = regenerate(seed, tag, j, pieces_max, concentrated)
+                q = regenerate(seed, tag, j, pieces_max)
                 report.violations.append(
                     {"potential": potential_to_dict(q), "lambda1": lams[i], "bound": bound, "gap": gap}
                 )
@@ -352,33 +326,3 @@ def check_bounds(
     report.extremum_gaps = gaps
     return report
 
-
-def approach_extremum(bc: RobinBC, kind: str, depth: int):
-    """Eigenvalues along box approximations q_n of the extremal potential.
-
-    Every point mass of the extremal potential is replaced by a box of width
-    1/n for n = 2^k, k = 2..depth; summable parts are kept as they are.  For
-    the plateau extremum the approximant already equals the extremal
-    potential, so the gap is zero at every n.
-
-    Returns a list of (n, lambda1(q_n), |lambda1(q_n) - extremum|).
-    """
-    if not 2 <= depth <= 14:
-        raise ValueError("depth must lie in 2..14")
-    maker = _makers()
-    if kind not in maker:
-        raise ValueError(f"kind must be one of {sorted(maker)}")
-    rep = maker[kind](bc)
-    out = []
-    for k in range(2, depth + 1):
-        nn = 2**k
-        if rep.q_star.atoms:
-            parts = [delta_approx(a.position, nn, a.weight) for a in rep.q_star.atoms]
-            if rep.q_star.segments:
-                parts.append(Potential(segments=rep.q_star.segments))
-            qn = combine(*parts)
-        else:
-            qn = rep.q_star
-        lam = lambda1_value(qn, bc)
-        out.append((nn, lam, abs(lam - rep.value)))
-    return out

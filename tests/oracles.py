@@ -1,10 +1,15 @@
 """Reference computations that only the tests read.
 
 Each one is independent of the solver's own arithmetic, so a test can check
-a solver result, a sampler's mass or a cell table against it.
+a solver result, a sampler's mass or a cell table against it.  The box
+approximations of point masses (``delta_approx``, summed with ``combine``)
+give the sequences whose eigenvalues converge to a point mass's.
 """
 
 import numpy as np
+
+from robinsl import Potential, Segment
+from robinsl.potential import MERGE_TOL
 
 
 def breakpoints(q):
@@ -71,3 +76,46 @@ def quadratic_form(q, bc, lam: float, xs, ys) -> float:
         j = int(np.argmin(np.abs(xs - a.position)))
         atom_term += a.weight * ys[j] ** 2
     return grad_term + pot_term + atom_term + bc.k0sq * ys[0] ** 2 + bc.k1sq * ys[-1] ** 2
+
+
+def delta_approx(zeta: float, n: int, weight: float) -> Potential:
+    """Box approximation of weight*delta_zeta: width 1/n, height n*weight.
+
+    The box is centered at zeta and shifted inward at the endpoints so the
+    width (and hence the total integral) is preserved exactly.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 0.0 <= zeta <= 1.0:
+        raise ValueError("zeta must lie in [0, 1]")
+    w = 1.0 / n
+    left = zeta - 0.5 * w
+    if left < 0.0:
+        left = 0.0
+    elif left + w > 1.0:
+        left = 1.0 - w
+    return Potential(segments=(Segment(left, left + w, n * weight),))
+
+
+def combine(*potentials: Potential) -> Potential:
+    """Pointwise sum of potentials, splitting segments so interiors stay disjoint."""
+    edges = {0.0, 1.0}
+    for q in potentials:
+        for s in q.segments:
+            edges.add(s.left)
+            edges.add(s.right)
+    edges = sorted(edges)
+    segs = []
+    for l, r in zip(edges, edges[1:]):
+        if r - l <= MERGE_TOL:
+            continue
+        mid = 0.5 * (l + r)
+        v = 0.0
+        for q in potentials:
+            for s in q.segments:
+                if s.left <= mid <= s.right:
+                    v += s.value
+        if v != 0.0:
+            segs.append(Segment(l, r, v))
+    atoms = [a for q in potentials for a in q.atoms]
+    return Potential(segments=tuple(segs), atoms=tuple(atoms))

@@ -8,6 +8,10 @@ kept here as its oracle, with the scalar first-order start; both must be
 matched bit for bit, on real streams and on crafted uniform rows that force
 each rare path: a dropped cell, a zero height, no mass at all, and
 breakpoints too close to keep as a lane's cell tables.
+
+The scalar draw also keeps the concentrated form the sampler once had, a
+support window of width 1/pieces: ``concentrated_sample`` draws those
+potentials, which other tests still feed to the solver and the cell tables.
 """
 
 import math
@@ -15,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from robinsl import RobinBC
+from robinsl import Potential, RobinBC, Segment
 from robinsl._rng import derive_seeds, stream, units
 from robinsl.extrema import _eig0
 from robinsl.potential import cell_tables
@@ -27,9 +31,9 @@ _TWO_PI = 2.0 * math.pi
 def _segments(u, pieces, sign, concentrated):
     """The (left, right, value) segments of one attempt on the uniforms u, or None.
 
-    u holds _count(pieces, concentrated) uniforms: breakpoints, then a
-    Box-Muller pair per height.  The segments come sorted, scaled to
-    integral sign; None when no mass is left to scale.
+    u holds 3*pieces uniforms when concentrated, and _count(pieces)
+    otherwise: breakpoints, then a Box-Muller pair per height.  The segments
+    come sorted, scaled to integral sign; None when no mass is left to scale.
     """
     if concentrated:
         width = 1.0 / pieces
@@ -50,6 +54,17 @@ def _segments(u, pieces, sign, concentrated):
         return None
     c = sign / tot
     return [(l, r, v * c) for l, r, v in raw]
+
+
+def concentrated_sample(pieces, seed, sign):
+    """The potential of the first concentrated attempt on seed's stream: its 3*pieces first uniforms.
+
+    Its pieces cells fill a window of width exactly 1/pieces at a random
+    place, so larger piece counts concentrate the unit mass harder.
+    """
+    segs = _segments(units(stream(seed, 0, 3 * pieces))[0].tolist(), pieces, sign, True)
+    assert segs is not None, (pieces, seed, sign)
+    return Potential(segments=tuple(Segment(l, r, v) for l, r, v in segs))
 
 
 def _start(edges, vals, k0sq, lam0):
@@ -78,12 +93,12 @@ def _row_tables(edges, vals, n):
     return [(e[:m], v[: m - 1], [0.0] * m) for e, v, m in zip(edges.tolist(), vals.tolist(), n.tolist())]
 
 
-def _assert_block_is_scalar(u, pieces, sign, concentrated):
+def _assert_block_is_scalar(u, pieces, sign):
     """Each row of _block(u, ...) against _segments on that row's uniforms; returns the odd rows."""
-    edges, vals, odd = _block(u, pieces, sign, concentrated)
+    edges, vals, odd = _block(u, pieces, sign)
     assert edges.shape == (len(pieces), max(pieces) + 3) and vals.shape == (len(pieces), max(pieces) + 2)
     for r, p in enumerate(pieces):
-        want = _segments(u[r, : _count(p, concentrated)].tolist(), p, sign, concentrated)
+        want = _segments(u[r, : _count(p)].tolist(), p, sign, False)
         if r in odd:
             got = odd[r]
             assert (got is None) == (want is None), r
@@ -102,41 +117,38 @@ def _assert_block_is_scalar(u, pieces, sign, concentrated):
     return odd
 
 
-@pytest.mark.parametrize("concentrated", [False, True])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_block_is_the_scalar_draw(sign, concentrated):
-    # every piece count on real streams: one count per block, and (without
-    # concentration) mixed counts in one block, as check_bounds draws
+# the ids of this test and the next end in "False", the plain draw's, as
+# they did beside the concentrated draw that the sampler no longer has
+@pytest.mark.parametrize("sign", [1, -1], ids=["1-False", "-1-False"])
+def test_block_is_the_scalar_draw(sign):
+    # every piece count on real streams: one count per block, and mixed
+    # counts in one block, as check_bounds draws
     seeds = derive_seeds(20260809, 0 if sign > 0 else 1, 0, 32)
     for p in range(1, 65):
-        _assert_block_is_scalar(units(stream(seeds, 0, _count(p, concentrated))), [p] * 32, sign, concentrated)
-    if not concentrated:
-        for pieces_max in (1, 8, 16, 64):
-            raw = stream(seeds, 0, 3 * pieces_max + 2)
-            pieces = [1 + z % pieces_max for z in raw[:, 0].tolist()]
-            _assert_block_is_scalar(units(raw[:, 1:]), pieces, sign, concentrated)
+        _assert_block_is_scalar(units(stream(seeds, 0, _count(p))), [p] * 32, sign)
+    for pieces_max in (1, 8, 16, 64):
+        raw = stream(seeds, 0, 3 * pieces_max + 2)
+        pieces = [1 + z % pieces_max for z in raw[:, 0].tolist()]
+        _assert_block_is_scalar(units(raw[:, 1:]), pieces, sign)
 
 
-@pytest.mark.parametrize("concentrated", [False, True])
-def test_lanes_are_the_scalar_draw(concentrated):
+@pytest.mark.parametrize("pairs", [((0.0, 0.0), (0.25, 0.5), (1.0, 4.0))], ids=["False"])
+def test_lanes_are_the_scalar_draw(pairs):
     # the tables and starts of a whole batch, against the scalar draw and
     # start of each sample on its stream; regenerate draws the same segments
-    for k0, k1 in ((0.0, 0.0), (0.25, 0.5), (1.0, 4.0)):
+    for k0, k1 in pairs:
         lam0 = _eig0(k0, k1)
         for pieces_max in (1, 8, 16, 64):
             for tag, sign in ((0, 1), (1, -1)):
                 subs = derive_seeds(77, tag, 0, 40).tolist()
-                _, _, *block, starts = _lanes(77, [(tag, 0, 40)], pieces_max, concentrated, k0, lam0)
+                _, _, *block, starts = _lanes(77, [(tag, 0, 40)], pieces_max, k0, lam0)
                 got = list(zip(_row_tables(*block), starts.tolist()))
                 assert len(got) == 40
                 for i, (sub, (tables, start)) in enumerate(zip(subs, got)):
-                    if concentrated:
-                        skip, p = 0, pieces_max
-                    else:
-                        skip, p = 1, 1 + stream(sub, 0, 1).item() % pieces_max
-                    want = _segments(units(stream(sub, skip, _count(p, concentrated)))[0].tolist(), p, sign, concentrated)
+                    p = 1 + stream(sub, 0, 1).item() % pieces_max
+                    want = _segments(units(stream(sub, 1, _count(p)))[0].tolist(), p, sign, False)
                     if k0 == 0.0:
-                        q = regenerate(77, tag, i, pieces_max, concentrated)
+                        q = regenerate(77, tag, i, pieces_max)
                         assert _bits([(s.left, s.right, s.value) for s in q.segments]) == _bits(want)
                     for a, b in zip(tables, cell_tables(want)):
                         assert all(type(x) is float for x in a) and _bits(a) == _bits(b)
@@ -144,7 +156,7 @@ def test_lanes_are_the_scalar_draw(concentrated):
 
 
 def _row(breaks, heights, tail=()):
-    # a non-concentrated row of uniforms: breakpoints, then Box-Muller pairs
+    # a row of uniforms: breakpoints, then Box-Muller pairs
     return [*breaks, *(x for pair in heights for x in pair), *tail]
 
 
@@ -166,26 +178,18 @@ def test_crafted_rows_take_the_rare_paths():
         # a breakpoint of exactly 1.0, the padding's value: the last edge
         # meets 1, so merged
         _row([0.2, 0.5, 1.0, 0.7], ok),
+        # a breakpoint of 2**-53, the smallest uniform: the first edge meets
+        # 0, so merged
+        _row([0.2, 0.5, 2.0**-53, 0.7], ok),
     ]
     for sign in (1, -1):
-        odd = _assert_block_is_scalar(np.array(rows), [3] * len(rows), sign, False)
-        assert sorted(odd) == [1, 2, 3, 4, 5, 6]
+        odd = _assert_block_is_scalar(np.array(rows), [3] * len(rows), sign)
+        assert sorted(odd) == [1, 2, 3, 4, 5, 6, 7]
         assert odd[5] is None
         # a lane of fewer pieces beside them is padded past its own cells
         mixed = [_row([0.4, 0.6], [(0.5, 0.3)], [0.25] * 6), *rows]
-        odd = _assert_block_is_scalar(np.array(mixed), [1] + [3] * len(rows), sign, False)
-        assert sorted(odd) == [2, 3, 4, 5, 6, 7]
-
-
-def test_crafted_concentrated_rows():
-    # a left end within MERGE_TOL of 0 (the smallest uniform, 2**-53) and a
-    # right end within it of 1 take cell_tables' merge; a spaced window is
-    # held in the lane
-    heights = [0.3, 0.1, 0.6, 0.2, 0.9, 0.7, 0.5, 0.4]
-    rows = [[x, 0.25, 0.5, 0.75, *heights] for x in (2.0**-53, 1.0, 0.5)]
-    for sign in (1, -1):
-        odd = _assert_block_is_scalar(np.array(rows), [4] * 3, sign, True)
-        assert sorted(odd) == [0, 1]
+        odd = _assert_block_is_scalar(np.array(mixed), [1] + [3] * len(rows), sign)
+        assert sorted(odd) == [2, 3, 4, 5, 6, 7, 8]
 
 
 def test_lanes_retry_a_sample_without_mass(monkeypatch):
@@ -196,8 +200,8 @@ def test_lanes_retry_a_sample_without_mass(monkeypatch):
     real = V._block
     calls = []
 
-    def empty_first(u, pieces, sign, concentrated):
-        edges, vals, odd = real(u, pieces, sign, concentrated)
+    def empty_first(u, pieces, sign):
+        edges, vals, odd = real(u, pieces, sign)
         calls.append(len(pieces))
         if len(calls) == 1:
             odd[2] = odd[10] = None
@@ -205,13 +209,13 @@ def test_lanes_retry_a_sample_without_mass(monkeypatch):
 
     monkeypatch.setattr(V, "_block", empty_first)
     lam0 = _eig0(0.25, 0.5)
-    _, _, *block, starts = _lanes(5, [(0, 0, 8), (1, 0, 8)], 16, False, 0.25, lam0)
+    _, _, *block, starts = _lanes(5, [(0, 0, 8), (1, 0, 8)], 16, 0.25, lam0)
     tables, starts = _row_tables(*block), starts.tolist()
     assert calls == [16, 1, 1]
     for row, tag, sign in ((2, 0, 1), (10, 1, -1)):
         sub = derive_seeds(5, tag, 2, 3)
         p = 1 + stream(sub, 0, 1).item() % 16
-        c = _count(p, False)
+        c = _count(p)
         want = _segments(units(stream(sub, 1 + c, c))[0].tolist(), p, sign, False)
         for a, b in zip(tables[row], cell_tables(want)):
             assert _bits(a) == _bits(b)
@@ -242,7 +246,7 @@ def test_check_bounds_gaps_are_the_scalar_gaps():
     lam0 = _eig0(bc.k0sq, bc.k1sq)
     seen, gaps = [], {}
     for tag, kinds in ((0, ("m1plus", "M1plus")), (1, ("m1minus", "M1minus"))):
-        _, _, *block, starts = _lanes(3, [(tag, 0, 70)], 8, False, bc.k0sq, lam0)
+        _, _, *block, starts = _lanes(3, [(tag, 0, 70)], 8, bc.k0sq, lam0)
         for t, s in zip(_row_tables(*block), starts.tolist()):
             lam = _solve_arrays(*t, bc.k0sq, bc.k1sq, DEFAULT_TOL, s)[0]
             seen.append(lam)

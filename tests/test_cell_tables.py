@@ -20,7 +20,7 @@ from robinsl._rng import derive_seeds, stream, units
 from robinsl.potential import MERGE_TOL, cell_tables, compile_arrays
 from robinsl.verify import _lanes, regenerate, sample_unit_mass
 from oracles import breakpoints, total_integral
-from test_block_draw import _row_tables
+from test_block_draw import _row_tables, concentrated_sample
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
 
@@ -50,17 +50,17 @@ def _assert_same_tables(q):
 def test_tables_of_replay_samples():
     # the 2016 unit-mass samples of tests/test_solver_replay.py
     for pieces in (8, 16):
-        for concentrated in (False, True):
+        for draw in (sample_unit_mass, concentrated_sample):
             for j in range(len(BC_GRID6)):
                 for sign in (1, -1):
                     for i in range(42):
-                        _assert_same_tables(sample_unit_mass(pieces, 7919 * j + 31 * i + sign, sign, concentrated))
+                        _assert_same_tables(draw(pieces, 7919 * j + 31 * i + sign, sign))
 
 
 def test_tables_of_concentrated_samples():
     for pieces in (1, 2, 32, 64):
         for seed in range(25):
-            _assert_same_tables(sample_unit_mass(pieces, seed, -1, concentrated=True))
+            _assert_same_tables(concentrated_sample(pieces, seed, -1))
 
 
 d = 2.0**-40  # below MERGE_TOL, while 2*d is above it
@@ -247,17 +247,11 @@ def _units(seed, skip):
         skip += 64
 
 
-def _draw_then_normalize(units, pieces, sign, concentrated):
+def _draw_then_normalize(units, pieces, sign):
     # the sampler as it was: one uniform at a time, raw Segments, then each
     # scaled by sign / mass
     for _ in range(100):
-        if concentrated:
-            width = 1.0 / pieces
-            left = next(units) * (1.0 - width)
-            inner = sorted(left + next(units) * width for _ in range(pieces - 1))
-            pts = [left] + inner + [left + width]
-        else:
-            pts = sorted(next(units) for _ in range(pieces + 1))
+        pts = sorted(next(units) for _ in range(pieces + 1))
         heights = []
         for _ in range(pieces):
             u1, u2 = next(units), next(units)
@@ -271,17 +265,15 @@ def _draw_then_normalize(units, pieces, sign, concentrated):
     raise AssertionError("no sample drawn")
 
 
-@pytest.mark.parametrize("concentrated", [False, True])
-@pytest.mark.parametrize("sign, tag", [(1, 0), (-1, 1)])
-def test_draw_matches_normalize_mass(sign, tag, concentrated):
+# the ids end in "False", the plain draw's, as they did beside the
+# concentrated draw that the sampler no longer has
+@pytest.mark.parametrize("sign, tag", [(1, 0), (-1, 1)], ids=["1-0-False", "-1-1-False"])
+def test_draw_matches_normalize_mass(sign, tag):
     for pieces_max in (8, 16):
         subs = derive_seeds(20260809, tag, 0, 1000).tolist()
-        _, _, *block, _ = _lanes(20260809, [(tag, 0, 1000)], pieces_max, concentrated, 0.0, 0.0)
+        _, _, *block, _ = _lanes(20260809, [(tag, 0, 1000)], pieces_max, 0.0, 0.0)
         lanes = _row_tables(*block)
         for sub, tables in zip(subs, lanes, strict=True):
-            if concentrated:
-                skip, pieces = 0, pieces_max
-            else:
-                skip, pieces = 1, 1 + stream(sub, 0, 1).item() % pieces_max
-            want = _draw_then_normalize(_units(sub, skip), pieces, sign, concentrated)
+            pieces = 1 + stream(sub, 0, 1).item() % pieces_max
+            want = _draw_then_normalize(_units(sub, 1), pieces, sign)
             assert tables == compile_arrays(want, RobinBC(0.0, 0.0))[:3]

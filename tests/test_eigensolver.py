@@ -21,8 +21,7 @@ from robinsl import (
 )
 from robinsl._kernels import propagate_step, shoot_kernel
 from robinsl.eigensolver import _sample_eigenfunction, compile_arrays
-from robinsl.potential import delta_approx
-from oracles import quadratic_form
+from oracles import delta_approx, quadratic_form
 
 BC00 = RobinBC(0.0, 0.0)
 BCHH = RobinBC(0.5, 0.5)

@@ -198,6 +198,22 @@ def test_inf_minus_endpoint_case():
     assert lam0 <= lam1 + 1e-12
 
 
+def test_point_mass_scan_reaches_the_infima():
+    # lambda1 is concave in q, so over the unit-mass potentials of one sign
+    # it is least at an extreme point of the class, a point mass +-delta_z
+    # (one at an end folds into that end's coefficient): each infimum is the
+    # least lambda1 of a point mass over z.  A scan of 401 z never goes below
+    # the reported value, and reaches it to 1e-12, or to the grid's reach at
+    # inf_minus' interior minimum
+    zs = np.linspace(0.0, 1.0, 401).tolist()
+    for bc in [*BC_GRID, RobinBC(0.75, 3.0)]:
+        for rep, weight in ((inf_plus(bc), 1.0), (inf_minus(bc), -1.0)):
+            least = min(lambda1_value(Potential(atoms=(DeltaAtom(z, weight),)), bc, 1e-12) for z in zs)
+            assert least >= rep.value - 1e-12, (bc, rep.kind, least - rep.value)
+            reach = 1e-6 if rep.branch == "m1minus/interior" else 1e-12
+            assert least <= rep.value + reach, (bc, rep.kind, least - rep.value)
+
+
 def test_cross_checks_on_grid():
     for bc in BC_GRID:
         for rep in all_extrema(bc):

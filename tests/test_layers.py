@@ -139,6 +139,30 @@ def test_one_draw_per_batch():
     assert sum(isinstance(node, ast.Name) and node.id == "_block" for node in ast.walk(tree)) == 2
 
 
+def test_one_sampler_form():
+    # every sample is drawn one way, with breakpoints anywhere in [0, 1]: no
+    # function takes a concentrated switch, and the infima are checked by a
+    # scan over point masses in the tests, not by box approximations in the
+    # library
+    src = Path(robinsl.__file__).parent
+    switches, defined = [], []
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                switches += [(path.name, a.arg) for a in params if a is not None and a.arg == "concentrated"]
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, n) for n in names if n in {"approach_extremum", "delta_approx", "combine"}]
+    assert not switches and not defined, (switches, defined)
+
+
 def test_one_solver_path():
     # the kernels are plain Python and the only path: robinsl imports nothing
     # beyond the standard library, numpy and scipy, and reads no environment

@@ -1,8 +1,10 @@
 """The lockstep solve gives every lane the bits of the scalar kernels.
 
-``_lockstep.lambda1_lanes`` solves check_bounds' samples together, one numpy
-operation per cell or root-finding step over all lanes, and
-``shoot_lanes`` takes their shots.  ``lambda1_kernel`` and ``shoot_kernel``,
+``_lockstep.lambda1_lanes`` solves check_bounds' samples together, and
+``shoot_lanes`` takes their shots: each shot is one numpy pass over every
+real cell of every lane for the work that needs the trial eigenvalue but not
+the state, then one numpy operation per cell that carries the state over the
+lanes that have that cell.  ``lambda1_kernel`` and ``shoot_kernel``,
 run on each lane's own tables, are their reference: (lam, width, status)
 and every shot's outputs must match bit for bit, on the samples check_bounds
 draws and on padded tables drawn to reach the rare branches: a
@@ -27,11 +29,13 @@ import robinsl.verify as V
 from robinsl import RobinBC, check_bounds
 from robinsl._kernels import STATUS_NONFINITE, STATUS_OK, STATUS_TOL, lambda1_kernel, shoot_kernel
 from robinsl._lockstep import lambda1_lanes, shoot_lanes
+from robinsl._rng import derive_seeds
 from robinsl.eigensolver import DEFAULT_TOL
 from robinsl.errors import NonFiniteState, ToleranceNotReached
 from robinsl.extrema import _eig0
 from robinsl.extrema import all_extrema as _all_extrema
-from test_block_draw import _row_tables
+from robinsl.potential import compile_arrays
+from test_block_draw import _row_tables, concentrated_sample
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
 
@@ -59,15 +63,31 @@ def _padded(lanes):
     return edges, vals, n
 
 
+def _concentrated_batch(seed, n, pieces_max, k0, lam0):
+    """(edges, vals, n, starts) of n concentrated samples per class, each on a check_bounds sub-seed of seed."""
+    lanes = [
+        compile_arrays(concentrated_sample(pieces_max, sub, 1 - 2 * tag), RobinBC(0.0, 0.0))[:2]
+        for tag in (0, 1)
+        for sub in derive_seeds(seed, tag, 0, n).tolist()
+    ]
+    edges, vals, m = _padded(lanes)
+    return edges, vals, m, V._first_order_starts(edges, vals, k0, lam0)
+
+
 @pytest.mark.parametrize("concentrated", [False, True])
 def test_lanes_of_check_bounds_samples(concentrated):
-    # both classes in one batch, as check_bounds solves them
+    # both classes in one batch, as check_bounds solves them: its own
+    # samples, or as many samples with all their mass in a window of width
+    # 1/pieces_max
     for k0, k1 in BC_GRID6:
         lam0 = _eig0(k0, k1)
         for pieces_max in (1, 8, 16, 64):
-            (batch,) = V._batches(20260809, 16, pieces_max, concentrated, k0, lam0)
-            tags, _, edges, vals, n, starts = batch
-            assert tags.tolist() == [0] * 16 + [1] * 16
+            if concentrated:
+                edges, vals, n, starts = _concentrated_batch(20260809, 16, pieces_max, k0, lam0)
+            else:
+                (batch,) = V._batches(20260809, 16, pieces_max, k0, lam0)
+                tags, _, edges, vals, n, starts = batch
+                assert tags.tolist() == [0] * 16 + [1] * 16
             assert set(_assert_lanes_are_scalar(edges, vals, n, k0, k1, DEFAULT_TOL, starts)) == {STATUS_OK}
 
 
@@ -213,7 +233,7 @@ def test_lost_shots_are_taken_again(monkeypatch):
     # fourth shot or one while an end is open ends STATUS_NONFINITE
     real_shot, real_lanes = K.shoot_kernel, L.shoot_lanes
     lost = []
-    (batch,) = V._batches(5, 60, 16, False, 0.25, _eig0(0.25, 0.5))
+    (batch,) = V._batches(5, 60, 16, 0.25, _eig0(0.25, 0.5))
 
     def shot(*args):
         if _lost(args[-1]):
@@ -247,7 +267,7 @@ def test_batches_split_the_report_nowhere(monkeypatch):
     assert len(whole["violations"]) == 100
     # 45 samples of 8 pieces or fewer, 11 table entries each, to a batch
     monkeypatch.setattr(V, "_BATCH", 45 * 11)
-    tags = [b[0].tolist() for b in V._batches(11, 100, 8, False, 0.25, _eig0(0.25, 0.5))]
+    tags = [b[0].tolist() for b in V._batches(11, 100, 8, 0.25, _eig0(0.25, 0.5))]
     assert [len(t) for t in tags] == [45, 45, 45, 45, 20]
     assert len(tags) > 2 and [0, 1] in [sorted(set(t)) for t in tags]
     assert dataclasses.asdict(check_bounds(RobinBC(0.25, 0.5), 100, 8, 11)) == whole
@@ -262,9 +282,10 @@ def _midway(bc):
     return [dataclasses.replace(r, value=cut.get(r.kind, r.value)) for r in real]
 
 
-@pytest.mark.parametrize("concentrated", [False, True])
-@pytest.mark.parametrize("pieces_max", [1, 8, 64])
-def test_batch_size_changes_no_report(monkeypatch, pieces_max, concentrated):
+# the ids end in "False", the plain draw's, as they did beside the
+# concentrated draw that the sampler no longer has
+@pytest.mark.parametrize("pieces_max", [1, 8, 64], ids=lambda p: f"{p}-False")
+def test_batch_size_changes_no_report(monkeypatch, pieces_max):
     # batches that end a class mid-way, the default batches and one batch
     # for every sample give the same report, violations and their
     # regenerated potentials included
@@ -274,7 +295,7 @@ def test_batch_size_changes_no_report(monkeypatch, pieces_max, concentrated):
         monkeypatch.setattr(V, "_BATCH", batch)
         reports.append(
             [
-                dataclasses.asdict(check_bounds(RobinBC(k0, k1), 50, pieces_max, 11, concentrated))
+                dataclasses.asdict(check_bounds(RobinBC(k0, k1), 50, pieces_max, 11))
                 for k0, k1 in BC_GRID6[1::4]
             ]
         )

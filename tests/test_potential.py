@@ -12,8 +12,8 @@ from robinsl import (
     potential_from_dict,
     potential_to_dict,
 )
-from robinsl.potential import cell_tables, combine, compile_arrays, delta_approx
-from oracles import total_integral
+from robinsl.potential import cell_tables, compile_arrays
+from oracles import combine, delta_approx, total_integral
 
 
 def test_total_integral_constant_one():

@@ -31,7 +31,7 @@ from robinsl import DeltaAtom, Potential, RobinBC, Segment, delta_strength, sup_
 from robinsl.eigensolver import _solve_arrays, compile_arrays, lambda1_value
 from robinsl.extrema import _ATOMW0, _EDGES0, _MU_TOL, _VALS0, _eig0, left_half_eigenvalue, right_half_eigenvalue
 from robinsl.verify import _lanes, regenerate, sample_unit_mass
-from test_block_draw import _row_tables
+from test_block_draw import _row_tables, concentrated_sample
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
 
@@ -142,12 +142,14 @@ def _growth(log):
 @pytest.mark.parametrize("pieces", [8, 16])
 @pytest.mark.parametrize("concentrated", [False, True])
 def test_replay_unit_mass_samples(pieces, concentrated):
-    # 4 x 504 = 2016 samples over BC_GRID6 x both signs
+    # 4 x 504 = 2016 samples over BC_GRID6 x both signs, concentrated ones
+    # with all their mass in a window of width 1/pieces
+    draw = concentrated_sample if concentrated else sample_unit_mass
     for j, (k0, k1) in enumerate(BC_GRID6):
         bc = RobinBC(k0, k1)
         for sign in (1, -1):
             for i in range(42):
-                q = sample_unit_mass(pieces, 7919 * j + 31 * i + sign, sign, concentrated)
+                q = draw(pieces, 7919 * j + 31 * i + sign, sign)
                 _certified_solve(compile_arrays(q, bc), 1e-10)
 
 
@@ -305,7 +307,7 @@ def test_shot_budget_per_solve(monkeypatch):
         k0, k1 = BC_GRID6[i % 6]
         tag = i // 6 % 2
         pieces_max = 8 if i // 12 % 2 == 0 else 16
-        _, _, *block, (start,) = _lanes(20260809, [(tag, i, i + 1)], pieces_max, False, k0, lam0[k0, k1])
+        _, _, *block, (start,) = _lanes(20260809, [(tag, i, i + 1)], pieces_max, k0, lam0[k0, k1])
         (tables,) = _row_tables(*block)
         shots.append(0)
         assert math.isfinite(lambda1_value(regenerate(20260809, tag, i, pieces_max), RobinBC(k0, k1)))
@@ -341,7 +343,8 @@ def test_certify_corrects_a_wrong_estimate(off):
     for j, (k0, k1) in enumerate(BC_GRID6):
         for sign in (1, -1):
             for i in range(4):
-                q = sample_unit_mass(8, 7919 * j + 31 * i + sign, sign, i % 2 == 1)
+                draw = concentrated_sample if i % 2 == 1 else sample_unit_mass
+                q = draw(8, 7919 * j + 31 * i + sign, sign)
                 args = compile_arrays(q, RobinBC(k0, k1))
                 (lam, _, status), log = _logged_kernel(args, 1e-10, wrong_angle)
                 assert status == K.STATUS_OK
@@ -355,9 +358,9 @@ def test_certify_corrects_a_wrong_estimate(off):
 
 def test_search_up_from_a_start_below():
     # the first-order start lam0 +- 1 is exact on the constant potentials
-    # +-1, so rounding puts the first shot below lambda1 at some pairs, as it
-    # did in half of check_bounds' solves at pieces_max 1, concentrated; the
-    # one-sided search then steps up toward the Rayleigh bound
+    # +-1, the concentrated samples of one piece, so rounding puts the first
+    # shot below lambda1 at some pairs; the one-sided search then steps up
+    # toward the Rayleigh bound
     ups = 0
     for k0, k1 in BC_GRID6:
         lam0 = _eig0(k0, k1)
@@ -371,7 +374,7 @@ def test_search_up_from_a_start_below():
     # measured 6 of 12
     assert ups >= 4
     # a sample, from starts forced below lambda1: a stopping width to 100
-    args = compile_arrays(sample_unit_mass(8, 7919, 1, False), RobinBC(0.25, 0.5))
+    args = compile_arrays(sample_unit_mass(8, 7919, 1), RobinBC(0.25, 0.5))
     lam1 = _certified_solve(args, 1e-10)
     for off in (1e-10, 1e-6, 1e-3, 1.0, 100.0):
         (lam, _, status), log = _logged_kernel(args, 1e-10, start=lam1 - off)

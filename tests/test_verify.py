@@ -7,46 +7,41 @@ import numpy as np
 import pytest
 
 from robinsl import (
+    Potential,
     RobinBC,
     ZeroMass,
-    approach_extremum,
+    all_extrema,
     check_bounds,
+    lambda1_value,
     sample_unit_mass,
 )
 from robinsl._rng import derive_seeds, stream, units
 from robinsl.extrema import _eig0
 from robinsl.potential import compile_arrays, potential_to_dict
 from robinsl.verify import _count, _lanes, _potential, regenerate
-from oracles import total_integral
-from test_block_draw import _row_tables, _segments
+from oracles import combine, delta_approx, total_integral
+from test_block_draw import _row_tables, _segments, concentrated_sample
 
 
 def _sha256(obj):
     return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
 
 
-# sha256 of the potentials of test_violations_carry_the_drawn_potential, by
-# concentrated, recorded before the sampler wrote cell tables directly
-VIOLATIONS = {
-    False: "3e6803e668a4cad802cbdad96da3d7403c4168a491e7ff9d2f1811044c5f24d2",
-    True: "bca9d85e5fdbd905268df6f9eb8266dd1631712d219e1898f861c7b35ca98a4a",
-}
+# sha256 of the potentials of test_violations_carry_the_drawn_potential,
+# recorded before the sampler wrote cell tables directly
+VIOLATIONS = "3e6803e668a4cad802cbdad96da3d7403c4168a491e7ff9d2f1811044c5f24d2"
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
 
 # sha256 of the check_bounds reports at seed 20260809 over BC_GRID6 x n in
 # (1, 33, 250), as JSON of dataclasses.asdict (floats by repr), by
-# (pieces_max, concentrated); recorded while each sample was drawn, tabled
-# and started one at a time
+# pieces_max; recorded while each sample was drawn, tabled and started one at
+# a time
 REPORTS = {
-    (1, False): "771528aed2a7e4b8066adb67779429bc5a82e593850f2b81541002dc01a2737a",
-    (1, True): "28bc132cdff00096655e719c028b56196ba459031a761b4f631842f4feb6c6ff",
-    (8, False): "54326898590b1d87d678def47424e5031fc9a1cd7fc894c64014b1cbe3a37bb0",
-    (8, True): "c198d3d37a5510dd9b2653f628d054412fad8a771bc0c58411688b0550357ceb",
-    (16, False): "ed75967c5d2ef4cd1e4563e9de64c59de5228bbb84e4922b0b29fd1ce16194c6",
-    (16, True): "4dedcd4e775d66ebd76aba0bff8508f5772103311cc9d2b7338ba817bfe7f652",
-    (64, False): "8096c01ed0209f5f1d60132679810b3c904a1785d86959e9f81f4928555f9d42",
-    (64, True): "ca5ec01dcf44e25f622be649d252b39f775030f41eb9e63147507d183ef98d49",
+    1: "771528aed2a7e4b8066adb67779429bc5a82e593850f2b81541002dc01a2737a",
+    8: "54326898590b1d87d678def47424e5031fc9a1cd7fc894c64014b1cbe3a37bb0",
+    16: "ed75967c5d2ef4cd1e4563e9de64c59de5228bbb84e4922b0b29fd1ce16194c6",
+    64: "8096c01ed0209f5f1d60132679810b3c904a1785d86959e9f81f4928555f9d42",
 }
 
 
@@ -54,12 +49,14 @@ def test_samples_pinned():
     # a report names each sample by (seed, tag, index), so the sampler must
     # draw the same potential, to the bit, from the same seed on any version.
     # Recorded with one stream call per uniform, before the draw took them
-    # all from one pass of the stream
+    # all from one pass of the stream.  Each plain sample sits beside the
+    # concentrated one the sampler then drew on the same seed, which
+    # concentrated_sample draws now
     samples = [
-        potential_to_dict(sample_unit_mass(pieces, seed, sign, concentrated))
+        potential_to_dict(draw(pieces, seed, sign))
         for pieces in (1, 8, 16, 64)
         for sign in (1, -1)
-        for concentrated in (False, True)
+        for draw in (sample_unit_mass, concentrated_sample)
         for seed in range(50)
     ]
     assert _sha256(samples) == "3bd961baa43073f40836089eac3d18711f0229e2f7d9879bff4be3a0a9e38580"
@@ -78,35 +75,34 @@ def test_stream_pinned():
 def test_sampler_tables_are_the_potential_tables():
     # check_bounds builds each sample's cell tables in its lane arrays,
     # without a Potential; they must be the tables of the Potential that
-    # regenerate draws for that sample, bit for bit.  2400 draws
+    # regenerate draws for that sample, bit for bit.  1200 draws
     bc = RobinBC(0.25, 0.5)
     lam0 = _eig0(bc.k0sq, bc.k1sq)
-    for concentrated in (False, True):
-        for pieces_max in (1, 8, 16, 64):
-            # both classes in one batch, each row drawn with its class's sign
-            runs = [(0, 0, 150), (1, 0, 150)]
-            tags, index, *block, _ = _lanes(20260809, runs, pieces_max, concentrated, bc.k0sq, lam0)
-            lanes = _row_tables(*block)
-            assert len(lanes) == 300
-            assert tags.tolist() == [0] * 150 + [1] * 150 and index.tolist() == [*range(150)] * 2
-            for tag, i, tables in zip(tags.tolist(), index.tolist(), lanes):
-                *arrays, k0, k1 = compile_arrays(regenerate(20260809, tag, i, pieces_max, concentrated), bc)
-                assert (k0, k1) == (bc.k0sq, bc.k1sq)
-                for got, want in zip(tables, arrays):
-                    assert all(type(x) is float for x in got)
-                    assert struct.pack(f"{len(got)}d", *got) == struct.pack(f"{len(want)}d", *want)
+    for pieces_max in (1, 8, 16, 64):
+        # both classes in one batch, each row drawn with its class's sign
+        runs = [(0, 0, 150), (1, 0, 150)]
+        tags, index, *block, _ = _lanes(20260809, runs, pieces_max, bc.k0sq, lam0)
+        lanes = _row_tables(*block)
+        assert len(lanes) == 300
+        assert tags.tolist() == [0] * 150 + [1] * 150 and index.tolist() == [*range(150)] * 2
+        for tag, i, tables in zip(tags.tolist(), index.tolist(), lanes):
+            *arrays, k0, k1 = compile_arrays(regenerate(20260809, tag, i, pieces_max), bc)
+            assert (k0, k1) == (bc.k0sq, bc.k1sq)
+            for got, want in zip(tables, arrays):
+                assert all(type(x) is float for x in got)
+                assert struct.pack(f"{len(got)}d", *got) == struct.pack(f"{len(want)}d", *want)
 
 
-@pytest.mark.parametrize("concentrated", [False, True])
-def test_seeds_wrap_to_64_bits(concentrated):
+# the ids of the parametrized tests below end in "False", the plain draw's,
+# as they did beside the concentrated draw that the sampler no longer has
+@pytest.mark.parametrize("bc", [RobinBC(0.25, 0.5)], ids=["False"])
+def test_seeds_wrap_to_64_bits(bc):
     for pieces in (1, 8, 64):
         for sign in (1, -1):
-            want = sample_unit_mass(pieces, 2**64 - 1, sign, concentrated)
-            assert sample_unit_mass(pieces, -1, sign, concentrated) == want
-            assert sample_unit_mass(pieces, 2**65 - 1, sign, concentrated) == want
-    reports = [
-        dataclasses.asdict(check_bounds(RobinBC(0.25, 0.5), 40, 8, seed, concentrated)) for seed in (-1, 2**64 - 1)
-    ]
+            want = sample_unit_mass(pieces, 2**64 - 1, sign)
+            assert sample_unit_mass(pieces, -1, sign) == want
+            assert sample_unit_mass(pieces, 2**65 - 1, sign) == want
+    reports = [dataclasses.asdict(check_bounds(bc, 40, 8, seed)) for seed in (-1, 2**64 - 1)]
     assert reports[0].pop("seed") == -1 and reports[1].pop("seed") == 2**64 - 1
     assert reports[0] == reports[1]
 
@@ -123,27 +119,25 @@ def test_violations_carry_the_drawn_potential(monkeypatch):
         return [dataclasses.replace(r, value=1e9 if r.kind[0] == "m" else -1e9) for r in real(bc)]
 
     monkeypatch.setattr(V, "all_extrema", unreachable)
-    for concentrated in (False, True):
-        report = check_bounds(RobinBC(0.25, 0.5), 30, 16, 7, concentrated)
-        assert [v["bound"] for v in report.violations] == ["m1plus"] * 30 + ["m1minus"] * 30
-        got = _sha256([v["potential"] for v in report.violations])
-        assert got == VIOLATIONS[concentrated]
+    report = check_bounds(RobinBC(0.25, 0.5), 30, 16, 7)
+    assert [v["bound"] for v in report.violations] == ["m1plus"] * 30 + ["m1minus"] * 30
+    assert _sha256([v["potential"] for v in report.violations]) == VIOLATIONS
 
 
-@pytest.mark.parametrize("pieces_max, concentrated", sorted(REPORTS))
-def test_reports_pinned(pieces_max, concentrated):
+@pytest.mark.parametrize("pieces_max", sorted(REPORTS), ids=lambda p: f"{p}-False")
+def test_reports_pinned(pieces_max):
     # one lockstep batch a call, two at --pieces-max 64 and n = 250 (489
     # samples to a batch); test_batch_size_changes_no_report splits more
     reports = [
-        dataclasses.asdict(check_bounds(RobinBC(k0, k1), n, pieces_max, 20260809, concentrated))
+        dataclasses.asdict(check_bounds(RobinBC(k0, k1), n, pieces_max, 20260809))
         for k0, k1 in BC_GRID6
         for n in (1, 33, 250)
     ]
-    assert _sha256(reports) == REPORTS[pieces_max, concentrated]
+    assert _sha256(reports) == REPORTS[pieces_max]
 
 
-@pytest.mark.parametrize("concentrated", [False, True])
-def test_failed_first_attempt_draws_on(monkeypatch, concentrated):
+@pytest.mark.parametrize("bc", [RobinBC(0.25, 0.5)], ids=["False"])
+def test_failed_first_attempt_draws_on(monkeypatch, bc):
     # a first attempt with no mass goes on with _draw's next attempt, on the
     # uniforms that follow it in the same stream: the sample is the second
     # attempt's.  The batch draw reports the first attempt of the first
@@ -155,13 +149,13 @@ def test_failed_first_attempt_draws_on(monkeypatch, concentrated):
     real_block, real_extrema = V._block, V.all_extrema
     failed = []
 
-    def fail_first(u, pieces, sign, concentrated):
-        edges, vals, odd = real_block(u, pieces, sign, concentrated)
+    def fail_first(u, pieces, sign):
+        edges, vals, odd = real_block(u, pieces, sign)
         signs = np.broadcast_to(sign, len(pieces)).tolist()
         if not failed:
-            failed.append((u[0, : _count(pieces[0], concentrated)].tolist(), pieces[0], signs[0], concentrated))
+            failed.append((u[0, : _count(pieces[0])].tolist(), pieces[0], signs[0]))
         for r, p in enumerate(pieces):
-            if (u[r, : _count(p, concentrated)].tolist(), p, signs[r], concentrated) == failed[0]:
+            if (u[r, : _count(p)].tolist(), p, signs[r]) == failed[0]:
                 odd[r] = None
         return edges, vals, odd
 
@@ -170,24 +164,24 @@ def test_failed_first_attempt_draws_on(monkeypatch, concentrated):
 
     monkeypatch.setattr(V, "_block", fail_first)
     monkeypatch.setattr(V, "all_extrema", unreachable)
-    report = check_bounds(RobinBC(0.25, 0.5), 3, 16, 7, concentrated)
+    report = check_bounds(bc, 3, 16, 7)
     sub = derive_seeds(7, 0, 0, 1)
-    skip, pieces = (0, 16) if concentrated else (1, 1 + stream(sub, 0, 1).item() % 16)
-    count = 3 * pieces + (0 if concentrated else 1)
-    assert list(failed[0][1:]) == [pieces, 1, concentrated]
-    (u,) = units(stream(sub, skip, 2 * count)).tolist()
+    pieces = 1 + stream(sub, 0, 1).item() % 16
+    count = 3 * pieces + 1
+    assert list(failed[0][1:]) == [pieces, 1]
+    (u,) = units(stream(sub, 1, 2 * count)).tolist()
     assert failed[0][0][:count] == u[:count]
-    want = _segments(u[count:], pieces, 1, concentrated)
+    want = _segments(u[count:], pieces, 1, False)
     assert report.violations[0]["potential"] == potential_to_dict(_potential(want))
     # the other samples are drawn as without the failure
     monkeypatch.setattr(V, "_block", real_block)
-    again = check_bounds(RobinBC(0.25, 0.5), 3, 16, 7, concentrated)
+    again = check_bounds(bc, 3, 16, 7)
     assert again.violations[1:] == report.violations[1:]
     assert again.violations[0] != report.violations[0]
 
 
-@pytest.mark.parametrize("concentrated", [False, True])
-def test_violations_regenerate(monkeypatch, concentrated):
+@pytest.mark.parametrize("bc", [RobinBC(0.25, 0.5)], ids=["False"])
+def test_violations_regenerate(monkeypatch, bc):
     # every violation of a report names its sample by (seed, tag, index);
     # regenerate draws that sample's potential again, as the schema dict
     import robinsl.verify as V
@@ -199,11 +193,11 @@ def test_violations_regenerate(monkeypatch, concentrated):
 
     monkeypatch.setattr(V, "all_extrema", unreachable)
     for pieces_max in (1, 16, 64):
-        report = check_bounds(RobinBC(0.25, 0.5), 40, pieces_max, 7, concentrated)
+        report = check_bounds(bc, 40, pieces_max, 7)
         assert len(report.violations) == 80
         for k, v in enumerate(report.violations):
             tag, index = divmod(k, 40)
-            q = regenerate(report.seed, tag, index, pieces_max, concentrated)
+            q = regenerate(report.seed, tag, index, pieces_max)
             assert potential_to_dict(q) == v["potential"], (pieces_max, tag, index)
 
 
@@ -231,12 +225,6 @@ def test_sample_mass_is_sign(pieces, sign):
         assert all(s.value * sign > 0.0 for s in q.segments)
 
 
-def test_sample_concentrated_support_is_narrow():
-    q = sample_unit_mass(16, 5, 1, concentrated=True)
-    width = q.segments[-1].right - q.segments[0].left
-    assert width <= 1.0 / 16.0 + 1e-12
-
-
 def test_sample_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sample_unit_mass(0, 1, 1)
@@ -253,8 +241,8 @@ def test_massless_draws_raise_zero_mass(monkeypatch):
     real_block = V._block
     attempts = []
 
-    def massless(u, pieces, sign, concentrated):
-        edges, vals, _ = real_block(u, pieces, sign, concentrated)
+    def massless(u, pieces, sign):
+        edges, vals, _ = real_block(u, pieces, sign)
         attempts.append(len(pieces))
         return edges, vals, {r: None for r in range(len(pieces))}
 
@@ -290,8 +278,31 @@ def test_check_bounds_neumann_window():
     assert report.max_seen <= 1.0 + 1e-7  # positive-class supremum at (0, 0)
 
 
+def _approach(bc, kind, depth):
+    """(n, lambda1(q_n), |lambda1(q_n) - extremum|) for n = 2**2 .. 2**depth.
+
+    q_n is the extremal potential of kind with each point mass replaced by
+    its box of width 1/n; its summable part is kept as it is, so for the
+    plateau extremum q_n is the extremal potential itself.
+    """
+    rep = {r.kind: r for r in all_extrema(bc)}[kind]
+    q = rep.q_star
+    out = []
+    for k in range(2, depth + 1):
+        n = 2**k
+        qn = q
+        if q.atoms:
+            parts = [delta_approx(a.position, n, a.weight) for a in q.atoms]
+            if q.segments:
+                parts.append(Potential(segments=q.segments))
+            qn = combine(*parts)
+        lam = lambda1_value(qn, bc)
+        out.append((n, lam, abs(lam - rep.value)))
+    return out
+
+
 def test_approach_plateau_extremum_is_exact():
-    rows = approach_extremum(RobinBC(0.25, 0.5), "M1plus", 6)
+    rows = _approach(RobinBC(0.25, 0.5), "M1plus", 6)
     assert [r[0] for r in rows] == [4, 8, 16, 32, 64]
     for _, _, gap in rows:
         assert gap <= 1e-8
@@ -306,7 +317,7 @@ def test_approach_plateau_extremum_is_exact():
     ],
 )
 def test_approach_delta_extrema_monotone(bc, kind):
-    rows = approach_extremum(bc, kind, 12)
+    rows = _approach(bc, kind, 12)
     gaps = [g for _, _, g in rows]
     assert all(g > 0.0 for g in gaps)
     last = gaps[-5:]
@@ -315,31 +326,11 @@ def test_approach_delta_extrema_monotone(bc, kind):
 
 
 def test_approach_m1plus_neumann_limit():
-    rows = approach_extremum(RobinBC(0.0, 0.0), "m1plus", 12)
+    rows = _approach(RobinBC(0.0, 0.0), "m1plus", 12)
     n, lam, gap = rows[-1]
     assert n == 4096
     assert lam == pytest.approx(0.740173884394967, abs=1e-3)
     assert gap < 1e-3
-
-
-def test_concentrated_sampling_shrinks_infimum_margin():
-    # the flat infimum at (0.5, 0.5) makes the margin depend only on support
-    # width, so shrinking windows must close in on it
-    bc = RobinBC(0.5, 0.5)
-    margins = []
-    for pieces_max in (2, 8, 32):
-        rep = check_bounds(bc, 150, pieces_max, 11, concentrated=True)
-        assert rep.violations == []
-        margins.append(rep.min_seen - (-0.25))
-    assert all(m > 0.0 for m in margins)
-    assert margins[2] < margins[1] < margins[0]
-
-
-def test_depth_limits():
-    with pytest.raises(ValueError):
-        approach_extremum(RobinBC(0.0, 0.0), "m1plus", 15)
-    with pytest.raises(ValueError):
-        approach_extremum(RobinBC(0.0, 0.0), "nope", 8)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,8 @@ rules:
   comparisons do (``tests/test_block_bits.py``);
 * math's cosh, sinh, exp, atanh and atan2 are mapped over just the cells
   that need them, since numpy's differ in the last bit;
-* Python's max and min and its NaN comparisons are kept with ``where``.
+* Python's max and min and its NaN comparisons are kept with ``where``,
+  or ``putmask`` on a comparison's mask.
 
 The tables are (cells x lanes), the lanes sorted by cell count, most first,
 so cell i is a prefix of the lanes.  A shot takes two passes.  The first
@@ -21,10 +22,15 @@ that needs lam but not the state: w = lam - q, the series coefficients of
 a short cell, sqrt(|w|), cos and sin or cosh and sinh, and which branch
 each cell takes; padding gets no entry.  The second carries the state (y,
 y', the integral of y^2, the zero count) a cell at a time over the lanes
-that have the cell; the rare branches that need the state (the series,
-atanh, a trigonometric cell with s*h >= pi, w == 0) run only in the cells
-that have them, on just their lanes.  Lanes that have converged are
-dropped between shots.
+that have the cell.  Its common work (the closed-form integral, y1 and y1',
+the crossing test, the hyperbolic ratio, the rescale) writes views [:m] of
+a few lane buffers made once per shot, through out= and in-place operators,
+so a cell makes no temporary array; the rare branches that need the state
+(the series, atanh, a trigonometric cell with s*h >= pi, w == 0) run only
+in the cells that have them, on just their lanes.  Lanes that have
+converged are dropped between shots.  A root-finding step evaluates the
+search toward an open end only when some lane has one, and the step inside
+a bracket only when some lane has both ends.
 
 The scalar kernels stay: a single solve is cheaper without numpy's per-call
 cost, and they are the reference these match.
@@ -133,24 +139,46 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
         rows = [np.logical_or.reduceat(x, ends[:-1]).tolist() for x in (neg, rot, lin, far)]
         del trig, neg, far
 
-        # pass 2, the state, a cell at a time over the lanes that have it
+        # pass 2, the state, a cell at a time over the lanes that have it.
+        # The common work writes views [:m] of lane buffers made once per
+        # shot, so a cell allocates nothing outside the rare branches
+        y1_, yp1_, a_, b_ = np.empty((4, n))
+        dz_ = np.empty(n, dtype=bool)
         for m, i0, i1, j0, j1, hyp, turn, flat, shift in zip(cols, ends, ends[1:], ser, ser[1:], *rows):
             Y, YP, SQ, YY = y[:m], yp[:m], sq[:m], yy[:m]
-            hc, hw = hh[i0:i1], half_w[i0:i1]
+            y1, yp1, a, b, dz = y1_[:m], yp1_[:m], a_[:m], b_[:m], dz_[:m]
+            hc, hw, ci, si, sni = hh[i0:i1], half_w[i0:i1], c[i0:i1], s[i0:i1], sn[i0:i1]
             if j0 < j1:
                 k, hk = sl[j0:j1], hs[j0:j1]
                 yk, ypk = Y[k], YP[k]
                 sqs = SQ[k] + hk * (yk * yk * cc[j0:j1] + hk * (YY[k] * cs[j0:j1] + hk * ypk * ypk * ss[j0:j1]))
-            SQ += (hc * (w[i0:i1] * Y * Y + YP * YP) + YY) * hw
+            # SQ += (hc*(w*Y*Y + YP*YP) + YY)*hw
+            np.multiply(w[i0:i1], Y, out=a)
+            a *= Y
+            np.multiply(YP, YP, out=b)
+            a += b
+            a *= hc
+            a += YY
+            a *= hw
+            SQ += a
             if j0 < j1:
                 SQ[k] = sqs
 
-            ci, si, sni = c[i0:i1], s[i0:i1], sn[i0:i1]
-            y1 = Y * ci + YP * sni / si
-            yp1 = YP * ci - Y * t[i0:i1] * sni
-            dz = y1 * np.sign(Y) < cut[i0:i1]
+            # y1 = Y*c + YP*sn/s; yp1 = YP*c - Y*t*sn, Y*t kept in b for r
+            np.multiply(YP, sni, out=y1)
+            y1 /= si
+            np.multiply(Y, ci, out=a)
+            y1 += a
+            np.multiply(Y, t[i0:i1], out=b)
+            np.multiply(b, sni, out=yp1)
+            np.multiply(YP, ci, out=a)
+            np.subtract(a, yp1, out=yp1)
+            # the crossing test y1*sign(Y) < cut
+            np.sign(Y, out=a)
+            a *= y1
+            np.less(a, cut[i0:i1], out=dz)
             if hyp:
-                r = Y * t[i0:i1] / YP
+                r = np.divide(b, YP, out=a)
                 k = np.flatnonzero((0.0 < r) & (r < lim[i0:i1]))
                 if k.size:
                     dz[k] = _map(math.atanh, r[k]) < sh[i0 + k]
@@ -158,9 +186,9 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
                 # zeros of R*cos(s*t - phi) in the cell
                 k = np.flatnonzero(rot[i0:i1])
                 phi = _map(math.atan2, YP[k] / si[k], Y[k])
-                a = (-phi - _HALF_PI) / _PI
-                b = (sh[i0 + k] - phi - _HALF_PI) / _PI
-                nz[k] += (np.ceil(b) - 1.0) - (np.floor(a) + 1.0) + 1.0
+                first = (-phi - _HALF_PI) / _PI
+                last = (sh[i0 + k] - phi - _HALF_PI) / _PI
+                nz[k] += (np.ceil(last) - 1.0) - (np.floor(first) + 1.0) + 1.0
             if flat:
                 k = np.flatnonzero(lin[i0:i1])
                 yl, ypl, hl = Y[k], YP[k], hc[k]
@@ -170,16 +198,21 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
                 dz[k] = (0.0 < tl) & (tl < hl)
             nz[:m] += dz
 
-            ay, ayp = np.abs(y1), np.abs(yp1)
-            sc = np.where(ayp > ay, ayp, ay)
-            np.divide(y1, sc, out=Y)
-            np.divide(yp1, sc, out=YP)
+            # the scale where(|yp1| > |y1|, |yp1|, |y1|) into a, as Python's
+            # max compares a NaN; dz is spent, so it holds the mask
+            np.abs(y1, out=a)
+            np.abs(yp1, out=b)
+            np.greater(b, a, out=dz)
+            np.putmask(a, dz, b)
+            np.divide(y1, a, out=Y)
+            np.divide(yp1, a, out=YP)
             if shift:
                 SQ *= e[i0:i1]
-            SQ /= sc
-            SQ /= sc
+            SQ /= a
+            SQ /= a
             np.multiply(Y, YP, out=YY)
-            SQ -= YY * hw
+            np.multiply(YY, hw, out=b)
+            SQ -= b
 
         # a lane fails where its scale was 0, inf or NaN: y is NaN from then
         # on, or, past its last cell, 0 beside a NaN y'
@@ -274,36 +307,44 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
             past = 0.5 * half
             past = np.where(2.0 * err > past, np.where(step < 2.0 * err, step, 2.0 * err), past)
             opened = np.isinf(lo) | np.isinf(hi)
+            some = opened.any()
+            every = some and opened.all()
 
-            # one end open: toward it, never past its limit
-            stalled = np.where(opened, stalled | closing, stalled)
-            closing = np.where(opened, step < half, closing)
-            g = np.where(below, 1.0, -1.0)
-            up = np.where(opened & below & (x >= up), x + 2.0 * (1.0 + np.abs(x)), up)
-            twice = 2.0 * x - 1.0
-            limit = np.where(below, up, np.where(twice < down, twice, down))
-            ends = t + g * np.where(closing, half, past)
-            ends = np.where(~(g * (ends - x) > 0.0) | stalled | (g * (ends - limit) > 0.0), limit, ends)
+            if some:
+                # one end open: toward it, never past its limit
+                stalled = np.where(opened, stalled | closing, stalled)
+                closing = np.where(opened, step < half, closing)
+                g = np.where(below, 1.0, -1.0)
+                up = np.where(opened & below & (x >= up), x + 2.0 * (1.0 + np.abs(x)), up)
+                twice = 2.0 * x - 1.0
+                limit = np.where(below, up, np.where(twice < down, twice, down))
+                ends = t + g * np.where(closing, half, past)
+                ends = np.where(~(g * (ends - x) > 0.0) | stalled | (g * (ends - limit) > 0.0), limit, ends)
 
-            # both ends known: stop, or step inside the bracket
-            past = np.where(step < half, half, past)
-            mid = 0.5 * (lo + hi)
-            half = 0.5 * (tol + 1e-14 * np.abs(mid))
-            done = ~opened & ((hi - lo <= 2.0 * half) | ~((lo < mid) & (mid < hi)))
-            first = (~opened & ~done & (reach == 0.0)).nonzero()[0]
-            if first.size:
-                reach[first] = _reach(lo[first], hi[first], tol)
-            bisect = ~((lo < t) & (t < hi)) | ((half <= step) & (moved < 2.0 * step))
-            logscale = (lo >= 0.0) & (hi > 16.0 * (lo + 1.0))
-            inner = np.where(logscale, np.sqrt(lo + 1.0) * np.sqrt(hi + 1.0) - 1.0, mid)
-            c = np.where(below, t + past, t - past)
-            inner = np.where(bisect, inner, np.where((lo + half < c) & (c < hi - half), c, t))
-            r = reach - 0.5 * (hi - lo)
-            reach = 0.5 * reach
-            inner = np.where(inner < mid - r, mid - r, np.where(inner > mid + r, mid + r, inner))
-            inner = np.where(inner < lo + half, lo + half, np.where(inner > hi - half, hi - half, inner))
-            inner = np.where((lo < inner) & (inner < hi), inner, mid)
-            x = np.where(opened, ends, inner)
+            if every:
+                # an open lane never sets reach, so its halving is skipped too
+                done = np.zeros(len(x), dtype=bool)
+                x = ends
+            else:
+                # both ends known: stop, or step inside the bracket
+                past = np.where(step < half, half, past)
+                mid = 0.5 * (lo + hi)
+                half = 0.5 * (tol + 1e-14 * np.abs(mid))
+                done = ~opened & ((hi - lo <= 2.0 * half) | ~((lo < mid) & (mid < hi)))
+                first = (~opened & ~done & (reach == 0.0)).nonzero()[0]
+                if first.size:
+                    reach[first] = _reach(lo[first], hi[first], tol)
+                bisect = ~((lo < t) & (t < hi)) | ((half <= step) & (moved < 2.0 * step))
+                logscale = (lo >= 0.0) & (hi > 16.0 * (lo + 1.0))
+                inner = np.where(logscale, np.sqrt(lo + 1.0) * np.sqrt(hi + 1.0) - 1.0, mid)
+                c = np.where(below, t + past, t - past)
+                inner = np.where(bisect, inner, np.where((lo + half < c) & (c < hi - half), c, t))
+                r = reach - 0.5 * (hi - lo)
+                reach = 0.5 * reach
+                inner = np.where(inner < mid - r, mid - r, np.where(inner > mid + r, mid + r, inner))
+                inner = np.where(inner < lo + half, lo + half, np.where(inner > hi - half, hi - half, inner))
+                inner = np.where((lo < inner) & (inner < hi), inner, mid)
+                x = np.where(opened, ends, inner) if some else inner
 
             if bad.size:
                 # a vanished or overflowed state: the shot counts for

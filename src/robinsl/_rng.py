@@ -16,11 +16,17 @@ _UNIT = 2.0**-53
 
 
 def _mix(z):
-    # a uint64 array, whose products wrap modulo 2**64; never in place, so
-    # the argument is left as it was
-    z = (z ^ (z >> 30)) * _M1
-    z = (z ^ (z >> 27)) * _M2
-    return z ^ (z >> 31)
+    # a fresh uint64 array, mixed in place (products wrap modulo 2**64)
+    # with one more array for the shifts
+    s = z >> 30
+    z ^= s
+    z *= _M1
+    np.right_shift(z, 27, out=s)
+    z ^= s
+    z *= _M2
+    np.right_shift(z, 31, out=s)
+    z ^= s
+    return z
 
 
 def _as_seeds(seeds):
@@ -30,6 +36,7 @@ def _as_seeds(seeds):
 
 def derive_seeds(seed: int, tag: int, start: int, stop: int) -> np.ndarray:
     """The sub-seeds of indices start..stop-1 of class tag under seed, as a uint64 array."""
+    # every array mixed here is made here: the caller's seed stays as it was
     base = _mix(_as_seeds(seed) ^ _mix(_as_seeds(tag + 1) * _GAMMA))
     return _mix(base + np.arange(start, stop, dtype=np.uint64))
 

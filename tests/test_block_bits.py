@@ -85,6 +85,20 @@ def test_array_sub_seeds_are_derive_seed():
             assert got == [_derive_seed(seed, tag, i) for i in range(30, 70)], (seed, tag)
 
 
+def test_stream_leaves_the_callers_seeds():
+    # the mix runs in place, on arrays that stream and derive_seeds make
+    # themselves: a seed array passed in, contiguous or a strided view, is
+    # left as it was, and the same call gives the same bits again
+    seeds = np.array(SEEDS * 2, dtype=np.uint64)
+    kept = seeds.copy()
+    for view in (seeds, seeds[::2]):
+        first = stream(view, 3, 40)
+        assert stream(view, 3, 40).tobytes() == first.tobytes()
+        units(first)
+    assert seeds.tobytes() == kept.tobytes()
+    assert derive_seeds(7, 1, 0, 50).tobytes() == derive_seeds(7, 1, 0, 50).tobytes()
+
+
 @pytest.mark.parametrize("name", ["sin", "cos", "sqrt"])
 def test_numpy_rounds_as_math(name):
     # [0, 40] for the block path's first-order starts, [0, 1e5] for the

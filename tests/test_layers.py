@@ -183,6 +183,26 @@ def test_one_solver_path():
     assert not _named_outside(None, {"environ", "getenv"})
 
 
+def test_shot_state_pass_allocates_nothing():
+    # shoot_lanes' per-cell loop writes its common path into lane buffers:
+    # outside its if blocks (the rare branches) no statement builds a
+    # temporary by an arithmetic operator or np.where, and the buffers are
+    # written through out=
+    tree = ast.parse((Path(robinsl.__file__).parent / "_lockstep.py").read_text())
+    (shoot,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "shoot_lanes"]
+    (loop,) = [node for node in ast.walk(shoot) if isinstance(node, ast.For)]
+    common = [stmt for stmt in loop.body if not isinstance(stmt, ast.If)]
+    nodes = [node for stmt in common for node in ast.walk(stmt)]
+    found = [
+        (node.lineno, ast.unparse(node))
+        for node in nodes
+        if isinstance(node, ast.BinOp)
+        or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "where"
+    ]
+    assert not found, found
+    assert sum(isinstance(node, ast.keyword) and node.arg == "out" for node in nodes) >= 10
+
+
 def test_workload_names_resolve():
     # loading runs the workloads' robinsl imports; every attribute they read
     # from a robinsl module must then exist

@@ -10,7 +10,8 @@ and every shot's outputs must match bit for bit, on the samples check_bounds
 draws and on padded tables drawn to reach the rare branches: a
 trigonometric cell with s*h >= pi, w == 0, a hyperbolic cell past s*h = 350,
 a NaN start, lanes that converge many shots apart, a re-shot of a lost
-state, and lanes that end STATUS_NONFINITE or STATUS_TOL.
+state, lanes that end STATUS_NONFINITE or STATUS_TOL, and root-finding
+steps in which every lane, no lane or some lanes still search for an end.
 """
 
 import dataclasses
@@ -120,6 +121,98 @@ def test_crafted_lanes_take_the_rare_branches():
     assert status[0] == STATUS_NONFINITE
     status = _assert_lanes_are_scalar(edges[1:], vals[1:], n[1:], 0.0, 0.0, 1e-320, [-0.3, *[math.nan] * 3])
     assert status[0] == STATUS_TOL
+
+
+def _step_shapes(edges, vals, n, k0, k1, tol, start):
+    """The shapes of lambda1_lanes' root-finding steps on a batch, read off each lane's scalar shots.
+
+    Step j shoots each lane whose scalar solve shoots a (j+1)-th time.  After
+    its shot a lane is open while lo or hi is infinite; a lost shot reads as
+    one above the eigenvalue (hi at the shot) until its bracket is restored.
+    Returns one of "open" (every lane open), "closed" (none), "mixed" per
+    step, and "lost-open" for an all-open step with a lost shot.
+    """
+    real, lanes = K.shoot_kernel, []
+
+    def spy(*args):
+        out = real(*args)
+        lanes[-1].append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K, "shoot_kernel", spy)
+        for tables, s in zip(_row_tables(edges, vals, n), np.asarray(start, dtype=float).tolist()):
+            lanes.append([])
+            lambda1_kernel(*tables, k0, k1, tol, s)
+    steps = []
+    for shots in lanes:
+        lo_open = hi_open = True
+        for j, (res, zc, _, _, ok) in enumerate(shots):
+            if ok and zc == 0 and res > 0.0:
+                lo_open = False
+            elif ok:
+                hi_open = False
+            if j == len(steps):
+                steps.append([])
+            steps[j].append((lo_open or hi_open and ok, ok))
+    shapes = []
+    for step in steps:
+        opened = [o for o, _ in step]
+        shape = "open" if all(opened) else "closed" if not any(opened) else "mixed"
+        lost = shape == "open" and not all(ok for _, ok in step)
+        shapes.append("lost-open" if lost else shape)
+    return shapes
+
+
+def _near(lanes, k0, k1, above):
+    """Each lane's first eigenvalue lam, moved up by above*(1 + |lam|)."""
+    lams = [lambda1_kernel(*t, k0, k1, DEFAULT_TOL)[0] for t in _row_tables(*_padded(lanes))]
+    return [lam + above * (1.0 + abs(lam)) for lam in lams]
+
+
+# lanes whose first eigenvalue lies near -900 under k0sq = -30: from a start
+# at 0 each searches ten shots for lo before it has a bracket
+_DECAYING = [([0.0, 1.0], [0.0]), ([0.0, 0.5, 1.0], [1.0, 2.0]), ([0.0, 0.3, 1.0], [-1.0, 3.0])]
+
+
+def test_steps_with_every_lane_open():
+    edges, vals, n = _padded(_DECAYING)
+    shapes = _step_shapes(edges, vals, n, -30.0, 0.0, DEFAULT_TOL, [0.0] * 3)
+    assert shapes[:10] == ["open"] * 10, shapes
+    assert set(_assert_lanes_are_scalar(edges, vals, n, -30.0, 0.0, DEFAULT_TOL, [0.0] * 3)) == {STATUS_OK}
+
+
+def test_steps_with_no_lane_open():
+    # starts just above each eigenvalue: every lane has its bracket after its
+    # second shot, so every later step has only closed lanes
+    edges, vals, n = _padded(_SHAPES)
+    starts = _near(_SHAPES, 0.25, 0.5, 1e-6)
+    shapes = _step_shapes(edges, vals, n, 0.25, 0.5, DEFAULT_TOL, starts)
+    assert shapes[0] == "open" and len(shapes) > 2 and set(shapes[1:]) == {"closed"}, shapes
+    assert set(_assert_lanes_are_scalar(edges, vals, n, 0.25, 0.5, DEFAULT_TOL, starts)) == {STATUS_OK}
+
+
+def test_steps_with_open_and_closed_lanes():
+    # under k0sq = k1sq = 0 the Rayleigh quotient of a constant potential is
+    # its eigenvalue: those lanes close and finish at their second shot,
+    # while a lane of wells and barriers started above still searches for lo
+    lanes = [([0.0, 0.25, 0.5, 0.75, 1.0], [-400.0, 1e4, 1e3, -1e4]), *[([0.0, 1.0], [q]) for q in (1e3, -400.0, 3.0)]]
+    edges, vals, n = _padded(lanes)
+    starts = [1e3, math.nan, math.nan, math.nan]
+    shapes = _step_shapes(edges, vals, n, 0.0, 0.0, DEFAULT_TOL, starts)
+    assert shapes[:3] == ["open", "mixed", "open"], shapes
+    assert set(_assert_lanes_are_scalar(edges, vals, n, 0.0, 0.0, DEFAULT_TOL, starts)) == {STATUS_OK}
+
+
+def test_lost_shot_in_a_step_with_every_lane_open():
+    # the first shot of lane 0 vanishes (y' = -1024 = -s entering a cell
+    # where exp(-2*s*h) is 0) while no lane has a bracket: it ends
+    # STATUS_NONFINITE, and the other lanes go on searching from that step
+    edges, vals, n = _padded([([0.0, 0.5, 1.0], [2.0**20, 0.0]), *_DECAYING])
+    shapes = _step_shapes(edges, vals, n, -1024.0, 0.0, DEFAULT_TOL, [0.0] * 4)
+    assert shapes[:3] == ["lost-open", "open", "open"], shapes
+    status = _assert_lanes_are_scalar(edges, vals, n, -1024.0, 0.0, DEFAULT_TOL, [0.0] * 4)
+    assert status == [STATUS_NONFINITE, STATUS_OK, STATUS_OK, STATUS_OK], status
 
 
 _VALUES = st.one_of(

@@ -159,7 +159,8 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
     stopping width goes half a width past, so the bracket closes next.
 
     The first shot is at start when it is finite (check_bounds passes a
-    first-order estimate about the zero potential), else at the Rayleigh
+    first-order estimate about the zero potential, an extremum's cross-check
+    the reported value), else at the Rayleigh
     quotient of y = 1: k0sq + k1sq + the integral of q with atoms by weight,
     an upper bound on the first eigenvalue.  While one end is unknown, one
     search steps toward it (up when rounding has put an exact start just

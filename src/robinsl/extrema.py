@@ -5,7 +5,8 @@ eigenvalue has a largest and a smallest value, each attained by an explicit
 extremal potential: a single plateau for the supremum over the positive
 class, endpoint point masses for the negative class, and a single point mass
 for both infima.  Every report carries the extremal potential and a
-cross-check recomputation through the shooting solver.
+cross-check: a shooting solve of it that starts at the value, whose bracket
+certifies the eigenvalue whatever the start.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eigensolver import _check_tol, _solve_arrays, lambda1_value
+from .eigensolver import _check_tol, _solve_arrays
 from .fmap import phase_offsets
-from .potential import DeltaAtom, Potential, RobinBC, Segment
+from .potential import DeltaAtom, Potential, RobinBC, Segment, compile_arrays
 
 ROOT_TOL = 1e-12
 _MU_TOL = 1e-13
@@ -40,8 +41,10 @@ class ExtremumReport:
 
 
 def _report(kind, value, q_star, branch, bc):
-    """The report, cross-checked by solving q_star through the shooting solver."""
-    return ExtremumReport(kind, value, q_star, branch, lambda1_value(q_star, bc, _CROSS_TOL))
+    """The report, cross-checked by a solve of q_star whose first shot is at value.  Each
+    shot moves the bracket by its own predicate, so the bracket certifies whatever the start."""
+    cross = _solve_arrays(*compile_arrays(q_star, bc), _CROSS_TOL, value)[0]
+    return ExtremumReport(kind, value, q_star, branch, cross)
 
 
 def _eig0(k0sq, k1sq, tol=_CROSS_TOL):
@@ -114,12 +117,7 @@ def sup_minus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
     elif k1 - k0 <= 1.0:
         c = 0.5 * (k0 + k1 - 1.0)
         value = _eig0(c, c, tol)
-        q_star = Potential(
-            atoms=(
-                DeltaAtom(0.0, -0.5 * (1.0 + k0 - k1)),
-                DeltaAtom(1.0, -0.5 * (1.0 - k0 + k1)),
-            )
-        )
+        q_star = Potential(atoms=(DeltaAtom(0.0, -0.5 * (1.0 + k0 - k1)), DeltaAtom(1.0, -0.5 * (1.0 - k0 + k1))))
         branch = "M1minus/k0sq+k1sq>=1,k1sq-k0sq<=1"
     else:
         value = _eig0(k0, k1 - 1.0, tol)

@@ -5,8 +5,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robinsl import DeltaAtom, Potential, RobinBC, Segment, delta_strength, fd_lambda1, potential_to_dict
+from robinsl import (
+    DeltaAtom,
+    Potential,
+    RobinBC,
+    Segment,
+    ToleranceNotReached,
+    all_extrema,
+    delta_strength,
+    fd_lambda1,
+    lambda1_value,
+    potential_to_dict,
+    sup_plus,
+)
 from robinsl.cli import main
 from robinsl.serialize import csv_lines, dumps, fmt_float
 
@@ -362,6 +376,46 @@ def test_extrema_interior_edges(capsys, k0sq, k1sq):
     rep = json.loads(out)[3]
     assert rep["branch"] == "m1minus/interior"
     assert abs(rep["value"] - rep["cross_check"]) <= 1e-12
+
+
+# Large coefficients (ROADMAP Known defects, item 15): each cross-check started
+# from the Rayleigh quotient, ~k1sq, and from k1sq ~ 1e80 its open-end search
+# could not come down in 200 steps; started at the value, it closes at once
+@pytest.mark.parametrize("k0sq, k1sq", [("0", "1e80"), ("0", "1e100"), ("0", "1e300"), ("1e100", "1e100"), ("1e300", "1e300")])
+def test_extrema_large_coefficients(capsys, k0sq, k1sq):
+    code, out, err = run_cli(capsys, ["extrema", "--k0sq", k0sq, "--k1sq", k1sq])
+    assert (code, err) == (0, "")
+    by_kind = {r["kind"]: r for r in json.loads(out)}
+    for rep in by_kind.values():
+        assert abs(rep["value"] - rep["cross_check"]) <= 1e-8 * max(1.0, abs(rep["value"])), rep["kind"]
+    # the Dirichlet limits: Neumann-Dirichlet (pi/2)^2 where k0sq = 0, and
+    # there m1minus's -delta_0 makes y = 1 - x exact at 0; Dirichlet-Dirichlet pi^2
+    if float(k0sq) == 0.0:
+        limits = {"M1minus": (math.pi / 2) ** 2, "m1plus": (math.pi / 2) ** 2, "m1minus": 0.0}
+    else:
+        limits = {"M1minus": math.pi**2, "m1plus": math.pi**2}
+    for kind, limit in limits.items():
+        assert abs(by_kind[kind]["value"] - limit) <= 1e-9, kind
+
+
+_MAGNITUDES = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MAGNITUDES, _MAGNITUDES)
+def test_all_extrema_meet_their_cross_check_up_to_1e300(a, b):
+    bc = RobinBC(min(a, b), max(a, b))
+    for rep in all_extrema(bc):
+        assert abs(rep.value - rep.cross_check) <= 1e-8 * max(1.0, abs(rep.value)), (bc, rep.kind)
+
+
+@pytest.mark.xfail(strict=True, raises=ToleranceNotReached, reason="ROADMAP item 15: the Rayleigh start stalls")
+def test_lambda1_value_solves_the_large_coefficient_plateau():
+    # the same plateau the cross-check solves from its value stalls from
+    # lambda1_value's start at the Rayleigh quotient, ~1e100
+    bc = RobinBC(0.0, 1e100)
+    rep = sup_plus(bc)
+    assert abs(lambda1_value(rep.q_star, bc, 1e-12) - rep.value) <= 1e-9
 
 
 _RESHOT_BC = RobinBC(0.45343828558878474, 1.0743245926269425)

@@ -95,7 +95,7 @@ PINNED = {
     ),
     "extrema_quarter_half": (
         ["extrema", "--k0sq", "0.25", "--k1sq", "0.5"],
-        "0c216d3661e6de021387c6fbe709fe9a5f3407c58eec8ad2e6aaa99d5c48ef23",
+        "86fa854fb901ea814642b15550e3487e2ead2a74c4951836e899588246304f72",
     ),
     "extrema_grid": (
         ["extrema", "--k0sq", "0", "--k1sq", "0", "--grid", "0:1:5", "1:3:7"],
@@ -105,7 +105,7 @@ PINNED = {
     # grid on which every m1minus is an interior crossing
     "extrema_edge": (
         ["extrema", "--k0sq", "0.50001", "--k1sq", "2.3"],
-        "dcf129f003d6b1ee44e9f4092889e701b953444fabfff08aec668d9df7fc29cb",
+        "8c11e6d1a79fc14c21a403a96d4f572d4f4f42d58bdb520f51ff4495dd83f44f",
     ),
     "extrema_interior_tol12": (
         ["extrema", "--k0sq", "2", "--k1sq", "2.5", "--tol", "1e-12"],

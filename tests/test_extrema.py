@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import robinsl._kernels as K
+import robinsl.extrema as ex
 from robinsl import (
     DeltaAtom,
     Potential,
@@ -18,6 +20,7 @@ from robinsl import (
 )
 from robinsl.extrema import _ATOMW0, _EDGES0, _VALS0, ROOT_TOL, left_half_eigenvalue, right_half_eigenvalue
 from oracles import total_integral
+from test_crossing_replay import _edge_points
 from test_solver_replay import _assert_certified
 
 BC_GRID = [
@@ -218,6 +221,53 @@ def test_cross_checks_on_grid():
     for bc in BC_GRID:
         for rep in all_extrema(bc):
             assert abs(rep.value - rep.cross_check) <= 1e-8, (bc, rep.kind)
+
+
+@pytest.mark.parametrize("d", [1e-6, -1e-6, 1e-3, -1e-3, 0.5, -0.5])
+def test_cross_check_does_not_trust_its_start(d):
+    # the cross-check's first shot is at the reported value, but every shot
+    # moves an end of the bracket by its own predicate: a value moved by d
+    # still gets the certified eigenvalue of q_star, and so fails criterion 4
+    for bc in BC_GRID:
+        for rep in all_extrema(bc):
+            moved = ex._report(rep.kind, rep.value + d, rep.q_star, rep.branch, bc)
+            want = lambda1_value(rep.q_star, bc, 1e-12)
+            assert abs(moved.cross_check - want) <= 1e-11 * max(1.0, abs(want)), (bc, rep.kind)
+            assert abs(moved.value - moved.cross_check) > 1e-8, (bc, rep.kind)
+
+
+# BC_GRID, an ordered 9 x 9 grid over [0, 2] x [0, 4], and the edge points of
+# perfbench's extrema_grid
+_BUDGET_PAIRS = [
+    *((bc.k0sq, bc.k1sq) for bc in BC_GRID),
+    *((a, b) for a in np.linspace(0.0, 2.0, 9).tolist() for b in np.linspace(0.0, 4.0, 9).tolist() if a <= b),
+    *_edge_points(),
+]
+
+
+@pytest.mark.parametrize("tol", [ROOT_TOL, 1e-10])
+def test_cross_check_takes_at_most_three_shots(tol, monkeypatch):
+    # started at the value, within tol of lambda1, a cross-check closes its
+    # bracket in 2 or 3 shots; from the Rayleigh quotient it took 2 to 10
+    shots, taken = [0], []
+    shoot, report = K.shoot_kernel, ex._report
+
+    def counted_shoot(*args):
+        shots[0] += 1
+        return shoot(*args)
+
+    def counted_report(kind, value, q_star, branch, bc):
+        shots[0] = 0
+        rep = report(kind, value, q_star, branch, bc)
+        taken.append((shots[0], kind, bc))
+        return rep
+
+    monkeypatch.setattr(K, "shoot_kernel", counted_shoot)
+    monkeypatch.setattr(ex, "_report", counted_report)
+    for a, b in _BUDGET_PAIRS:
+        all_extrema(RobinBC(a, b), tol)
+    assert len(taken) == 4 * len(_BUDGET_PAIRS)
+    assert [t for t in taken if t[0] > 3] == []
 
 
 def test_extrema_ordering():

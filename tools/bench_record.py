@@ -25,6 +25,11 @@ runs, each side runs its Tier-1 suite once (ROADMAP.md's command, with
 its ``FAILED ...`` lines and the share of that time the acceptance bound check, criterion 5, took.
 Each side also records, in a fresh interpreter, the tracemalloc peak in MiB of criterion 5's
 ``check_bounds`` call and of a bound_check-sized one (250 samples per class, --pieces-max 16).
+Each untraced run also records its call count, N x P from run.py's "batch of N calls ...
+replayed P times" line, beside each workload's metrics.  run.py keeps three floats per
+replayed call (~100-120 B), so its ``peak_rss_mb`` grows with the calls a run makes: a side
+that is faster makes more calls in the same run_seconds, and a ``peak_rss_mb`` move should be
+set against the change of calls times ~100-120 B before it is read as the program's.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -44,16 +50,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 CRITERION_5 = "tests/test_acceptance.py::test_criterion_5_randomized_bound_holding"
+#: run.py's untraced summary line: "workload W: batch of N calls (I items) replayed P times ..."
+BATCH_LINE = re.compile(r"workload \S+: batch of (\d+) calls \(\d+ items\) replayed (\d+) times")
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run in root: its result, and the machine facts it printed."""
+    """One perfbench run in root: its result, the machine facts and, untraced, the call count it printed."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
     machine = next((json.loads(line[len("machine: ") :]) for line in out if line.startswith("machine: ")), None)
+    batch = next((m for m in map(BATCH_LINE.match, out) if m), None)
     result = json.loads(next(line for line in reversed(out) if line.startswith("{")))
-    return {"machine": machine, "failed": result["failed"], "attempted": result["attempted"], "metrics": result["metrics"]}
+    return {"machine": machine, "failed": result["failed"], "attempted": result["attempted"], "metrics": result["metrics"],
+            "calls": int(batch[1]) * int(batch[2]) if batch else None}
 
 
 def _tier1(root: Path) -> dict:
@@ -137,7 +147,8 @@ def _record(sides: dict, bench: dict) -> dict:
                 print(f"pair {i + 1}/{PAIRS} {workload} {name}: {json.dumps({k: v['value'] for k, v in r['metrics'].items()})}", file=sys.stderr, flush=True)
     workloads = {}
     for workload in runs[names[0]]:
-        entry = {"failed": {name: [r["failed"] for r in runs[name][workload]] for name in names}, "metrics": {}}
+        entry = {"failed": {name: [r["failed"] for r in runs[name][workload]] for name in names},
+                 "calls": {name: _summary([r["calls"] for r in runs[name][workload]]) for name in names}, "metrics": {}}
         for metric, direction in better.items():
             values = {name: [r["metrics"][metric]["value"] for r in runs[name][workload]] for name in names}
             m = {name: _summary(values[name]) for name in names}

@@ -73,6 +73,8 @@ def _checked(lam, width, status, tol):
             f"root-find stalled at bracket width {width:.3e} > tol + 1e-14*|lam| = "
             f"{tol + 1e-14 * abs(lam):.3e}"
         )
+    if not math.isfinite(lam):
+        raise NonFiniteState(f"bracket midpoint overflowed: lam = {lam}")
     return lam, width
 
 

@@ -4,9 +4,11 @@ Over nonnegative potentials of total mass 1 (and their negatives) the first
 eigenvalue has a largest and a smallest value, each attained by an explicit
 extremal potential: a single plateau for the supremum over the positive
 class, endpoint point masses for the negative class, and a single point mass
-for both infima.  Every report carries the extremal potential and a
-cross-check: a shooting solve of it that starts at the value, whose bracket
-certifies the eigenvalue whatever the start.
+for both infima.  Each value is a closed form: the plateau's equation, a Riccati
+crossing, or ``_eig0``, the zero potential's first eigenvalue under shifted coefficients,
+a bisection of the shooting solver's own predicate in cos, sin and tanh (not the angle form,
+whose slope vanishes as a -> -1).  Each report carries a cross-check, an independent shooting
+solve of its extremal potential from the value, whose bracket certifies whatever the start.
 """
 
 from __future__ import annotations
@@ -21,10 +23,6 @@ from .potential import DeltaAtom, Potential, RobinBC, Segment, compile_arrays
 ROOT_TOL = 1e-12
 _MU_TOL = 1e-13
 _CROSS_TOL = 1e-12
-
-_EDGES0 = [0.0, 1.0]
-_VALS0 = [0.0]
-_ATOMW0 = [0.0, 0.0]
 
 KINDS = ("M1plus", "M1minus", "m1plus", "m1minus")
 
@@ -47,11 +45,6 @@ def _report(kind, value, q_star, branch, bc):
     return ExtremumReport(kind, value, q_star, branch, cross)
 
 
-def _eig0(k0sq, k1sq, tol=_CROSS_TOL):
-    """First eigenvalue of the zero potential with raw effective coefficients."""
-    return _solve_arrays(_EDGES0, _VALS0, _ATOMW0, k0sq, k1sq, tol)[0]
-
-
 def _bisect(below_root, lo, hi, tol, steps=200):
     """Halve [lo, hi] about where below_root turns false; returns (lo, hi).
 
@@ -66,6 +59,37 @@ def _bisect(below_root, lo, hi, tol, steps=200):
         else:
             hi = mid
     return lo, hi
+
+
+def _below0(a, b, lam):
+    """Whether lam < pi^2 lies below the zero potential's first eigenvalue at raw coefficients (a, b):
+    the shooting solver's predicate, y(1) > 0 (so zero-free, as lam < pi^2) and y'(1) + b*y(1) > 0
+    for y(0) = 1, y'(0) = a; at lam = -s^2 both are divided by cosh s, so they stay finite."""
+    if lam > 0.0:
+        s = math.sqrt(lam)
+        y1 = math.cos(s) + a * math.sin(s) / s
+        return y1 > 0.0 and a * math.cos(s) - s * math.sin(s) + b * y1 > 0.0
+    if lam < 0.0:
+        s = math.sqrt(-lam)
+        t = math.tanh(s)
+        g = 1.0 + a * t / s
+        return g > 0.0 and s * t + a + b * g > 0.0
+    return 1.0 + a > 0.0 and a + b * (1.0 + a) > 0.0
+
+
+def _eig0(k0sq, k1sq, tol=_CROSS_TOL):
+    """First eigenvalue of the zero potential at raw coefficients: ``_below0`` bisected to width tol.
+
+    It lies below k0sq + k1sq (the Rayleigh quotient of y = 1) and pi^2.  The predicate's angle form
+    atan2(s, a) + s < atan2(s, -b) is not used: its slope in s vanishes as a -> -1, and at
+    (1.341025816518489e-11 - 1, 8.104573753224621e124) it put the eigenvalue 4.024e-11 at 7.9e-14.
+    """
+    hi = min(k0sq + k1sq, math.pi**2)
+    lo = min(hi, 0.0) - 1.0
+    while not _below0(k0sq, k1sq, lo):
+        lo *= 2.0
+    lo, hi = _bisect(lambda lam: _below0(k0sq, k1sq, lam), lo, hi, tol)
+    return 0.5 * (lo + hi)
 
 
 def sup_plus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
@@ -146,8 +170,8 @@ def left_half_eigenvalue(zeta: float, bc: RobinBC) -> float:
     """
     if not 0.0 < zeta <= 1.0:
         raise ValueError("zeta must lie in (0, 1]")
-    # rescaled solve tolerance keeps the unrescaled eigenvalue accurate to
-    # _MU_TOL; the floor keeps it above the shots' rounding noise at tiny zeta
+    # rescaled tolerance keeps the unrescaled eigenvalue accurate to _MU_TOL;
+    # the floor caps the bisection's halvings at tiny zeta
     tol = max(_MU_TOL * zeta**2, 1e-20)
     return _eig0(zeta * bc.k0sq, -0.5 * zeta, tol) / zeta**2
 
@@ -227,12 +251,6 @@ def inf_minus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
     return _report("m1minus", value, q_star, "m1minus/delta0", bc)
 
 
-def _makers() -> dict:
-    """The extremum functions by kind, in KINDS order, read from the module at
-    each call, so that a wrapper installed since import (a tracer's) is called."""
-    return dict(zip(KINDS, (sup_plus, sup_minus, inf_plus, inf_minus)))
-
-
 def all_extrema(bc: RobinBC, tol: float = ROOT_TOL):
-    """The four extremum reports in the fixed order M1plus, M1minus, m1plus, m1minus."""
-    return [make(bc, tol) for make in _makers().values()]
+    """The four reports in KINDS order; the makers are module globals read each call, so a tracer's wrappers run."""
+    return [make(bc, tol) for make in (sup_plus, sup_minus, inf_plus, inf_minus)]

@@ -448,6 +448,17 @@ def test_eigen_failures_exit_2_without_traceback(capsys, tmp_path, name):
     assert err.startswith("robinsl: error: ") and "Traceback" not in err
 
 
+def test_eigen_midpoint_overflow_names_the_cause(child_env, tmp_path):
+    # a fresh interpreter, whose stderr shows any numpy RuntimeWarning: the
+    # sampler at lam = inf wrote three, then "math domain error"
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps(potential_to_dict(Potential(segments=(Segment(0.0, 1.0, 1e308),)))))
+    argv = [sys.executable, "-m", "robinsl.cli", "eigen", "--k0sq", "0.25", "--k1sq", "0.5", str(path)]
+    res = subprocess.run(argv, env=child_env, capture_output=True, text=True)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "robinsl: error: bracket midpoint overflowed: lam = inf\n"
+
+
 def test_eigen_solves_a_huge_atom(capsys, tmp_path):
     # the bracket [0, ~1e300] stalled in 200 halvings; its log-scale bisection
     # closes it.  The atom pins y(1/2) = 0, so lambda1 is within 1e-9 of the

@@ -83,29 +83,29 @@ PINNED = {
     ),
     "extrema_0_0": (
         ["extrema", "--k0sq", "0", "--k1sq", "0"],
-        "b45248c496eb5efb40cecb5ccf29471cffca0594ac54b46e4af3942895031443",
+        "7aa8f2546e4e0bfcd5d80b5c61d1a596a4bb692414064c6bac5f1524d196432b",
     ),
     "extrema_half_half": (
         ["extrema", "--k0sq", "0.5", "--k1sq", "0.5"],
-        "0c28f9feee6f97bdd6b047eacf4cd8b147d4a74646ac51898fd42fe3334c209b",
+        "d42bd64629eb3e1b208e46ba19b8bc12fd87bb1b933bfe8be0e15ed0749ec378",
     ),
     "extrema_1_1": (
         ["extrema", "--k0sq", "1", "--k1sq", "1"],
-        "5bcdf94db1ae7c039b4a8568729934bf062341e07b805bfa235290206f506756",
+        "8fc92dcb7ee6957867caccb25a9ff6bc7dde3d077840e0c1f005a598ca1f040c",
     ),
     "extrema_quarter_half": (
         ["extrema", "--k0sq", "0.25", "--k1sq", "0.5"],
-        "86fa854fb901ea814642b15550e3487e2ead2a74c4951836e899588246304f72",
+        "6c2ca03f47dc51aeeaaf27f541c2fb9cb07fa853ee70bcebdb90cd5bfddf4162",
     ),
     "extrema_grid": (
         ["extrema", "--k0sq", "0", "--k1sq", "0", "--grid", "0:1:5", "1:3:7"],
-        "c744b69de94a78ef2fc2f023d2fd8412f9398ca543947865c3aaf25026d37835",
+        "fc0fb75a788384d989ddb6f4605c6847d1043e7f40ba70bcfa38b1b447df570b",
     ),
     # inf_minus's interior root-find: near k0sq = 1/2, at a finer tol, and a
     # grid on which every m1minus is an interior crossing
     "extrema_edge": (
         ["extrema", "--k0sq", "0.50001", "--k1sq", "2.3"],
-        "8c11e6d1a79fc14c21a403a96d4f572d4f4f42d58bdb520f51ff4495dd83f44f",
+        "f499f642f18e030d9570330d605b797d1ef8c6996fd8f3fb2f6e59c38f7e3cb7",
     ),
     "extrema_interior_tol12": (
         ["extrema", "--k0sq", "2", "--k1sq", "2.5", "--tol", "1e-12"],
@@ -113,7 +113,7 @@ PINNED = {
     ),
     "extrema_grid_interior": (
         ["extrema", "--k0sq", "0", "--k1sq", "0", "--grid", "0.6:3:5", "3:4:3"],
-        "5fa9fe7ba36239e167a2c24e83370f7ab079479caa79faae732b4656baf15b21",
+        "e6a848348dfe8cfa92078ff334cad2ff932ab3e749ecd74e44eddd5190d6b22e",
     ),
     "scan_f_readme": (
         ["scan-f", "--k0sq", "1", "--k1sq", "1", "--mu=-2:3:11", "--zeta=0:1:21"],

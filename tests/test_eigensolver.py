@@ -235,6 +235,16 @@ def test_overflowing_shot_raises_non_finite_state():
         lambda1_value(q, RobinBC(0.25, 0.5))
 
 
+def test_midpoint_overflow_raises_non_finite_state():
+    # lambda1 ~ 1e308 brackets between finite floats whose midpoint, the
+    # returned lam, overflows to inf; tol + 1e-14*inf passed the width test,
+    # so lambda1_value returned inf.  1e300 still solves
+    q = Potential(segments=(Segment(0.0, 1.0, 1e308),))
+    with pytest.raises(NonFiniteState, match="^bracket midpoint overflowed: lam = inf$"):
+        lambda1_value(q, RobinBC(0.25, 0.5))
+    assert lambda1_value(Potential(segments=(Segment(0.0, 1.0, 1e300),)), RobinBC(0.25, 0.5)) == 1.0000000000000026e300
+
+
 def test_bracket_that_never_closes_has_infinite_width():
     # lambda1 ~ -(1e200/2)**2 lies below the float range, so lo is never
     # found; the message names the open bracket, not a zero width

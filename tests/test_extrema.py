@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import robinsl._kernels as K
+import robinsl.eigensolver as ES
 import robinsl.extrema as ex
 from robinsl import (
     DeltaAtom,
@@ -18,10 +19,10 @@ from robinsl import (
     sup_minus,
     sup_plus,
 )
-from robinsl.extrema import _ATOMW0, _EDGES0, _VALS0, ROOT_TOL, left_half_eigenvalue, right_half_eigenvalue
+from robinsl.extrema import ROOT_TOL, left_half_eigenvalue, right_half_eigenvalue
 from oracles import total_integral
 from test_crossing_replay import _edge_points
-from test_solver_replay import _assert_certified
+from test_solver_replay import _ATOMW0, _EDGES0, _VALS0, _assert_certified
 
 BC_GRID = [
     RobinBC(0.0, 0.0),
@@ -268,6 +269,50 @@ def test_cross_check_takes_at_most_three_shots(tol, monkeypatch):
         all_extrema(RobinBC(a, b), tol)
     assert len(taken) == 4 * len(_BUDGET_PAIRS)
     assert [t for t in taken if t[0] > 3] == []
+
+
+@pytest.mark.parametrize("tol", [ROOT_TOL, 1e-10])
+def test_only_the_cross_checks_solve(tol, monkeypatch):
+    # every value is a closed form, so the shooting solver runs once a
+    # report, for its cross-check, and never for a value: criterion 4 then
+    # sets the solver against an independent number on every branch.  The
+    # two meet within tol (measured: 4.8e-13 at 1e-12, 4.6e-11 at 1e-10)
+    solves, per_report = [0], []
+    kernel, report = ES.lambda1_kernel, ex._report
+
+    def counted_kernel(*args):
+        solves[0] += 1
+        return kernel(*args)
+
+    def counted_report(*args):
+        before = solves[0]
+        rep = report(*args)
+        per_report.append(solves[0] - before)
+        return rep
+
+    monkeypatch.setattr(ES, "lambda1_kernel", counted_kernel)
+    monkeypatch.setattr(ex, "_report", counted_report)
+    for a, b in _BUDGET_PAIRS:
+        solves[0] = 0
+        for rep in all_extrema(RobinBC(a, b), tol):
+            assert abs(rep.value - rep.cross_check) <= tol + 1e-12 * max(1.0, abs(rep.value)), (a, b, rep.kind)
+        assert solves[0] == 4, (a, b)
+    assert per_report == [1] * (4 * len(_BUDGET_PAIRS))
+
+
+def test_all_extrema_calls_the_module_functions(monkeypatch):
+    # all_extrema reads its four functions from the module at each call, so a
+    # wrapper installed since import, as perfbench's tracer installs, is called
+    calls, real = [], ex.inf_minus
+
+    def counted(bc, tol):
+        calls.append(bc)
+        return real(bc, tol)
+
+    monkeypatch.setattr(ex, "inf_minus", counted)
+    for bc in BC_GRID:
+        assert [r.kind for r in all_extrema(bc)] == list(ex.KINDS)
+    assert calls == BC_GRID
 
 
 def test_extrema_ordering():

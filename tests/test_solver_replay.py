@@ -29,11 +29,13 @@ from hypothesis import strategies as st
 import robinsl._kernels as K
 from robinsl import DeltaAtom, Potential, RobinBC, Segment, delta_strength, sup_plus
 from robinsl.eigensolver import _solve_arrays, compile_arrays, lambda1_value
-from robinsl.extrema import _ATOMW0, _EDGES0, _MU_TOL, _VALS0, _eig0, left_half_eigenvalue, right_half_eigenvalue
+from robinsl.extrema import _MU_TOL, _eig0, left_half_eigenvalue, right_half_eigenvalue
 from robinsl.verify import _lanes, regenerate, sample_unit_mass
 from test_block_draw import _row_tables, concentrated_sample
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
+# the zero potential's cell tables, as compile_arrays gives them
+_EDGES0, _VALS0, _ATOMW0 = [0.0, 1.0], [0.0], [0.0, 0.0]
 
 
 def _mp_below(edges, vals, atomw, k0sq, k1sq, lam):
@@ -360,19 +362,24 @@ def test_search_up_from_a_start_below():
     # the first-order start lam0 +- 1 is exact on the constant potentials
     # +-1, the concentrated samples of one piece, so rounding puts the first
     # shot below lambda1 at some pairs; the one-sided search then steps up
-    # toward the Rayleigh bound
+    # toward the Rayleigh bound.  lam0 is within 1e-12 of its eigenvalue, so
+    # starts that far off each side of it are also such starts, and the low
+    # ones always lie below
     ups = 0
     for k0, k1 in BC_GRID6:
         lam0 = _eig0(k0, k1)
         for v in (1.0, -1.0):
             args = compile_arrays(Potential(segments=(Segment(0.0, 1.0, v),)), RobinBC(k0, k1))
-            (lam, _, status), log = _logged_kernel(args, 1e-10, start=lam0 + v)
-            assert status == K.STATUS_OK
-            _assert_certified(args, lam, 1e-10)
-            assert len(log) <= 3, (k0, k1, v, log)
-            ups += log[0][1]
-    # measured 6 of 12
-    assert ups >= 4
+            for d in (-1e-12, 0.0, 1e-12):
+                (lam, _, status), log = _logged_kernel(args, 1e-10, start=lam0 + v + d)
+                assert status == K.STATUS_OK
+                _assert_certified(args, lam, 1e-10)
+                assert len(log) <= 3, (k0, k1, v, d, log)
+                assert log[0][1] or d >= 0.0, (k0, k1, v, log)
+                ups += log[0][1]
+    # measured 2 of 12 from lam0 itself, 12 of 12 from 1e-12 below and 0 of
+    # 12 from 1e-12 above
+    assert ups >= 12
     # a sample, from starts forced below lambda1: a stopping width to 100
     args = compile_arrays(sample_unit_mass(8, 7919, 1), RobinBC(0.25, 0.5))
     lam1 = _certified_solve(args, 1e-10)
@@ -392,6 +399,26 @@ def test_zero_potential_secular_matches_mpmath(tol):
     coeffs += [(5e-4 * 0.25, -0.5 * 5e-4), (-0.5e-6, 1e-6 * 100.0), (2.0, -0.5)]
     for k0, k1 in coeffs:
         _certified_solve((_EDGES0, _VALS0, _ATOMW0, k0, k1), tol)
+
+
+_SHIFTED_K0SQ = st.one_of(st.just(0.0), st.floats(-300.0, math.log10(0.5)).map(lambda e: 10.0**e))
+_COEFF = st.one_of(st.just(0.0), st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.one_of(_COEFF, _SHIFTED_K0SQ.map(lambda k0sq: k0sq - 1.0)), b=_COEFF)
+# where the angle form atan2(s, a) + s < atan2(s, -b) put lambda1 = 4.024e-11 at 7.9e-14
+@example(a=1.341025816518489e-11 - 1.0, b=8.104573753224621e124)
+@example(a=-1.0, b=0.0)
+@example(a=-0.5, b=1.0)  # lambda1 = 0 exactly
+@example(a=0.0, b=0.0)
+@example(a=1e300, b=1e300)
+@example(a=1e-3 * 0.25, b=-0.5e-3)  # left_half_eigenvalue's problem at zeta = 1e-3, k0sq = 1/4
+def test_zero_potential_closed_form_matches_mpmath(a, b):
+    # _eig0, the closed-form predicate bisected, against the exact shot
+    for tol in (1e-10, 1e-12):
+        lam = _eig0(a, b, tol)
+        assert _within((_EDGES0, _VALS0, _ATOMW0, a, b), lam, tol + 1e-14 * abs(lam)), (a, b, tol, lam)
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,11 @@ Each untraced run also records its call count, N x P from run.py's "batch of N c
 replayed P times" line, beside each workload's metrics.  run.py keeps three floats per
 replayed call (~100-120 B), so its ``peak_rss_mb`` grows with the calls a run makes: a side
 that is faster makes more calls in the same run_seconds, and a ``peak_rss_mb`` move should be
-set against the change of calls times ~100-120 B before it is read as the program's.
+set against the change of calls times ~100-120 B before it is read as the program's.  So
+beside ``calls`` each workload holds ``rss_on_calls``: ``peak_rss_mb`` fitted on calls over
+every run of both sides by least squares, with one intercept per side, as the slope in bytes
+per call (run.py's MB is ru_maxrss / 1024, a MiB), the correlation r of the two within
+the sides, and ``offset_mb``, the working tree's ``peak_rss_mb`` less REV's at equal calls.
 """
 
 from __future__ import annotations
@@ -126,6 +130,33 @@ def _all_names(root: Path) -> int:
     )
 
 
+def _rss_fit(runs: dict) -> dict | None:
+    """peak_rss_mb on calls by least squares with one intercept per side.
+
+    runs maps each side to its (calls, peak_rss_mb) pairs, the working tree's
+    first.  Returns the common slope in bytes per call, the correlation r of
+    calls and peak_rss_mb within the sides, and offset_mb, the first side's
+    intercept less the second's (None for one side); None when a run has no
+    call count or the calls do not vary within a side.
+    """
+    if any(c is None for pairs in runs.values() for c, _ in pairs):
+        return None
+    sxx = sxy = syy = 0.0
+    means = []
+    for pairs in runs.values():
+        mx, my = statistics.fmean(c for c, _ in pairs), statistics.fmean(m for _, m in pairs)
+        means.append((mx, my))
+        sxx += sum((c - mx) ** 2 for c, _ in pairs)
+        sxy += sum((c - mx) * (m - my) for c, m in pairs)
+        syy += sum((m - my) ** 2 for _, m in pairs)
+    if sxx == 0.0:
+        return None
+    slope = sxy / sxx
+    r = sxy / (sxx * syy) ** 0.5 if syy > 0.0 else None
+    offset = means[0][1] - means[1][1] - slope * (means[0][0] - means[1][0]) if len(means) == 2 else None
+    return {"bytes_per_call": slope * 2**20, "r": r, "offset_mb": offset}
+
+
 def _summary(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -148,7 +179,10 @@ def _record(sides: dict, bench: dict) -> dict:
     workloads = {}
     for workload in runs[names[0]]:
         entry = {"failed": {name: [r["failed"] for r in runs[name][workload]] for name in names},
-                 "calls": {name: _summary([r["calls"] for r in runs[name][workload]]) for name in names}, "metrics": {}}
+                 "calls": {name: _summary([r["calls"] for r in runs[name][workload]]) for name in names},
+                 "rss_on_calls": _rss_fit({name: [(r["calls"], r["metrics"]["peak_rss_mb"]["value"]) for r in runs[name][workload]]
+                                           for name in names}),
+                 "metrics": {}}
         for metric, direction in better.items():
             values = {name: [r["metrics"][metric]["value"] for r in runs[name][workload]] for name in names}
             m = {name: _summary(values[name]) for name in names}

@@ -10,27 +10,33 @@ rules:
 * numpy does only + - * /, sqrt, cos, sin, abs, sign, copysign and
   comparisons, which round as math's do and decide as the scalar
   comparisons do (``tests/test_block_bits.py``);
-* math's cosh, sinh, exp, atanh and atan2 are mapped over just the cells
-  that need them, since numpy's differ in the last bit;
+* math's cosh, sinh, atanh and atan2 are mapped over just the cells or
+  lanes that need them, since numpy's differ in the last bit;
 * Python's max and min and its NaN comparisons are kept with ``where``,
   or ``putmask`` on a comparison's mask.
+
+The lockstep takes only the cell steps of check_bounds' samples: a
+trigonometric cell with s*h < pi (at most one zero), a hyperbolic one with
+s*h <= 350, and the series of a short cell.  A lane whose shot meets any
+other cell (w == 0, a hyperbolic s*h > 350, a trigonometric s*h >= pi), or
+whose state vanishes or overflows, leaves the lockstep and is solved once
+by ``lambda1_kernel`` on its own tables, from its own start, so its bits
+hold by construction.
 
 The tables are (cells x lanes), the lanes sorted by cell count, most first,
 so cell i is a prefix of the lanes.  A shot takes two passes.  The first
 does, for every real cell of the table at once, the half of a cell step
 that needs lam but not the state: w = lam - q, the series coefficients of
-a short cell, sqrt(|w|), cos and sin or cosh and sinh, and which branch
-each cell takes; padding gets no entry.  The second carries the state (y,
-y', the integral of y^2, the zero count) a cell at a time over the lanes
-that have the cell.  Its common work (the closed-form integral, y1 and y1',
-the crossing test, the hyperbolic ratio, the rescale) writes views [:m] of
-a few lane buffers made once per shot, through out= and in-place operators,
-so a cell makes no temporary array; the rare branches that need the state
-(the series, atanh, a trigonometric cell with s*h >= pi, w == 0) run only
-in the cells that have them, on just their lanes.  Lanes that have
-converged are dropped between shots.  A root-finding step evaluates the
-search toward an open end only when some lane has one, and the step inside
-a bracket only when some lane has both ends.
+a short cell, sqrt(|w|), cos and sin or cosh and sinh, and which lanes
+leave; padding gets no entry.  The second carries the state (y, y', the
+integral of y^2, the zero count) a cell at a time over the lanes that have
+the cell.  It writes views [:m] of a few lane buffers made once per shot,
+through out= and in-place operators, so a cell makes no temporary array
+outside the series and the atanh of a hyperbolic crossing, which run only
+on their lanes.  Lanes that have converged are dropped between shots.  A
+root-finding step evaluates the search toward an open end only when some
+lane has one, and the step inside a bracket only when some lane has both
+ends.
 
 The scalar kernels stay: a single solve is cheaper without numpy's per-call
 cost, and they are the reference these match.
@@ -41,10 +47,9 @@ import math
 
 import numpy as np
 
-from ._kernels import STATUS_NONFINITE, STATUS_OK, STATUS_TOL
+from ._kernels import STATUS_OK, STATUS_TOL, lambda1_kernel
 
 _PI = math.pi
-_HALF_PI = 0.5 * _PI
 
 
 def _map(f, *xs):
@@ -69,8 +74,11 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
     h[i] and vals[i] hold the width and value of cell i of each lane, lanes
     sorted by cell count, most first; cols[i] counts the lanes that have a
     cell i.  lam holds each lane's trial value.  Returns (residual,
-    zero_count, mismatch, slope, ok) as lane arrays, the count as floats,
-    each lane's the bits shoot_kernel returns.
+    zero_count, mismatch, slope, ok) as lane arrays, the count as floats.
+    ok is False on a lane that leaves the lockstep: its shot meets a cell
+    with w == 0, a hyperbolic one with s*h > 350 or a trigonometric one with
+    s*h >= pi, or its scale fails; every other lane has the bits
+    shoot_kernel returns.
     """
     n = len(lam)
     y = np.ones(n)
@@ -97,7 +105,7 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
         half_w = 0.5 / w
         half_w[at] = 0.0
         u = -4.0 * z[at]
-        del z, lane, at
+        del z, at
         cc = 1.0 + u * (1.0 / 12.0 + u * (1.0 / 240.0))
         cs = 1.0 + u * (1.0 / 12.0 + u * (1.0 / 360.0))
         ss = 1.0 / 3.0 + u * (1.0 / 60.0 + u * (1.0 / 2520.0))
@@ -109,17 +117,8 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
         sh = s * hh
         c = np.cos(sh)
         sn = np.sin(sh)
-        neg = w < 0.0
-        far = neg & ~(sh <= 350.0)
-        e = None
-        if far.any():
-            # exp(sh) factored out, as shift; e also rescales the integral,
-            # and is 1 on the other cells
-            e = np.ones_like(w)
-            e[far] = _map(math.exp, -2.0 * sh[far])
-            c[far] = 0.5 * (1.0 + e[far])
-            sn[far] = 0.5 * (1.0 - e[far])
-        k = np.flatnonzero(neg & ~far)
+        hyp = (w < 0.0) & (sh <= 350.0)
+        k = np.flatnonzero(hyp)
         x = sh[k].tolist()
         c[k] = np.fromiter(map(math.cosh, x), float, len(x))
         sn[k] = np.fromiter(map(math.sinh, x), float, len(x))
@@ -127,24 +126,24 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
         # -y*s*sn + yp*c on a trigonometric cell, y*s*sn + yp*c on a
         # hyperbolic one: yp*c - y*t*sn with t = -s there
         t = np.copysign(s, w)
-        # the zeros: a sign change on a trigonometric cell with s*h < pi,
-        # where y1*sign(y) < cut (0 there, -inf elsewhere); on a hyperbolic
-        # one where 0 < -s*y/yp < lim (1 there, 0 elsewhere) and atanh of
-        # it is below s*h; the rotation on a trigonometric one with s*h >= pi
-        trig = w > 0.0
-        cut = np.where(trig & (sh < _PI), 0.0, -math.inf)
-        lim = neg + 0.0
-        rot = trig & (sh >= _PI)
-        lin = w == 0.0
-        rows = [np.logical_or.reduceat(x, ends[:-1]).tolist() for x in (neg, rot, lin, far)]
-        del trig, neg, far
+        # the zeros: a sign change on a trigonometric cell, where
+        # y1*sign(y) < cut (0 there, -inf elsewhere); on a hyperbolic one
+        # where 0 < -s*y/yp < lim (1 there, 0 elsewhere) and atanh of it is
+        # below s*h.  A lane with any other cell leaves
+        trig = (w > 0.0) & (sh < _PI)
+        cut = np.where(trig, 0.0, -math.inf)
+        lim = hyp + 0.0
+        gone = np.zeros(n, dtype=bool)
+        gone[lane[~(trig | hyp)]] = True
+        rows = np.logical_or.reduceat(hyp, ends[:-1]).tolist()
+        del trig, hyp, lane
 
         # pass 2, the state, a cell at a time over the lanes that have it.
         # The common work writes views [:m] of lane buffers made once per
-        # shot, so a cell allocates nothing outside the rare branches
+        # shot, so a cell allocates nothing outside the series and atanh
         y1_, yp1_, a_, b_ = np.empty((4, n))
         dz_ = np.empty(n, dtype=bool)
-        for m, i0, i1, j0, j1, hyp, turn, flat, shift in zip(cols, ends, ends[1:], ser, ser[1:], *rows):
+        for m, i0, i1, j0, j1, hyp in zip(cols, ends, ends[1:], ser, ser[1:], rows):
             Y, YP, SQ, YY = y[:m], yp[:m], sq[:m], yy[:m]
             y1, yp1, a, b, dz = y1_[:m], yp1_[:m], a_[:m], b_[:m], dz_[:m]
             hc, hw, ci, si, sni = hh[i0:i1], half_w[i0:i1], c[i0:i1], s[i0:i1], sn[i0:i1]
@@ -182,20 +181,6 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
                 k = np.flatnonzero((0.0 < r) & (r < lim[i0:i1]))
                 if k.size:
                     dz[k] = _map(math.atanh, r[k]) < sh[i0 + k]
-            if turn:
-                # zeros of R*cos(s*t - phi) in the cell
-                k = np.flatnonzero(rot[i0:i1])
-                phi = _map(math.atan2, YP[k] / si[k], Y[k])
-                first = (-phi - _HALF_PI) / _PI
-                last = (sh[i0 + k] - phi - _HALF_PI) / _PI
-                nz[k] += (np.ceil(last) - 1.0) - (np.floor(first) + 1.0) + 1.0
-            if flat:
-                k = np.flatnonzero(lin[i0:i1])
-                yl, ypl, hl = Y[k], YP[k], hc[k]
-                y1[k] = yl + ypl * hl
-                yp1[k] = ypl
-                tl = -yl / ypl
-                dz[k] = (0.0 < tl) & (tl < hl)
             nz[:m] += dz
 
             # the scale where(|yp1| > |y1|, |yp1|, |y1|) into a, as Python's
@@ -206,24 +191,18 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
             np.putmask(a, dz, b)
             np.divide(y1, a, out=Y)
             np.divide(yp1, a, out=YP)
-            if shift:
-                SQ *= e[i0:i1]
             SQ /= a
             SQ /= a
             np.multiply(Y, YP, out=YY)
             np.multiply(YY, hw, out=b)
             SQ -= b
 
-        # a lane fails where its scale was 0, inf or NaN: y is NaN from then
-        # on, or, past its last cell, 0 beside a NaN y'
-        bad = np.isnan(y) | ((y == 0.0) & np.isnan(yp))
+        # a scale of 0, inf or NaN leaves y NaN from then on, or, past the
+        # last cell, 0 beside a NaN y'
+        gone |= np.isnan(y) | ((y == 0.0) & np.isnan(yp))
         sg = 1.0 - 2.0 * (nz - 2.0 * np.floor(0.5 * nz))
         mismatch = _PI * nz + _map(math.atan2, sg * y, sg * yp) - math.atan2(1.0, -k1sq)
-        res = yp + k1sq * y
-        slope = sq / (y * y + yp * yp)
-    if bad.any():
-        res[bad], nz[bad], mismatch[bad], slope[bad] = 0.0, -1.0, 0.0, 0.0
-    return res, nz, mismatch, slope, ~bad
+        return yp + k1sq * y, nz, mismatch, sq / (y * y + yp * yp), ~gone
 
 
 def _reach(lo, hi, tol):
@@ -245,7 +224,8 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
     n[r] edges with edges at 1 and values 0; start[r] is its first shot, NaN
     for the Rayleigh quotient.  Lane r gets the bits of
     ``lambda1_kernel(edges[r, :n[r]], vals[r, :n[r] - 1], [0.0] * n[r],
-    k0sq, k1sq, tol, start[r])``.
+    k0sq, k1sq, tol, start[r])``: a lane that leaves the lockstep (see
+    ``shoot_lanes``) is solved by that call.
     """
     lanes = len(n)
     if not lanes:
@@ -279,14 +259,10 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
         reach = np.zeros(lanes)
         closing = np.zeros(lanes, dtype=bool)
         stalled = np.zeros(lanes, dtype=bool)
-        lost = np.zeros(lanes, dtype=int)
         live = np.arange(lanes)  # the lanes still shooting, in sorted order
         cols = _cols(cells)
         for _ in range(200):
             res, zc, f, slope, ok = shoot_lanes(h, v, cols, k0sq, k1sq, x)
-            bad = (~ok).nonzero()[0]
-            if bad.size:
-                kept = [a[bad] for a in (x, lo, hi, px, pslope, reach, up, closing, stalled)]
             below = (zc == 0.0) & (res > 0.0)
             lo = np.where(below, x, lo)
             hi = np.where(below, hi, x)
@@ -346,34 +322,25 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
                 inner = np.where((lo < inner) & (inner < hi), inner, mid)
                 x = np.where(opened, ends, inner) if some else inner
 
-            if bad.size:
-                # a vanished or overflowed state: the shot counts for
-                # nothing, and is taken again a quarter stopping width
-                # toward the bracket's middle, at most three times
-                xb, lo[bad], hi[bad], px[bad], pslope[bad], reach[bad], up[bad], closing[bad], stalled[bad] = kept
-                lost[bad] += 1
-                lob, hib = lo[bad], hi[bad]
-                nudge = 0.25 * (tol + 1e-14 * np.abs(xb))
-                middle = 0.5 * (lob + hib)
-                xb = np.where(xb < middle, xb + nudge, xb - nudge)
-                x[bad] = np.where((lob < xb) & (xb < hib), xb, middle)
-                done[bad] = False
-                dead = bad[(lost[bad] > 3) | np.isinf(lob) | np.isinf(hib)]
-                lam[live[dead]], width[live[dead]], status[live[dead]] = 0.0, 0.0, STATUS_NONFINITE
+            done &= ok
             fin = done.nonzero()[0]
             if fin.size:
                 _settle(lam, width, status, live[fin], lo[fin], hi[fin], tol)
-            if bad.size:
-                done[dead] = True
+            out = ~ok
+            for i in live[out].tolist():
+                # a lane that left, solved alone on its own tables
+                r, m = order[i], cells[i] + 1
+                row = edges[r, :m].tolist(), vals[r, : m - 1].tolist(), [0.0] * m
+                lam[i], width[i], status[i] = lambda1_kernel(*row, k0sq, k1sq, tol, start[i].item())
+            done |= out
             if done.any():
                 keep = ~done
                 live = live[keep]
                 if not live.size:
                     break
                 x, lo, hi, px, pslope, reach, up, down = (a[keep] for a in (x, lo, hi, px, pslope, reach, up, down))
-                closing, stalled, lost = closing[keep], stalled[keep], lost[keep]
-                cells = cells[keep]
-                cols = _cols(cells)
+                closing, stalled = closing[keep], stalled[keep]
+                cols = _cols(cells[live])
                 h, v = h[: len(cols), keep], v[: len(cols), keep]
         else:
             closed = ~(np.isinf(lo) | np.isinf(hi))

@@ -157,7 +157,8 @@ def _first_order_starts(edges: np.ndarray, vals: np.ndarray, k0sq: float, lam0: 
     k1sq >= 0).  Its eigenfunction y0 = cos(s*x) + k0sq*sin(s*x)/s,
     s = sqrt(lam0) (y0 = 1 + k0sq*x at lam0 = 0), gives lam0 + (sum of
     vals[i] * the integral of y0^2 over cell i) / the integral of y0^2 over
-    [0, 1].
+    [0, 1].  Where b = k0sq/s has an infinite square (k0sq >~ 4.2e154), the
+    integrals are those of (y0/b)^2, which give the same ratio.
 
     One numpy pass serves all samples: the sum runs cell by cell, in the
     order of a scalar loop, so each start has the bits of that loop.
@@ -165,9 +166,11 @@ def _first_order_starts(edges: np.ndarray, vals: np.ndarray, k0sq: float, lam0: 
     s = math.sqrt(lam0) if lam0 > 0.0 else 0.0
     if s > 0.0:
         b = k0sq / s
+        # the integrals of (a*cos(s*x) + f*sin(s*x))^2: y0's, or (y0/b)'s
+        a, f = (1.0, b) if b * b < math.inf else (1.0 / b, 1.0)
         sn = np.sin(s * edges)
         cn = np.cos(s * edges)
-        big = 0.5 * (1.0 + b * b) * edges + (0.5 * (1.0 - b * b) * cn + b * sn) * sn / s
+        big = 0.5 * (a * a + f * f) * edges + (0.5 * (a * a - f * f) * cn + a * f * sn) * sn / s
     else:
         big = edges * (1.0 + k0sq * edges * (1.0 + k0sq * edges / 3.0))
     num = np.zeros(len(edges))

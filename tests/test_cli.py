@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -268,6 +269,17 @@ def test_verify_small(capsys):
     assert rep["violations"] == []
     assert rep["seed"] == 9
     assert set(rep["extremum_gaps"]) == {"M1plus", "M1minus", "m1plus", "m1minus"}
+
+
+@pytest.mark.parametrize("k0, k1", [("1e155", "1e155"), ("1e300", "1e300"), ("1e160", "1e300")])
+def test_verify_at_coefficients_whose_start_overflows(capsys, k0, k1):
+    # (k0sq/sqrt(lam0))^2 overflows in the first-order start: the run still
+    # passes, with no warning and nothing on stderr
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, ["verify", "--k0sq", k0, "--k1sq", k1, "--n", "20"])
+    assert (code, err, [str(w.message) for w in caught]) == (0, "", [])
+    assert json.loads(out)["violations"] == []
 
 
 def test_verify_byte_stability(capsys):

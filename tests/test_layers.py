@@ -203,6 +203,29 @@ def test_shot_state_pass_allocates_nothing():
     assert sum(isinstance(node, ast.keyword) and node.arg == "out" for node in nodes) >= 10
 
 
+def test_lockstep_has_only_the_one_zero_cell_steps():
+    # a lane whose shot meets a cell with w == 0, a hyperbolic s*h > 350 or
+    # a trigonometric s*h >= pi, or loses its state, is solved by
+    # lambda1_kernel: the lockstep has no factored exp, no multi-zero count
+    # and no lost-shot status of its own, and atan2 only in the mismatch
+    # after the per-cell loop
+    tree = ast.parse((Path(robinsl.__file__).parent / "_lockstep.py").read_text())
+
+    def names(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+            elif isinstance(sub, ast.ImportFrom):
+                yield from (alias.name for alias in sub.names)
+
+    assert not set(names(tree)) & {"exp", "STATUS_NONFINITE", "_HALF_PI"}
+    (shoot,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "shoot_lanes"]
+    (loop,) = [node for node in ast.walk(shoot) if isinstance(node, ast.For)]
+    assert "atan2" in set(names(shoot)) and "atan2" not in set(names(loop))
+
+
 def test_workload_names_resolve():
     # loading runs the workloads' robinsl imports; every attribute they read
     # from a robinsl module must then exist

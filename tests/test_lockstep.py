@@ -12,6 +12,10 @@ trigonometric cell with s*h >= pi, w == 0, a hyperbolic cell past s*h = 350,
 a NaN start, lanes that converge many shots apart, a re-shot of a lost
 state, lanes that end STATUS_NONFINITE or STATUS_TOL, and root-finding
 steps in which every lane, no lane or some lanes still search for an end.
+The lockstep itself takes only the one-zero cell steps: a lane whose shot
+meets any other cell, or whose state vanishes or overflows, leaves it and
+is solved once by ``lambda1_kernel``, so a shot of such a lane is only
+checked to report that it left, and check_bounds' samples never leave.
 """
 
 import dataclasses
@@ -241,38 +245,70 @@ def test_random_padded_lanes(case, bc):
     _assert_lanes_are_scalar(*case[:3], *bc, DEFAULT_TOL, case[3])
 
 
+def _leaves(edges, vals, lam):
+    """Whether a shot at lam meets a cell the lockstep does not take:
+    w == 0, a hyperbolic one with s*h > 350 or a trigonometric one with s*h >= pi."""
+    for i, q in enumerate(vals):
+        w = lam - q
+        sh = math.sqrt(abs(w)) * (edges[i + 1] - edges[i])
+        if w == 0.0 or (w < 0.0 and sh > 350.0) or (w > 0.0 and sh >= math.pi):
+            return True
+    return False
+
+
 def _assert_shots_are_scalar(edges, vals, n, k0, k1, lam):
-    """shoot_lanes against shoot_kernel, lane r at lam[r], in lambda1_lanes' layout; returns ok."""
+    """shoot_lanes against shoot_kernel, lane r at lam[r], in lambda1_lanes' layout; returns ok.
+
+    A lane is not ok exactly when its scalar shot fails or meets a cell the
+    lockstep does not take; every other lane has the scalar shot's bits.
+    """
     order = np.argsort(-n, kind="stable")
     h = np.diff(edges[order], axis=1).T.copy()
     got = shoot_lanes(h, vals[order].T.copy(), L._cols(n[order] - 1), k0, k1, np.asarray(lam, dtype=float)[order])
     for j, (r, tables) in enumerate(zip(order.tolist(), _row_tables(edges[order], vals[order], n[order]))):
         want = shoot_kernel(*tables, k0, k1, float(lam[r]))
-        assert bool(got[4][j]) == want[4], r
-        assert _bits(*(x[j].item() for x in got[:4])) == _bits(*want[:4]), (r, lam[r])
+        stays = want[4] and not _leaves(*tables[:2], float(lam[r]))
+        assert bool(got[4][j]) == stays, (r, lam[r])
+        if stays:
+            assert _bits(*(x[j].item() for x in got[:4])) == _bits(*want[:4]), (r, lam[r])
     return got[4][np.argsort(order)].tolist()
 
 
+_OFFSETS = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e6, 1e6))
+
+
 @settings(max_examples=25, deadline=None)
-@given(case=padded_lanes(), bc=st.sampled_from([*BC_GRID6, (-3.0, 2.0)]), offsets=st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6))
+@given(case=padded_lanes(), bc=st.sampled_from([*BC_GRID6, (-3.0, 2.0)]), offsets=st.lists(_OFFSETS, min_size=6, max_size=6))
 def test_shots_are_the_scalar_shots(case, bc, offsets):
-    # a shot of each lane at its start (NaN at its first value), moved by an offset
+    # a shot of each lane at its start (NaN at its first value), moved by an
+    # offset: small ones mostly keep a lane in the lockstep, large ones
+    # mostly take it past s*h = 350 or pi
     edges, vals, n, starts = case
     lam = [(v[0] if math.isnan(s) else s) + d for s, v, d in zip(starts, vals.tolist(), offsets)]
     _assert_shots_are_scalar(edges, vals, n, *bc, lam)
 
 
 def test_crafted_shots():
-    # each shape at one of its values (w == 0), below a deep well, above a
-    # barrier, and at 0
+    # each shape at one of its values (w == 0), below a deep well (a
+    # hyperbolic s*h > 350) and above a barrier (a trigonometric s*h >= pi)
+    # leaves; at 0 only the third shape, one trigonometric cell between two
+    # hyperbolic ones, stays
     edges, vals, n = _padded(_SHAPES)
     for k0, k1 in ((0.25, 0.5), (-3.0, 2.0)):
-        for lam in ([v[1 % len(v)] for _, v in _SHAPES], [-1e6] * 6, [1e5] * 6, [0.0] * 6):
-            assert all(_assert_shots_are_scalar(edges, vals, n, k0, k1, lam))
-    # scales that fail: y' = 1e308 entering a hyperbolic cell of s*h = 1.2
-    # overflows y' alone, leaving y = 0 beside a NaN y' past the last cell;
-    # y' = -1024 = -s entering one where exp(-2*s*h) is 0 cancels both
-    edges, vals, n = _padded([([0.0, 1.0], [1.44]), ([0.0, 0.5, 1.0], [2.0**20, 0.0])])
+        for lam in ([v[1 % len(v)] for _, v in _SHAPES], [-1e6] * 6, [1e5] * 6):
+            assert _assert_shots_are_scalar(edges, vals, n, k0, k1, lam) == [False] * 6
+        stays = _assert_shots_are_scalar(edges, vals, n, k0, k1, [0.0] * 6)
+        assert stays == [False, False, True, False, False, False]
+    # the bounds of the cells taken: s*h = 3.13 and 3.16 about pi, s*h = 350
+    # exactly and just past it
+    edges, vals, n = _padded([([0.0, 1.0], [0.0])] * 4)
+    stays = _assert_shots_are_scalar(edges, vals, n, 0.25, 0.5, [9.8, 10.0, -122500.0, -122501.0])
+    assert stays == [True, False, True, False]
+    # scales that fail on cells the lockstep takes: y' = 1e308 entering a
+    # hyperbolic cell of s*h = 1.2 overflows y' alone, leaving y = 0 beside
+    # a NaN y' past the last cell; y' = -1024 = -s entering one of s*h = 256,
+    # where cosh and sinh are equal floats, cancels both
+    edges, vals, n = _padded([([0.0, 1.0], [1.44]), ([0.0, 0.25, 1.0], [2.0**20, -1.0])])
     assert _assert_shots_are_scalar(edges[:1], vals[:1], n[:1], 1e308, 0.0, [0.0]) == [False]
     assert _assert_shots_are_scalar(edges[1:], vals[1:], n[1:], -1024.0, 0.0, [0.0]) == [False]
 
@@ -289,7 +325,7 @@ def test_no_math_call_touches_padding(monkeypatch):
         ([0.0, 1.0], [0.25]),
     ]
     edges, vals, n = _padded(lanes)
-    lam = [-1.0, -2.0, -0.75, -1.5]
+    lam = [-1.25, -2.0, -0.75, -1.5]
     calls = {"cosh": 0, "sinh": 0, "atanh": 0}
 
     def counted(name):
@@ -303,16 +339,73 @@ def test_no_math_call_touches_padding(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(math, name, counted(name))
-    # y' = -3 entering a first cell of s < 3 puts -s*y/y' in (0, 1); lane 0
-    # has a cell with w == 0
+    # y' = -3 entering a first cell of s < 3 puts -s*y/y' in (0, 1); every
+    # lane stays in the lockstep
     for tables, x in zip(_row_tables(edges, vals, n), lam):
         shoot_kernel(*tables, -3.0, 0.5, x)
     scalar = dict(calls)
-    _assert_shots_are_scalar(edges, vals, n, -3.0, 0.5, lam)
+    assert all(_assert_shots_are_scalar(edges, vals, n, -3.0, 0.5, lam))
     lockstep = {name: calls[name] - 2 * scalar[name] for name in calls}
     hyperbolic = sum(x < v for (_, vs), x in zip(lanes, lam) for v in vs)
-    assert lockstep["cosh"] == lockstep["sinh"] == scalar["cosh"] == hyperbolic == 8, (lockstep, scalar)
+    assert lockstep["cosh"] == lockstep["sinh"] == scalar["cosh"] == hyperbolic == 9, (lockstep, scalar)
     assert lockstep["atanh"] == scalar["atanh"] > 0, (lockstep, scalar)
+
+
+def _solved_alone(monkeypatch):
+    """The lambda1_kernel calls that lambda1_lanes makes from now on, each as its argument tuple."""
+    real, calls = L.lambda1_kernel, []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(L, "lambda1_kernel", spy)
+    return calls
+
+
+@pytest.mark.parametrize("pieces_max", [1, 8, 16, 64])
+def test_no_check_bounds_lane_leaves(monkeypatch, pieces_max):
+    # check_bounds' samples take only the cell steps of the lockstep, at the
+    # acceptance pairs and at coefficients whose b*b overflows in the start
+    calls = _solved_alone(monkeypatch)
+    for k0, k1 in BC_GRID6:
+        check_bounds(RobinBC(k0, k1), 1000, pieces_max, 20260809)
+    check_bounds(RobinBC(1e155, 1e155), 250, pieces_max, 20260809)
+    assert calls == []
+
+
+def _leaving(edges, vals, n, k0, k1, tol, start):
+    """The lanes whose scalar solve takes a shot that leaves the lockstep: one that fails or meets a cell it does not take."""
+    real, leaving = K.shoot_kernel, set()
+
+    def spy(*args):
+        out = real(*args)
+        if not out[4] or _leaves(*args[:2], args[-1]):
+            leaving.add(r)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K, "shoot_kernel", spy)
+        for r, (tables, s) in enumerate(zip(_row_tables(edges, vals, n), start)):
+            lambda1_kernel(*tables, k0, k1, tol, s)
+    return leaving
+
+
+def test_each_leaving_lane_is_solved_once_alone(monkeypatch):
+    # the crafted lanes and starts of test_crafted_lanes_take_the_rare_branches:
+    # one lambda1_kernel call per lane that leaves, on its own tables and start
+    edges, vals, n = _padded(_SHAPES * 3)
+    starts = [math.nan] * 6 + [v[-1] for _, v in _SHAPES] + [1.0, -50.0, 2.0, 0.5, 1e3, -1e3]
+    calls = _solved_alone(monkeypatch)
+    for k0, k1 in ((0.25, 0.5), (0.0, 0.0), (1.0, 4.0)):
+        calls.clear()
+        lambda1_lanes(edges, vals, n, k0, k1, DEFAULT_TOL, starts)
+        leaving = _leaving(edges, vals, n, k0, k1, DEFAULT_TOL, starts)
+        assert 0 < len(leaving) < len(starts), leaving
+        tables = _row_tables(edges, vals, n)
+        want = sorted(_bits(*tables[r][0], *tables[r][1], *tables[r][2], k0, k1, DEFAULT_TOL, starts[r]) for r in leaving)
+        assert sorted(_bits(*e, *q, *a, *rest) for e, q, a, *rest in calls) == want
+        assert all(type(x) is float for e, q, a, *_ in calls for x in (*e, *q, *a))
 
 
 def _lost(x):

@@ -29,7 +29,11 @@ def propagate_step(y, yp, w, h):
     Returns (y1, yp1, nzeros, lnscale) where nzeros counts the zeros of y in
     the open cell interior and the true end state is (y1, yp1) * exp(lnscale).
     lnscale is nonzero only on the overflow-guarded hyperbolic branch.
+    A linear or hyperbolic cell, or a trigonometric one with s*h < pi, holds
+    at most one zero: an interior one exactly when y changes sign across it.
+    A trigonometric cell with s*h >= pi counts its zeros from the phase.
     """
+    shift = 0.0
     if w > 0.0:
         s = math.sqrt(w)
         sh = s * h
@@ -37,42 +41,33 @@ def propagate_step(y, yp, w, h):
         sn = math.sin(sh)
         y1 = y * c + yp * sn / s
         yp1 = -y * s * sn + yp * c
-        if sh < _PI:
-            # zeros lie pi/s apart, so the closed cell holds at most one: an
-            # interior one exactly when y changes sign across it
-            return y1, yp1, 1 if y < 0.0 < y1 or y1 < 0.0 < y else 0, 0.0
-        # zeros of R*cos(s*t - phi) for t in (0, h); sh >= pi puts b at
-        # least a + 1, so the count is never negative
-        phi = math.atan2(yp / s, y)
-        a = (-phi - 0.5 * _PI) / _PI
-        b = (sh - phi - 0.5 * _PI) / _PI
-        k_lo = int(math.floor(a)) + 1
-        k_hi = int(math.ceil(b)) - 1
-        return y1, yp1, k_hi - k_lo + 1, 0.0
-    if w == 0.0:
-        nz = 0
-        if yp != 0.0:
-            t = -y / yp
-            if 0.0 < t < h:
-                nz = 1
-        return y + yp * h, yp, nz, 0.0
-    s = math.sqrt(-w)
-    sh = s * h
-    nz = 0
-    if yp != 0.0:
-        r = -s * y / yp
-        if 0.0 < r < 1.0:
-            if math.atanh(r) < sh:
-                nz = 1
-    if sh <= 350.0:
-        c = math.cosh(sh)
-        sn = math.sinh(sh)
-        return y * c + yp * sn / s, y * s * sn + yp * c, nz, 0.0
-    # factor out exp(sh) so extreme cells cannot overflow
-    e = math.exp(-2.0 * sh)
-    c = 0.5 * (1.0 + e)
-    sn = 0.5 * (1.0 - e)
-    return y * c + yp * sn / s, y * s * sn + yp * c, nz, sh
+        if sh >= _PI:
+            # zeros of R*cos(s*t - phi) for t in (0, h); sh >= pi puts b at
+            # least a + 1, so the count is never negative
+            phi = math.atan2(yp / s, y)
+            a = (-phi - 0.5 * _PI) / _PI
+            b = (sh - phi - 0.5 * _PI) / _PI
+            k_lo = int(math.floor(a)) + 1
+            k_hi = int(math.ceil(b)) - 1
+            return y1, yp1, k_hi - k_lo + 1, 0.0
+    elif w == 0.0:
+        y1 = y + yp * h
+        yp1 = yp
+    else:
+        s = math.sqrt(-w)
+        sh = s * h
+        if sh <= 350.0:
+            c = math.cosh(sh)
+            sn = math.sinh(sh)
+        else:
+            # factor out exp(sh) so extreme cells cannot overflow
+            e = math.exp(-2.0 * sh)
+            c = 0.5 * (1.0 + e)
+            sn = 0.5 * (1.0 - e)
+            shift = sh
+        y1 = y * c + yp * sn / s
+        yp1 = y * s * sn + yp * c
+    return y1, yp1, 1 if y < 0.0 < y1 or y1 < 0.0 < y else 0, shift
 
 
 _INF = math.inf

@@ -10,18 +10,19 @@ rules:
 * numpy does only + - * /, sqrt, cos, sin, abs, sign, copysign and
   comparisons, which round as math's do and decide as the scalar
   comparisons do (``tests/test_block_bits.py``);
-* math's cosh, sinh, atanh and atan2 are mapped over just the cells or
-  lanes that need them, since numpy's differ in the last bit;
+* math's cosh, sinh and atan2 are mapped over just the cells or lanes
+  that need them, since numpy's differ in the last bit;
 * Python's max and min and its NaN comparisons are kept with ``where``,
   or ``putmask`` on a comparison's mask.
 
 The lockstep takes only the cell steps of check_bounds' samples: a
-trigonometric cell with s*h < pi (at most one zero), a hyperbolic one with
-s*h <= 350, and the series of a short cell.  A lane whose shot meets any
-other cell (w == 0, a hyperbolic s*h > 350, a trigonometric s*h >= pi), or
-whose state vanishes or overflows, leaves the lockstep and is solved once
-by ``lambda1_kernel`` on its own tables, from its own start, so its bits
-hold by construction.
+trigonometric cell with s*h < pi, a hyperbolic one with s*h <= 350, and
+the series of a short cell.  Each holds at most one zero, counted as in
+propagate_step by the sign change of y across the cell.  A lane whose
+shot meets any other cell (w == 0, a hyperbolic s*h > 350, a
+trigonometric s*h >= pi), or whose state vanishes or overflows, leaves the
+lockstep and is solved once by ``lambda1_kernel`` on its own tables, from
+its own start, so its bits hold by construction.
 
 The tables are (cells x lanes), the lanes sorted by cell count, most first,
 so cell i is a prefix of the lanes.  A shot takes two passes.  The first
@@ -32,11 +33,10 @@ leave; padding gets no entry.  The second carries the state (y, y', the
 integral of y^2, the zero count) a cell at a time over the lanes that have
 the cell.  It writes views [:m] of a few lane buffers made once per shot,
 through out= and in-place operators, so a cell makes no temporary array
-outside the series and the atanh of a hyperbolic crossing, which run only
-on their lanes.  Lanes that have converged are dropped between shots.  A
-root-finding step evaluates the search toward an open end only when some
-lane has one, and the step inside a bracket only when some lane has both
-ends.
+outside the series, which runs only on its lanes.  Lanes that have
+converged are dropped between shots.  A root-finding step evaluates the
+search toward an open end only when some lane has one, and the step
+inside a bracket only when some lane has both ends.
 
 The scalar kernels stay: a single solve is cheaper without numpy's per-call
 cost, and they are the reference these match.
@@ -50,11 +50,6 @@ import numpy as np
 from ._kernels import STATUS_OK, STATUS_TOL, lambda1_kernel
 
 _PI = math.pi
-
-
-def _map(f, *xs):
-    # the math function f over the lanes of the arrays xs
-    return np.fromiter(map(f, *(x.tolist() for x in xs)), float, len(xs[0]))
 
 
 def _cols(cells):
@@ -126,24 +121,19 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
         # -y*s*sn + yp*c on a trigonometric cell, y*s*sn + yp*c on a
         # hyperbolic one: yp*c - y*t*sn with t = -s there
         t = np.copysign(s, w)
-        # the zeros: a sign change on a trigonometric cell, where
-        # y1*sign(y) < cut (0 there, -inf elsewhere); on a hyperbolic one
-        # where 0 < -s*y/yp < lim (1 there, 0 elsewhere) and atanh of it is
-        # below s*h.  A lane with any other cell leaves
+        # every cell taken holds at most one zero, counted by the sign change
+        # y1*sign(y) < 0; a lane with any other cell leaves
         trig = (w > 0.0) & (sh < _PI)
-        cut = np.where(trig, 0.0, -math.inf)
-        lim = hyp + 0.0
         gone = np.zeros(n, dtype=bool)
         gone[lane[~(trig | hyp)]] = True
-        rows = np.logical_or.reduceat(hyp, ends[:-1]).tolist()
-        del trig, hyp, lane
+        del sh, trig, hyp, lane
 
         # pass 2, the state, a cell at a time over the lanes that have it.
         # The common work writes views [:m] of lane buffers made once per
-        # shot, so a cell allocates nothing outside the series and atanh
+        # shot, so a cell allocates nothing outside the series
         y1_, yp1_, a_, b_ = np.empty((4, n))
         dz_ = np.empty(n, dtype=bool)
-        for m, i0, i1, j0, j1, hyp in zip(cols, ends, ends[1:], ser, ser[1:], rows):
+        for m, i0, i1, j0, j1 in zip(cols, ends, ends[1:], ser, ser[1:]):
             Y, YP, SQ, YY = y[:m], yp[:m], sq[:m], yy[:m]
             y1, yp1, a, b, dz = y1_[:m], yp1_[:m], a_[:m], b_[:m], dz_[:m]
             hc, hw, ci, si, sni = hh[i0:i1], half_w[i0:i1], c[i0:i1], s[i0:i1], sn[i0:i1]
@@ -163,24 +153,19 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
             if j0 < j1:
                 SQ[k] = sqs
 
-            # y1 = Y*c + YP*sn/s; yp1 = YP*c - Y*t*sn, Y*t kept in b for r
+            # y1 = Y*c + YP*sn/s; yp1 = YP*c - Y*t*sn
             np.multiply(YP, sni, out=y1)
             y1 /= si
             np.multiply(Y, ci, out=a)
             y1 += a
-            np.multiply(Y, t[i0:i1], out=b)
-            np.multiply(b, sni, out=yp1)
+            np.multiply(Y, t[i0:i1], out=yp1)
+            yp1 *= sni
             np.multiply(YP, ci, out=a)
             np.subtract(a, yp1, out=yp1)
-            # the crossing test y1*sign(Y) < cut
+            # the crossing test y1*sign(Y) < 0
             np.sign(Y, out=a)
             a *= y1
-            np.less(a, cut[i0:i1], out=dz)
-            if hyp:
-                r = np.divide(b, YP, out=a)
-                k = np.flatnonzero((0.0 < r) & (r < lim[i0:i1]))
-                if k.size:
-                    dz[k] = _map(math.atanh, r[k]) < sh[i0 + k]
+            np.less(a, 0.0, out=dz)
             nz[:m] += dz
 
             # the scale where(|yp1| > |y1|, |yp1|, |y1|) into a, as Python's
@@ -201,7 +186,8 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
         # last cell, 0 beside a NaN y'
         gone |= np.isnan(y) | ((y == 0.0) & np.isnan(yp))
         sg = 1.0 - 2.0 * (nz - 2.0 * np.floor(0.5 * nz))
-        mismatch = _PI * nz + _map(math.atan2, sg * y, sg * yp) - math.atan2(1.0, -k1sq)
+        phase = np.fromiter(map(math.atan2, (sg * y).tolist(), (sg * yp).tolist()), float, n)
+        mismatch = _PI * nz + phase - math.atan2(1.0, -k1sq)
         return yp + k1sq * y, nz, mismatch, sq / (y * y + yp * yp), ~gone
 
 

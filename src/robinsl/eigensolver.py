@@ -176,8 +176,9 @@ def _sample_eigenfunction(edges, vals, atomw, k0sq, k1sq, lam, xs):
     top = raw.max()
     if not (top > 0.0 and np.isfinite(top)):
         raise NonFiniteState("eigenfunction sampling overflowed")
-    raw /= top
-    if raw.min() <= 0.0:
+    # a sample <= 0 fails before the division, whose quotient of one far
+    # below a small top overflows; a sample divided down to 0 fails after it
+    if raw.min() <= 0.0 or np.divide(raw, top, out=raw).min() <= 0.0:
         raise NonFiniteState("sampled eigenfunction is not strictly positive")
     return raw, yp + k1sq * y
 

@@ -10,9 +10,9 @@ for ``_rng``'s arrays.  check_bounds then solves its samples in lockstep
 ``lambda1_kernel`` only while numpy's sqrt of |lam - q| and its cos and sin
 of s*h round as math's do at every scale those reach, while its sign and
 copysign decide a cell's zero and its hyperbolic sign as propagate_step's
-comparisons do, and only while it leaves cosh, sinh, exp, log, atan2,
-atanh, max and min to math and Python (numpy's differ in the last bit, or
-in their NaN rules).  The eigenfunction
+comparisons do, and only while it leaves cosh, sinh, exp, log, atan2, max
+and min to math and Python (numpy's differ in the last bit, or in their
+NaN rules).  The eigenfunction
 sampler (``eigensolver._sample_eigenfunction``) evaluates each trigonometric
 cell's slice with numpy's sin and cos, on a view of s*t that reaches far
 beyond one period, and ``eigen`` prints those samples; it keeps the bytes of

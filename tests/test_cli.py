@@ -447,6 +447,15 @@ _STUCK = {
     # a huge positive segment solves, but, like the tall barrier, its
     # eigenfunction sampling overflows
     "huge_segment": (Potential(segments=(Segment(0.0, 0.5, 1e200),)), RobinBC(0.25, 0.5)),
+    # a deep atom before a tall plateau: the samples past the plateau go
+    # far negative (Known defects), down to -1e63 beside a top of 3e-269
+    "atom_plateau": (
+        Potential(
+            segments=(Segment(0.3690321538288696, 0.6965554349297658, 3181271.0490767015),),
+            atoms=(DeltaAtom(0.29048040973932543, -1000.0),),
+        ),
+        RobinBC(0.0, 0.0),
+    ),
 }
 
 
@@ -460,15 +469,27 @@ def test_eigen_failures_exit_2_without_traceback(capsys, tmp_path, name):
     assert err.startswith("robinsl: error: ") and "Traceback" not in err
 
 
-def test_eigen_midpoint_overflow_names_the_cause(child_env, tmp_path):
-    # a fresh interpreter, whose stderr shows any numpy RuntimeWarning: the
-    # sampler at lam = inf wrote three, then "math domain error"
+def _eigen_in_child(child_env, tmp_path, q, bc):
+    # robinsl eigen in a fresh interpreter, whose stderr shows any numpy RuntimeWarning
     path = tmp_path / "q.json"
-    path.write_text(json.dumps(potential_to_dict(Potential(segments=(Segment(0.0, 1.0, 1e308),)))))
-    argv = [sys.executable, "-m", "robinsl.cli", "eigen", "--k0sq", "0.25", "--k1sq", "0.5", str(path)]
-    res = subprocess.run(argv, env=child_env, capture_output=True, text=True)
+    path.write_text(json.dumps(potential_to_dict(q)))
+    argv = [sys.executable, "-m", "robinsl.cli", "eigen", "--k0sq", repr(bc.k0sq), "--k1sq", repr(bc.k1sq), str(path)]
+    return subprocess.run(argv, env=child_env, capture_output=True, text=True)
+
+
+def test_eigen_midpoint_overflow_names_the_cause(child_env, tmp_path):
+    # the sampler at lam = inf wrote three RuntimeWarnings, then "math domain error"
+    res = _eigen_in_child(child_env, tmp_path, Potential(segments=(Segment(0.0, 1.0, 1e308),)), RobinBC(0.25, 0.5))
     assert (res.returncode, res.stdout) == (2, "")
     assert res.stderr == "robinsl: error: bracket midpoint overflowed: lam = inf\n"
+
+
+def test_eigen_negative_sample_prints_only_its_error(child_env, tmp_path):
+    # normalizing by the top sample overflowed on a far negative one, and
+    # numpy's RuntimeWarning came before the error
+    res = _eigen_in_child(child_env, tmp_path, *_STUCK["atom_plateau"])
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "robinsl: error: sampled eigenfunction is not strictly positive\n"
 
 
 def test_eigen_solves_a_huge_atom(capsys, tmp_path):

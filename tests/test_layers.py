@@ -208,7 +208,9 @@ def test_lockstep_has_only_the_one_zero_cell_steps():
     # a trigonometric s*h >= pi, or loses its state, is solved by
     # lambda1_kernel: the lockstep has no factored exp, no multi-zero count
     # and no lost-shot status of its own, and atan2 only in the mismatch
-    # after the per-cell loop
+    # after the per-cell loop.  Every cell it takes holds at most one zero,
+    # counted in both kernels by the sign change of y alone: neither names
+    # atanh, and the per-cell loop branches only on the short-cell series
     tree = ast.parse((Path(robinsl.__file__).parent / "_lockstep.py").read_text())
 
     def names(node):
@@ -220,10 +222,16 @@ def test_lockstep_has_only_the_one_zero_cell_steps():
             elif isinstance(sub, ast.ImportFrom):
                 yield from (alias.name for alias in sub.names)
 
-    assert not set(names(tree)) & {"exp", "STATUS_NONFINITE", "_HALF_PI"}
+    assert not set(names(tree)) & {"exp", "STATUS_NONFINITE", "_HALF_PI", "atanh"}
+    kernels = ast.parse((Path(robinsl.__file__).parent / "_kernels.py").read_text())
+    (step,) = [node for node in kernels.body if isinstance(node, ast.FunctionDef) and node.name == "propagate_step"]
+    assert "atanh" not in set(names(step))
     (shoot,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "shoot_lanes"]
+    assert not set(names(shoot)) & {"cut", "lim", "rows"}
     (loop,) = [node for node in ast.walk(shoot) if isinstance(node, ast.For)]
     assert "atan2" in set(names(shoot)) and "atan2" not in set(names(loop))
+    branches = [ast.unparse(node.test) for node in ast.walk(loop) if isinstance(node, ast.If)]
+    assert branches == ["j0 < j1", "j0 < j1"], branches
 
 
 def test_workload_names_resolve():

@@ -316,8 +316,9 @@ def test_crafted_shots():
 def test_no_math_call_touches_padding(monkeypatch):
     # at a trial lam < 0 every padding entry (width 0, value 0) would be
     # hyperbolic; cosh and sinh must run once per real hyperbolic cell, and
-    # atanh as often as in the scalar shots.  A mapped padding entry costs
-    # time that no bit test sees
+    # atanh never: a hyperbolic cell counts its zero by the sign change of
+    # y, in both kernels.  A mapped padding entry costs time that no bit
+    # test sees
     lanes = [
         ([0.0, 0.1, 0.3, 0.45, 0.7, 1.0], [2.0, -4.0, 0.5, -1.0, 3.0]),
         ([0.0, 0.25, 0.5, 1.0], [1.0, -9.0, 0.0]),
@@ -339,16 +340,17 @@ def test_no_math_call_touches_padding(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(math, name, counted(name))
-    # y' = -3 entering a first cell of s < 3 puts -s*y/y' in (0, 1); every
-    # lane stays in the lockstep
-    for tables, x in zip(_row_tables(edges, vals, n), lam):
-        shoot_kernel(*tables, -3.0, 0.5, x)
+    # y' = -3 entering a first, hyperbolic cell of s < 3 heads y for zero:
+    # every lane's y crosses it once, on a hyperbolic cell but in the second
+    # lane, whose crossing is trigonometric; every lane stays in the lockstep
+    zeros = [shoot_kernel(*tables, -3.0, 0.5, x)[1] for tables, x in zip(_row_tables(edges, vals, n), lam)]
+    assert zeros == [1, 1, 1, 1], zeros
     scalar = dict(calls)
     assert all(_assert_shots_are_scalar(edges, vals, n, -3.0, 0.5, lam))
     lockstep = {name: calls[name] - 2 * scalar[name] for name in calls}
     hyperbolic = sum(x < v for (_, vs), x in zip(lanes, lam) for v in vs)
     assert lockstep["cosh"] == lockstep["sinh"] == scalar["cosh"] == hyperbolic == 9, (lockstep, scalar)
-    assert lockstep["atanh"] == scalar["atanh"] > 0, (lockstep, scalar)
+    assert lockstep["atanh"] == scalar["atanh"] == 0, (lockstep, scalar)
 
 
 def _solved_alone(monkeypatch):

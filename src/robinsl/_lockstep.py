@@ -15,14 +15,16 @@ rules:
 * Python's max and min and its NaN comparisons are kept with ``where``,
   or ``putmask`` on a comparison's mask.
 
-The lockstep takes only the cell steps of check_bounds' samples: a
-trigonometric cell with s*h < pi, a hyperbolic one with s*h <= 350, and
-the series of a short cell.  Each holds at most one zero, counted as in
-propagate_step by the sign change of y across the cell.  A lane whose
-shot meets any other cell (w == 0, a hyperbolic s*h > 350, a
-trigonometric s*h >= pi), or whose state vanishes or overflows, leaves the
-lockstep and is solved once by ``lambda1_kernel`` on its own tables, from
-its own start, so its bits hold by construction.
+The lockstep takes only the steps of check_bounds' samples.  Its cell
+steps are a trigonometric cell with s*h < pi, a hyperbolic one with
+s*h <= 350, and the series of a short cell; each holds at most one zero,
+counted as in propagate_step by the sign change of y across the cell.  Its
+root-finding steps are the search down toward lo from a start above the
+first eigenvalue, and the step inside a bracket that keeps pace with
+bisection without the ITP projection (see ``lambda1_lanes``).  A lane that
+needs any other step leaves the lockstep and is solved once by
+``lambda1_kernel`` on its own tables, from its own start, so its bits hold
+by construction.
 
 The tables are (cells x lanes), the lanes sorted by cell count, most first,
 so cell i is a prefix of the lanes.  A shot takes two passes.  The first
@@ -35,8 +37,8 @@ the cell.  It writes views [:m] of a few lane buffers made once per shot,
 through out= and in-place operators, so a cell makes no temporary array
 outside the series, which runs only on its lanes.  Lanes that have
 converged are dropped between shots.  A root-finding step evaluates the
-search toward an open end only when some lane has one, and the step
-inside a bracket only when some lane has both ends.
+search toward lo only when some lane has no bracket, and the step inside
+a bracket only when some lane has one.
 
 The scalar kernels stay: a single solve is cheaper without numpy's per-call
 cost, and they are the reference these match.
@@ -191,27 +193,22 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
         return yp + k1sq * y, nz, mismatch, sq / (y * y + yp * yp), ~gone
 
 
-def _reach(lo, hi, tol):
-    # tol + 1e-14*max(lo, -hi, 0) doubled until it is no less than hi - lo,
-    # then times 4: the doublings counted from the binary exponents
-    m = np.where(-hi > lo, -hi, lo)
-    m = np.where(0.0 > m, 0.0, m)
-    r = tol + 1e-14 * m
-    fr, er = np.frexp(r)
-    fh, eh = np.frexp(hi - lo)
-    k = eh - er + (fr < fh)
-    return np.ldexp(r, np.where(k > 0, k, 0) + 2)
-
-
 def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
     """lambda1_kernel on atom-free samples: (lam, bracket_width, status) as lane arrays.
 
     Row r of edges and vals holds the cell tables of lane r, padded past its
-    n[r] edges with edges at 1 and values 0; start[r] is its first shot, NaN
-    for the Rayleigh quotient.  Lane r gets the bits of
-    ``lambda1_kernel(edges[r, :n[r]], vals[r, :n[r] - 1], [0.0] * n[r],
-    k0sq, k1sq, tol, start[r])``: a lane that leaves the lockstep (see
-    ``shoot_lanes``) is solved by that call.
+    n[r] edges with edges at 1 and values 0; start[r] is its first shot.
+    Lane r gets the bits of ``lambda1_kernel(edges[r, :n[r]], vals[r, :n[r]
+    - 1], [0.0] * n[r], k0sq, k1sq, tol, start[r])``, by that call for a
+    lane that leaves: one whose shot leaves (see ``shoot_lanes``; a start
+    that is not finite does), whose first shot lies below the eigenvalue,
+    or whose step inside its bracket would bisect in log scale, or comes at
+    its j-th such step with hi - lo above 2**(1 - j) times its width at
+    step 0.  Within that allowance the ITP projection moves no step: the
+    kernel's reach at step j is 4*2**-j times a width no less than that at
+    step 0, so at least 2*(hi - lo), and mid -+ (reach - (hi - lo)/2) lies
+    more than a bracket width outside [lo, hi], where the step already lies.
+    The halvings are exact for a tol no less than the least normal float.
     """
     lanes = len(n)
     if not lanes:
@@ -234,15 +231,13 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
     width = np.full(lanes, math.inf)
     status = np.full(lanes, STATUS_TOL)
     with np.errstate(all="ignore"):
-        bound = k0sq + k1sq + total
-        up = bound + 1e-3 * (1.0 + np.abs(bound))
         down = -np.abs(total)
-        x = np.where(np.isfinite(start), start, bound)
+        x = start
         lo = np.full(lanes, -math.inf)
         hi = np.full(lanes, math.inf)
         px = np.full(lanes, math.nan)  # the previous shot and its slope
         pslope = np.full(lanes, math.nan)
-        reach = np.zeros(lanes)
+        cap = np.zeros(lanes)  # the bracket width a lane may keep at this step
         closing = np.zeros(lanes, dtype=bool)
         stalled = np.zeros(lanes, dtype=bool)
         live = np.arange(lanes)  # the lanes still shooting, in sorted order
@@ -268,23 +263,23 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
             half = 0.5 * (tol + 1e-14 * np.abs(x))
             past = 0.5 * half
             past = np.where(2.0 * err > past, np.where(step < 2.0 * err, step, 2.0 * err), past)
-            opened = np.isinf(lo) | np.isinf(hi)
+            # a lane leaves when its shot left or no shot has yet been above
+            # the eigenvalue; the others search down while lo is open
+            out = ~ok | np.isinf(hi)
+            opened = np.isinf(lo)
             some = opened.any()
             every = some and opened.all()
 
             if some:
-                # one end open: toward it, never past its limit
+                # toward lo, never past its limit
                 stalled = np.where(opened, stalled | closing, stalled)
                 closing = np.where(opened, step < half, closing)
-                g = np.where(below, 1.0, -1.0)
-                up = np.where(opened & below & (x >= up), x + 2.0 * (1.0 + np.abs(x)), up)
                 twice = 2.0 * x - 1.0
-                limit = np.where(below, up, np.where(twice < down, twice, down))
-                ends = t + g * np.where(closing, half, past)
-                ends = np.where(~(g * (ends - x) > 0.0) | stalled | (g * (ends - limit) > 0.0), limit, ends)
+                limit = np.where(twice < down, twice, down)
+                ends = t - np.where(closing, half, past)
+                ends = np.where(~(ends < x) | stalled | (ends < limit), limit, ends)
 
             if every:
-                # an open lane never sets reach, so its halving is skipped too
                 done = np.zeros(len(x), dtype=bool)
                 x = ends
             else:
@@ -293,26 +288,21 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
                 mid = 0.5 * (lo + hi)
                 half = 0.5 * (tol + 1e-14 * np.abs(mid))
                 done = ~opened & ((hi - lo <= 2.0 * half) | ~((lo < mid) & (mid < hi)))
-                first = (~opened & ~done & (reach == 0.0)).nonzero()[0]
-                if first.size:
-                    reach[first] = _reach(lo[first], hi[first], tol)
+                inside = ~opened & ~done
+                cap = np.where(inside & (cap == 0.0), 2.0 * (hi - lo), cap)
                 bisect = ~((lo < t) & (t < hi)) | ((half <= step) & (moved < 2.0 * step))
                 logscale = (lo >= 0.0) & (hi > 16.0 * (lo + 1.0))
-                inner = np.where(logscale, np.sqrt(lo + 1.0) * np.sqrt(hi + 1.0) - 1.0, mid)
+                out |= inside & ((bisect & logscale) | (hi - lo > cap))
+                cap = 0.5 * cap
                 c = np.where(below, t + past, t - past)
-                inner = np.where(bisect, inner, np.where((lo + half < c) & (c < hi - half), c, t))
-                r = reach - 0.5 * (hi - lo)
-                reach = 0.5 * reach
-                inner = np.where(inner < mid - r, mid - r, np.where(inner > mid + r, mid + r, inner))
+                inner = np.where(bisect, mid, np.where((lo + half < c) & (c < hi - half), c, t))
                 inner = np.where(inner < lo + half, lo + half, np.where(inner > hi - half, hi - half, inner))
                 inner = np.where((lo < inner) & (inner < hi), inner, mid)
                 x = np.where(opened, ends, inner) if some else inner
 
-            done &= ok
-            fin = done.nonzero()[0]
+            fin = (done & ~out).nonzero()[0]
             if fin.size:
                 _settle(lam, width, status, live[fin], lo[fin], hi[fin], tol)
-            out = ~ok
             for i in live[out].tolist():
                 # a lane that left, solved alone on its own tables
                 r, m = order[i], cells[i] + 1
@@ -324,12 +314,12 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
                 live = live[keep]
                 if not live.size:
                     break
-                x, lo, hi, px, pslope, reach, up, down = (a[keep] for a in (x, lo, hi, px, pslope, reach, up, down))
+                x, lo, hi, px, pslope, cap, down = (a[keep] for a in (x, lo, hi, px, pslope, cap, down))
                 closing, stalled = closing[keep], stalled[keep]
                 cols = _cols(cells[live])
                 h, v = h[: len(cols), keep], v[: len(cols), keep]
         else:
-            closed = ~(np.isinf(lo) | np.isinf(hi))
+            closed = ~np.isinf(lo)
             _settle(lam, width, status, live[closed], lo[closed], hi[closed], tol)
     back = np.empty(lanes, dtype=int)
     back[order] = np.arange(lanes)

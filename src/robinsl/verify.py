@@ -120,15 +120,15 @@ def _block(u: np.ndarray, pieces: list, sign):
     return edges, vals, odd
 
 
-def _draw(seed: int, skip: int, pieces: int, sign: int, tries: int = _TRIES) -> list:
+def _draw(seed: int, skip: int, pieces: int, sign: int) -> list:
     """The segments of one sample: attempts of :func:`_block` on one row,
     each on the next uniforms of seed's stream, the first after its first
     skip outputs.
 
-    Raises ZeroMass when none of the tries leaves mass.
+    Raises ZeroMass when none of _TRIES attempts leaves mass.
     """
     c = _count(pieces)
-    for t in range(tries):
+    for t in range(_TRIES):
         edges, vals, odd = _block(units(stream(seed, skip + t * c, c)), [pieces], sign)
         e, v = edges[0].tolist(), vals[0].tolist()
         # a row holding its cell tables: cell k + 1 is segment k
@@ -203,9 +203,8 @@ def _lanes(seed, runs, pieces_max, k0sq, lam0):
     n = np.array(pieces) + 3
     for r, segs in odd.items():
         if segs is None:
-            # the next attempts go on along the same stream
-            c = _count(pieces[r])
-            segs = _draw(int(seeds[r]), 1 + c, pieces[r], int(sign[r]), _TRIES - 1)
+            # the sample as _draw draws it, its massless first attempt again
+            segs = _draw(int(seeds[r]), 1, pieces[r], int(sign[r]))
         e, v, _ = cell_tables(segs)
         edges[r], vals[r], n[r] = 1.0, 0.0, len(e)
         edges[r, : len(e)], vals[r, : len(v)] = e, v

@@ -194,24 +194,29 @@ def test_crafted_rows_take_the_rare_paths():
 
 def test_lanes_retry_a_sample_without_mass(monkeypatch):
     # a row with no mass draws on along its own stream, with its own class's
-    # sign, and its tables and start join the batch's
+    # sign, and its tables and start join the batch's.  Rows 2 and 10 of the
+    # batch draw have no mass, and neither has their first attempt wherever
+    # it is drawn again: each row is drawn again by _draw, its first attempt
+    # and then its second
     import robinsl.verify as V
 
     real = V._block
-    calls = []
+    calls, empty = [], []
 
     def empty_first(u, pieces, sign):
         edges, vals, odd = real(u, pieces, sign)
         calls.append(len(pieces))
+        rows = [u[r, : _count(p)].tolist() for r, p in enumerate(pieces)]
         if len(calls) == 1:
-            odd[2] = odd[10] = None
+            empty.extend(rows[r] for r in (2, 10))
+        odd.update({r: None for r, row in enumerate(rows) if row in empty})
         return edges, vals, odd
 
     monkeypatch.setattr(V, "_block", empty_first)
     lam0 = _eig0(0.25, 0.5)
     _, _, *block, starts = _lanes(5, [(0, 0, 8), (1, 0, 8)], 16, 0.25, lam0)
     tables, starts = _row_tables(*block), starts.tolist()
-    assert calls == [16, 1, 1]
+    assert calls == [16, 1, 1, 1, 1]
     for row, tag, sign in ((2, 0, 1), (10, 1, -1)):
         sub = derive_seeds(5, tag, 2, 3)
         p = 1 + stream(sub, 0, 1).item() % 16

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from robinsl import inf_minus, lambda1, lambda1_value, sup_plus, RobinBC, Potential, DeltaAtom, Segment
+import robinsl._kernels as K
 from robinsl._kernels import lambda1_kernel, propagate_step, shoot_kernel
 from robinsl.potential import compile_arrays
 
@@ -236,3 +237,66 @@ def test_zero_count_matches_sign_changes():
             continue
         want = int(np.count_nonzero(np.sign(ys[1:]) != np.sign(ys[:-1])))
         assert nz == want, cell
+
+
+# two cells of 0.5 under (0.25, 0.5), first eigenvalue 1.193, started at _S
+PULLED = ([0.0, 0.5, 1.0], [0.5, 0.5], [0.0] * 3)
+_S, _X, _Y = 11.2, 4.0, 4.5
+
+
+def pull(x, below, slope):
+    """A mismatch that keeps each shot's predicate but pulls Newton's step off the eigenvalue.
+
+    On floats or on lane arrays alike.  From a shot at _S or above the step
+    goes far below the search's limit, so the limit is shot next; from one
+    below the eigenvalue it goes to _Y, from one above it two thirds of the
+    way to _X.  Those above close in on _X by a factor 3 a step, too fast
+    for rtsafe to bisect, so the bracket stays near [lo, _X] unless the ITP
+    projection pulls a step toward its midpoint.
+    """
+    target = np.where(below, _Y, np.where(x < _S, _X, -1e3))
+    k = np.where(below | (x >= _S), 1.0, 2.0 / 3.0)
+    return k * (x - target) * slope
+
+
+def pulled_shots(monkeypatch):
+    """Make lambda1_kernel's shots pulled; returns the list of its shots from now on, each as (lam, below)."""
+    real, shots = K.shoot_kernel, []
+
+    def shot(*args):
+        res, zc, _, slope, ok = real(*args)
+        below = zc == 0 and res > 0.0
+        shots.append((args[-1], below))
+        return res, zc, float(pull(args[-1], below, slope)), slope, ok
+
+    monkeypatch.setattr(K, "shoot_kernel", shot)
+    return shots
+
+
+def test_kernel_keeps_pace_with_bisection(monkeypatch):
+    # the ITP projection: with reach_0 four times the stopping width doubled
+    # up to the bracket at in-bracket step 0, the bracket after step j is at
+    # most reach_0 * 2**-j, up to the rounding of its ends, though the pull
+    # alone would keep it near [lo, _X]: the projection moves steps down to
+    # mid + r
+    tol = 1e-10
+    want = lambda1_kernel(*PULLED, 0.25, 0.5, tol)[0]
+    shots = pulled_shots(monkeypatch)
+    lam, _, status = lambda1_kernel(*PULLED, 0.25, 0.5, tol, _S)
+    assert status == 0 and abs(lam - want) <= tol
+    lo, hi, reach, moved, widths = -math.inf, math.inf, 0.0, [], []
+    for x, below in shots:
+        if reach:
+            mid, r = 0.5 * (lo + hi), reach - 0.5 * (hi - lo)
+            moved.append(x == mid + r)
+        lo, hi = (x, hi) if below else (lo, x)
+        if reach:
+            widths.append((hi - lo, reach + 2.0 * math.ulp(abs(lo) + abs(hi))))
+            reach *= 0.5
+        elif not (math.isinf(lo) or math.isinf(hi)):
+            reach = tol + 1e-14 * max(lo, -hi, 0.0)
+            while reach < hi - lo:
+                reach *= 2.0
+            reach *= 4.0
+    assert len(widths) > 10 and all(w <= r for w, r in widths), widths
+    assert any(moved), moved

@@ -234,6 +234,22 @@ def test_lockstep_has_only_the_one_zero_cell_steps():
     assert branches == ["j0 < j1", "j0 < j1"], branches
 
 
+def test_lockstep_has_only_the_downward_search_and_bracket_steps():
+    # a lane whose start is not finite or lies below the eigenvalue, or whose
+    # step inside its bracket would bisect in log scale or be moved by the
+    # ITP projection, is solved by lambda1_kernel: the lockstep has no reach,
+    # no search up toward hi with its Rayleigh bound, no NaN start and no
+    # log-scale point
+    tree = ast.parse((Path(robinsl.__file__).parent / "_lockstep.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_reach" not in defined
+    (lanes,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "lambda1_lanes"]
+    named = {node.id for node in ast.walk(lanes) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(lanes) if isinstance(node, ast.Attribute)}
+    banned = {"reach", "up", "bound", "isfinite", "sqrt"}
+    assert not named & banned, named & banned
+
+
 def test_workload_names_resolve():
     # loading runs the workloads' robinsl imports; every attribute they read
     # from a robinsl module must then exist

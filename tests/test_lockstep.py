@@ -9,19 +9,24 @@ run on each lane's own tables, are their reference: (lam, width, status)
 and every shot's outputs must match bit for bit, on the samples check_bounds
 draws and on padded tables drawn to reach the rare branches: a
 trigonometric cell with s*h >= pi, w == 0, a hyperbolic cell past s*h = 350,
-a NaN start, lanes that converge many shots apart, a re-shot of a lost
-state, lanes that end STATUS_NONFINITE or STATUS_TOL, and root-finding
-steps in which every lane, no lane or some lanes still search for an end.
-The lockstep itself takes only the one-zero cell steps: a lane whose shot
-meets any other cell, or whose state vanishes or overflows, leaves it and
-is solved once by ``lambda1_kernel``, so a shot of such a lane is only
-checked to report that it left, and check_bounds' samples never leave.
+a NaN start, a start below the eigenvalue, a log-scale bisection, a bracket
+that falls behind bisection, lanes that converge many shots apart, a
+re-shot of a lost state, lanes that end STATUS_NONFINITE or STATUS_TOL, and
+root-finding steps in which every lane, no lane or some lanes still search
+for an end.  The lockstep itself takes only the one-zero cell steps, the
+search down from a start above the eigenvalue and the steps inside a
+bracket that the ITP projection would not move: a lane that needs any
+other step, or whose state vanishes or overflows, leaves it and is solved
+once by ``lambda1_kernel``, so a shot of such a lane is only checked to
+report that it left, and check_bounds' samples never leave.
 """
 
 import dataclasses
 import math
 import struct
+import sys
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -41,6 +46,7 @@ from robinsl.extrema import _eig0
 from robinsl.extrema import all_extrema as _all_extrema
 from robinsl.potential import compile_arrays
 from test_block_draw import _row_tables, concentrated_sample
+from test_kernels import PULLED, _S, pull, pulled_shots
 
 BC_GRID6 = [(0.0, 0.0), (0.25, 0.5), (0.5, 0.5), (1.0, 1.0), (0.0, 2.0), (1.0, 4.0)]
 
@@ -197,15 +203,14 @@ def test_steps_with_no_lane_open():
 
 
 def test_steps_with_open_and_closed_lanes():
-    # under k0sq = k1sq = 0 the Rayleigh quotient of a constant potential is
-    # its eigenvalue: those lanes close and finish at their second shot,
-    # while a lane of wells and barriers started above still searches for lo
-    lanes = [([0.0, 0.25, 0.5, 0.75, 1.0], [-400.0, 1e4, 1e3, -1e4]), *[([0.0, 1.0], [q]) for q in (1e3, -400.0, 3.0)]]
-    edges, vals, n = _padded(lanes)
-    starts = [1e3, math.nan, math.nan, math.nan]
-    shapes = _step_shapes(edges, vals, n, 0.0, 0.0, DEFAULT_TOL, starts)
-    assert shapes[:3] == ["open", "mixed", "open"], shapes
-    assert set(_assert_lanes_are_scalar(edges, vals, n, 0.0, 0.0, DEFAULT_TOL, starts)) == {STATUS_OK}
+    # under k0sq = -30 the lanes of _DECAYING started at 0 search for lo
+    # nine shots after the same lanes started just above their eigenvalues
+    # have their brackets, so those steps hold open and closed lanes
+    edges, vals, n = _padded(_DECAYING * 2)
+    starts = [0.0] * 3 + _near(_DECAYING, -30.0, 0.0, 1e-6)
+    shapes = _step_shapes(edges, vals, n, -30.0, 0.0, DEFAULT_TOL, starts)
+    assert shapes[:11] == ["open"] + ["mixed"] * 9 + ["closed"], shapes
+    assert set(_assert_lanes_are_scalar(edges, vals, n, -30.0, 0.0, DEFAULT_TOL, starts)) == {STATUS_OK}
 
 
 def test_lost_shot_in_a_step_with_every_lane_open():
@@ -376,38 +381,132 @@ def test_no_check_bounds_lane_leaves(monkeypatch, pieces_max):
     assert calls == []
 
 
+@pytest.mark.parametrize("pieces_max", [8, 16])
+def test_no_lane_leaves_at_large_coefficients(monkeypatch, pieces_max):
+    # coefficients up to the float range, where lam0 and the starts are huge
+    # or the bracket spans decades above zero: the lanes still take only the
+    # downward search and steps the projection does not move
+    calls = _solved_alone(monkeypatch)
+    for k0, k1 in ((1e300, 1e300), (1e160, 1e300), (0.0, 1e100), (1e150, 1e150)):
+        check_bounds(RobinBC(k0, k1), 250, pieces_max, 20260809)
+    assert calls == []
+
+
 def _leaving(edges, vals, n, k0, k1, tol, start):
-    """The lanes whose scalar solve takes a shot that leaves the lockstep: one that fails or meets a cell it does not take."""
-    real, leaving = K.shoot_kernel, set()
+    """Why each lane leaves the lockstep, read off its scalar solve: {lane: reason}.
+
+    The reason is the first step of the solve that the lockstep does not
+    take: "start" (a start that is not finite), "shot" (a shot that fails or
+    meets a cell the lockstep does not take), "below" (a first shot below
+    the eigenvalue), "behind" (at the j-th step inside the bracket, hi - lo
+    above 2**(1 - j) times its width at step 0) or "log" (a bisection in log
+    scale, the one place where lambda1_kernel calls sqrt itself).
+    """
+    real, why = K.shoot_kernel, {}
 
     def spy(*args):
+        nonlocal lo, hi, cap
         out = real(*args)
-        if not out[4] or _leaves(*args[:2], args[-1]):
-            leaving.add(r)
+        x, (res, zc, _, _, ok) = args[-1], out
+        if not ok or _leaves(*args[:2], x):
+            why.setdefault(r, "shot")
+        elif zc == 0 and res > 0.0:
+            if math.isinf(hi):
+                why.setdefault(r, "below")
+            lo = x
+        else:
+            hi = x
+        mid = 0.5 * (lo + hi)
+        if not (math.isinf(lo) or math.isinf(hi) or hi - lo <= tol + 1e-14 * abs(mid) or not lo < mid < hi):
+            cap = cap or 2.0 * (hi - lo)
+            if hi - lo > cap:
+                why.setdefault(r, "behind")
+            cap = 0.5 * cap
         return out
+
+    def sqrt(x):
+        if sys._getframe(1).f_code is lambda1_kernel.__code__:
+            why.setdefault(r, "log")
+        return math.sqrt(x)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(K, "shoot_kernel", spy)
+        mp.setattr(K, "math", types.SimpleNamespace(**{**vars(math), "sqrt": sqrt}))
         for r, (tables, s) in enumerate(zip(_row_tables(edges, vals, n), start)):
+            lo, hi, cap = -math.inf, math.inf, 0.0
+            if not math.isfinite(s):
+                why[r] = "start"
             lambda1_kernel(*tables, k0, k1, tol, s)
-    return leaving
+    return why
+
+
+def _assert_solved_alone(calls, edges, vals, n, k0, k1, starts, leaving):
+    """calls holds one lambda1_kernel call per lane of leaving, on its own tables and start, as floats."""
+    tables = _row_tables(edges, vals, n)
+    want = sorted(_bits(*tables[r][0], *tables[r][1], *tables[r][2], k0, k1, DEFAULT_TOL, starts[r]) for r in leaving)
+    assert sorted(_bits(*e, *q, *a, *rest) for e, q, a, *rest in calls) == want
+    assert all(type(x) is float for e, q, a, *_ in calls for x in (*e, *q, *a))
 
 
 def test_each_leaving_lane_is_solved_once_alone(monkeypatch):
-    # the crafted lanes and starts of test_crafted_lanes_take_the_rare_branches:
-    # one lambda1_kernel call per lane that leaves, on its own tables and start
-    edges, vals, n = _padded(_SHAPES * 3)
-    starts = [math.nan] * 6 + [v[-1] for _, v in _SHAPES] + [1.0, -50.0, 2.0, 0.5, 1e3, -1e3]
+    # the crafted lanes and starts of test_crafted_lanes_take_the_rare_branches,
+    # and the shapes started just above their eigenvalues, most of which
+    # stay: one lambda1_kernel call per lane that leaves, on its own tables
+    # and start
+    edges, vals, n = _padded(_SHAPES * 4)
     calls = _solved_alone(monkeypatch)
     for k0, k1 in ((0.25, 0.5), (0.0, 0.0), (1.0, 4.0)):
+        starts = [math.nan] * 6 + [v[-1] for _, v in _SHAPES] + [1.0, -50.0, 2.0, 0.5, 1e3, -1e3]
+        starts += _near(_SHAPES, k0, k1, 1e-6)
         calls.clear()
         lambda1_lanes(edges, vals, n, k0, k1, DEFAULT_TOL, starts)
         leaving = _leaving(edges, vals, n, k0, k1, DEFAULT_TOL, starts)
         assert 0 < len(leaving) < len(starts), leaving
-        tables = _row_tables(edges, vals, n)
-        want = sorted(_bits(*tables[r][0], *tables[r][1], *tables[r][2], k0, k1, DEFAULT_TOL, starts[r]) for r in leaving)
-        assert sorted(_bits(*e, *q, *a, *rest) for e, q, a, *rest in calls) == want
-        assert all(type(x) is float for e, q, a, *_ in calls for x in (*e, *q, *a))
+        _assert_solved_alone(calls, edges, vals, n, k0, k1, starts, leaving)
+
+
+def test_each_leave_rule_sends_its_lane_alone(monkeypatch):
+    # a NaN start (the Rayleigh quotient), a start below the eigenvalue, and
+    # a plateau of 1e5 in 32 cells started 5 % above it, whose bracket
+    # [lo >= 0, hi > 16*(lo + 1)] bisects in log scale, each leave at that
+    # step, beside a lane that stays; each is solved alone once
+    plateau = ([i / 32 for i in range(33)], [1e5] * 32)
+    lanes = [([0.0, 1.0], [3.0])] * 3 + [plateau]
+    edges, vals, n = _padded(lanes)
+    starts = [math.nan, 0.0, *_near(lanes[2:3], 0.25, 0.5, 1e-6), 1.05e5]
+    assert _leaving(edges, vals, n, 0.25, 0.5, DEFAULT_TOL, starts) == {0: "start", 1: "below", 3: "log"}
+    real, shot = L.shoot_lanes, []
+
+    def counted(*args):
+        shot.append(len(args[-1]))
+        return real(*args)
+
+    monkeypatch.setattr(L, "shoot_lanes", counted)
+    calls = _solved_alone(monkeypatch)
+    assert set(_assert_lanes_are_scalar(edges, vals, n, 0.25, 0.5, DEFAULT_TOL, starts)) == {STATUS_OK}
+    _assert_solved_alone(calls, edges, vals, n, 0.25, 0.5, starts, [0, 1, 3])
+    # the first two leave after their first shot, the plateau after its
+    # third, when the lane that stays has its answer
+    assert shot == [4, 2, 2], shot
+
+
+def test_a_bracket_behind_bisection_leaves(monkeypatch):
+    # both kernels pulled as in test_kernels.test_kernel_keeps_pace_with_bisection:
+    # the lane's bracket falls behind bisection, where the projection would
+    # move its step, and it leaves there to be solved alone once
+    real = L.shoot_lanes
+
+    def lanes(*args):
+        res, zc, _, slope, ok = real(*args)
+        return res, zc, pull(args[-1], (zc == 0.0) & (res > 0.0), slope), slope, ok
+
+    pulled_shots(monkeypatch)
+    monkeypatch.setattr(L, "shoot_lanes", lanes)
+    edges, vals, n = _padded([PULLED[:2]])
+    assert _leaving(edges, vals, n, 0.25, 0.5, DEFAULT_TOL, [_S]) == {0: "behind"}
+    calls = _solved_alone(monkeypatch)
+    assert _assert_lanes_are_scalar(edges, vals, n, 0.25, 0.5, DEFAULT_TOL, [_S]) == [STATUS_OK]
+    _assert_solved_alone(calls, edges, vals, n, 0.25, 0.5, [_S], [0])
 
 
 def _lost(x):

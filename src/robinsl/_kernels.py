@@ -10,7 +10,9 @@ read them several times per cell per shot, and a float read from a list
 keeps every later operation on plain floats instead of numpy scalars.
 ``check_bounds`` does not call these kernels: it solves its samples together
 with their lockstep twins in ``_lockstep``, which give each sample the bits
-these give it.
+these give it.  ``start_state`` is the one place that builds a shot's start
+state: the lockstep's shots and check_bounds' first-order starts take theirs
+from it too.
 """
 
 import math
@@ -73,6 +75,22 @@ def propagate_step(y, yp, w, h):
 _INF = math.inf
 
 
+def start_state(k0sq):
+    """The start state (y, y') of a shot: (1, k0sq), scaled by 2**-e where |k0sq| > 1.
+
+    e = frexp(k0sq)[1], so |y'| < 1.  The scale is a power of two, so the
+    state is exact and every product and sum of the first cell scales by
+    the same power: after the first max-norm rescale the state has the bits
+    of the start (1, k0sq) wherever that shot is finite, and the first
+    cell's integral of y^2, whose y'^2 term overflows past k0sq ~ 1.34e154
+    unscaled, stays finite at any finite k0sq.
+    """
+    if -1.0 <= k0sq <= 1.0:
+        return 1.0, k0sq
+    m, e = math.frexp(k0sq)
+    return math.ldexp(1.0, -e), m
+
+
 def shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam):
     """Shoot from the left boundary condition to x=1.
 
@@ -81,8 +99,10 @@ def shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam):
     constant potential on cell i and atomw[i] the delta weight sitting at
     edges[i].  atomw[0] and atomw[-1] are 0: a mass at 0 or 1 is part of
     k0sq or k1sq, as compile_arrays passes it.
-    The state is max-norm rescaled after every cell, so only the sign of the
-    returned residual y'(1) + k1sq*y(1) is meaningful at large |lam|.
+    The shot starts from start_state(k0sq), (1, k0sq) up to a power of two,
+    and the state is max-norm rescaled after every cell, so only the sign of
+    the returned residual y'(1) + k1sq*y(1) is meaningful at large |lam| or
+    k0sq.
 
     The mismatch is the Prüfer angle at x=1 minus the right boundary angle,
     pi*zero_count + atan2(s*y, s*y') - atan2(1, -k1sq) with s = (-1)**zero_count:
@@ -95,8 +115,7 @@ def shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam):
 
     Returns (residual, zero_count, mismatch, slope, ok).
     """
-    y = 1.0
-    yp = k0sq
+    y, yp = start_state(k0sq)
     nz = 0
     sq = 0.0  # integral of y^2 so far, in the units of the current state
     ncells = len(vals)
@@ -213,14 +232,14 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
         if not ok:
             # a trial lam at the eigenvalue to the last bits can cancel the
             # growing mode past a deep atom to a zero state; inside a bracket,
-            # shoot again a quarter stopping width toward its middle
+            # shoot again a quarter stopping width toward its middle: a
+            # bracket that has not closed is wider than a stopping width, so
+            # the shot stays inside it
             lost += 1
             if lost > 3 or math.isinf(lo) or math.isinf(hi):
                 return 0.0, 0.0, STATUS_NONFINITE
             nudge = 0.25 * (tol + 1e-14 * abs(x))
             x = x + nudge if x < 0.5 * (lo + hi) else x - nudge
-            if not lo < x < hi:
-                x = 0.5 * (lo + hi)
             continue
         below = zc == 0 and res > 0.0
         if below:

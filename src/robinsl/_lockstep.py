@@ -22,9 +22,11 @@ counted as in propagate_step by the sign change of y across the cell.  Its
 root-finding steps are the search down toward lo from a start above the
 first eigenvalue, and the step inside a bracket that keeps pace with
 bisection without the ITP projection (see ``lambda1_lanes``).  A lane that
-needs any other step leaves the lockstep and is solved once by
-``lambda1_kernel`` on its own tables, from its own start, so its bits hold
-by construction.
+needs any other step, the kernel's stall at the search's limit among them,
+leaves the lockstep and is solved once by ``lambda1_kernel`` on its own
+tables, from its own start, so its bits hold by construction.  Every shot
+starts from ``_kernels.start_state``, so no state overflows on a cell the
+lockstep takes, and no lane of check_bounds stalls.
 
 The tables are (cells x lanes), the lanes sorted by cell count, most first,
 so cell i is a prefix of the lanes.  A shot takes two passes.  The first
@@ -49,7 +51,7 @@ import math
 
 import numpy as np
 
-from ._kernels import STATUS_OK, STATUS_TOL, lambda1_kernel
+from ._kernels import STATUS_OK, STATUS_TOL, lambda1_kernel, start_state
 
 _PI = math.pi
 
@@ -74,13 +76,13 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
     zero_count, mismatch, slope, ok) as lane arrays, the count as floats.
     ok is False on a lane that leaves the lockstep: its shot meets a cell
     with w == 0, a hyperbolic one with s*h > 350 or a trigonometric one with
-    s*h >= pi, or its scale fails; every other lane has the bits
-    shoot_kernel returns.
+    s*h >= pi, or its state vanishes; every other lane has the bits
+    shoot_kernel returns.  The shot starts from start_state(k0sq), as
+    shoot_kernel's does, and on the cells taken its state cannot overflow.
     """
     n = len(lam)
-    y = np.ones(n)
-    yp = np.full(n, float(k0sq))
-    yy = yp.copy()  # y*y' of the state entering the cell
+    y, yp = (np.full(n, float(v)) for v in start_state(k0sq))
+    yy = y * yp  # y*y' of the state entering the cell
     nz = np.zeros(n)
     sq = np.zeros(n)
     with np.errstate(all="ignore"):
@@ -184,9 +186,12 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
             np.multiply(YY, hw, out=b)
             SQ -= b
 
-        # a scale of 0, inf or NaN leaves y NaN from then on, or, past the
-        # last cell, 0 beside a NaN y'
-        gone |= np.isnan(y) | ((y == 0.0) & np.isnan(yp))
+        # a scale of 0 or NaN leaves y NaN from then on.  None is inf on a
+        # lane that stays: |y|, |y'| <= 1 enter each cell (the start by
+        # start_state), and a cell taken has a finite w, h <= 1 and
+        # cosh(s*h) <= cosh(350) < 1e152, so |y1| <= 2*cosh(350) and |yp1| <=
+        # (1 + s)*cosh(350) < 1e307 with s = sqrt(|w|) < 1.4e154
+        gone |= np.isnan(y)
         sg = 1.0 - 2.0 * (nz - 2.0 * np.floor(0.5 * nz))
         phase = np.fromiter(map(math.atan2, (sg * y).tolist(), (sg * yp).tolist()), float, n)
         mismatch = _PI * nz + phase - math.atan2(1.0, -k1sq)
@@ -202,12 +207,14 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
     - 1], [0.0] * n[r], k0sq, k1sq, tol, start[r])``, by that call for a
     lane that leaves: one whose shot leaves (see ``shoot_lanes``; a start
     that is not finite does), whose first shot lies below the eigenvalue,
-    or whose step inside its bracket would bisect in log scale, or comes at
-    its j-th such step with hi - lo above 2**(1 - j) times its width at
-    step 0.  Within that allowance the ITP projection moves no step: the
-    kernel's reach at step j is 4*2**-j times a width no less than that at
-    step 0, so at least 2*(hi - lo), and mid -+ (reach - (hi - lo)/2) lies
-    more than a bracket width outside [lo, hi], where the step already lies.
+    whose lo is still open after a closing step (where the kernel's search
+    would stall and go to its limit), or whose step inside its bracket
+    would bisect in log scale, or comes at its j-th such step with hi - lo
+    above 2**(1 - j) times its width at step 0.  Within that allowance the
+    ITP projection moves no step: the kernel's reach at step j is 4*2**-j
+    times a width no less than that at step 0, so at least 2*(hi - lo), and
+    mid -+ (reach - (hi - lo)/2) lies more than a bracket width outside
+    [lo, hi], where the step already lies.
     The halvings are exact for a tol no less than the least normal float.
     """
     lanes = len(n)
@@ -239,7 +246,6 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
         pslope = np.full(lanes, math.nan)
         cap = np.zeros(lanes)  # the bracket width a lane may keep at this step
         closing = np.zeros(lanes, dtype=bool)
-        stalled = np.zeros(lanes, dtype=bool)
         live = np.arange(lanes)  # the lanes still shooting, in sorted order
         cols = _cols(cells)
         for _ in range(200):
@@ -263,8 +269,9 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
             half = 0.5 * (tol + 1e-14 * np.abs(x))
             past = 0.5 * half
             past = np.where(2.0 * err > past, np.where(step < 2.0 * err, step, 2.0 * err), past)
-            # a lane leaves when its shot left or no shot has yet been above
-            # the eigenvalue; the others search down while lo is open
+            # a lane leaves when its shot left, no shot has yet been above
+            # the eigenvalue, or lo is still open after a closing step; the
+            # others search down while lo is open
             out = ~ok | np.isinf(hi)
             opened = np.isinf(lo)
             some = opened.any()
@@ -272,12 +279,12 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
 
             if some:
                 # toward lo, never past its limit
-                stalled = np.where(opened, stalled | closing, stalled)
+                out |= opened & closing
                 closing = np.where(opened, step < half, closing)
                 twice = 2.0 * x - 1.0
                 limit = np.where(twice < down, twice, down)
                 ends = t - np.where(closing, half, past)
-                ends = np.where(~(ends < x) | stalled | (ends < limit), limit, ends)
+                ends = np.where(~(ends < x) | (ends < limit), limit, ends)
 
             if every:
                 done = np.zeros(len(x), dtype=bool)
@@ -314,8 +321,9 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
                 live = live[keep]
                 if not live.size:
                     break
-                x, lo, hi, px, pslope, cap, down = (a[keep] for a in (x, lo, hi, px, pslope, cap, down))
-                closing, stalled = closing[keep], stalled[keep]
+                x, lo, hi, px, pslope, cap, down, closing = (
+                    a[keep] for a in (x, lo, hi, px, pslope, cap, down, closing)
+                )
                 cols = _cols(cells[live])
                 h, v = h[: len(cols), keep], v[: len(cols), keep]
         else:

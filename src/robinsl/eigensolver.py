@@ -115,8 +115,10 @@ def _sample_eigenfunction(edges, vals, atomw, k0sq, k1sq, lam, xs):
     Each cell takes its atom jump, evaluates the cell formula on its own
     slice of xs in numpy, then advances and max-norm rescales exactly as
     ``shoot_kernel`` does, so the returned residual y'(1) + k1sq*y(1) is the
-    one ``shoot_kernel`` gives at lam.  The samples are scaled back by the
-    rescalings' logs and normalized to max 1.
+    one ``shoot_kernel`` gives at lam.  The sweep starts from (1, k0sq)
+    itself: it squares nothing, and the first rescale leaves the state of
+    ``shoot_kernel``, whose start_state differs by a power of two.  The
+    samples are scaled back by the rescalings' logs and normalized to max 1.
 
     The samples have the bits of the cell formula evaluated one sample at a
     time with ``math``: the array operations round as the scalar ones, in

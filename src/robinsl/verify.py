@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import derive_seeds, stream, units
-from ._kernels import STATUS_OK
+from ._kernels import STATUS_OK, start_state
 from ._lockstep import lambda1_lanes
 from .eigensolver import DEFAULT_TOL, _checked
 from .errors import ZeroMass
@@ -157,22 +157,23 @@ def _first_order_starts(edges: np.ndarray, vals: np.ndarray, k0sq: float, lam0: 
     k1sq >= 0).  Its eigenfunction y0 = cos(s*x) + k0sq*sin(s*x)/s,
     s = sqrt(lam0) (y0 = 1 + k0sq*x at lam0 = 0), gives lam0 + (sum of
     vals[i] * the integral of y0^2 over cell i) / the integral of y0^2 over
-    [0, 1].  Where b = k0sq/s has an infinite square (k0sq >~ 4.2e154), the
-    integrals are those of (y0/b)^2, which give the same ratio.
+    [0, 1].  y0 starts from the shots' start_state(k0sq), (a, f) =
+    (1, k0sq) scaled by a power of two: the integrals scale exactly by its
+    square, so the ratio keeps its bits and no square overflows.
 
     One numpy pass serves all samples: the sum runs cell by cell, in the
     order of a scalar loop, so each start has the bits of that loop.
     """
     s = math.sqrt(lam0) if lam0 > 0.0 else 0.0
+    a, f = start_state(k0sq)
     if s > 0.0:
-        b = k0sq / s
-        # the integrals of (a*cos(s*x) + f*sin(s*x))^2: y0's, or (y0/b)'s
-        a, f = (1.0, b) if b * b < math.inf else (1.0 / b, 1.0)
+        # the integrals of y0^2, y0 = a*cos(s*x) + f*sin(s*x) with f = y0'(0)/s
+        f = f / s
         sn = np.sin(s * edges)
         cn = np.cos(s * edges)
         big = 0.5 * (a * a + f * f) * edges + (0.5 * (a * a - f * f) * cn + a * f * sn) * sn / s
     else:
-        big = edges * (1.0 + k0sq * edges * (1.0 + k0sq * edges / 3.0))
+        big = edges * (a * a + f * edges * (a + f * edges / 3.0))
     num = np.zeros(len(edges))
     for cell in (vals * (big[:, 1:] - big[:, :-1])).T:
         num += cell

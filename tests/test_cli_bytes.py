@@ -123,6 +123,17 @@ PINNED = {
         ["verify", "--k0sq", "0.25", "--k1sq", "0.5", "--n", "200", "--seed", "20260809"],
         "cc6ef17f89b0c861ec91933d0231bf868335e07f040c404b62794ffe19e67c04",
     ),
+    # the Dirichlet end, where y' = k0sq squared would overflow the first
+    # cell's integral of y^2 unless the start is scaled: both pairs print the
+    # same bytes, Dirichlet's eigenvalues to 12 digits
+    "verify_1e155": (
+        ["verify", "--k0sq", "1e155", "--k1sq", "1e155", "--n", "200", "--seed", "20260809"],
+        "b4a736451cfe30e63d073c6c3e08e96f5be7d99d66d14923b5f44dd757b66fed",
+    ),
+    "verify_1e300": (
+        ["verify", "--k0sq", "1e300", "--k1sq", "1e300", "--n", "200", "--seed", "20260809"],
+        "b4a736451cfe30e63d073c6c3e08e96f5be7d99d66d14923b5f44dd757b66fed",
+    ),
 }
 
 

@@ -6,6 +6,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robinsl import inf_minus, lambda1, lambda1_value, sup_plus, RobinBC, Potential, DeltaAtom, Segment
 import robinsl._kernels as K
@@ -58,6 +60,72 @@ def test_shoot_kernel_extreme_lambda_stays_finite():
     res, zc, _, _, ok = shoot_kernel(edges, vals, atomw, 0.5, 0.5, -1.0e6)
     assert ok
     assert math.isfinite(res)
+
+
+def _bits(*xs):
+    return np.array(xs, dtype=float).tobytes()
+
+
+def test_start_state_is_exact():
+    # (1, k0sq) scaled by a power of two, with |y'| <= 1: scaling back by
+    # that power gives (1, k0sq) to the bit, a signed zero included, from
+    # the subnormals to the largest float
+    edge = [0.0, 1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 5e-324, 1e-300, 1.7976931348623157e308]
+    mags = 10.0 ** np.random.default_rng(37).uniform(-300.0, math.log10(1.7e308), 500)
+    for k0sq in [*edge, *mags.tolist()]:
+        for k in (k0sq, -k0sq):
+            y, yp = K.start_state(k)
+            m, e = math.frexp(y)
+            assert m == 0.5 and y <= 1.0 and abs(yp) <= 1.0, k
+            assert _bits(math.ldexp(y, 1 - e), math.ldexp(yp, 1 - e)) == _bits(1.0, k), k
+
+
+@st.composite
+def _tables(draw):
+    """Scalar cell tables of 1 to 6 cells, with interior atoms."""
+    cuts = draw(st.lists(st.floats(1e-3, 1.0 - 1e-3), max_size=5, unique=True))
+    edges = [0.0, *sorted(cuts), 1.0]
+    vals = draw(st.lists(st.floats(-1e4, 1e4), min_size=len(edges) - 1, max_size=len(edges) - 1))
+    atoms = draw(st.lists(st.floats(-50.0, 50.0), min_size=len(edges) - 2, max_size=len(edges) - 2))
+    return edges, vals, [0.0, *atoms, 0.0]
+
+
+_K0SQ = st.one_of(st.floats(-1e150, 1e150), st.sampled_from([1e150, -1e150, 2.0**498, 1e10, -3.0, 1.5]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables=_tables(), k0sq=_K0SQ, k1sq=st.floats(-1e150, 1e150), lam=st.floats(-1e4, 1e4), start=st.floats(-10.0, 1e3))
+def test_scaled_start_keeps_the_bits(tables, k0sq, k1sq, lam, start):
+    # where the unscaled start (1, k0sq) keeps the first cell finite, as up
+    # to |k0sq| = 1e150 on these tables, a shot and a solve from start_state
+    # return its tuples to the bit
+    shot = shoot_kernel(*tables, k0sq, k1sq, lam)
+    solve = lambda1_kernel(*tables, k0sq, k1sq, 1e-10, start)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K, "start_state", lambda k: (1.0, k))
+        assert repr(shoot_kernel(*tables, k0sq, k1sq, lam)) == repr(shot)
+        assert repr(lambda1_kernel(*tables, k0sq, k1sq, 1e-10, start)) == repr(solve)
+
+
+def test_dirichlet_end_solves_by_newton(monkeypatch):
+    # past k0sq ~ 1.34e154 the unscaled start squared y' = k0sq to inf in the
+    # first cell's integral of y^2, so every slope was inf and the solve
+    # bisected: 56 shots at 1.4e154 and 66 at 1e300.  From start_state it
+    # takes the shots and bits it takes at 1.3e154
+    q = Potential(segments=(Segment(0.2, 0.6, 2.5),))
+    real, shots = K.shoot_kernel, []
+
+    def counted(*args):
+        shots.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(K, "shoot_kernel", counted)
+    want = lambda1_kernel(*compile_arrays(q, RobinBC(1.3e154, 1.3e154)), 1e-10, 10.5)
+    assert want[2] == K.STATUS_OK and len(shots) <= 6, (want, shots)
+    for k in (1.4e154, 1e300):
+        shots.clear()
+        got = lambda1_kernel(*compile_arrays(q, RobinBC(k, k)), 1e-10, 10.5)
+        assert len(shots) <= 6 and _bits(*got) == _bits(*want), (k, got, shots)
 
 
 def test_zero_count_endpoint_zero_not_counted():

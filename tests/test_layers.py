@@ -250,6 +250,27 @@ def test_lockstep_has_only_the_downward_search_and_bracket_steps():
     assert not named & banned, named & banned
 
 
+def _function_names(module, name):
+    """The names and attributes that function name of robinsl's module names."""
+    tree = ast.parse((Path(robinsl.__file__).parent / module).read_text())
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name]
+    named = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+    return named | {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+
+
+def test_one_start_state():
+    # _kernels.start_state builds every shot's start state: no other module
+    # scales by frexp or ldexp, both kernels' shots and the first-order
+    # starts call it, and _first_order_starts keeps no overflow branch of
+    # its own.  The lockstep keeps no stall state: a lane that would stall
+    # leaves, and with no start left to overflow, no check_bounds lane does
+    assert not _named_outside("_kernels.py", {"frexp", "ldexp"})
+    for module, name in (("_kernels.py", "shoot_kernel"), ("_lockstep.py", "shoot_lanes"), ("verify.py", "_first_order_starts")):
+        assert "start_state" in _function_names(module, name), name
+    assert "inf" not in _function_names("verify.py", "_first_order_starts")
+    assert "stalled" not in _function_names("_lockstep.py", "lambda1_lanes")
+
+
 def test_workload_names_resolve():
     # loading runs the workloads' robinsl imports; every attribute they read
     # from a robinsl module must then exist

@@ -10,15 +10,15 @@ and every shot's outputs must match bit for bit, on the samples check_bounds
 draws and on padded tables drawn to reach the rare branches: a
 trigonometric cell with s*h >= pi, w == 0, a hyperbolic cell past s*h = 350,
 a NaN start, a start below the eigenvalue, a log-scale bisection, a bracket
-that falls behind bisection, lanes that converge many shots apart, a
-re-shot of a lost state, lanes that end STATUS_NONFINITE or STATUS_TOL, and
-root-finding steps in which every lane, no lane or some lanes still search
-for an end.  The lockstep itself takes only the one-zero cell steps, the
-search down from a start above the eigenvalue and the steps inside a
-bracket that the ITP projection would not move: a lane that needs any
-other step, or whose state vanishes or overflows, leaves it and is solved
-once by ``lambda1_kernel``, so a shot of such a lane is only checked to
-report that it left, and check_bounds' samples never leave.
+that falls behind bisection, a search that stalls, lanes that converge
+many shots apart, a re-shot of a lost state, lanes that end
+STATUS_NONFINITE or STATUS_TOL, and root-finding steps in which every lane,
+no lane or some lanes still search for an end.  The lockstep itself takes
+only the one-zero cell steps, the search down from a start above the
+eigenvalue and the steps inside a bracket that the ITP projection would not
+move: a lane that needs any other step, or whose state vanishes, leaves it
+and is solved once by ``lambda1_kernel``, so a shot of such a lane is only
+checked to report that it left, and check_bounds' samples never leave.
 """
 
 import dataclasses
@@ -309,12 +309,15 @@ def test_crafted_shots():
     edges, vals, n = _padded([([0.0, 1.0], [0.0])] * 4)
     stays = _assert_shots_are_scalar(edges, vals, n, 0.25, 0.5, [9.8, 10.0, -122500.0, -122501.0])
     assert stays == [True, False, True, False]
-    # scales that fail on cells the lockstep takes: y' = 1e308 entering a
-    # hyperbolic cell of s*h = 1.2 overflows y' alone, leaving y = 0 beside
-    # a NaN y' past the last cell; y' = -1024 = -s entering one of s*h = 256,
-    # where cosh and sinh are equal floats, cancels both
+    # no state overflows on a cell the lockstep takes: start_state puts
+    # |y|, |y'| <= 1 into the first cell and the rescale into every later
+    # one, and such a cell has cosh(s*h) <= cosh(350) and s = sqrt(|w|) of a
+    # finite w.  So k0sq = 1e308 entering a hyperbolic cell of s*h = 1.2,
+    # whose unscaled y' once overflowed, stays with the scalar bits.  A state
+    # can still vanish: y' = -1024 = -s entering a cell of s*h = 256, where
+    # cosh and sinh are equal floats, cancels both y and y'
     edges, vals, n = _padded([([0.0, 1.0], [1.44]), ([0.0, 0.25, 1.0], [2.0**20, -1.0])])
-    assert _assert_shots_are_scalar(edges[:1], vals[:1], n[:1], 1e308, 0.0, [0.0]) == [False]
+    assert _assert_shots_are_scalar(edges[:1], vals[:1], n[:1], 1e308, 0.0, [0.0]) == [True]
     assert _assert_shots_are_scalar(edges[1:], vals[1:], n[1:], -1024.0, 0.0, [0.0]) == [False]
 
 
@@ -398,7 +401,9 @@ def _leaving(edges, vals, n, k0, k1, tol, start):
     The reason is the first step of the solve that the lockstep does not
     take: "start" (a start that is not finite), "shot" (a shot that fails or
     meets a cell the lockstep does not take), "below" (a first shot below
-    the eigenvalue), "behind" (at the j-th step inside the bracket, hi - lo
+    the eigenvalue), "stall" (lo still open after a closing step, where the
+    kernel's search goes to its limit: its stalled flag, read as it takes
+    the next shot), "behind" (at the j-th step inside the bracket, hi - lo
     above 2**(1 - j) times its width at step 0) or "log" (a bisection in log
     scale, the one place where lambda1_kernel calls sqrt itself).
     """
@@ -406,6 +411,8 @@ def _leaving(edges, vals, n, k0, k1, tol, start):
 
     def spy(*args):
         nonlocal lo, hi, cap
+        if sys._getframe(1).f_locals["stalled"]:
+            why.setdefault(r, "stall")
         out = real(*args)
         x, (res, zc, _, _, ok) = args[-1], out
         if not ok or _leaves(*args[:2], x):
@@ -507,6 +514,37 @@ def test_a_bracket_behind_bisection_leaves(monkeypatch):
     calls = _solved_alone(monkeypatch)
     assert _assert_lanes_are_scalar(edges, vals, n, 0.25, 0.5, DEFAULT_TOL, [_S]) == [STATUS_OK]
     _assert_solved_alone(calls, edges, vals, n, 0.25, 0.5, [_S], [0])
+
+
+# at and above _FLAT both kernels give a zero mismatch
+_FLAT = 9.0
+
+
+def test_a_stalled_search_leaves(monkeypatch):
+    # a lane started at 10, above its eigenvalue near 3.7 and in the flat
+    # mismatch: Newton's step is empty, so the search closes by half a
+    # stopping width, and the next shot, still above the eigenvalue, stalls
+    # the kernel's search, which goes to its limit.  The lane leaves at that
+    # shot, beside a lane that stays, and is solved alone once
+    real_shot, real_lanes = K.shoot_kernel, L.shoot_lanes
+
+    def shot(*args):
+        res, zc, f, slope, ok = real_shot(*args)
+        return res, zc, 0.0 if args[-1] >= _FLAT else f, slope, ok
+
+    def lanes(*args):
+        res, zc, f, slope, ok = real_lanes(*args)
+        return res, zc, np.where(args[-1] >= _FLAT, 0.0, f), slope, ok
+
+    monkeypatch.setattr(K, "shoot_kernel", shot)
+    monkeypatch.setattr(L, "shoot_lanes", lanes)
+    lane = [([0.0, 1.0], [3.0])]
+    edges, vals, n = _padded(lane * 2)
+    starts = [10.0, *_near(lane, 0.25, 0.5, 1e-6)]
+    assert _leaving(edges, vals, n, 0.25, 0.5, DEFAULT_TOL, starts) == {0: "stall"}
+    calls = _solved_alone(monkeypatch)
+    assert _assert_lanes_are_scalar(edges, vals, n, 0.25, 0.5, DEFAULT_TOL, starts) == [STATUS_OK] * 2
+    _assert_solved_alone(calls, edges, vals, n, 0.25, 0.5, starts, [0])
 
 
 def _lost(x):

@@ -83,7 +83,12 @@ def start_state(k0sq):
     the same power: after the first max-norm rescale the state has the bits
     of the start (1, k0sq) wherever that shot is finite, and the first
     cell's integral of y^2, whose y'^2 term overflows past k0sq ~ 1.34e154
-    unscaled, stays finite at any finite k0sq.
+    unscaled, stays finite at any finite k0sq.  From k0sq = 2**511 on, the
+    scaled y*y = 2**(-2e) is subnormal, so a product with it can lose low
+    bits; but in that integral such a product is below 2**-1022 where it is
+    inexact, and it is added to a term more than 2**400 times larger
+    (y'^2 >= 1/4, or h*y*y' on a cell wider than MERGE_TOL), so the lost
+    bits round away.
     """
     if -1.0 <= k0sq <= 1.0:
         return 1.0, k0sq
@@ -115,7 +120,8 @@ def shoot_kernel(edges, vals, atomw, k0sq, k1sq, lam):
 
     Returns (residual, zero_count, mismatch, slope, ok).
     """
-    y, yp = start_state(k0sq)
+    # start_state's |k0sq| <= 1 case inline: the call costs a tenth of a short shot
+    y, yp = (1.0, k0sq) if -1.0 <= k0sq <= 1.0 else start_state(k0sq)
     nz = 0
     sq = 0.0  # integral of y^2 so far, in the units of the current state
     ncells = len(vals)

@@ -34,6 +34,7 @@ from ._kernels import (
     lambda1_kernel,
     propagate_step,
     shoot_kernel,
+    start_state,
 )
 from .errors import NoConvergence, NonFiniteState, ToleranceNotReached
 from .potential import Potential, RobinBC, compile_arrays
@@ -115,10 +116,10 @@ def _sample_eigenfunction(edges, vals, atomw, k0sq, k1sq, lam, xs):
     Each cell takes its atom jump, evaluates the cell formula on its own
     slice of xs in numpy, then advances and max-norm rescales exactly as
     ``shoot_kernel`` does, so the returned residual y'(1) + k1sq*y(1) is the
-    one ``shoot_kernel`` gives at lam.  The sweep starts from (1, k0sq)
-    itself: it squares nothing, and the first rescale leaves the state of
-    ``shoot_kernel``, whose start_state differs by a power of two.  The
-    samples are scaled back by the rescalings' logs and normalized to max 1.
+    one ``shoot_kernel`` gives at lam.  The sweep starts from
+    ``start_state(k0sq)``, as ``shoot_kernel`` does, so no state past the
+    first cell differs from its state.  The samples are scaled back by the
+    rescalings' logs, relative to that start, and normalized to max 1.
 
     The samples have the bits of the cell formula evaluated one sample at a
     time with ``math``: the array operations round as the scalar ones, in
@@ -133,7 +134,7 @@ def _sample_eigenfunction(edges, vals, atomw, k0sq, k1sq, lam, xs):
     bounds = [0, *np.searchsorted(xs, edges[1:-1]).tolist(), n]
     raw, scratch = np.empty(n), np.empty(n)
     lns = []
-    y, yp, ln = 1.0, k0sq, 0.0
+    (y, yp), ln = start_state(k0sq), 0.0
     for i in range(len(vals)):
         if i > 0 and atomw[i] != 0.0:
             yp += atomw[i] * y

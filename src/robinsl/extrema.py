@@ -139,7 +139,7 @@ def sup_minus(bc: RobinBC, tol: float = ROOT_TOL) -> ExtremumReport:
         q_star = Potential(segments=segs, atoms=(DeltaAtom(0.0, -k0), DeltaAtom(1.0, -k1)))
         branch = "M1minus/k0sq+k1sq<=1"
     elif k1 - k0 <= 1.0:
-        c = 0.5 * (k0 + k1 - 1.0)
+        c = 0.5 * k0 + 0.5 * k1 - 0.5  # (k0 + k1 - 1)/2 by exact halves, finite for finite k0, k1
         value = _eig0(c, c, tol)
         q_star = Potential(atoms=(DeltaAtom(0.0, -0.5 * (1.0 + k0 - k1)), DeltaAtom(1.0, -0.5 * (1.0 - k0 + k1))))
         branch = "M1minus/k0sq+k1sq>=1,k1sq-k0sq<=1"
@@ -191,16 +191,20 @@ def _riccati_length(k, lam):
     The length over which u = y'/y, which obeys u' = -lam - u^2 on a zero
     potential, falls from k to 1/2.  The difference of two arctangents
     (arctanh for lam < 0) is taken in one call, so that it keeps its relative
-    precision near k = 1/2 and lam = 0.
+    precision near k = 1/2 and lam = 0.  Its argument is t*(2k - 1)/(k + 2 lam),
+    with numerator and denominator both divided by 16: a power of two, so the
+    ratio keeps its bits, and t*c stays finite up to the float maximum k for
+    the lam <= 16 the crossing bisects over.
     """
-    c = 2.0 * k - 1.0
+    c = 0.125 * k - 0.0625
+    d = 0.0625 * k + 0.125 * lam
     if lam > 0.0:
         t = math.sqrt(lam)
-        return math.atan(t * c / (k + 2.0 * lam)) / t
+        return math.atan(t * c / d) / t
     if lam < 0.0:
         s = math.sqrt(-lam)
-        return math.atanh(s * c / (k + 2.0 * lam)) / s
-    return c / k
+        return math.atanh(s * c / d) / s
+    return c / d
 
 
 def _crossing_estimate(k0sq, k1sq):

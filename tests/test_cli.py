@@ -271,10 +271,12 @@ def test_verify_small(capsys):
     assert set(rep["extremum_gaps"]) == {"M1plus", "M1minus", "m1plus", "m1minus"}
 
 
-@pytest.mark.parametrize("k0, k1", [("1e155", "1e155"), ("1e300", "1e300"), ("1e160", "1e300")])
+@pytest.mark.parametrize("k0, k1", [("1e155", "1e155"), ("1e300", "1e300"), ("1e160", "1e300"), ("1e308", "1e308")])
 def test_verify_at_coefficients_whose_start_overflows(capsys, k0, k1):
-    # (k0sq/sqrt(lam0))^2 overflows in the first-order start: the run still
-    # passes, with no warning and nothing on stderr
+    # (k0sq/sqrt(lam0))^2 overflows in the unscaled first-order start, and at
+    # 1e308 k0sq + k1sq overflows in the extrema's closed forms, which once
+    # gave false m1minus violations: the run still passes, with no warning
+    # and nothing on stderr
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run_cli(capsys, ["verify", "--k0sq", k0, "--k1sq", k1, "--n", "20"])
@@ -392,8 +394,17 @@ def test_extrema_interior_edges(capsys, k0sq, k1sq):
 
 # Large coefficients (ROADMAP Known defects, item 15): each cross-check started
 # from the Rayleigh quotient, ~k1sq, and from k1sq ~ 1e80 its open-end search
-# could not come down in 200 steps; started at the value, it closes at once
-@pytest.mark.parametrize("k0sq, k1sq", [("0", "1e80"), ("0", "1e100"), ("0", "1e300"), ("1e100", "1e100"), ("1e300", "1e300")])
+# could not come down in 200 steps; started at the value, it closes at once.
+# At 1e308 and the float maximum, k0sq + k1sq overflows: sup_minus's
+# (k0sq + k1sq - 1)/2 and the interior crossing's 2*k0sq - 1 were inf, and
+# M1minus read pi^2/4 and m1minus pi^2, each against a cross-check it missed
+_MAX = "1.7976931348623157e308"
+
+
+@pytest.mark.parametrize(
+    "k0sq, k1sq",
+    [("0", "1e80"), ("0", "1e100"), ("0", "1e300"), ("1e100", "1e100"), ("1e300", "1e300"), ("1e308", "1e308"), (_MAX, _MAX)],
+)
 def test_extrema_large_coefficients(capsys, k0sq, k1sq):
     code, out, err = run_cli(capsys, ["extrema", "--k0sq", k0sq, "--k1sq", k1sq])
     assert (code, err) == (0, "")

@@ -90,21 +90,45 @@ def _tables(draw):
     return edges, vals, [0.0, *atoms, 0.0]
 
 
-_K0SQ = st.one_of(st.floats(-1e150, 1e150), st.sampled_from([1e150, -1e150, 2.0**498, 1e10, -3.0, 1.5]))
+# the largest k0sq whose square is finite, 2**512 less an ulp: past it the
+# unscaled first cell overflows.  From 2**511 on, the scaled y*y = 2**(-2e)
+# is subnormal, so the band between is drawn too
+_BAND = math.nextafter(2.0**512, 0.0)
+_K0SQ = st.one_of(
+    st.floats(-1e150, 1e150),
+    st.floats(2.0**511, _BAND),
+    st.floats(-_BAND, -(2.0**511)),
+    st.sampled_from([1e150, -1e150, 2.0**498, 2.0**511, _BAND, 1e10, -3.0, 1.5]),
+)
+
+
+def _finite(out):
+    return out[-1] is True and all(map(math.isfinite, out[:-1]))
 
 
 @settings(max_examples=150, deadline=None)
 @given(tables=_tables(), k0sq=_K0SQ, k1sq=st.floats(-1e150, 1e150), lam=st.floats(-1e4, 1e4), start=st.floats(-10.0, 1e3))
 def test_scaled_start_keeps_the_bits(tables, k0sq, k1sq, lam, start):
-    # where the unscaled start (1, k0sq) keeps the first cell finite, as up
-    # to |k0sq| = 1e150 on these tables, a shot and a solve from start_state
-    # return its tuples to the bit
+    # wherever every shot from the unscaled start (1, k0sq) is ok and
+    # finite, a shot and a solve from start_state return its tuples to the
+    # bit; past |k0sq| ~ 1e150 some of its shots overflow on these tables
     shot = shoot_kernel(*tables, k0sq, k1sq, lam)
     solve = lambda1_kernel(*tables, k0sq, k1sq, 1e-10, start)
+    real, finite = K.shoot_kernel, []
+
+    def unscaled(*args):
+        out = real(*args)
+        finite.append(_finite(out))
+        return out
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(K, "start_state", lambda k: (1.0, k))
-        assert repr(shoot_kernel(*tables, k0sq, k1sq, lam)) == repr(shot)
-        assert repr(lambda1_kernel(*tables, k0sq, k1sq, 1e-10, start)) == repr(solve)
+        mp.setattr(K, "shoot_kernel", unscaled)
+        if repr(K.shoot_kernel(*tables, k0sq, k1sq, lam)) != repr(shot):
+            assert not finite[0]
+        finite.clear()
+        if repr(lambda1_kernel(*tables, k0sq, k1sq, 1e-10, start)) != repr(solve):
+            assert not all(finite)
 
 
 def test_dirichlet_end_solves_by_newton(monkeypatch):

@@ -260,12 +260,18 @@ def _function_names(module, name):
 
 def test_one_start_state():
     # _kernels.start_state builds every shot's start state: no other module
-    # scales by frexp or ldexp, both kernels' shots and the first-order
-    # starts call it, and _first_order_starts keeps no overflow branch of
-    # its own.  The lockstep keeps no stall state: a lane that would stall
-    # leaves, and with no start left to overflow, no check_bounds lane does
+    # scales by frexp or ldexp, both kernels' shots, the eigenfunction
+    # sampler and the first-order starts call it, and _first_order_starts
+    # keeps no overflow branch of its own.  The lockstep keeps no stall
+    # state: a lane that would stall leaves, and with no start left to
+    # overflow, no check_bounds lane does
     assert not _named_outside("_kernels.py", {"frexp", "ldexp"})
-    for module, name in (("_kernels.py", "shoot_kernel"), ("_lockstep.py", "shoot_lanes"), ("verify.py", "_first_order_starts")):
+    for module, name in (
+        ("_kernels.py", "shoot_kernel"),
+        ("_lockstep.py", "shoot_lanes"),
+        ("verify.py", "_first_order_starts"),
+        ("eigensolver.py", "_sample_eigenfunction"),
+    ):
         assert "start_state" in _function_names(module, name), name
     assert "inf" not in _function_names("verify.py", "_first_order_starts")
     assert "stalled" not in _function_names("_lockstep.py", "lambda1_lanes")

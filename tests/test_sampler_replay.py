@@ -2,7 +2,8 @@
 
 ``_scalar_sample`` is the sampler as it was before it evaluated each cell's
 slice in numpy: one ``math`` call per sample and a ``bisect_left`` per cell.
-It is kept here, verbatim but for its name, as the reference the array
+It is kept here, verbatim but for its name and its start state (taken from
+``start_state``, as the array version takes it), as the reference the array
 version must replay: the same ``ys.tolist()``, the same residual, and on
 failure the same error type and message.
 """
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from robinsl import DeltaAtom, Potential, RobinBC, Segment
-from robinsl._kernels import propagate_step
+from robinsl._kernels import propagate_step, start_state
 from robinsl.eigensolver import (
     _NONFINITE,
     _sample_eigenfunction,
@@ -28,7 +29,7 @@ from robinsl.errors import NonFiniteState, RobinSLError
 def _scalar_sample(edges, vals, atomw, k0sq, k1sq, lam, xs):
     xl = xs.tolist()
     raw, lns = [], []
-    y, yp, ln = 1.0, k0sq, 0.0
+    (y, yp), ln = start_state(k0sq), 0.0
     j, last = 0, len(vals) - 1
     for i in range(last + 1):
         if i > 0 and atomw[i] != 0.0:

@@ -8,11 +8,12 @@ The cell tables ``edges``, ``vals`` and ``atomw`` come from
 endpoint masses to k0sq and k1sq) as lists of Python floats.  The kernels
 read them several times per cell per shot, and a float read from a list
 keeps every later operation on plain floats instead of numpy scalars.
-``check_bounds`` does not call these kernels: it solves its samples together
-with their lockstep twins in ``_lockstep``, which give each sample the bits
-these give it.  ``start_state`` is the one place that builds a shot's start
-state: the lockstep's shots and check_bounds' first-order starts take theirs
-from it too.
+``check_bounds`` solves its samples together with their lockstep twins in
+``_lockstep``, which give each sample the bits these give it; they hand
+``lambda1_kernel`` only the last few lanes of a batch and the lanes that
+leave the lockstep.  ``start_state`` is the one place that builds a shot's
+start state: the lockstep's shots and check_bounds' first-order starts take
+theirs from it too.
 """
 
 import math
@@ -180,15 +181,17 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
 
     The first shot is at start when it is finite (check_bounds passes a
     first-order estimate about the zero potential, an extremum's cross-check
-    the reported value), else at the Rayleigh
-    quotient of y = 1: k0sq + k1sq + the integral of q with atoms by weight,
-    an upper bound on the first eigenvalue.  While one end is unknown, one
-    search steps toward it (up when rounding has put an exact start just
-    below the eigenvalue), never past a limit: that bound plus a little
-    slack above, or 2*(1 + |lam|) past a shot that rounding put beyond it;
-    the next point of the geometric search for lo below, -|integral of q|
-    or 2*lo - 1 below it.  A step the wrong way, and every step after a
-    closing shot that stayed on the certified side, goes to the limit.
+    the reported value), else at the Rayleigh quotient of y = 1: k0sq +
+    k1sq + the integral of q with atoms by weight, an upper bound on the
+    first eigenvalue.  A first shot that is not finite, as where that bound
+    overflows, is not taken: the solve ends STATUS_NONFINITE.  While one
+    end is unknown, one search steps toward it (up when rounding has put an
+    exact start just below the eigenvalue), never past a limit: that bound
+    plus a little slack above, or 2*(1 + |lam|) past a shot that rounding
+    put beyond it; the next point of the geometric search for lo below,
+    -|integral of q| or 2*lo - 1 below it.  A step the wrong way, and every
+    step after a closing shot that stayed on the certified side, goes to
+    the limit.
 
     Once both ends are known, a step outside the bracket, or one that does
     not halve the last move, bisects (Numerical Recipes' rtsafe): at
@@ -225,6 +228,9 @@ def lambda1_kernel(edges, vals, atomw, k0sq, k1sq, tol, start=math.nan):
     up = bound + 1e-3 * (1.0 + abs(bound))
     down = -abs(total)
     x = start if math.isfinite(start) else bound
+    if not math.isfinite(x):
+        # a Rayleigh bound past the float range: no shot can be taken there
+        return 0.0, 0.0, STATUS_NONFINITE
     lo = -math.inf
     hi = math.inf
     px = math.nan  # the previous shot and its slope

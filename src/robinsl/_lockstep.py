@@ -28,6 +28,14 @@ tables, from its own start, so its bits hold by construction.  Every shot
 starts from ``_kernels.start_state``, so no state overflows on a cell the
 lockstep takes, and no lane of check_bounds stalls.
 
+A caller that needs only some lanes to full width passes a predicate over
+every lane's bracket (check_bounds: the samples that could still give a
+printed number).  A lane it calls unneeded retires between shots with its
+bracket midpoint, unsettled.  Once few lanes are left shooting, the
+lockstep stops, since a shot costs about the same on any number of lanes,
+and each of them is solved alone by ``lambda1_kernel``, as a leaving lane
+is, so it too keeps its bits.
+
 The tables are (cells x lanes), the lanes sorted by cell count, most first,
 so cell i is a prefix of the lanes.  A shot takes two passes.  The first
 does, for every real cell of the table at once, the half of a cell step
@@ -54,6 +62,15 @@ import numpy as np
 from ._kernels import STATUS_OK, STATUS_TOL, lambda1_kernel, start_state
 
 _PI = math.pi
+#: the status of a lane that lambda1_lanes' need retired: its bracket midpoint, not settled
+STATUS_RETIRED = -1
+#: lanes still shooting at or below which lambda1_lanes, given need, solves
+#: each alone: a lockstep solve of 16 check_bounds lanes takes ~3 ms, their
+#: scalar solves from the start ~0.05-0.07 ms each.  Six check_bounds calls
+#: (BC_GRID6, 250 samples per class) took ~27 and ~38 ms at --pieces-max 8
+#: and 16 at any limit from 8 to 64, ~29 and ~42 ms with none (least of
+#: three processes, each the least of nine passes in process time)
+_FINISH = 16
 
 
 def _cols(cells):
@@ -198,7 +215,7 @@ def shoot_lanes(h, vals, cols, k0sq, k1sq, lam):
         return yp + k1sq * y, nz, mismatch, sq / (y * y + yp * yp), ~gone
 
 
-def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
+def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start, need=None):
     """lambda1_kernel on atom-free samples: (lam, bracket_width, status) as lane arrays.
 
     Row r of edges and vals holds the cell tables of lane r, padded past its
@@ -216,6 +233,15 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
     mid -+ (reach - (hi - lo)/2) lies more than a bracket width outside
     [lo, hi], where the step already lies.
     The halvings are exact for a tol no less than the least normal float.
+
+    need, when given, maps every lane's bracket, as arrays lo and hi in lane
+    order, to a mask of the lanes still needed; it is called after each
+    shot.  A lane still shooting that need calls unneeded retires: it
+    reports its bracket midpoint and width with STATUS_RETIRED, and it is
+    never settled.  A retired or settled lane keeps its last bracket in
+    later calls, and a lane that left counts as (-inf, inf).  Once at most
+    _FINISH lanes are still shooting, the lockstep stops and each is solved
+    alone by lambda1_kernel, as a lane that leaves is, so it keeps its bits.
     """
     lanes = len(n)
     if not lanes:
@@ -234,6 +260,13 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
     total = np.zeros(lanes)
     for i in range(len(v)):
         total += v[i] * h[i]
+
+    def alone(i):
+        # lane i solved by lambda1_kernel on its own tables, from its own start
+        r, m = order[i], cells[i] + 1
+        row = edges[r, :m].tolist(), vals[r, : m - 1].tolist(), [0.0] * m
+        return lambda1_kernel(*row, k0sq, k1sq, tol, start[i].item())
+
     lam = np.zeros(lanes)
     width = np.full(lanes, math.inf)
     status = np.full(lanes, STATUS_TOL)
@@ -248,7 +281,15 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
         closing = np.zeros(lanes, dtype=bool)
         live = np.arange(lanes)  # the lanes still shooting, in sorted order
         cols = _cols(cells)
+        if need is not None:
+            # every lane's last bracket, in lane order
+            known_lo = np.full(lanes, -math.inf)
+            known_hi = np.full(lanes, math.inf)
         for _ in range(200):
+            if need is not None and live.size <= _FINISH:
+                for i in live.tolist():
+                    lam[i], width[i], status[i] = alone(i)
+                break
             res, zc, f, slope, ok = shoot_lanes(h, v, cols, k0sq, k1sq, x)
             below = (zc == 0.0) & (res > 0.0)
             lo = np.where(below, x, lo)
@@ -311,11 +352,18 @@ def lambda1_lanes(edges, vals, n, k0sq, k1sq, tol, start):
             if fin.size:
                 _settle(lam, width, status, live[fin], lo[fin], hi[fin], tol)
             for i in live[out].tolist():
-                # a lane that left, solved alone on its own tables
-                r, m = order[i], cells[i] + 1
-                row = edges[r, :m].tolist(), vals[r, : m - 1].tolist(), [0.0] * m
-                lam[i], width[i], status[i] = lambda1_kernel(*row, k0sq, k1sq, tol, start[i].item())
+                lam[i], width[i], status[i] = alone(i)
             done |= out
+            if need is not None:
+                at = order[live]
+                known_lo[at] = np.where(out, -math.inf, lo)
+                known_hi[at] = np.where(out, math.inf, hi)
+                idle = ~done & ~need(known_lo, known_hi)[at]
+                if idle.any():
+                    k = live[idle]
+                    lam[k], width[k] = 0.5 * (lo[idle] + hi[idle]), hi[idle] - lo[idle]
+                    status[k] = STATUS_RETIRED
+                    done |= idle
             if done.any():
                 keep = ~done
                 live = live[keep]

@@ -16,7 +16,8 @@ solve takes 4.2-4.6 shots from first-order perturbation about the zero
 potential, and 4.4-7.3 from the Rayleigh quotient, where the Illinois step
 it replaced took 8-11.6.  check_bounds solves its samples in lockstep
 (``_lockstep.lambda1_lanes``), with the bits of one ``lambda1_kernel`` call
-each; a lane that is not OK raises what :func:`_checked` raises for it here.
+each where it solves them to full width; a lane that is neither OK nor
+retired raises what :func:`_checked` raises for it here.
 An independent finite-difference discretization provides a cross-check
 oracle.
 """

@@ -13,7 +13,7 @@ import numpy as np
 
 from ._rng import derive_seeds, stream, units
 from ._kernels import STATUS_OK, start_state
-from ._lockstep import lambda1_lanes
+from ._lockstep import STATUS_RETIRED, lambda1_lanes
 from .eigensolver import DEFAULT_TOL, _checked
 from .errors import ZeroMass
 from .extrema import KINDS, _eig0, all_extrema
@@ -260,6 +260,50 @@ def sample_unit_mass(pieces: int, seed: int, sign: int) -> Potential:
     return _potential(_draw(seed, 0, pieces, sign))
 
 
+#: each sign class's tag and the kinds of its lower and upper extremum
+_CLASSES = ((0, "m1plus", "M1plus"), (1, "m1minus", "M1minus"))
+
+
+def _needed(tags: np.ndarray, ext: dict):
+    """The need of :func:`lambda1_lanes` for one check_bounds batch, its classes contiguous in tags.
+
+    A lane is needed while, within its class, its bracket [lo, hi] could
+    still give a printed number: it is not inside the class's bounds
+    widened by BOUND_TOL, or lo <= the least hi (it could be the least), or
+    hi >= the greatest lo (the greatest), or for either extremum its least
+    possible distance to it is no more than the least greatest possible
+    distance.  Taking these over every lane, itself included, is the same
+    test as over the others, since lo <= hi.  The bounds are check_bounds'
+    own floats, and rounding is monotone, so the distance of a value inside
+    a bracket rounds to no less than the bracket's least and no more than
+    its greatest: an unneeded lane is beaten on every printed number by
+    another lane's final value, and violates no bound.
+    """
+    runs = []
+    for tag, lo_kind, hi_kind in _CLASSES:
+        ours = (tags == tag).nonzero()[0]
+        if ours.size:
+            lo, hi = ext[lo_kind].value, ext[hi_kind].value
+            runs.append((slice(ours[0], ours[-1] + 1), lo - BOUND_TOL, hi + BOUND_TOL, (lo, hi)))
+
+    def need(lo, hi):
+        keep = np.empty(len(lo), dtype=bool)
+        for at, floor, ceiling, values in runs:
+            a, b = lo[at], hi[at]
+            k = ~((a >= floor) & (b <= ceiling))
+            k |= a <= b.min()
+            k |= b >= a.max()
+            for e in values:
+                da, db = a - e, b - e
+                far = np.maximum(np.abs(da), np.abs(db))
+                near = np.where(da > 0.0, da, np.where(db < 0.0, -db, 0.0))
+                k |= near <= far.min()
+            keep[at] = k
+        return keep
+
+    return need
+
+
 def check_bounds(bc: RobinBC, n: int, pieces_max: int, seed: int) -> SampleReport:
     """Solve n random potentials per sign class and compare against the extrema.
 
@@ -270,10 +314,16 @@ def check_bounds(bc: RobinBC, n: int, pieces_max: int, seed: int) -> SampleRepor
     sample order, into batches of up to _BATCH table entries; each batch is
     drawn, tabled and started from first-order perturbation about the zero
     potential in one pass, as lane arrays (see ``_lanes``), and solved
-    together by :func:`lambda1_lanes`; each eigenvalue has the bits of a
-    scalar ``lambda1_kernel`` solve of its sample.  A sample the solver cannot
-    settle raises what that solve raises (ToleranceNotReached or
-    NonFiniteState), the first such sample in sample order.  Only a
+    together by :func:`lambda1_lanes`.  A sample is solved to full width, with
+    the bits of a scalar ``lambda1_kernel`` solve of it, while it could still
+    give a printed number (see ``_needed``).  Every other sample retires
+    with a bracket inside its class's bounds, beaten on min_seen, max_seen
+    and each extremum gap by another sample of its batch and class, so every
+    printed number and every violation comes from a full solve, and the
+    report is the one solving every sample gives.  A retired sample is
+    never settled: a sample the solver could not settle raises only if it
+    is not retired, what a scalar solve of it raises (ToleranceNotReached
+    or NonFiniteState), the first such sample in sample order.  Only a
     violating sample becomes a Potential, drawn again by :func:`regenerate`
     for the report.  Violations are recorded, not raised.  n = 0 gives an
     empty report; a negative n, or a pieces_max outside 1..64 (the piece
@@ -290,13 +340,13 @@ def check_bounds(bc: RobinBC, n: int, pieces_max: int, seed: int) -> SampleRepor
     report = SampleReport(n_samples=0, seed=seed)
     gaps = {k: None for k in KINDS}
     for tags, index, edges, vals, m, starts in _batches(seed, n, pieces_max, k0, lam0):
-        lam, width, status = lambda1_lanes(edges, vals, m, k0, k1, DEFAULT_TOL, starts)
-        unsolved = (status != STATUS_OK).nonzero()[0]
+        lam, width, status = lambda1_lanes(edges, vals, m, k0, k1, DEFAULT_TOL, starts, _needed(tags, ext))
+        unsolved = ((status != STATUS_OK) & (status != STATUS_RETIRED)).nonzero()[0]
         if unsolved.size:
             # the first unsolved sample raises what a scalar solve of it raises
             i = unsolved[0]
             _checked(float(lam[i]), float(width[i]), int(status[i]), DEFAULT_TOL)
-        for tag, lo_kind, hi_kind in ((0, "m1plus", "M1plus"), (1, "m1minus", "M1minus")):
+        for tag, lo_kind, hi_kind in _CLASSES:
             ours = tags == tag
             if not ours.any():
                 continue

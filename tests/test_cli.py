@@ -495,6 +495,14 @@ def test_eigen_midpoint_overflow_names_the_cause(child_env, tmp_path):
     assert res.stderr == "robinsl: error: bracket midpoint overflowed: lam = inf\n"
 
 
+def test_eigen_overflowing_rayleigh_bound_prints_only_its_error(child_env, tmp_path):
+    # the solve's first trial, k0sq + k1sq + the integral of q, overflowed
+    # to inf, and its shot raised a bare "math domain error"
+    res = _eigen_in_child(child_env, tmp_path, Potential(segments=(Segment(0.2, 0.6, 2.5),)), RobinBC(1e308, 1e308))
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "robinsl: error: shooting state overflowed or vanished\n"
+
+
 def test_eigen_negative_sample_prints_only_its_error(child_env, tmp_path):
     # normalizing by the top sample overflowed on a far negative one, and
     # numpy's RuntimeWarning came before the error

@@ -19,7 +19,7 @@ from robinsl import (
     lambda1,
     lambda1_value,
 )
-from robinsl._kernels import propagate_step, shoot_kernel
+from robinsl._kernels import STATUS_NONFINITE, lambda1_kernel, propagate_step, shoot_kernel
 from robinsl.eigensolver import _sample_eigenfunction, compile_arrays
 from oracles import delta_approx, quadratic_form
 
@@ -233,6 +233,19 @@ def test_overflowing_shot_raises_non_finite_state():
     q = Potential(atoms=(DeltaAtom(0.5, -1e308),))
     with pytest.raises(NonFiniteState, match="^shooting state overflowed or vanished$"):
         lambda1_value(q, RobinBC(0.25, 0.5))
+
+
+def test_overflowing_rayleigh_bound_raises_non_finite_state():
+    # k0sq + k1sq + the integral of q overflows to inf, the first trial of a
+    # solve with no start; its shot took math.cos(inf), a bare ValueError
+    q = Potential(segments=(Segment(0.2, 0.6, 2.5),))
+    with pytest.raises(NonFiniteState, match="^shooting state overflowed or vanished$"):
+        lambda1_value(q, RobinBC(1e308, 1e308))
+    assert lambda1_kernel([0.0, 0.2, 0.6, 1.0], [0.0, 2.5, 0.0], [0.0] * 4, 1e308, 1e308, 1e-10) == (
+        0.0,
+        0.0,
+        STATUS_NONFINITE,
+    )
 
 
 def test_midpoint_overflow_raises_non_finite_state():

@@ -19,6 +19,9 @@ eigenvalue and the steps inside a bracket that the ITP projection would not
 move: a lane that needs any other step, or whose state vanishes, leaves it
 and is solved once by ``lambda1_kernel``, so a shot of such a lane is only
 checked to report that it left, and check_bounds' samples never leave.
+check_bounds passes a need that retires the lanes that cannot move its
+report, and the last few lanes of a batch are solved alone; its reports
+are the reports of solving every lane in lockstep.
 """
 
 import dataclasses
@@ -373,11 +376,24 @@ def _solved_alone(monkeypatch):
     return calls
 
 
+def _left(monkeypatch):
+    """The lambda1_kernel calls of lanes that leave the lockstep by a leave rule, from now on.
+
+    With _FINISH at 0, lambda1_lanes solves no lane alone at the end: each
+    lane shoots until it settles or check_bounds' need retires it, through
+    every step it takes in check_bounds and the steps the finished lanes
+    would have taken, so the spy sees only the lanes in its out mask.
+    """
+    monkeypatch.setattr(L, "_FINISH", 0)
+    return _solved_alone(monkeypatch)
+
+
 @pytest.mark.parametrize("pieces_max", [1, 8, 16, 64])
 def test_no_check_bounds_lane_leaves(monkeypatch, pieces_max):
-    # check_bounds' samples take only the cell steps of the lockstep, at the
-    # acceptance pairs and at coefficients whose b*b overflows in the start
-    calls = _solved_alone(monkeypatch)
+    # check_bounds' samples take only the cell and root-finding steps of the
+    # lockstep, at the acceptance pairs and at coefficients past 1.34e154,
+    # where start_state scales the start
+    calls = _left(monkeypatch)
     for k0, k1 in BC_GRID6:
         check_bounds(RobinBC(k0, k1), 1000, pieces_max, 20260809)
     check_bounds(RobinBC(1e155, 1e155), 250, pieces_max, 20260809)
@@ -389,7 +405,7 @@ def test_no_lane_leaves_at_large_coefficients(monkeypatch, pieces_max):
     # coefficients up to the float range, where lam0 and the starts are huge
     # or the bracket spans decades above zero: the lanes still take only the
     # downward search and steps the projection does not move
-    calls = _solved_alone(monkeypatch)
+    calls = _left(monkeypatch)
     for k0, k1 in ((1e300, 1e300), (1e160, 1e300), (0.0, 1e100), (1e150, 1e150)):
         check_bounds(RobinBC(k0, k1), 250, pieces_max, 20260809)
     assert calls == []
@@ -635,6 +651,46 @@ def test_batch_size_changes_no_report(monkeypatch, pieces_max):
     assert reports[0] == reports[1] == reports[2]
     violations = [v for r in reports[0] for v in r["violations"]]
     assert {v["bound"] for v in violations} == {"M1plus", "m1minus"} and len(violations) < 200
+
+
+@pytest.mark.parametrize("pieces_max", [1, 8, 16, 64])
+def test_retirement_changes_no_report(monkeypatch, pieces_max):
+    # lanes that check_bounds' need retires, and the lanes that lambda1_lanes
+    # then solves alone, give the report of solving every lane in lockstep:
+    # at the acceptance pairs, in the default batches and in batches that
+    # end a class mid-way, and with violations of both bounds
+    real, batches = V.lambda1_lanes, (V._BATCH, 37 * (pieces_max + 3))
+    retired = []
+
+    def counted(*args):
+        lam, width, status = real(*args)
+        retired.append(int((status == L.STATUS_RETIRED).sum()))
+        return lam, width, status
+
+    def reports():
+        out = []
+        for batch in batches:
+            monkeypatch.setattr(V, "_BATCH", batch)
+            # the true extrema; two of them cut into their classes, so some
+            # samples violate; and the same with a slack that takes in every
+            # sample, so the least of class - and the greatest of class + are
+            # not the nearest to an extremum and violate nothing
+            for cut, slack in ((V.all_extrema, V.BOUND_TOL), (_midway, V.BOUND_TOL), (_midway, 1.0)):
+                with monkeypatch.context() as mp:
+                    mp.setattr(V, "all_extrema", cut)
+                    mp.setattr(V, "BOUND_TOL", slack)
+                    out += [dataclasses.asdict(check_bounds(RobinBC(*bc), 100, pieces_max, 7)) for bc in BC_GRID6]
+        return out
+
+    monkeypatch.setattr(V, "lambda1_lanes", counted)
+    got = reports()
+    assert sum(retired) > 0, retired
+    # the violated bounds of each of the three cases, over both batch sizes
+    bounds = [{v["bound"] for r in got[i : i + 6] + got[i + 18 : i + 24] for v in r["violations"]} for i in (0, 6, 12)]
+    assert bounds == [set(), {"M1plus", "m1minus"}, set()], bounds
+    # every lane solved to full width: lambda1_lanes without need
+    monkeypatch.setattr(V, "lambda1_lanes", lambda *args: real(*args[:7]))
+    assert reports() == got
 
 
 def _peak(n, pieces_max):

@@ -679,7 +679,7 @@ def test_retirement_changes_no_report(monkeypatch, pieces_max):
                 with monkeypatch.context() as mp:
                     mp.setattr(V, "all_extrema", cut)
                     mp.setattr(V, "BOUND_TOL", slack)
-                    out += [dataclasses.asdict(check_bounds(RobinBC(*bc), 100, pieces_max, 7)) for bc in BC_GRID6]
+                    out += [dataclasses.asdict(check_bounds(RobinBC(*bc), 50, pieces_max, 7)) for bc in BC_GRID6]
         return out
 
     monkeypatch.setattr(V, "lambda1_lanes", counted)
